@@ -1,13 +1,14 @@
-"""Replica-throughput benchmark: BatchedSession vs the PR-3 per-seed path.
+"""Replica-throughput benchmark: BatchedSession vs the per-seed path.
 
-Measures the PR-4 tentpole claim end to end: executing ``R``
-seed-replicas of one sweep cell through a single
+Measures replica batching end to end: executing ``R`` seed-replicas of
+one sweep cell through a single
 :class:`~repro.core.round_simulator.BatchedSession` (replica-batched
-backend calls + vectorised-exact decode kernels) versus the historical
-per-seed path — graph, topology, session and reference decoders built
-and run once per seed, exactly the shape of the PR-3 sweep engine.
-Both paths produce bit-identical outcomes — verified inline before the
-numbers are reported — so the ratio is pure replica throughput.
+backend calls) versus the per-seed path — graph, topology and session
+built and run once per seed, the shape of the unbatched sweep engine.
+Every session decodes through the same exact vectorised kernels, so the
+ratio isolates what batching shares: one graph build and one backend
+call per phase for all replicas.  Both paths produce bit-identical
+outcomes — verified inline before the numbers are reported.
 
 A kernel-level section times the raw backend entry points
 (``run_schedule_batch`` vs a ``run_schedule`` loop) on the same
@@ -72,7 +73,7 @@ def build_topology(n: int, degree: int) -> Topology:
 
 
 def run_per_seed(n, degree, params, seeds, rounds, backend):
-    """The historical path: graph + session + reference decoders per seed."""
+    """The per-seed path: graph + topology + session built per seed."""
     outcomes = []
     for seed in seeds:
         topology = build_topology(n, degree)

@@ -1,6 +1,7 @@
 """Shared helpers for the benchmark suite.
 
-Each ``bench_eXX`` module regenerates one experiment from DESIGN.md §3 via
+Each ``bench_eXX`` module regenerates one experiment of the claim map in
+docs/ARCHITECTURE.md via
 pytest-benchmark and prints its tables (run with ``-s`` to see them
 inline; they are also what ``python -m repro.experiments`` prints).
 

@@ -9,7 +9,8 @@ overhead.
 This is computed centrally: the distributed setup cost (``Δ⁶`` rounds in
 [7], ``Δ⁴ log n`` in [4]) is accounted analytically via
 :mod:`~repro.baselines.formulas`, since reproducing the prior papers'
-setup protocols is out of scope (see DESIGN.md).
+setup protocols is out of scope (see docs/ARCHITECTURE.md, "Map: paper
+claims → modules → experiments").
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ class BeepCode(Code):
                 f"limit {self.MAX_MATERIALIZED_LENGTH}; this typically means "
                 "paper-strict constants were used for execution - they are "
                 "for analysis only (use practical presets to run, see "
-                "DESIGN.md 2.1)"
+                "docs/ARCHITECTURE.md, 'Practical constants')"
             )
         super().__init__(input_bits, length)
         self._k = k

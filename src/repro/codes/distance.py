@@ -100,7 +100,8 @@ class DistanceCode(Code):
 
         ``candidates`` defaults to the full domain ``[0, 2^a)`` — exhaustive
         decoding exactly as the paper describes, exponential in ``a``; pass
-        an explicit candidate set for large codes (see DESIGN.md §2.2).
+        an explicit candidate set for large codes (see
+        docs/ARCHITECTURE.md, "Candidate policies").
         """
         self._check_word(word)
         if candidates is None:

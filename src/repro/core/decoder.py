@@ -13,6 +13,11 @@ Hamming distance.
 Both stages are exact implementations of the paper's tests, vectorised over
 (candidate × node) with matrix products.  Candidate enumeration policy is
 the caller's choice (see :class:`~repro.core.parameters.CandidatePolicy`).
+
+These are the *reference* implementations the tests compare against.  The
+sessions in :mod:`repro.core.round_simulator` decode through faster
+kernels that must equal these value for value; no module in the package
+calls these functions.
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ Phase 2: node ``v`` beeps the bits of ``CD(r_v, m_v)``.
 Nodes with no message this round (``None``) abstain from both phases — they
 only listen, so their codeword simply does not appear in neighbours'
 superimpositions.
+
+:func:`build_phase_schedules` is the *reference* implementation the tests
+compare against.  The sessions in :mod:`repro.core.round_simulator` build
+their schedules with a vectorised twin that must produce the same
+matrices; no module in the package calls this function.
 """
 
 from __future__ import annotations

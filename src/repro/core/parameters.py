@@ -18,7 +18,8 @@ rounds per phase      ``b``; two phases per simulated round
 ====================  =======================
 
 :func:`paper_strict_c` reproduces the paper's exact constant constraints
-(they are astronomically large — see DESIGN.md §2.1); :func:`practical_c`
+(they are astronomically large — see docs/ARCHITECTURE.md, "Practical
+constants"); :func:`practical_c`
 gives presets at which the implementation actually achieves high success
 rates, as measured by experiments E4–E6.
 """
@@ -45,7 +46,9 @@ DISTANCE_DELTA = 1.0 / 3.0
 
 
 class CandidatePolicy(enum.Enum):
-    """How decoders enumerate candidate codewords (DESIGN.md §2.2).
+    """How decoders enumerate candidate codewords.
+
+    See docs/ARCHITECTURE.md, "Candidate policies".
 
     The per-candidate accept/reject tests are the paper's regardless of
     policy; the policy only controls which candidates are scanned.

@@ -17,15 +17,23 @@ sequence of standalone calls with matching round offsets (same seeds →
 same :class:`RoundOutcome`\\ s).  :func:`simulate_broadcast_round` remains
 as the one-shot compatibility wrapper.
 
+Every session has one plan/decode path: schedules come from
+:func:`_build_phase_schedules_fast` and decoding from
+:func:`_phase1_decode_fast` / :func:`_phase2_decode_fast`, vectorised
+kernels that are *exactly* equal (not just statistically) to the
+reference implementations in :mod:`repro.core.encoder` and
+:mod:`repro.core.decoder`.  Those stay public as the oracle the tests
+compare against (``tests/core/test_session_oracle.py`` replays whole
+rounds through them); no module here calls them.
+
 :class:`BatchedSession` is the replica-batched engine on top: it stacks
 ``R`` seed-replicas of the same ``(topology, params)`` pair — one
 :class:`BroadcastSession` per seed — and executes each round's beeping
 phases as a single 3-D :meth:`~repro.engine.SimulationBackend.
-run_schedule_batch` call while decoding through vectorised kernels that
-are *exactly* equal (not just statistically) to the reference decoders.
-``BatchedSession(...).run_round(batch)[r]`` is bit-identical to what the
-``r``-th standalone :class:`BroadcastSession` would return, a property
-enforced by ``tests/core/test_batched_session.py``.
+run_schedule_batch` call.  ``BatchedSession(...).run_round(batch)[r]``
+is bit-identical to what the ``r``-th standalone
+:class:`BroadcastSession` would return, a property enforced by
+``tests/core/test_batched_session.py``.
 
 The returned :class:`RoundOutcome` carries both the decoded messages (which
 downstream algorithms consume, right or wrong — simulation fidelity is part
@@ -52,8 +60,7 @@ from ..errors import ConfigurationError
 from ..graphs import Topology
 from ..lru import LRUDict
 from ..rng import derive_rng, derive_seed, random_bits
-from .decoder import DecodedMessage, phase1_decode, phase2_decode
-from .encoder import build_phase_schedules
+from .decoder import DecodedMessage
 from .parameters import CandidatePolicy, SimulationParameters
 
 __all__ = [
@@ -128,7 +135,8 @@ class BroadcastSession:
     All per-execution state — the code pair ``(C, D)``, the channel, the
     execution backend, and the candidate-policy decoder state — is built in
     the constructor; each :meth:`run_round` call then only pays for the
-    round itself.  The session tracks the global beeping-round offset so
+    round itself, planned and decoded through the exact vectorised
+    kernels.  The session tracks the global beeping-round offset so
     consecutive rounds chain exactly like
     :class:`~repro.core.transpiler.BeepSimulator` chains standalone calls.
 
@@ -147,7 +155,8 @@ class BroadcastSession:
         ``(seed, round_offset)`` so rounds are independent and the whole
         session is reproducible.
     policy, num_decoys:
-        Candidate enumeration policy (see DESIGN.md §2.2).
+        Candidate enumeration policy (see docs/ARCHITECTURE.md,
+        "Candidate policies").
     channel:
         Override the noise channel (defaults to the one implied by
         ``params.eps``).
@@ -210,9 +219,6 @@ class BroadcastSession:
         self._distance_rows: LRUDict[int, np.ndarray] = LRUDict(
             _DISTANCE_ROW_CACHE_LIMIT
         )
-        # Flipped by BatchedSession on its replicas: route schedule
-        # building and decoding through the vectorised-exact kernels.
-        self._vectorized = False
 
     @property
     def topology(self) -> Topology:
@@ -332,21 +338,14 @@ class BroadcastSession:
         participating = [messages[v] is not None for v in range(n)]
 
         # Steps 2-3: the two oblivious beeping phase schedules.
-        slot_positions: "np.ndarray | None" = None
-        slot_rows: "dict[int, int] | None" = None
-        if self._vectorized:
-            (
-                phase1_schedule,
-                phase2_schedule,
-                slot_positions,
-                slot_rows,
-            ) = _build_phase_schedules_fast(
-                self._codes, r_values, messages, self._distance_rows
-            )
-        else:
-            phase1_schedule, phase2_schedule = build_phase_schedules(
-                self._codes, r_values, messages
-            )
+        (
+            phase1_schedule,
+            phase2_schedule,
+            slot_positions,
+            slot_rows,
+        ) = _build_phase_schedules_fast(
+            self._codes, r_values, messages, self._distance_rows
+        )
         return _RoundPlan(
             messages=list(messages),
             round_offset=round_offset,
@@ -394,32 +393,14 @@ class BroadcastSession:
             round_rng,
         )
 
-        # Step 4a: phase-1 decoding (Lemma 9 threshold test).  The
-        # vectorised path recovers in-flight candidate codewords from the
-        # schedule rows already encoded in the plan (only decoys need
-        # fresh encodes) and reuses that matrix for the phase-2 slot
-        # patterns below.
-        candidate_matrix = self._phase1_matrix(candidates)
-        if self._vectorized:
-            if candidate_matrix is None:
-                candidate_matrix = _candidate_matrix_from_plan(
-                    codes.beep_code, plan, candidates
-                )
-            accepted_raw = _phase1_decode_fast(
-                codes.beep_code,
-                heard1,
-                candidates,
-                params.eps,
-                codeword_matrix=candidate_matrix,
-            )
-        else:
-            accepted_raw = phase1_decode(
-                codes.beep_code,
-                heard1,
-                candidates,
-                params.eps,
-                codeword_matrix=candidate_matrix,
-            )
+        # Step 4a: phase-1 decoding (Lemma 9 threshold test).
+        accepted_raw = _phase1_decode_fast(
+            codes.beep_code,
+            heard1,
+            candidates,
+            params.eps,
+            codeword_matrix=self._phase1_matrix(plan, candidates),
+        )
         accepted: list[set[int]] = []
         for v in range(n):
             own = {r_values[v]} if participating[v] else set()
@@ -452,38 +433,17 @@ class BroadcastSession:
             message_candidates = list(range(1 << params.message_bits))
         if not message_candidates:
             decoded_maps = [dict() for _ in range(n)]
-        elif self._vectorized:
-            # Slot-position recycling pays only when the candidate scan
-            # is the in-flight set (plus a few decoys); an EXHAUSTIVE
-            # scan would materialise positions for the whole 2^a domain
-            # every round, so there the decoder falls back to encoding
-            # just the accepted pairs.
-            if self._policy is CandidatePolicy.EXHAUSTIVE or not candidates:
-                candidate_positions = None
-                candidate_index = None
-            else:
-                candidate_positions = _candidate_positions(
-                    codes.beep_code, plan, candidates
-                )
-                candidate_index = {
-                    value: i for i, value in enumerate(candidates)
-                }
+        else:
+            # Accepted in-flight values reuse the schedule builder's slot
+            # positions; only accepted decoys pay an encode.
             decoded_maps = _phase2_decode_fast(
                 codes,
                 heard2,
                 accepted,
                 message_candidates,
                 codeword_matrix=self._phase2_matrix(message_candidates),
-                slot_positions=candidate_positions,
-                slot_index=candidate_index,
-            )
-        else:
-            decoded_maps = phase2_decode(
-                codes,
-                heard2,
-                accepted,
-                message_candidates,
-                codeword_matrix=self._phase2_matrix(message_candidates),
+                slot_positions=plan.slot_positions,
+                slot_index=plan.slot_rows,
             )
 
         decoded = [
@@ -534,25 +494,24 @@ class BroadcastSession:
             self.reset(round_offset)
         return [self.run_round(messages) for messages in message_rounds]
 
-    def _phase1_matrix(self, candidates: Sequence[int]) -> np.ndarray | None:
-        """The phase-1 decoder's ``int32`` codeword matrix, when amortisable.
+    def _phase1_matrix(
+        self, plan: "_RoundPlan", candidates: Sequence[int]
+    ) -> np.ndarray:
+        """The phase-1 decoder's ``float32`` candidate codeword matrix.
 
         Under :attr:`CandidatePolicy.EXHAUSTIVE` the candidate list is the
         full domain every round, so the matrix is built once and reused.
-        The other policies draw fresh random candidates each round; for
-        them the decoder builds its matrix per call (``None``) through the
-        beep code's own codeword cache.
+        The other policies draw fresh random decoys each round; their
+        matrix is recycled from the plan's schedule rows.
         """
         if self._policy is not CandidatePolicy.EXHAUSTIVE:
-            return None
+            return _candidate_matrix_from_plan(
+                self._codes.beep_code, plan, candidates
+            )
         if self._exhaustive_phase1 is None:
-            # Vectorised sessions consume this on the float32 sgemm path,
-            # so caching it in that dtype avoids a whole-matrix conversion
-            # every round; the reference decoder keeps its int32 form.
-            dtype = np.float32 if self._vectorized else np.int32
             self._exhaustive_phase1 = self._codes.beep_code.encode_many(
                 list(candidates)
-            ).astype(dtype)
+            ).astype(np.float32)
         return self._exhaustive_phase1
 
     def _phase2_matrix(self, message_candidates: Sequence[int]) -> np.ndarray | None:
@@ -604,11 +563,11 @@ class _RoundPlan:
     participating: list[bool]
     phase1_schedule: np.ndarray
     phase2_schedule: np.ndarray
-    #: Vectorised path only: the ascending one-positions of each active
-    #: node's beep codeword (row ``slot_rows[r_v]``), computed once by the
-    #: schedule builder and reused by the decoders.
-    slot_positions: "np.ndarray | None" = None
-    slot_rows: "dict[int, int] | None" = None
+    #: The ascending one-positions of each active node's beep codeword
+    #: (row ``slot_rows[r_v]``; ``None`` when every node is silent),
+    #: computed once by the schedule builder and reused by the decoders.
+    slot_positions: "np.ndarray | None"
+    slot_rows: "dict[int, int]"
 
 
 def _build_phase_schedules_fast(
@@ -695,30 +654,6 @@ def _candidate_matrix_from_plan(
     return matrix
 
 
-def _candidate_positions(
-    beep_code,
-    plan: "_RoundPlan",
-    candidates: Sequence[int],
-) -> np.ndarray:
-    """Each candidate codeword's ascending one-positions, mostly recycled.
-
-    In-flight candidates reuse the slot-position rows the schedule
-    builder already computed; only decoys (and exhaustive-scan values
-    absent from the schedule) pay an encode plus ``flatnonzero``.
-    """
-    weight = beep_code.weight
-    slot_rows = plan.slot_rows or {}
-    positions = np.empty((len(candidates), weight), dtype=np.int64)
-    rows = [slot_rows.get(value) for value in candidates]
-    known = [i for i, row in enumerate(rows) if row is not None]
-    if known:
-        positions[known] = plan.slot_positions[[rows[i] for i in known]]
-    for i, row in enumerate(rows):
-        if row is None:
-            positions[i] = np.flatnonzero(beep_code.encode_int(candidates[i]))
-    return positions
-
-
 def _phase1_decode_fast(
     beep_code,
     heard: np.ndarray,
@@ -777,9 +712,9 @@ def _phase2_decode_fast(
 
     ``slot_positions``/``slot_index`` optionally supply precomputed slot
     patterns (row ``slot_index[r]`` holds the ascending one-positions of
-    ``C(r)``) so accepted values — which phase 1 always drew from the
-    candidate matrix — need neither re-encoding nor a fresh ``nonzero``;
-    values missing from the index fall back to the code.
+    ``C(r)``, as the schedule builder returns them) so accepted in-flight
+    values need neither re-encoding nor a fresh ``nonzero``; values
+    missing from the index (accepted decoys) fall back to the code.
     """
     heard = np.asarray(heard, dtype=bool)
     n = heard.shape[0]
@@ -877,8 +812,9 @@ class BatchedSession:
     master seed — codes, channel and decoder state derive from that seed
     exactly as standalone sessions do — but every simulated round executes
     both beeping phases as a single stacked
-    :meth:`~repro.engine.SimulationBackend.run_schedule_batch` call and
-    decodes through the vectorised-exact kernels.  Outcome ``r`` of
+    :meth:`~repro.engine.SimulationBackend.run_schedule_batch` call, then
+    hands each replica's heard matrices to that replica's own decode
+    half.  Outcome ``r`` of
     :meth:`run_round` is therefore bit-identical to what
     ``BroadcastSession(topology, params, seeds[r], ...)`` would have
     produced on the same messages, which is what lets
@@ -935,14 +871,6 @@ class BatchedSession:
             )
             for seed, channel in zip(seeds, channels)
         )
-        for session in self._sessions:
-            session._vectorized = True
-        lengths = {session.codes.length for session in self._sessions}
-        if len(lengths) != 1:  # pragma: no cover - params pin the length
-            raise ConfigurationError(
-                f"replica code lengths differ ({sorted(lengths)}); "
-                "replicas must share (topology, params)"
-            )
         self._topology = topology
         self._params = params
         self._seeds = tuple(seeds)
@@ -1078,7 +1006,8 @@ def simulate_broadcast_round(
         Global beeping-round number at which this simulated round starts
         (keys both noise and the per-round random strings).
     policy, num_decoys:
-        Candidate enumeration policy (see DESIGN.md §2.2).
+        Candidate enumeration policy (see docs/ARCHITECTURE.md,
+        "Candidate policies").
     channel:
         Override the noise channel (defaults to the one implied by
         ``params.eps``).
@@ -1131,8 +1060,11 @@ def _candidate_set(
     if policy is CandidatePolicy.IN_FLIGHT:
         return list(in_flight)
     in_flight_set = set(in_flight)
+    # Tiny r-spaces can hold fewer free values than the decoy budget;
+    # capping it keeps the draws unchanged whenever the cap does not bind.
+    budget = min(num_decoys, r_space - len(in_flight_set))
     decoys: set[int] = set()
-    while len(decoys) < num_decoys:
+    while len(decoys) < budget:
         draw = int.from_bytes(rng.bytes(max(1, (r_bits + 7) // 8)), "little")
         draw &= r_space - 1
         if draw not in in_flight_set:

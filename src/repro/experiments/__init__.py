@@ -1,4 +1,7 @@
-"""Experiment harness: one module per reproduced claim (see DESIGN.md §3).
+"""Experiment harness: one module per reproduced claim.
+
+The claims and their experiments are mapped in docs/ARCHITECTURE.md,
+"Map: paper claims → modules → experiments".
 
 Run from the command line::
 

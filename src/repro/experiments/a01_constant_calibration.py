@@ -1,7 +1,7 @@
 """A1 (ablation) — calibrating the practical constant c.
 
-The paper's proofs demand c_ε ≈ 10³ (E15b); DESIGN.md §2.1 claims small
-constants suffice in practice.  This ablation sweeps c at several noise
+The paper's proofs demand c_ε ≈ 10³ (E15b); docs/ARCHITECTURE.md,
+"Practical constants", claims small constants suffice in practice.  This ablation sweeps c at several noise
 levels and measures the per-round success rate, exposing the failure
 cliff that :func:`repro.core.practical_c` is calibrated against: success
 collapses when c is too small for ε and saturates shortly above the
@@ -23,7 +23,7 @@ __all__ = ["run"]
 @experiment(
     id="a01",
     title="Ablation: practical constant c calibration",
-    claim="DESIGN.md 2.1",
+    claim="docs/ARCHITECTURE.md: practical constants",
     tags=("ablation", "calibration"),
 )
 def run(ctx: RunContext) -> list[Table]:

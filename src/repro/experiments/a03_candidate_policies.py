@@ -1,4 +1,6 @@
-"""A3 (ablation) — candidate-set decoding policies (DESIGN.md §2.2).
+"""A3 (ablation) — candidate-set decoding policies.
+
+See docs/ARCHITECTURE.md, "Candidate policies".
 
 The implementation decodes against a candidate scan set instead of the
 paper's exhaustive ``2^a`` scan.  This ablation validates the substitution
@@ -27,7 +29,7 @@ __all__ = ["run"]
 @experiment(
     id="a03",
     title="Ablation: candidate-set decoding policies",
-    claim="DESIGN.md 2.2",
+    claim="docs/ARCHITECTURE.md: candidate policies",
     tags=("ablation", "decoding"),
 )
 def run(ctx: RunContext) -> list[Table]:

@@ -38,7 +38,10 @@ def run(ctx: RunContext) -> list[Table]:
             "node error rate",
             "round success",
         ],
-        notes=["practical constants (DESIGN.md 2.1); node errors count R~_v != R_v"],
+        notes=[
+            "practical constants (docs/ARCHITECTURE.md); "
+            "node errors count R~_v != R_v"
+        ],
     )
     n = 18 if ctx.quick else 30
     deltas = [2, 4] if ctx.quick else [2, 4, 6, 8]

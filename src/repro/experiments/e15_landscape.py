@@ -83,6 +83,7 @@ def run(ctx: RunContext) -> list[Table]:
     constants.notes.append(
         "at eps = 0.1 the strict constant is ~1e3, giving beep codes of "
         "length c^3 (Delta+1) log n ~ 1e11 bits - why practical presets "
-        "(c in 3..8) are used for execution (DESIGN.md 2.1)"
+        "(c in 3..8) are used for execution (docs/ARCHITECTURE.md, "
+        "'Practical constants')"
     )
     return [landscape, constants]

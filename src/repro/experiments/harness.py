@@ -389,7 +389,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return serve_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
-        description="Reproduce the paper's tables and figures (DESIGN.md 3)",
+        description=(
+            "Reproduce the paper's tables and figures (claim map: "
+            "docs/ARCHITECTURE.md)"
+        ),
         epilog="Scenario campaigns over the topology zoo: "
         "'%(prog)s sweep --grid grid.toml' (see 'sweep --help').",
     )

@@ -1,5 +1,6 @@
 """Tests for the vectorised schedule executor, including the bit-exact
-equivalence with the per-round engine (the contract DESIGN.md promises)."""
+equivalence with the per-round engine (the contract docs/ARCHITECTURE.md
+promises in "The bit-identical-backends invariant")."""
 
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ class TestRunSchedule:
 
 
 class TestEngineEquivalence:
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(
         st.integers(0, 500),
         st.integers(0, 2**16),
@@ -105,7 +106,7 @@ class TestBackendEquivalence:
     windowed Philox stream exactly.
     """
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         graph_seed=st.integers(0, 500),
         start_round=st.one_of(
@@ -131,7 +132,7 @@ class TestBackendEquivalence:
         )
         assert np.array_equal(heard_dense, heard_packed)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(
         graph_seed=st.integers(0, 500),
         rounds=st.integers(1, 150),
@@ -145,7 +146,7 @@ class TestBackendEquivalence:
             run_schedule(t, schedule, backend="bitpacked"),
         )
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(
         start_round=st.integers(0, 2 * _NOISE_WINDOW),
         phase_lengths=st.lists(st.integers(1, 120), min_size=2, max_size=5),
@@ -170,7 +171,7 @@ class TestBackendEquivalence:
             assert np.array_equal(heard_dense, heard_packed)
             offset += length
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(
         graph_seed=st.integers(0, 100),
         start_round=st.integers(0, 2**16),

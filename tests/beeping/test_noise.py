@@ -70,7 +70,7 @@ class TestBernoulliNoise:
         with pytest.raises(ConfigurationError):
             channel.apply(np.zeros((2, 2, 2), dtype=bool), 0)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(
         st.integers(0, 2**16),
         st.integers(1, 30),

@@ -45,7 +45,7 @@ def _channels(n: int, seed: int = 7):
 class TestWindowContractProperty:
     """apply per round == flip_block batched, for every model, any offset."""
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(
         st.integers(0, 3 * _WINDOW),
         st.integers(1, 24),
@@ -63,7 +63,7 @@ class TestWindowContractProperty:
         )
         assert np.array_equal(block, columns)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.integers(1, 20), st.integers(1, 64), st.integers(0, 2))
     def test_window_straddle_equals_concatenation(self, n, rounds, which):
         start = _WINDOW - rounds // 2 - 1

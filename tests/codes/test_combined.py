@@ -59,7 +59,7 @@ class TestEncodeExtract:
         with pytest.raises(ConfigurationError):
             combined.extract(np.zeros(combined.length + 1, dtype=bool), 3)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.integers(0, 31), st.integers(0, 15))
     def test_roundtrip_property(self, r, m):
         combined = make_combined(seed=2)

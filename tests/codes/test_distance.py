@@ -122,7 +122,7 @@ class TestNearestDecoding:
         with pytest.raises(ConfigurationError):
             code.decode_nearest(np.zeros(41, dtype=bool))
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.integers(0, 31), st.integers(0, 2**31 - 1))
     def test_noise_below_half_distance_property(self, message, noise_seed):
         code = DistanceCode(input_bits=5, delta=1.0 / 3.0, seed=1)

@@ -1,8 +1,17 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and hypothesis profiles for the test suite.
+
+Two hypothesis profiles: ``dev`` (no per-example deadline, since
+simulated rounds vary widely in cost) is loaded by default; ``ci`` adds
+derandomised example generation and failure blobs, so a failing property
+reproduces exactly.  ``HYPOTHESIS_PROFILE=ci`` selects it.
+"""
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.core import SimulationParameters
 from repro.graphs import (
@@ -13,6 +22,12 @@ from repro.graphs import (
     random_regular_graph,
     star_graph,
 )
+
+settings.register_profile("dev", deadline=None)
+settings.register_profile(
+    "ci", parent=settings.get_profile("dev"), derandomize=True, print_blob=True
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
 @pytest.fixture

@@ -3,10 +3,12 @@
 The contract: outcome ``r`` of a batched round is *bit-identical* —
 decoded multisets, accepted sets, error counters, collision flags — to
 what the ``r``-th standalone :class:`BroadcastSession` returns on the
-same messages, for every policy, channel, backend and round offset.  The
-fast kernels (schedule building, phase-1 threshold decode, phase-2
-nearest-codeword decode) are additionally tested value-for-value against
-their reference implementations.
+same messages, for every policy, channel, backend and round offset.
+Both run the same kernels, so the chaining and policy checks also hold
+them to the reference round of ``reference_round.py``.  The fast kernels
+(schedule building, phase-1 threshold decode, phase-2 nearest-codeword
+decode) are additionally tested value-for-value against their reference
+implementations.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_round import assert_outcomes_equal, reference_round
 from repro.core.encoder import build_phase_schedules
 from repro.core.decoder import phase1_decode, phase2_decode
 from repro.core.parameters import CandidatePolicy, SimulationParameters
@@ -29,18 +32,6 @@ from repro.errors import ConfigurationError
 from repro.graphs import Topology, path_graph, random_regular_graph, star_graph
 from repro.lru import LRUDict
 from repro.rng import derive_rng, random_bits
-
-
-def assert_outcomes_equal(a, b):
-    """Field-by-field equality of two RoundOutcomes."""
-    assert a.decoded == b.decoded
-    assert np.array_equal(a.per_node_success, b.per_node_success)
-    assert a.success == b.success
-    assert a.beep_rounds_used == b.beep_rounds_used
-    assert a.phase1_errors == b.phase1_errors
-    assert a.phase2_errors == b.phase2_errors
-    assert a.r_collision == b.r_collision
-    assert a.accepted_sets == b.accepted_sets
 
 
 def random_messages(rng, n, message_bits, hole_every=0):
@@ -71,13 +62,29 @@ class TestBitIdentityWithPerSeedSessions:
                 random_messages(rng, 12, params.message_bits, hole_every=round_index + 3)
                 for _ in seeds
             ]
+            offset = batched.sessions[0].next_round_offset
             outcomes = batched.run_round(batch)
             for replica, (single, messages) in enumerate(zip(singles, batch)):
                 assert_outcomes_equal(outcomes[replica], single.run_round(messages))
+                assert_outcomes_equal(
+                    outcomes[replica],
+                    reference_round(
+                        topology,
+                        params,
+                        seeds[replica],
+                        messages,
+                        offset,
+                        backend=backend,
+                    ),
+                )
 
     @pytest.mark.parametrize(
         "policy",
-        [CandidatePolicy.ORACLE_WITH_DECOYS, CandidatePolicy.IN_FLIGHT],
+        [
+            CandidatePolicy.ORACLE_WITH_DECOYS,
+            CandidatePolicy.IN_FLIGHT,
+            CandidatePolicy.EXHAUSTIVE,
+        ],
     )
     def test_policies(self, policy):
         topology = Topology(star_graph(8))
@@ -94,6 +101,12 @@ class TestBitIdentityWithPerSeedSessions:
         batch = [random_messages(rng, 8, params.message_bits) for _ in seeds]
         for replica, outcome in enumerate(batched.run_round(batch)):
             assert_outcomes_equal(outcome, singles[replica].run_round(batch[replica]))
+            assert_outcomes_equal(
+                outcome,
+                reference_round(
+                    topology, params, seeds[replica], batch[replica], 0, policy=policy
+                ),
+            )
 
     def test_exhaustive_policy(self):
         topology = Topology(path_graph(4))

@@ -5,8 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CandidatePolicy, SimulationParameters, simulate_broadcast_round
-from repro.core.round_simulator import _with_message_decoys
+from repro.core import (
+    BatchedSession,
+    CandidatePolicy,
+    SimulationParameters,
+    simulate_broadcast_round,
+)
+from repro.core.round_simulator import _candidate_set, _with_message_decoys
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, path_graph, random_regular_graph, star_graph
 from repro.rng import derive_rng
@@ -217,3 +222,34 @@ class TestMessageDecoys:
             path6, messages, params, seed=11, num_decoys=16
         )
         assert outcome.success
+
+
+class TestCandidateDecoys:
+    """Budget behaviour of the phase-1 decoy enumeration in r-spaces with
+    fewer free values than the requested number of decoys."""
+
+    def test_space_exhausted_fills_entire_domain(self):
+        # 3-bit r-space: 2 in flight leave room for exactly 6 decoys.
+        result = _candidate_set(
+            CandidatePolicy.ORACLE_WITH_DECOYS,
+            [1, 6],
+            r_space=8,
+            r_bits=3,
+            num_decoys=16,
+            rng=derive_rng(0, "t"),
+        )
+        assert result == list(range(8))
+
+    def test_round_on_two_node_network_terminates(self):
+        """Regression: for_network(2, 1) gives r_bits = 3, an 8-value
+        r-space against the default 16 decoys; the decoy draw used to loop
+        forever."""
+        topology = Topology(path_graph(2))
+        params = SimulationParameters.for_network(2, 1, eps=0.0)
+        assert 1 << params.r_bits < 16
+        outcome = simulate_broadcast_round(topology, [1, 0], params, seed=0)
+        assert outcome.success
+        assert outcome.decoded == [[0], [1]]
+        batched = BatchedSession(topology, params, [0, 1])
+        outcomes = batched.run_round([[1, 0], [0, 1]])
+        assert [o.decoded for o in outcomes] == [[[0], [1]], [[1], [0]]]

@@ -71,7 +71,7 @@ class TestPacking:
 
 
 class TestNeighborOrEquivalence:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(0, 200), st.integers(2, 80), st.integers(0, 2**16))
     def test_vector_matches_dense(self, graph_seed, n, beep_seed):
         topology = Topology(gnp_graph(n, 0.15, seed=graph_seed))

@@ -146,7 +146,7 @@ class TestBatchMatchesLoop:
         empty_batch = np.zeros((0, 5, 9), dtype=bool)
         assert backend.run_schedule_batch(topology, empty_batch).shape == (0, 5, 9)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         graph_seed=st.integers(0, 5),
         replicas=st.integers(1, 4),

@@ -105,7 +105,7 @@ def _channel(kind: str, n: int, seed: int):
 
 @needs_kernel
 class TestBitIdentity:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         family=st.sampled_from(sorted(FAMILIES)),
         n=st.integers(8, 80),

@@ -51,7 +51,7 @@ def small_topology(family: str, seed: int = 7) -> Topology:
 
 class TestHash64:
     @given(st.integers(0, 2**62), st.integers(0, 2**62))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_deterministic(self, value, other):
         assert hash64(value) == hash64(value)
         if value != other:
@@ -75,7 +75,7 @@ class TestOwnerOf:
         st.integers(min_value=1, max_value=11),
         st.integers(min_value=0, max_value=200),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_disjoint_cover_every_p(self, shards, n):
         owner = owner_of(np.arange(n), shards)
         # Cover: every node has an owner in range.  Disjoint: owner_of is
@@ -105,7 +105,7 @@ class TestEdgeIds:
         st.integers(min_value=0, max_value=2**31),
         st.integers(min_value=0, max_value=2**31),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_symmetric(self, u, v):
         assert edge_ids(u, v) == edge_ids(v, u)
 
@@ -154,7 +154,7 @@ class TestShardPlan:
         st.floats(min_value=0.0, max_value=0.5),
         st.integers(min_value=0, max_value=2**31),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_random_graph_reassembly(self, n, shards, p, seed):
         topology = Topology(gnp_graph(n, p, seed=seed))
         plan = build_shard_plan(topology, shards)

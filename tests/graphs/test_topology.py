@@ -98,7 +98,7 @@ class TestNeighborOr:
         with pytest.raises(ConfigurationError):
             t.neighbor_or(np.zeros(4, dtype=bool))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
     def test_neighbor_or_matches_bruteforce(self, graph_seed, beep_seed):
         t = Topology(gnp_graph(10, 0.3, seed=graph_seed % 1000))

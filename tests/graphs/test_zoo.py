@@ -92,7 +92,7 @@ class TestCatalog:
             assert family.citation
 
     @given(name=st.sampled_from(ZOO), n=st.integers(2, 48), seed=st.integers(0, 4))
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_build_validated_or_cleanly_rejected(self, name, n, seed):
         # The core zoo contract: any (family, n, seed) either raises a
         # one-line ConfigurationError or yields a graph honouring every
@@ -112,7 +112,7 @@ class TestCatalog:
             assert max_degree(graph) <= bound
 
     @given(name=st.sampled_from(ZOO), n=st.integers(2, 40), seed=st.integers(0, 3))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_build_deterministic_under_seed(self, name, n, seed):
         try:
             first = build_family_graph(name, n, seed=seed)

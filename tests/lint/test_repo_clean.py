@@ -52,6 +52,7 @@ def test_cli_all_gates_exit_zero_on_the_repo():
     assert "repro-lint:" in completed.stdout
     assert "docstring check:" in completed.stdout
     assert "link check:" in completed.stdout
+    assert "doc-path check:" in completed.stdout
 
 
 def test_seeded_engine_violation_fails_with_rng001_diagnostic(tmp_path):

@@ -3,7 +3,7 @@
 ::
 
     python -m tools.lint                 # AST rules over src/
-    python -m tools.lint --all           # + docstring gate + link gate
+    python -m tools.lint --all           # + docstring, link and doc-path gates
     python -m tools.lint src/repro/engine  # explicit paths
     python -m tools.lint --list          # rule table (id, scope, backing test)
     python -m tools.lint --all --report lint-report.txt
@@ -86,7 +86,11 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     parser.add_argument(
         "--all",
         action="store_true",
-        help="also run the docstring gate and the markdown link gate",
+        help=(
+            "also run the docstring gate, the markdown link gate and the "
+            "doc-path gate (strings under src/ and tests/ naming missing "
+            "*.md files)"
+        ),
     )
     parser.add_argument(
         "--list",
@@ -102,8 +106,9 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         "--root",
         metavar="DIR",
         help=(
-            "root the rule path-scopes are resolved against "
-            "(default: the repo root; set when linting a fixture tree)"
+            "root the rule path-scopes and the doc-path gate are resolved "
+            "against (default: the repo root; set when linting a fixture "
+            "tree)"
         ),
     )
     args = parser.parse_args(argv)
@@ -113,11 +118,13 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     root = Path(args.root) if args.root else None
     gates = [lint_gate(args.paths or None, root=root)]
     if args.all:
+        from .docpaths import doc_paths_gate
         from .docstrings import docstring_gate
         from .links import links_gate
 
         gates.append(docstring_gate())
         gates.append(links_gate([REPO_ROOT / path for path in DEFAULT_LINK_PATHS]))
+        gates.append(doc_paths_gate(root if root is not None else REPO_ROOT))
 
     reporter = Reporter()
     exit_code = reporter.emit_all(gates)
