@@ -8,11 +8,7 @@ to a :class:`SimulationBackend`:
 * :class:`DenseBackend` (``"dense"``) — the scipy-CSR/numpy reference path;
 * :class:`BitpackedBackend` (``"bitpacked"``) — schedules packed into
   ``uint64`` words, 64 rounds per OR/XOR;
-* :class:`NativeBackend` (``"native"``) — the bit-packed algorithm's inner
-  loops compiled to machine code at first use (see
-  :mod:`repro.engine.native`), falling back to bit-packed on hosts
-  without a C compiler;
-* :class:`ShardedBackend` (``"sharded"``) — any of the above hash-sharded
+* :class:`ShardedBackend` (``"sharded"``) — either of the above hash-sharded
   across ``P`` worker processes with chunked boundary exchange (see
   :mod:`repro.engine.sharded`); built via :func:`with_shards`.
 
@@ -37,7 +33,6 @@ from .base import (
 from .bitpacked import BitpackedBackend
 from .dense import DenseBackend
 from .mp import START_METHOD, mp_context
-from .native import NativeBackend
 from .packing import WORD_BITS, pack_rows, pack_vector, unpack_rows, words_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -47,7 +42,6 @@ __all__ = [
     "SimulationBackend",
     "DenseBackend",
     "BitpackedBackend",
-    "NativeBackend",
     "ShardedBackend",
     "with_shards",
     "mp_context",
@@ -68,13 +62,9 @@ __all__ = [
 ]
 
 #: Singleton registry — backends are stateless, one instance each suffices.
-#: Registering NativeBackend does not touch the compiler: its kernel is
-#: built lazily on the first call, and compiler-less hosts fall back to
-#: the bit-packed backend at that point.
 _BACKENDS: dict[str, SimulationBackend] = {
     DenseBackend.name: DenseBackend(),
     BitpackedBackend.name: BitpackedBackend(),
-    NativeBackend.name: NativeBackend(),
 }
 
 #: ``"auto"`` flips to the bit-packed path once the schedule clears both
@@ -95,22 +85,15 @@ def get_backend(name: str) -> SimulationBackend:
     """Look up a backend by registry name.
 
     Unknown names raise :class:`~repro.errors.ConfigurationError` listing
-    every registered backend — and, when the native tier cannot run on
-    this host, why (so ``--backend natve`` typos and "why is native
-    missing" both get answered by the same one-line error).
+    every registered backend, so ``--backend`` typos get a one-line error.
     """
     from ..errors import ConfigurationError
 
     try:
         return _BACKENDS[name]
     except KeyError:
-        from .native.build import native_availability
-
-        native_ok, native_reason = native_availability()
-        detail = "" if native_ok else f"; note: native falls back to bitpacked here ({native_reason})"
         raise ConfigurationError(
             f"unknown backend {name!r}; known: {sorted(_BACKENDS)} (or 'auto')"
-            f"{detail}"
         ) from None
 
 
@@ -139,10 +122,6 @@ def get_default_backend() -> "str | SimulationBackend":
 def _auto_choice(
     topology: "Topology | None" = None, rounds: "int | None" = None
 ) -> SimulationBackend:
-    # "auto" deliberately never picks the native tier: its availability
-    # depends on a host compiler, and auto's choice must be stable across
-    # the fleet so cached results stay comparable.  Native is an explicit
-    # opt-in (--backend native), with a warned bit-identical fallback.
     if topology is None:
         return _BACKENDS[DenseBackend.name]
     n = topology.num_nodes

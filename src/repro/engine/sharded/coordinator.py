@@ -64,9 +64,8 @@ __all__ = ["ShardedBackend", "CHUNK_BYTES", "send_array", "recv_array"]
 CHUNK_BYTES = 1 << 20
 
 #: Local kernels a shard worker can run (the single-process backends,
-#: restricted to shard rows).  "native" workers that find no compiler
-#: fall back to the bit-packed path in-process, bit-identically.
-_KERNELS = ("dense", "bitpacked", "native")
+#: restricted to shard rows).
+_KERNELS = ("dense", "bitpacked")
 
 
 def send_array(conn: "Connection", array: np.ndarray) -> None:

@@ -12,13 +12,9 @@ kernel:
 * ``"bitpacked"`` — columns packed into ``uint64`` words and reduced
   with one segmented ``bitwise_or.reduceat`` over the shard CSR (the
   :class:`~repro.engine.bitpacked.BitpackedBackend` kernel restricted to
-  local rows);
-* ``"native"`` — the same packed reduction run by the compiled C kernel
-  of :mod:`repro.engine.native` over the shard CSR (each worker loads
-  the shared per-source-hash cached library; workers on compiler-less
-  hosts fall back to the bit-packed path, bit-identically).
+  local rows).
 
-All kernels produce identical booleans, so the sharded tier inherits
+Both kernels produce identical booleans, so the sharded tier inherits
 the engine's bit-identical-backends invariant shard by shard.
 
 Channels are applied *shard-locally* where the noise stream allows it:
@@ -134,29 +130,6 @@ class ShardExecutor:
                 f"rank {self.rank}: stacked rows {stacked.shape[0]} != "
                 f"column space {self.column_space}"
             )
-        if kernel == "native":
-            from ..native.backend import (
-                _kernel_or_none,
-                csr_or_words as native_csr_or_words,
-                pack_rows_native,
-                unpack_rows_native,
-            )
-
-            library = _kernel_or_none()
-            if library is not None:
-                packed = pack_rows_native(library, stacked)
-                received = native_csr_or_words(
-                    library,
-                    self.indptr,
-                    self.indices,
-                    packed,
-                    self.num_local,
-                    out_rows=self.num_local,
-                )
-                return unpack_rows_native(library, received, stacked.shape[1])
-            # No compiler in this worker: the bit-packed path below is
-            # bit-identical, so the shard result is unchanged.
-            kernel = "bitpacked"
         if kernel == "bitpacked":
             packed = pack_rows(stacked)
             received = csr_or_words(

@@ -21,16 +21,14 @@ Each experiment module declares itself with the
 :func:`~repro.experiments.spec.experiment` decorator and receives a
 :class:`RunContext`; runners return :class:`Table` objects that the
 runner API wraps into :class:`ExperimentResult` records (JSON/CSV
-serializable).  The legacy ``module.run(quick=..., seed=...)`` calling
-convention keeps working through a compatibility shim on
-:class:`ExperimentSpec`.
+serializable).
 """
 
 from .table import Table
 from .context import RunContext
 from .spec import ExperimentSpec, experiment
 from .result import ExperimentResult, TableData
-from .registry import EXPERIMENTS, get_experiment, get_spec, all_specs, list_experiments
+from .registry import get_spec, all_specs
 from .api import run
 
 __all__ = [
@@ -41,9 +39,6 @@ __all__ = [
     "ExperimentResult",
     "experiment",
     "run",
-    "EXPERIMENTS",
-    "get_experiment",
     "get_spec",
     "all_specs",
-    "list_experiments",
 ]

@@ -1,13 +1,10 @@
 """Run contexts: everything an experiment needs to know about *how* to run.
 
-The v1 experiment convention threaded two loose keyword arguments
-(``quick`` and ``seed``) through every runner.  :class:`RunContext`
-replaces that with one immutable object carrying the execution
+:class:`RunContext` is one immutable object carrying the execution
 **profile** (``"quick"``, ``"full"``, or a custom label), the master
 seed, the resolved simulation backend, a progress callback, and factory
 methods for per-experiment child RNG streams (built on
-:func:`repro.rng.derive_rng`, so migrated experiments reproduce the v1
-bitstreams exactly).
+:func:`repro.rng.derive_rng`).
 """
 
 from __future__ import annotations
@@ -80,7 +77,7 @@ class RunContext:
 
     @property
     def quick(self) -> bool:
-        """True for every profile except ``"full"`` (v1 ``quick`` flag)."""
+        """True for every profile except ``"full"``."""
         return self.profile != "full"
 
     @property
@@ -91,9 +88,7 @@ class RunContext:
     def rng(self, *context: object) -> np.random.Generator:
         """A child generator keyed by the master seed plus ``context``.
 
-        ``ctx.rng("e02")`` produces the exact stream the v1 code obtained
-        from ``derive_rng(seed, "e02")``, keeping migrated experiments
-        bit-identical to their ``(quick, seed)`` ancestors.
+        ``ctx.rng("e02")`` is exactly ``derive_rng(seed, "e02")``.
         """
         return derive_rng(self.seed, *context)
 
@@ -109,17 +104,3 @@ class RunContext:
     def with_progress(self, progress: Callable[[str], None] | None) -> "RunContext":
         """A copy of this context with a different progress callback."""
         return replace(self, progress=progress)
-
-    @classmethod
-    def from_legacy(
-        cls,
-        experiment_id: str,
-        quick: bool = True,
-        seed: int = 0,
-    ) -> "RunContext":
-        """Build a context from the v1 ``(quick, seed)`` convention."""
-        return cls(
-            experiment_id=experiment_id,
-            profile="quick" if quick else "full",
-            seed=seed,
-        )

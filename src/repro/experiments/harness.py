@@ -30,7 +30,7 @@ from typing import Sequence
 from ..engine import available_backends
 from ..errors import ConfigurationError
 from . import api
-from .registry import EXPERIMENTS, list_experiments
+from .registry import all_specs
 from .result import ExperimentResult
 
 __all__ = ["main", "sweep_main"]
@@ -39,12 +39,11 @@ __all__ = ["main", "sweep_main"]
 def _experiment_id_summary() -> str:
     """Compact range summary of the registered ids, e.g. ``a01..a03, e01..e16``.
 
-    Generated from :data:`EXPERIMENTS` so the help text can never drift
-    from the registry again.
+    Generated from the registry so the help text can never drift from it.
     """
     groups: dict[str, list[str]] = {}
-    for key in sorted(EXPERIMENTS):
-        groups.setdefault(key.rstrip("0123456789"), []).append(key)
+    for spec in all_specs():
+        groups.setdefault(spec.id.rstrip("0123456789"), []).append(spec.id)
     return ", ".join(
         keys[0] if len(keys) == 1 else f"{keys[0]}..{keys[-1]}"
         for keys in groups.values()
@@ -490,8 +489,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if not args.experiments and not tags:
         print("available experiments:")
-        for key, description in list_experiments():
-            print(f"  {key}  {description}")
+        for spec in all_specs():
+            print(f"  {spec.id}  {spec.title}")
         print("run with: python -m repro.experiments <id>|all [--profile full]")
         return 0
 

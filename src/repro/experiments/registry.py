@@ -1,18 +1,9 @@
 """Experiment registry: decorator-populated, discovery-driven.
 
-v1 kept a hand-maintained dict of ``id -> (runner, description)`` plus a
-19-line import list that had to be edited in two places for every new
-experiment.  v2 replaces both: experiment modules self-register via the
+Experiment modules self-register via the
 :func:`repro.experiments.spec.experiment` decorator, and this module
 merely *discovers* them — every ``eNN_*`` / ``aNN_*`` module in the
 package is imported once, which fires its decorator.
-
-The v1 surface (``EXPERIMENTS``, :func:`get_experiment`,
-:func:`list_experiments`) is preserved as a compatibility view over the
-spec registry: ``EXPERIMENTS[id]`` is still a ``(runner, description)``
-pair, where the runner is the :class:`ExperimentSpec` itself (callable
-under both the legacy ``(quick, seed)`` and the v2 ``RunContext``
-conventions).
 """
 
 from __future__ import annotations
@@ -22,22 +13,9 @@ import pkgutil
 import re
 
 from ..errors import ConfigurationError
-from .spec import (
-    ExperimentSpec,
-    add_registration_hook,
-    registered_spec,
-    registered_specs,
-)
-from .table import Table  # noqa: F401  (re-exported for v1 callers)
+from .spec import ExperimentSpec, registered_spec, registered_specs
 
-__all__ = [
-    "EXPERIMENTS",
-    "discover",
-    "get_experiment",
-    "get_spec",
-    "all_specs",
-    "list_experiments",
-]
+__all__ = ["discover", "get_spec", "all_specs"]
 
 #: Experiment modules are named ``<group><number>_<slug>`` — e.g.
 #: ``e06_overhead`` or ``a01_constant_calibration``.
@@ -80,35 +58,3 @@ def get_spec(experiment_id: str) -> ExperimentSpec:
             f"{sorted(known.id for known in registered_specs())}"
         )
     return spec
-
-
-#: v1 compatibility view: id -> (runner, one-line description).  Runners
-#: accept both the legacy ``(quick, seed)`` kwargs and a ``RunContext``.
-#: A plain dict (so every dict method — ``get``, ``setdefault``, ``==`` —
-#: behaves), populated eagerly at import, exactly when the v1 literal
-#: was, and kept in sync with late/replaced registrations via a
-#: registration hook.
-EXPERIMENTS: dict = {}
-
-
-def _sync_experiments_view(spec: ExperimentSpec) -> None:
-    """Mirror one registration into the v1 ``EXPERIMENTS`` dict."""
-    EXPERIMENTS[spec.id] = (spec, spec.title)
-
-
-discover()
-add_registration_hook(_sync_experiments_view)
-
-
-def get_experiment(experiment_id: str):
-    """Return the runner for an experiment id (e.g. ``"e06"``).
-
-    The runner is the :class:`ExperimentSpec`; calling it with the legacy
-    ``(quick=..., seed=...)`` signature still returns a list of tables.
-    """
-    return get_spec(experiment_id)
-
-
-def list_experiments() -> list[tuple[str, str]]:
-    """All (id, description) pairs in id order."""
-    return [(spec.id, spec.title) for spec in all_specs()]

@@ -1,7 +1,6 @@
 """Declarative experiment specs and the self-registering decorator.
 
-v2 of the experiment surface: instead of a hand-maintained registry dict,
-each experiment module declares itself::
+Each experiment module declares itself::
 
     @experiment(
         id="e06",
@@ -14,10 +13,8 @@ each experiment module declares itself::
 
 The decorator wraps the runner in an :class:`ExperimentSpec` and records
 it in the process-wide registry that :mod:`repro.experiments.registry`
-exposes.  The spec is itself callable under **both** conventions — the
-v2 ``spec(ctx)`` form and the legacy v1 ``spec(quick=..., seed=...)``
-form — so external callers of ``module.run(quick=True, seed=0)`` keep
-working unchanged.
+exposes; :meth:`ExperimentSpec.execute` runs it under a
+:class:`RunContext`.
 """
 
 from __future__ import annotations
@@ -35,19 +32,6 @@ __all__ = ["ExperimentSpec", "experiment", "registered_spec", "registered_specs"
 #: Populated by the :func:`experiment` decorator at module import time;
 #: read through :mod:`repro.experiments.registry`.
 _REGISTRY: dict[str, "ExperimentSpec"] = {}
-
-#: Callbacks invoked with each spec as it registers (and, via
-#: :func:`add_registration_hook`, replayed over existing ones) — how the
-#: registry keeps its v1 ``EXPERIMENTS`` dict in sync with late or
-#: replaced registrations.
-_REGISTRATION_HOOKS: list[Callable[["ExperimentSpec"], None]] = []
-
-
-def add_registration_hook(hook: Callable[["ExperimentSpec"], None]) -> None:
-    """Replay ``hook`` over existing specs and call it for future ones."""
-    for key in sorted(_REGISTRY):
-        hook(_REGISTRY[key])
-    _REGISTRATION_HOOKS.append(hook)
 
 
 @dataclass(frozen=True)
@@ -78,11 +62,6 @@ class ExperimentSpec:
         default=None, repr=False, compare=False
     )
 
-    @property
-    def description(self) -> str:
-        """Alias for :attr:`title` (the v1 registry's wording)."""
-        return self.title
-
     def make_context(
         self,
         *,
@@ -109,44 +88,6 @@ class ExperimentSpec:
         own = {tag.lower() for tag in self.tags}
         return bool(own & {tag.lower() for tag in tags})
 
-    def __call__(self, *args, **kwargs) -> list[Table]:
-        """Run under either calling convention.
-
-        * v2: ``spec(ctx)`` with a :class:`RunContext`;
-        * v1 (legacy shim): ``spec(quick=True, seed=0)`` — positionally or
-          by keyword — which builds an equivalent context.
-        """
-        if args and isinstance(args[0], RunContext):
-            if len(args) > 1 or kwargs:
-                raise ConfigurationError(
-                    f"{self.id}: pass either a RunContext or legacy "
-                    "(quick, seed) arguments, not both"
-                )
-            return self.execute(args[0])
-        if len(args) > 2:
-            raise ConfigurationError(
-                f"{self.id}: legacy call takes at most (quick, seed), "
-                f"got {len(args)} positional arguments"
-            )
-        legacy = dict(zip(("quick", "seed"), args))
-        for key, value in kwargs.items():
-            if key not in ("quick", "seed"):
-                raise ConfigurationError(
-                    f"{self.id}: unknown argument {key!r}; the legacy "
-                    "convention is run(quick=..., seed=...)"
-                )
-            if key in legacy:
-                raise ConfigurationError(
-                    f"{self.id}: argument {key!r} given twice"
-                )
-            legacy[key] = value
-        ctx = RunContext.from_legacy(
-            self.id,
-            quick=bool(legacy.get("quick", True)),
-            seed=int(legacy.get("seed", 0)),
-        )
-        return self.execute(ctx)
-
 
 def experiment(
     *,
@@ -157,9 +98,8 @@ def experiment(
 ) -> Callable[[Callable[[RunContext], list[Table]]], ExperimentSpec]:
     """Class-less declarative registration: decorate a context-style runner.
 
-    Returns the :class:`ExperimentSpec` (which replaces the function in
-    the module namespace — the spec is callable under both the v2 context
-    convention and the legacy ``(quick, seed)`` one).  Registration is
+    Returns the :class:`ExperimentSpec`, which replaces the function in
+    the module namespace.  Registration is
     idempotent per id only in the sense that re-executing a module
     replaces its own spec; two *different* modules claiming one id is a
     :class:`ConfigurationError`.
@@ -178,8 +118,6 @@ def experiment(
                 f"{existing.func.__module__} and {func.__module__}"
             )
         _REGISTRY[key] = spec
-        for hook in _REGISTRATION_HOOKS:
-            hook(spec)
         return spec
 
     return decorate

@@ -188,25 +188,19 @@ class TestRunScheduleEquivalence:
 
 class TestResolution:
     def test_registry(self):
-        assert set(available_backends()) == {"dense", "bitpacked", "native"}
+        assert available_backends() == ("dense", "bitpacked")
         assert isinstance(get_backend("dense"), DenseBackend)
         assert isinstance(get_backend("bitpacked"), BitpackedBackend)
-        assert get_backend("native").name == "native"
         assert get_backend("dense") is get_backend("dense")  # singleton
-        with pytest.raises(ConfigurationError):
-            get_backend("quantum")
+        for unknown in ("quantum", "native"):
+            with pytest.raises(ConfigurationError):
+                get_backend(unknown)
 
     def test_unknown_backend_message_lists_registry(self):
-        with pytest.raises(ConfigurationError, match=r"'native'"):
+        with pytest.raises(
+            ConfigurationError, match=r"known: \['bitpacked', 'dense'\] \(or 'auto'\)$"
+        ):
             get_backend("natve")
-
-    def test_auto_never_picks_native(self):
-        # auto's choice must not depend on whether the host has a C
-        # compiler, else cached results stop being comparable across hosts.
-        topology = Topology(gnp_graph(512, 0.02, seed=0))
-        assert resolve_backend("auto", topology=topology, rounds=5000).name != (
-            "native"
-        )
 
     def test_instances_pass_through(self):
         assert resolve_backend(PACKED) is PACKED

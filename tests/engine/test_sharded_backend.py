@@ -283,3 +283,5 @@ class TestConfiguration:
     def test_unknown_base_rejected(self):
         with pytest.raises(ConfigurationError):
             ShardedBackend(2, base="quantum")
+        with pytest.raises(ConfigurationError):
+            with_shards("native", 2)

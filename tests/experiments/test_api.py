@@ -6,22 +6,17 @@ import pytest
 
 from repro.engine import get_default_backend
 from repro.errors import ConfigurationError
-from repro.experiments import (
-    EXPERIMENTS,
-    ExperimentResult,
-    RunContext,
-    api,
-    get_experiment,
-    get_spec,
-)
+from repro.experiments import ExperimentResult, RunContext, all_specs, api, get_spec
+
+ALL_IDS = [spec.id for spec in all_specs()]
 
 
 class TestResolveIds:
     def test_none_is_all(self):
-        assert api.resolve_ids(None) == sorted(EXPERIMENTS)
+        assert api.resolve_ids(None) == ALL_IDS
 
     def test_all_keyword(self):
-        assert api.resolve_ids(["all"]) == sorted(EXPERIMENTS)
+        assert api.resolve_ids(["all"]) == ALL_IDS
 
     def test_case_insensitive_and_deduplicated(self):
         assert api.resolve_ids(["E06", "e06", "e01"]) == ["e06", "e01"]
@@ -48,7 +43,7 @@ class TestRunOne:
     def test_metadata_populated(self):
         result = api.run_one("e01", profile="quick", seed=3)
         assert result.experiment_id == "e01"
-        assert result.title == EXPERIMENTS["e01"][1]
+        assert result.title == get_spec("e01").title
         assert result.profile == "quick"
         assert result.seed == 3
         assert result.backend == "auto"
@@ -57,7 +52,8 @@ class TestRunOne:
 
     def test_rows_match_legacy_runner(self):
         result = api.run_one("e03", seed=1)
-        tables = get_experiment("e03")(quick=True, seed=1)
+        spec = get_spec("e03")
+        tables = spec.execute(spec.make_context(profile="quick", seed=1))
         assert [t.rows for t in result.tables] == [
             [list(row) for row in table.rows] for table in tables
         ]
@@ -177,33 +173,6 @@ class TestOnResult:
             on_result=lambda r: seen.append(r.experiment_id),
         )
         assert seen == ["e03", "e01", "e14"]
-
-
-class TestLegacyShim:
-    def test_positional_quick(self):
-        tables = get_experiment("e03")(True, 0)
-        assert tables and tables[0].rows
-
-    def test_context_call(self):
-        spec = get_spec("e03")
-        tables = spec(RunContext(experiment_id="e03", profile="quick", seed=0))
-        assert tables and tables[0].rows
-
-    def test_context_plus_kwargs_rejected(self):
-        spec = get_spec("e03")
-        with pytest.raises(ConfigurationError):
-            spec(RunContext(experiment_id="e03"), quick=True)
-
-    def test_unknown_kwarg_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_experiment("e03")(fast=True)
-
-    def test_legacy_and_context_results_identical(self):
-        spec = get_spec("e14")
-        legacy = spec(quick=True, seed=0)
-        ctx = spec.make_context(profile="quick", seed=0)
-        fresh = spec.execute(ctx)
-        assert [t.render() for t in legacy] == [t.render() for t in fresh]
 
 
 class TestCacheHardening:

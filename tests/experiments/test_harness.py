@@ -8,7 +8,7 @@ import pytest
 
 from repro.engine import get_default_backend
 from repro.experiments.harness import _experiment_id_summary, main
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import all_specs
 from repro.sweeps.result import SWEEP_SCHEMA_VERSION
 
 GRID_TOML = (
@@ -28,8 +28,8 @@ class TestHelpText:
     def test_summary_tracks_registry_contents(self):
         # every registered id is inside one of the advertised ranges
         summary = _experiment_id_summary()
-        for key in EXPERIMENTS:
-            prefix = key.rstrip("0123456789")
+        for spec in all_specs():
+            prefix = spec.id.rstrip("0123456789")
             assert prefix in summary
 
     def test_usage_advertises_all_registered_ids(self, capsys):
@@ -57,7 +57,7 @@ class TestBackendFlag:
         assert main(["e01", "--backend", "quantum"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown backend 'quantum'")
-        assert "'native'" in err and "'bitpacked'" in err and "'dense'" in err
+        assert "['bitpacked', 'dense'] (or 'auto')" in err
 
     def test_unknown_backend_rejected_on_sweep(self, tmp_path, capsys):
         grid = tmp_path / "grid.toml"
@@ -65,7 +65,7 @@ class TestBackendFlag:
         assert main(["sweep", "--grid", str(grid), "--backend", "quantum"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown backend 'quantum'")
-        assert "'native'" in err
+        assert "['bitpacked', 'dense'] (or 'auto')" in err
 
 
 class TestRuntimeFlag:
@@ -171,14 +171,15 @@ class TestFormats:
         assert "a,delta,c_delta" in out
 
     def test_text_format_matches_direct_render(self, capsys):
-        from repro.experiments import api, get_experiment
+        from repro.experiments import api, get_spec
 
         assert main(["e03", "--seed", "2"]) == 0
         cli_out = capsys.readouterr().out
         [result] = api.run(["e03"], seed=2)
-        tables = get_experiment("e03")(quick=True, seed=2)
+        spec = get_spec("e03")
+        tables = spec.execute(spec.make_context(profile="quick", seed=2))
         # the table bodies must agree byte-for-byte across all three paths:
-        # legacy runner call, structured result, and CLI text output
+        # direct spec execution, structured result, and CLI text output
         for table, table_data in zip(tables, result.tables):
             assert table.render() == table_data.to_table().render()
             assert table.render() in cli_out
@@ -253,11 +254,6 @@ class TestSelection:
         with pytest.raises(SystemExit) as excinfo:
             main(["e01", "--profile", "smoke", "--full"])
         assert excinfo.value.code == 2
-
-    def test_registry_dict_get_works(self):
-        # EXPERIMENTS must behave like the v1 literal for every dict method
-        runner, description = EXPERIMENTS.get("e06")
-        assert runner.id == "e06" and description
 
 
 class TestSweepSubcommand:

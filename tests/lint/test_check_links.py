@@ -1,41 +1,26 @@
-"""Coverage for the markdown link gate (previously untested).
+"""Coverage for the markdown link gate (:mod:`tools.lint.links`).
 
-Exercises the migrated :mod:`tools.lint.links` logic directly — broken
-links, anchor stripping, external/code-fence skipping — and the legacy
-``tools/check_links.py`` script surface: output lines and exit codes
-(0 clean, 1 broken, 2 usage).
+Broken links, anchor stripping, external/code-fence skipping, directory
+expansion, and the gate's clean and failure summary lines.
 """
 
 from __future__ import annotations
 
-import subprocess
-import sys
 from pathlib import Path
 
-from tools.lint.links import broken_links, legacy_main, links_gate
+from tools.lint.links import broken_links, links_gate
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-SCRIPT = REPO_ROOT / "tools" / "check_links.py"
-
-
-def run_script(*args: str) -> "subprocess.CompletedProcess[str]":
-    return subprocess.run(
-        [sys.executable, str(SCRIPT), *args],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-    )
-
-
-# ------------------------------------------------------------- link logic
 
 
 def test_broken_relative_link_is_reported(tmp_path):
     md = tmp_path / "doc.md"
-    md.write_text("see [missing](nope/gone.md) for details\n")
+    md.write_text("see [missing](nope/gone.md) for details\n[y](also/gone.md)\n")
     findings = broken_links(md)
-    assert len(findings) == 1
-    assert findings[0].render() == f"{md}: broken link -> nope/gone.md"
+    assert [finding.render() for finding in findings] == [
+        f"{md}: broken link -> nope/gone.md",
+        f"{md}: broken link -> also/gone.md",
+    ]
 
 
 def test_existing_relative_link_and_directory_resolve(tmp_path):
@@ -81,42 +66,7 @@ def test_gate_expands_directories_recursively(tmp_path):
     assert result.failure_summary == "1 broken link(s)"
 
 
-# ----------------------------------------------------------- script shell
-
-
-def test_script_exit_zero_and_message_on_clean_tree(tmp_path):
-    (tmp_path / "a.md").write_text("plain text, no links\n")
-    completed = run_script(str(tmp_path))
-    assert completed.returncode == 0
-    assert completed.stdout == "link check: 1 markdown file(s) clean\n"
-
-
-def test_script_exit_one_with_line_per_broken_link(tmp_path):
-    md = tmp_path / "bad.md"
-    md.write_text("[x](gone.md)\n[y](also/gone.md)\n")
-    completed = run_script(str(md))
-    assert completed.returncode == 1
-    assert f"{md}: broken link -> gone.md" in completed.stdout
-    assert f"{md}: broken link -> also/gone.md" in completed.stdout
-    assert completed.stderr.strip() == "2 broken link(s)"
-
-
-def test_script_usage_error_exits_two():
-    completed = run_script()
-    assert completed.returncode == 2
-    assert "usage: check_links.py" in completed.stderr
-
-
-def test_legacy_main_matches_script_exit_codes(tmp_path, capsys):
-    md = tmp_path / "bad.md"
-    md.write_text("[x](gone.md)\n")
-    assert legacy_main([str(md)]) == 1
-    assert legacy_main([]) == 2
-    (tmp_path / "ok.md").write_text("fine\n")
-    assert legacy_main([str(tmp_path / "ok.md")]) == 0
-
-
 def test_repo_readme_and_docs_are_clean():
-    completed = run_script("README.md", "docs")
-    assert completed.returncode == 0, completed.stdout + completed.stderr
-    assert completed.stdout == "link check: 2 markdown file(s) clean\n"
+    result = links_gate([REPO_ROOT / "README.md", REPO_ROOT / "docs"])
+    assert result.ok, "\n".join(finding.render() for finding in result.findings)
+    assert result.clean_message == "link check: 2 markdown file(s) clean"

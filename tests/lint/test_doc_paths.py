@@ -63,8 +63,16 @@ def test_existing_paths_urls_and_globs_pass(tmp_path):
     assert dead_doc_paths(path, tmp_path) == []
 
 
-def test_only_src_and_tests_are_scanned(tmp_path):
-    plant(tmp_path, "benchmarks/bench_x.py", '"""See DESIGN.md."""\n')
-    plant(tmp_path, "src/repro/x.py", '"""See docs/ARCH.md."""\n')
+def test_every_python_tree_is_scanned(tmp_path):
+    scanned = [
+        "benchmarks/bench_x.py",
+        "examples/x.py",
+        "src/repro/x.py",
+        "tests/test_x.py",
+        "tools/x.py",
+    ]
+    for relpath in scanned:
+        plant(tmp_path, relpath, '"""See DESIGN.md."""\n')
+    plant(tmp_path, "notes/x.py", '"""See DESIGN.md."""\n')
     result = doc_paths_gate(tmp_path)
-    assert [finding.location for finding in result.findings] == ["src/repro/x.py"]
+    assert [finding.location for finding in result.findings] == scanned

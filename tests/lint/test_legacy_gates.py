@@ -1,50 +1,19 @@
-"""Regression: the migrated gates keep their CI-visible behaviour.
+"""The docstring gate (:mod:`tools.lint.docstrings`), run in-process.
 
-``tools/check_docstrings.py`` and ``tools/check_links.py`` moved onto
-the shared ``tools.lint`` walker/reporter; CI (and tier-1's
-``test_docstrings``) invoke the scripts by path, so their stdout/stderr
-shapes and exit codes are pinned here against the pre-migration
-contract.
+``python -m tools.lint --all`` runs it with the other gates;
+``tests/lint/test_repo_clean.py`` pins that the whole command exits 0 on
+the repo.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
 import sys
-from pathlib import Path
 
-from tools.lint.docstrings import MODULES, docstring_gate
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
-
-def run_script(name: str, *args: str) -> "subprocess.CompletedProcess[str]":
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / name), *args],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-        env=env,
-    )
-
-
-def test_check_docstrings_script_clean_output_and_exit_code():
-    completed = run_script("check_docstrings.py")
-    assert completed.returncode == 0, completed.stdout + completed.stderr
-    assert completed.stdout == (
-        f"docstring check: {len(MODULES)} modules clean\n"
-    )
-    assert completed.stderr == ""
+from tools.lint.docstrings import MODULES, check_module, docstring_gate
 
 
 def test_docstring_gate_violation_lines_keep_the_legacy_shape():
-    # run the real gate in-process, then simulate one violation to pin
-    # the line format the legacy script printed
+    # run the real gate in-process and pin its clean and failure lines
     result = docstring_gate()
     assert result.ok
     assert result.clean_message == f"docstring check: {len(MODULES)} modules clean"
@@ -64,36 +33,20 @@ def test_docstring_gate_covers_the_lint_relevant_modules():
         assert module in MODULES
 
 
-def test_check_docstrings_script_reports_violations_with_exit_one(tmp_path):
+def test_check_module_reports_a_missing_function_docstring(tmp_path, monkeypatch):
     # a scratch package with a missing docstring, checked through the
-    # same module-walking code path the script uses
+    # module-walking code path the gate uses
     pkg = tmp_path / "scratchpkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text(
         '"""A scratch package for the docstring gate test."""\n\n'
         "def undocumented():\n    return 1\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(tmp_path), str(REPO_ROOT / "src")]
-    )
-    completed = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys; sys.path.insert(0, r'%s')\n"
-            "from tools.lint.docstrings import check_module\n"
-            "problems = check_module('scratchpkg')\n"
-            "for p in problems:\n"
-            "    print(p.render())\n"
-            "sys.exit(1 if problems else 0)\n" % REPO_ROOT,
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert completed.returncode == 1
-    assert (
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        problems = check_module("scratchpkg")
+    finally:
+        sys.modules.pop("scratchpkg", None)
+    assert [problem.render() for problem in problems] == [
         "scratchpkg.undocumented: missing function docstring"
-        in completed.stdout
-    )
+    ]

@@ -70,34 +70,6 @@ def test_seeded_engine_violation_fails_with_rng001_diagnostic(tmp_path):
     )
 
 
-def test_native_tree_is_in_determinism_scope(tmp_path):
-    # The compiled tier's Python half must stay under the same RNG/DET
-    # contracts as every other kernel module.
-    bad = tmp_path / "src" / "repro" / "engine" / "native" / "regression.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text(
-        "import numpy as np\n\n"
-        "def draw(flags):\n"
-        "    order = [f for f in set(flags)]\n"
-        "    return np.random.rand(8), order\n"
-    )
-    completed = run_cli("--root", str(tmp_path), str(tmp_path))
-    assert completed.returncode == 2
-    assert "src/repro/engine/native/regression.py:5: RNG-001" in completed.stdout
-    assert "DET-001" in completed.stdout
-
-
-def test_docstring_gate_covers_native_modules():
-    from tools.lint.docstrings import MODULES
-
-    for name in (
-        "repro.engine.native",
-        "repro.engine.native.build",
-        "repro.engine.native.backend",
-    ):
-        assert name in MODULES
-
-
 def test_cli_list_names_every_rule():
     completed = run_cli("--list")
     assert completed.returncode == 0

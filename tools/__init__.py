@@ -2,6 +2,5 @@
 
 Making ``tools`` a package lets CI (and developers) run the consolidated
 static-analysis entrypoint as ``python -m tools.lint`` from the repo
-root.  The individual ``check_*.py`` scripts remain directly runnable
-for backwards compatibility; they are thin shims over ``tools.lint``.
+root.
 """

@@ -10,9 +10,7 @@
 
 Exit codes follow the repo CLI convention (:mod:`repro.experiments.
 harness`): 0 clean, **2** with one ``path:line: RULE-ID message``
-diagnostic per finding otherwise.  The legacy shims
-(``tools/check_docstrings.py``, ``tools/check_links.py``) keep their
-historical exit code 1 for existing CI consumers.
+diagnostic per finding otherwise.
 """
 
 from __future__ import annotations
@@ -88,8 +86,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         action="store_true",
         help=(
             "also run the docstring gate, the markdown link gate and the "
-            "doc-path gate (strings under src/ and tests/ naming missing "
-            "*.md files)"
+            "doc-path gate (python strings naming missing *.md files)"
         ),
     )
     parser.add_argument(

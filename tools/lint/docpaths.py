@@ -4,7 +4,7 @@ Docstrings, error messages and experiment labels point readers at the
 repo's markdown documents (``docs/ARCHITECTURE.md``, ``README.md`` ...).
 When a document is renamed or never written, those pointers dangle
 silently.  This gate scans every string constant — docstrings included —
-in the python files under ``src/`` and ``tests/``, picks out each
+in the python files of every tree in :data:`TREES`, picks out each
 ``*.md`` path, resolves it against the repo root, and reports
 ``path:line: DOC-001 ...`` for every one that does not exist.
 
@@ -28,7 +28,7 @@ __all__ = ["RULE_ID", "dead_doc_paths", "doc_paths_gate"]
 RULE_ID = "DOC-001"
 
 #: Python trees the gate scans, relative to the root.
-TREES = ("src", "tests")
+TREES = ("src", "tests", "benchmarks", "tools", "examples")
 
 #: Test files whose strings name markdown files in temporary fixture
 #: trees, not in the repository.

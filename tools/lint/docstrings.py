@@ -1,11 +1,8 @@
 """The public-API docstring gate, on the shared lint reporter.
 
-Migrated from the original ``tools/check_docstrings.py`` (which is now a
-shim over this module).  The checks and the *exact* output lines are
-unchanged — pinned by ``tests/lint/test_legacy_gates.py`` — only the
-plumbing moved: violations are :class:`~tools.lint.reporter.Finding`\\ s
-and the summary/exit-code handling goes through the shared
-:class:`~tools.lint.reporter.Reporter`.
+Violations are :class:`~tools.lint.reporter.Finding`\\ s and the
+summary/exit-code handling goes through the shared
+:class:`~tools.lint.reporter.Reporter` (``python -m tools.lint --all``).
 
 Checks, for every module named in :data:`MODULES`:
 
@@ -26,9 +23,9 @@ import re
 import sys
 from pathlib import Path
 
-from .reporter import Finding, GateResult, Reporter
+from .reporter import Finding, GateResult
 
-__all__ = ["MODULES", "docstring_gate", "legacy_main"]
+__all__ = ["MODULES", "docstring_gate"]
 
 #: The public-API modules the docstring gate covers.
 MODULES: "tuple[str, ...]" = (
@@ -44,9 +41,6 @@ MODULES: "tuple[str, ...]" = (
     "repro.engine.sharded.partition",
     "repro.engine.sharded.shard",
     "repro.engine.sharded.coordinator",
-    "repro.engine.native",
-    "repro.engine.native.build",
-    "repro.engine.native.backend",
     "repro.memguard",
     "repro.experiments.spec",
     "repro.experiments.api",
@@ -196,8 +190,7 @@ def check_zoo_param_docs() -> "list[Finding]":
 def docstring_gate() -> GateResult:
     """Run every docstring check; package the outcome for the reporter.
 
-    Findings keep the legacy (module-list) order — the regression tests
-    pin output byte-for-byte against the original script.
+    Findings follow the :data:`MODULES` order.
     """
     _ensure_importable()
     problems: "list[Finding]" = []
@@ -210,14 +203,3 @@ def docstring_gate() -> GateResult:
         clean_message=f"docstring check: {len(MODULES)} modules clean",
         failure_summary=f"{len(problems)} docstring violation(s)",
     )
-
-
-def legacy_main() -> int:
-    """Entry point preserving ``check_docstrings.py`` behaviour exactly.
-
-    Same lines on stdout, same summary on stderr, and the historical
-    exit code 1 (not the lint CLI's 2) on violations.
-    """
-    reporter = Reporter()
-    ok = reporter.emit(docstring_gate())
-    return 0 if ok else 1

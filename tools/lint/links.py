@@ -1,11 +1,8 @@
 """The markdown link gate, on the shared lint walker/reporter.
 
-Migrated from the original ``tools/check_links.py`` (now a shim over
-this module); extraction logic and output lines are unchanged — pinned
-by ``tests/lint/test_check_links.py`` — only file discovery
-(:func:`tools.lint.walker.iter_markdown_files`) and reporting
-(:class:`~tools.lint.reporter.Reporter`) are shared with the other
-gates.
+File discovery (:func:`tools.lint.walker.iter_markdown_files`) and
+reporting (:class:`~tools.lint.reporter.Reporter`) are shared with the
+other gates of ``python -m tools.lint --all``.
 
 Extracts inline links and images (``[text](target)``) and verifies
 every **relative** target resolves to an existing file or directory
@@ -16,14 +13,13 @@ skipped — CI stays hermetic).
 from __future__ import annotations
 
 import re
-import sys
 from pathlib import Path
 from typing import Sequence
 
-from .reporter import Finding, GateResult, Reporter
+from .reporter import Finding, GateResult
 from .walker import iter_markdown_files
 
-__all__ = ["links_gate", "legacy_main", "broken_links"]
+__all__ = ["links_gate", "broken_links"]
 
 #: Inline markdown link/image: ``[text](target)`` (no reference style).
 LINK_PATTERN = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
@@ -68,18 +64,3 @@ def links_gate(paths: "Sequence[str | Path]") -> GateResult:
         clean_message=f"link check: {len(files)} markdown file(s) clean",
         failure_summary=f"{len(problems)} broken link(s)",
     )
-
-
-def legacy_main(argv: "list[str] | None" = None) -> int:
-    """Entry point preserving ``check_links.py`` behaviour exactly.
-
-    Usage error exits 2 with the historical message; broken links print
-    one per line, summarise on stderr, and exit 1.
-    """
-    arguments = argv if argv is not None else sys.argv[1:]
-    if not arguments:
-        print("usage: check_links.py FILE_OR_DIR [...]", file=sys.stderr)
-        return 2
-    reporter = Reporter()
-    ok = reporter.emit(links_gate(arguments))
-    return 0 if ok else 1

@@ -6,15 +6,12 @@ prints the gate's summary.  Two rendering conventions coexist:
 
 * ``path:line: RULE-ID message`` — AST rule findings (diagnostic style,
   clickable in editors and CI logs);
-* ``location: message`` — legacy gate findings (the docstring and link
-  checkers pre-date line information and their output is pinned by
-  regression tests, so migrating them onto this reporter must not change
-  a byte of what they print).
+* ``location: message`` — docstring and link gate findings, which carry
+  no line information.
 
-Exit-code convention: the consolidated lint entrypoint exits **2** on
-findings (matching the CLI's one-line ``error: ...``/exit-2 diagnostics
-convention in :mod:`repro.experiments.harness`); the legacy shims keep
-their historical exit codes (1) for CI compatibility.
+Exit-code convention: the lint entrypoint exits **2** on findings
+(matching the CLI's one-line ``error: ...``/exit-2 diagnostics
+convention in :mod:`repro.experiments.harness`).
 """
 
 from __future__ import annotations
@@ -37,10 +34,11 @@ class Finding:
         name (the docstring gate).
     line:
         1-based line number, or 0 when the gate has no line information
-        (legacy gates); zero-line findings render without a line field.
+        (the docstring and link gates); zero-line findings render without
+        a line field.
     rule:
-        Rule identifier (``"RNG-001"``), or ``""`` for legacy gates whose
-        pinned output carries no rule id.
+        Rule identifier (``"RNG-001"``), or ``""`` for the docstring and
+        link gates, whose output carries no rule id.
     message:
         Human-readable one-line explanation.
     """
@@ -71,8 +69,8 @@ class GateResult:
     findings:
         Every unsuppressed finding, already sorted for stable output.
     clean_message:
-        The line printed when the gate found nothing (legacy gates pin
-        exact phrasing, e.g. ``"link check: 3 markdown file(s) clean"``).
+        The line printed when the gate found nothing (e.g. ``"link
+        check: 3 markdown file(s) clean"``).
     failure_summary:
         The stderr summary when findings exist (e.g. ``"2 broken
         link(s)"``).
@@ -92,8 +90,8 @@ class GateResult:
 class Reporter:
     """Renders gate results to streams and accumulates an overall verdict.
 
-    One reporter instance serves a whole run (one gate for the legacy
-    shims, several for ``python -m tools.lint --all``); every rendered
+    One reporter instance serves a whole run (every gate of
+    ``python -m tools.lint --all``); every rendered
     line is also retained so the CLI can write a report artifact for CI
     to upload on failure.
     """

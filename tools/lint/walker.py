@@ -40,9 +40,8 @@ def iter_python_files(paths: Iterable["str | Path"]) -> list[Path]:
 def iter_markdown_files(paths: Iterable["str | Path"]) -> list[Path]:
     """Expand file/directory arguments into markdown files.
 
-    Mirrors the legacy ``check_links.py`` expansion exactly (directories
-    recurse into ``*.md`` sorted; plain files pass through even without
-    the suffix), so the migrated link gate sees the identical file list.
+    Directories recurse into ``*.md`` sorted; plain files pass through
+    even without the suffix.
     """
     files: list[Path] = []
     for argument in paths:
