@@ -14,11 +14,11 @@ from typing import Sequence
 from ..congest.algorithm import BroadcastCongestAlgorithm
 from ..congest.context import NodeContext
 from ..congest.model import MessageCodec, required_bits
-from ..congest.network import BroadcastCongestNetwork, RunResult
-from ..congest.runtime import resolve_runtime
+from ..congest.network import RunResult
 from ..congest.vectorized import VectorizedBroadcastNetwork
 from ..errors import ConfigurationError
 from ..graphs import Topology
+from .vectorized_basic import VectorizedBFSTree
 
 __all__ = ["BFSTreeBC", "bfs_field_widths", "make_bfs_algorithms", "run_bfs_bc"]
 
@@ -28,9 +28,9 @@ def bfs_field_widths(
 ) -> tuple[int, int]:
     """The BFS codec's ``(id_bits, depth_bits)`` — the one budget source.
 
-    Shared by :func:`make_bfs_algorithms`, the vectorized runtime and
-    the sweep workloads, so the runtimes can never disagree on the
-    message budget for the same run.
+    Shared by :func:`make_bfs_algorithms`, :func:`run_bfs_bc` and the
+    sweep workloads, so the columnar run and the per-node engine can
+    never disagree on the message budget for the same run.
     """
     max_id = max(ids) if ids is not None else num_nodes - 1
     return required_bits(max_id + 1), required_bits(max(2, num_nodes))
@@ -128,36 +128,33 @@ def make_bfs_algorithms(
     return algorithms, budget
 
 
+def _round_budget(num_nodes: int) -> int:
+    """The rounds :func:`run_bfs_bc` allows: one per layer, plus slack."""
+    return num_nodes + 2
+
+
 def run_bfs_bc(
     topology: Topology,
     root: int,
     seed: int = 0,
     ids: Sequence[int] | None = None,
-    runtime: str | None = None,
 ) -> RunResult:
     """Run the BFS construction on a native Broadcast CONGEST network.
 
-    ``runtime`` selects the execution engine (``"vectorized"`` /
-    ``"reference"``, default the process default); both produce
-    bit-identical results per seed.
+    Executes the columnar :class:`~repro.algorithms.vectorized_basic.
+    VectorizedBFSTree`, which is bit-identical per seed to
+    :func:`make_bfs_algorithms` on the per-node engine.
     """
     n = topology.num_nodes
     if ids is None:
         ids = list(range(n))
-    if resolve_runtime(runtime) == "vectorized":
-        from .vectorized_basic import VectorizedBFSTree
-
-        if not 0 <= root < n:
-            raise ConfigurationError(f"root {root} out of range for {n} nodes")
-        id_bits, depth_bits = bfs_field_widths(n, ids)
-        network = VectorizedBroadcastNetwork(
-            topology, ids=ids, message_bits=id_bits + depth_bits, seed=seed
-        )
-        return network.run(
-            VectorizedBFSTree(root, id_bits, depth_bits), max_rounds=n + 2
-        )
-    algorithms, budget = make_bfs_algorithms(topology, root, ids)
-    network = BroadcastCongestNetwork(
-        topology, ids=ids, message_bits=budget, seed=seed
+    if not 0 <= root < n:
+        raise ConfigurationError(f"root {root} out of range for {n} nodes")
+    id_bits, depth_bits = bfs_field_widths(n, ids)
+    network = VectorizedBroadcastNetwork(
+        topology, ids=ids, message_bits=id_bits + depth_bits, seed=seed
     )
-    return network.run(algorithms, max_rounds=n + 2)
+    return network.run(
+        VectorizedBFSTree(root, id_bits, depth_bits),
+        max_rounds=_round_budget(n),
+    )

@@ -16,8 +16,7 @@ from typing import Sequence
 from ..congest.algorithm import BroadcastCongestAlgorithm
 from ..congest.context import NodeContext
 from ..congest.model import MessageCodec, required_bits
-from ..congest.network import BroadcastCongestNetwork, RunResult
-from ..congest.runtime import resolve_runtime
+from ..congest.network import RunResult
 from ..congest.vectorized import (
     ObjectAlgorithmsAdapter,
     VectorizedBroadcastNetwork,
@@ -134,32 +133,31 @@ def make_coloring_algorithms(
     return algorithms, budget
 
 
+def _round_budget(num_nodes: int) -> int:
+    """The rounds :func:`run_coloring_bc` allows: ``O(log n)`` iterations."""
+    iterations = 8 * max(1, math.ceil(math.log2(max(2, num_nodes)))) + 8
+    return _PHASES * iterations
+
+
 def run_coloring_bc(
     topology: Topology,
     seed: int = 0,
     ids: Sequence[int] | None = None,
-    runtime: str | None = None,
 ) -> RunResult:
     """Run the (Δ+1)-colouring on a native Broadcast CONGEST network.
 
-    Colouring has no columnar implementation yet, so the vectorized
-    runtime executes the per-node objects through the
+    Colouring has no columnar implementation yet, so the array-native
+    engine executes the per-node objects through the
     :class:`~repro.congest.vectorized.ObjectAlgorithmsAdapter` — results
-    are bit-identical to the reference engine either way.
+    are bit-identical to the per-node engine.
     """
     n = topology.num_nodes
     if ids is None:
         ids = list(range(n))
     algorithms, budget = make_coloring_algorithms(topology, ids)
-    max_rounds = _PHASES * (8 * max(1, math.ceil(math.log2(max(2, n)))) + 8)
-    if resolve_runtime(runtime) == "vectorized":
-        network = VectorizedBroadcastNetwork(
-            topology, ids=ids, message_bits=budget, seed=seed
-        )
-        return network.run(
-            ObjectAlgorithmsAdapter(algorithms), max_rounds=max_rounds
-        )
-    network = BroadcastCongestNetwork(
+    network = VectorizedBroadcastNetwork(
         topology, ids=ids, message_bits=budget, seed=seed
     )
-    return network.run(algorithms, max_rounds=max_rounds)
+    return network.run(
+        ObjectAlgorithmsAdapter(algorithms), max_rounds=_round_budget(n)
+    )

@@ -14,11 +14,11 @@ from typing import Sequence
 from ..congest.algorithm import BroadcastCongestAlgorithm
 from ..congest.context import NodeContext
 from ..congest.model import required_bits
-from ..congest.network import BroadcastCongestNetwork, RunResult
-from ..congest.runtime import resolve_runtime
+from ..congest.network import RunResult
 from ..congest.vectorized import VectorizedBroadcastNetwork
 from ..errors import ConfigurationError
 from ..graphs import Topology
+from .vectorized_basic import VectorizedLeaderElection
 
 __all__ = ["LeaderElectionBC", "make_leader_algorithms", "run_leader_election_bc"]
 
@@ -83,31 +83,27 @@ def make_leader_algorithms(
     return [LeaderElectionBC(horizon) for _ in range(n)], budget
 
 
+def _round_budget(num_nodes: int) -> int:
+    """The rounds :func:`run_leader_election_bc` allows: more than any diameter."""
+    return num_nodes + 1
+
+
 def run_leader_election_bc(
     topology: Topology,
     seed: int = 0,
     ids: Sequence[int] | None = None,
-    runtime: str | None = None,
 ) -> RunResult:
     """Run leader election on a native Broadcast CONGEST network.
 
-    ``runtime`` selects the execution engine (``"vectorized"`` /
-    ``"reference"``, default the process default); both produce
-    bit-identical results per seed.
+    Executes the columnar :class:`~repro.algorithms.vectorized_basic.
+    VectorizedLeaderElection`, which is bit-identical per seed to
+    :func:`make_leader_algorithms` on the per-node engine.
     """
     n = topology.num_nodes
     if ids is None:
         ids = list(range(n))
     budget = max(required_bits(max(2, n)), required_bits(max(ids) + 1))
-    if resolve_runtime(runtime) == "vectorized":
-        from .vectorized_basic import VectorizedLeaderElection
-
-        network = VectorizedBroadcastNetwork(
-            topology, ids=ids, message_bits=budget, seed=seed
-        )
-        return network.run(VectorizedLeaderElection(n), max_rounds=n + 1)
-    algorithms, _ = make_leader_algorithms(topology)
-    network = BroadcastCongestNetwork(
+    network = VectorizedBroadcastNetwork(
         topology, ids=ids, message_bits=budget, seed=seed
     )
-    return network.run(algorithms, max_rounds=n + 1)
+    return network.run(VectorizedLeaderElection(n), max_rounds=_round_budget(n))

@@ -22,12 +22,12 @@ from typing import Sequence
 from ..congest.algorithm import BroadcastCongestAlgorithm
 from ..congest.context import NodeContext
 from ..congest.model import MessageCodec, required_bits
-from ..congest.network import BroadcastCongestNetwork, RunResult
-from ..congest.runtime import resolve_runtime
+from ..congest.network import RunResult
 from ..congest.vectorized import VectorizedBroadcastNetwork
 from ..errors import ConfigurationError
 from ..graphs import Topology
 from ..rng import random_bits
+from .vectorized_mis import VectorizedLubyMIS
 
 __all__ = [
     "LubyMISBC",
@@ -43,9 +43,9 @@ def mis_field_widths(
 ) -> tuple[int, int]:
     """The MIS codec's ``(id_bits, value_bits)`` — the one budget source.
 
-    Shared by :func:`make_mis_algorithms`, the vectorized runtime and
-    the sweep workloads, so the runtimes can never disagree on the
-    message budget for the same run.
+    Shared by :func:`make_mis_algorithms`, :func:`run_mis_bc` and the
+    sweep workloads, so the columnar run and the per-node engine can
+    never disagree on the message budget for the same run.
     """
     max_id = max(ids) if ids is not None else num_nodes - 1
     id_bits = required_bits(max_id + 1)
@@ -194,37 +194,31 @@ def make_mis_algorithms(
     return algorithms, 2 + id_bits + value_bits
 
 
+def _round_budget(num_nodes: int) -> int:
+    """The rounds :func:`run_mis_bc` allows: an ID round, ``O(log n)`` iterations."""
+    iterations = 8 * max(1, math.ceil(math.log2(max(2, num_nodes)))) + 8
+    return 1 + _PHASES * iterations
+
+
 def run_mis_bc(
     topology: Topology,
     seed: int = 0,
     ids: Sequence[int] | None = None,
-    runtime: str | None = None,
 ) -> RunResult:
     """Run Luby's MIS on a native Broadcast CONGEST network.
 
-    ``runtime`` selects the execution engine (``"vectorized"`` /
-    ``"reference"``, default the process default); both produce
-    bit-identical results per seed.
+    Executes the columnar :class:`~repro.algorithms.vectorized_mis.
+    VectorizedLubyMIS`, which is bit-identical per seed to
+    :func:`make_mis_algorithms` on the per-node engine.
     """
     n = topology.num_nodes
     if ids is None:
         ids = list(range(n))
-    max_rounds = 1 + _PHASES * (
-        8 * max(1, math.ceil(math.log2(max(2, n)))) + 8
+    id_bits, value_bits = mis_field_widths(n, ids)
+    network = VectorizedBroadcastNetwork(
+        topology, ids=ids, message_bits=2 + id_bits + value_bits, seed=seed
     )
-    if resolve_runtime(runtime) == "vectorized":
-        from .vectorized_mis import VectorizedLubyMIS
-
-        id_bits, value_bits = mis_field_widths(n, ids)
-        network = VectorizedBroadcastNetwork(
-            topology, ids=ids, message_bits=2 + id_bits + value_bits, seed=seed
-        )
-        return network.run(
-            VectorizedLubyMIS(id_bits=id_bits, value_bits=value_bits),
-            max_rounds=max_rounds,
-        )
-    algorithms, budget = make_mis_algorithms(topology, ids)
-    network = BroadcastCongestNetwork(
-        topology, ids=ids, message_bits=budget, seed=seed
+    return network.run(
+        VectorizedLubyMIS(id_bits=id_bits, value_bits=value_bits),
+        max_rounds=_round_budget(n),
     )
-    return network.run(algorithms, max_rounds=max_rounds)

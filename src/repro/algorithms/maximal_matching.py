@@ -27,8 +27,7 @@ from typing import Sequence
 from ..congest.algorithm import BroadcastCongestAlgorithm
 from ..congest.context import NodeContext
 from ..congest.model import MessageCodec, required_bits
-from ..congest.network import BroadcastCongestNetwork, RunResult
-from ..congest.runtime import resolve_runtime
+from ..congest.network import RunResult
 from ..congest.vectorized import VectorizedBroadcastNetwork
 from ..errors import ConfigurationError
 from ..graphs import Topology
@@ -73,9 +72,9 @@ def matching_field_widths(
 ) -> tuple[int, int]:
     """The matching codec's ``(id_bits, value_bits)`` — the budget source.
 
-    Shared by :func:`make_matching_algorithms`, the vectorized runtime
-    and the sweep workloads, so the runtimes can never disagree on the
-    message budget for the same run.
+    Shared by :func:`make_matching_algorithms`, :func:`run_matching_bc`
+    and the sweep workloads, so the columnar run and the per-node engine
+    can never disagree on the message budget for the same run.
     """
     max_id = max(ids) if ids is not None else num_nodes - 1
     id_bits = required_bits(max_id + 1)
@@ -338,43 +337,37 @@ def make_matching_algorithms(
     return algorithms, budget
 
 
+def _round_budget(num_nodes: int) -> int:
+    """The rounds :func:`run_matching_bc` allows (Lemma 20's ``O(log n)``)."""
+    iterations = 4 * max(1, math.ceil(math.log2(max(2, num_nodes)))) + 4
+    return 1 + _PHASES * iterations
+
+
 def run_matching_bc(
     topology: Topology,
     seed: int = 0,
     ids: Sequence[int] | None = None,
     value_exponent: int = 9,
-    runtime: str | None = None,
 ) -> RunResult:
     """Run Algorithm 3 on a native Broadcast CONGEST network.
 
-    ``runtime`` selects the execution engine (``"vectorized"`` /
-    ``"reference"``, default the process default); both produce
-    bit-identical results per seed.
+    Executes the columnar :class:`~repro.algorithms.vectorized_matching.
+    VectorizedMaximalMatching`, which is bit-identical per seed to
+    :func:`make_matching_algorithms` on the per-node engine.
     """
+    # Deferred: the columnar module imports UNMATCHED from this one.
+    from .vectorized_matching import VectorizedMaximalMatching
+
     n = topology.num_nodes
     if ids is None:
         ids = list(range(n))
-    max_rounds = 1 + _PHASES * (
-        4 * max(1, math.ceil(math.log2(max(2, n)))) + 4
+    id_bits, value_bits = matching_field_widths(
+        n, ids, value_exponent=value_exponent
     )
-    if resolve_runtime(runtime) == "vectorized":
-        from .vectorized_matching import VectorizedMaximalMatching
-
-        id_bits, value_bits = matching_field_widths(
-            n, ids, value_exponent=value_exponent
-        )
-        budget = 2 + 2 * id_bits + value_bits
-        network = VectorizedBroadcastNetwork(
-            topology, ids=ids, message_bits=budget, seed=seed
-        )
-        return network.run(
-            VectorizedMaximalMatching(id_bits=id_bits, value_bits=value_bits),
-            max_rounds=max_rounds,
-        )
-    algorithms, budget = make_matching_algorithms(
-        topology, ids, value_exponent=value_exponent
+    network = VectorizedBroadcastNetwork(
+        topology, ids=ids, message_bits=2 + 2 * id_bits + value_bits, seed=seed
     )
-    network = BroadcastCongestNetwork(
-        topology, ids=ids, message_bits=budget, seed=seed
+    return network.run(
+        VectorizedMaximalMatching(id_bits=id_bits, value_bits=value_bits),
+        max_rounds=_round_budget(n),
     )
-    return network.run(algorithms, max_rounds=max_rounds)

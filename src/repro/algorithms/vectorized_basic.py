@@ -1,4 +1,4 @@
-"""Columnar leader election and BFS for the vectorized CONGEST runtime.
+"""Columnar leader election and BFS for the array-native CONGEST engine.
 
 Each class re-implements its per-node counterpart
 (:class:`~repro.algorithms.leader_election.LeaderElectionBC`,

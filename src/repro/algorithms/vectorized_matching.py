@@ -1,4 +1,4 @@
-"""Columnar maximal matching (Algorithm 3) for the vectorized runtime.
+"""Columnar maximal matching (Algorithm 3) for the array-native engine.
 
 Re-implements :class:`~repro.algorithms.maximal_matching.
 MaximalMatchingBC` — the paper's Broadcast CONGEST maximal matching —

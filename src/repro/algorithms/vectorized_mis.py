@@ -1,4 +1,4 @@
-"""Columnar Luby MIS for the vectorized CONGEST runtime.
+"""Columnar Luby MIS for the array-native CONGEST engine.
 
 Re-implements :class:`~repro.algorithms.luby_mis.LubyMISBC` with
 whole-network numpy state.  Ticket draws come from

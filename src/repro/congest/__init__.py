@@ -20,12 +20,6 @@ from .network import (
     CongestNetwork,
     RunResult,
 )
-from .runtime import (
-    KNOWN_RUNTIMES,
-    get_default_runtime,
-    resolve_runtime,
-    set_default_runtime,
-)
 from .vectorized import (
     ObjectAlgorithmsAdapter,
     VectorContext,
@@ -44,10 +38,6 @@ __all__ = [
     "BroadcastCongestNetwork",
     "CongestNetwork",
     "RunResult",
-    "KNOWN_RUNTIMES",
-    "get_default_runtime",
-    "resolve_runtime",
-    "set_default_runtime",
     "ObjectAlgorithmsAdapter",
     "VectorContext",
     "VectorizedBroadcastAlgorithm",

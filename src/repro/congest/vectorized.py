@@ -1,6 +1,8 @@
-"""Array-native Broadcast CONGEST engine (the "vectorized" runtime).
+"""Array-native Broadcast CONGEST engine: the one every algorithm runs on.
 
-The reference engine drives one Python object per node; this module
+The per-node engine (:class:`~repro.congest.network.
+BroadcastCongestNetwork`), kept as the executable specification the
+tests compare against, drives one Python object per node; this module
 drives one :class:`VectorizedBroadcastAlgorithm` object per *network*,
 whose state lives in numpy arrays.  Each round the driver
 
@@ -343,7 +345,7 @@ class VectorizedBroadcastAlgorithm(ABC):
     node's :meth:`finished_mask` entry is set (or the budget runs out).
     Implementations must preserve the reference semantics exactly —
     which nodes broadcast, what they send, and how state evolves — so
-    that per-seed runs are bit-identical to the per-node object runtime.
+    that per-seed runs are bit-identical to the per-node object engine.
     """
 
     net: VectorContext

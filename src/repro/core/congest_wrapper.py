@@ -50,11 +50,11 @@ def wrap_congest_algorithms(
 ) -> "list[CongestViaBroadcast]":
     """Wrap a network's CONGEST algorithms for Broadcast CONGEST execution.
 
-    The resulting per-node wrappers run under either CONGEST runtime —
-    the reference engine directly, or the vectorized driver via
+    The resulting per-node wrappers run on the per-node engine directly,
+    or on the array-native driver via
     :class:`~repro.congest.vectorized.ObjectAlgorithmsAdapter` — which
     is how :meth:`~repro.core.transpiler.BeepSimulator.run_congest`
-    accepts the Corollary 12 path on both hosts.
+    takes the Corollary 12 path.
     """
     return [
         CongestViaBroadcast(

@@ -20,9 +20,6 @@ import numpy as np
 
 from ..beeping.noise import NoiseModel
 from ..congest.algorithm import BroadcastCongestAlgorithm, CongestAlgorithm
-from ..congest.context import NodeContext
-from ..congest.model import check_message
-from ..congest.runtime import resolve_runtime
 from ..congest.vectorized import (
     ObjectAlgorithmsAdapter,
     VectorContext,
@@ -34,7 +31,6 @@ from ..congest.vectorized import (
 from ..engine import SimulationBackend
 from ..errors import ConfigurationError
 from ..graphs import Topology
-from ..rng import derive_rng
 from .congest_wrapper import wrap_congest_algorithms
 from .parameters import CandidatePolicy, SimulationParameters
 from .round_simulator import BroadcastSession
@@ -164,94 +160,22 @@ class BeepSimulator:
         self,
         algorithms: "Sequence[BroadcastCongestAlgorithm] | VectorizedBroadcastAlgorithm",
         max_rounds: int,
-        runtime: str | None = None,
     ) -> TranspiledRunResult:
         """Simulate a Broadcast CONGEST execution end-to-end (Theorem 11).
 
-        ``algorithms`` is either the classic per-node object sequence or
-        one whole-network :class:`~repro.congest.vectorized.
-        VectorizedBroadcastAlgorithm`.  Object sequences run under the
-        runtime selected by ``runtime`` (default: the process default) —
-        the vectorized host loop wraps them in an
-        :class:`~repro.congest.vectorized.ObjectAlgorithmsAdapter`, and
-        both host paths feed the beeping session identical broadcasts,
-        so results are bit-identical either way.
+        ``algorithms`` is either the classic per-node object sequence,
+        which runs wrapped in an :class:`~repro.congest.vectorized.
+        ObjectAlgorithmsAdapter`, or one whole-network
+        :class:`~repro.congest.vectorized.VectorizedBroadcastAlgorithm`.
+        The host side (collection, budget enforcement, inbox
+        construction, termination) runs columnar; every round's
+        broadcasts go through one
+        :meth:`~repro.core.round_simulator.BroadcastSession.run_round`.
         """
         if isinstance(algorithms, VectorizedBroadcastAlgorithm):
-            return self._run_vectorized(algorithms, max_rounds)
-        if resolve_runtime(runtime) == "vectorized":
-            return self._run_vectorized(
-                ObjectAlgorithmsAdapter(algorithms), max_rounds
-            )
-        n = self._topology.num_nodes
-        if len(algorithms) != n:
-            raise ConfigurationError(f"got {len(algorithms)} algorithms for {n} nodes")
-        for index, algorithm in enumerate(algorithms):
-            algorithm.setup(self._context(index))
-        stats = SimulationStats()
-        round_offset = 0
-        for round_index in range(max_rounds):
-            if all(a.finished for a in algorithms):
-                break
-            broadcasts: list[int | None] = []
-            for algorithm in algorithms:
-                message = None if algorithm.finished else algorithm.broadcast(round_index)
-                if message is not None:
-                    check_message(message, self._params.message_bits)
-                broadcasts.append(message)
-            outcome = self._session.run_round(
-                broadcasts, round_offset=round_offset
-            )
-            round_offset += outcome.beep_rounds_used
-            stats.record_round(
-                beep_rounds=outcome.beep_rounds_used,
-                success=outcome.success,
-                phase1_errors=outcome.phase1_errors,
-                phase2_errors=outcome.phase2_errors,
-                r_collision=outcome.r_collision,
-            )
-            for index, algorithm in enumerate(algorithms):
-                if not algorithm.finished:
-                    algorithm.receive(round_index, list(outcome.decoded[index]))
-        return TranspiledRunResult(
-            outputs=[a.output() for a in algorithms],
-            finished=all(a.finished for a in algorithms),
-            stats=stats,
-        )
-
-    def run_congest(
-        self,
-        algorithms: Sequence[CongestAlgorithm],
-        max_rounds: int,
-        payload_bits: int | None = None,
-        runtime: str | None = None,
-    ) -> TranspiledRunResult:
-        """Simulate a CONGEST execution via Corollary 12.
-
-        Each CONGEST round costs ``Δ`` simulated Broadcast CONGEST rounds
-        (plus one initial ID-discovery round); ``max_rounds`` counts
-        *CONGEST* rounds.  ``runtime`` selects the host loop exactly as
-        in :meth:`run_broadcast_congest`.
-        """
-        wrapped = wrap_congest_algorithms(
-            algorithms,
-            ids=self._ids,
-            message_bits=self._params.message_bits,
-            payload_bits=payload_bits,
-        )
-        bc_budget = 1 + max_rounds * max(1, self._topology.max_degree)
-        return self.run_broadcast_congest(wrapped, bc_budget, runtime=runtime)
-
-    def _run_vectorized(
-        self, algorithm: VectorizedBroadcastAlgorithm, max_rounds: int
-    ) -> TranspiledRunResult:
-        """The vectorized host loop over the amortised beeping session.
-
-        The simulated substrate is identical — the same
-        :meth:`~repro.core.round_simulator.BroadcastSession.run_round`
-        stream of broadcasts — only the host side (collection, budget
-        enforcement, inbox construction, termination) runs columnar.
-        """
+            algorithm = algorithms
+        else:
+            algorithm = ObjectAlgorithmsAdapter(algorithms)
         n = self._topology.num_nodes
         message_bits = self._params.message_bits
         width = plane_width(message_bits)
@@ -308,14 +232,23 @@ class BeepSimulator:
             stats=stats,
         )
 
-    def _context(self, index: int) -> NodeContext:
-        return NodeContext(
-            index=index,
-            node_id=self._ids[index],
-            num_nodes=self._topology.num_nodes,
-            max_degree=self._topology.max_degree,
-            degree=int(self._topology.degrees[index]),
+    def run_congest(
+        self,
+        algorithms: Sequence[CongestAlgorithm],
+        max_rounds: int,
+        payload_bits: int | None = None,
+    ) -> TranspiledRunResult:
+        """Simulate a CONGEST execution via Corollary 12.
+
+        Each CONGEST round costs ``Δ`` simulated Broadcast CONGEST rounds
+        (plus one initial ID-discovery round); ``max_rounds`` counts
+        *CONGEST* rounds.
+        """
+        wrapped = wrap_congest_algorithms(
+            algorithms,
+            ids=self._ids,
             message_bits=self._params.message_bits,
-            rng=derive_rng(self._seed, "node-local", index),
-            neighbor_ids=None,
+            payload_bits=payload_bits,
         )
+        bc_budget = 1 + max_rounds * max(1, self._topology.max_degree)
+        return self.run_broadcast_congest(wrapped, bc_budget)

@@ -26,7 +26,6 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ..congest.runtime import get_default_runtime, set_default_runtime
 from ..engine import (
     ShardedBackend,
     get_default_backend,
@@ -178,15 +177,13 @@ def run_one(
     profile: str = "quick",
     seed: int = 0,
     backend: "str | None" = None,
-    runtime: "str | None" = None,
     shards: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> ExperimentResult:
     """Execute a single experiment in-process and return its result.
 
-    Sets the process-wide default backend — and, when ``runtime`` is
-    given, the default CONGEST runtime — for the duration of the run
-    (restored afterwards) so every simulation layer resolves to them.
+    Sets the process-wide default backend for the duration of the run
+    (restored afterwards) so every simulation layer resolves to it.
     With ``shards > 1`` the backend is wrapped in a
     :class:`~repro.engine.ShardedBackend` (its worker pool is shut down
     when the experiment finishes); results are bit-identical to
@@ -198,12 +195,9 @@ def run_one(
     backend_name = _backend_name(backend, shards)
     effective_backend = with_shards(backend, shards)
     previous_backend = get_default_backend()
-    previous_runtime = get_default_runtime()
     if effective_backend is not None:
         set_default_backend(effective_backend)
     try:
-        if runtime is not None:
-            set_default_runtime(runtime)
         ctx = spec.make_context(
             profile=profile, seed=seed, backend=backend_name, progress=progress
         )
@@ -212,7 +206,6 @@ def run_one(
         elapsed = time.perf_counter() - started
     finally:
         set_default_backend(previous_backend)
-        set_default_runtime(previous_runtime)
         if isinstance(effective_backend, ShardedBackend):
             effective_backend.close()
     return ExperimentResult(
@@ -273,7 +266,7 @@ def _progress_relay(progress: Callable[[str], None]) -> Iterator[object]:
 
 
 def _run_payload(
-    payload: "tuple[str, str, int, str | None, str | None, int, object]",
+    payload: "tuple[str, str, int, str | None, int, object]",
 ) -> dict:
     """Worker-process entry: run one experiment, return its dict form.
 
@@ -284,13 +277,12 @@ def _run_payload(
     callback, so in-experiment :meth:`RunContext.report` messages reach
     the caller instead of being silently dropped.
     """
-    experiment_id, profile, seed, backend, runtime, shards, relay_queue = payload
+    experiment_id, profile, seed, backend, shards, relay_queue = payload
     return run_one(
         experiment_id,
         profile=profile,
         seed=seed,
         backend=backend,
-        runtime=runtime,
         shards=shards,
         progress=relay_queue.put if relay_queue is not None else None,
     ).to_dict()
@@ -302,7 +294,6 @@ def run(
     profile: str = "quick",
     seed: int = 0,
     backend: "str | None" = None,
-    runtime: "str | None" = None,
     shards: int = 1,
     jobs: int = 1,
     tags: Iterable[str] | None = None,
@@ -323,11 +314,6 @@ def run(
         Master seed handed to every experiment's context.
     backend:
         Simulation backend name (``None`` keeps the process default).
-    runtime:
-        CONGEST runtime name — ``"vectorized"`` or ``"reference"`` —
-        for the message-passing engines experiments drive (``None``
-        keeps the process default).  Runtimes are bit-identical per
-        seed, so like the backend this only changes speed.
     shards:
         Worker-process count for the sharded execution tier.  ``1``
         (default) runs single-process; ``P > 1`` partitions every
@@ -360,12 +346,6 @@ def run(
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if shards < 1:
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    if runtime is not None:
-        # Validate eagerly so unknown names fail before anything runs
-        # (the CLI surfaces this one-line message verbatim).
-        from ..congest.runtime import resolve_runtime
-
-        resolve_runtime(runtime)
     selected = resolve_ids(ids, tags=tags)
 
     hits: dict[str, ExperimentResult] = {}
@@ -422,7 +402,7 @@ def run(
             relay = _progress_relay(progress)
         with relay as relay_queue:
             payloads = [
-                (x, profile, seed, backend, runtime, shards, relay_queue)
+                (x, profile, seed, backend, shards, relay_queue)
                 for x in pending
             ]
             with ProcessPoolExecutor(
@@ -449,7 +429,6 @@ def run(
                         profile=profile,
                         seed=seed,
                         backend=backend,
-                        runtime=runtime,
                         shards=shards,
                         progress=progress,
                     ),

@@ -202,13 +202,6 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
         "exit 2 with the known list",
     )
     parser.add_argument(
-        "--runtime",
-        default=None,
-        metavar="NAME",
-        help="CONGEST runtime for algorithm workloads: vectorized "
-        "(default) or reference; bit-identical per seed, speed only",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -230,12 +223,6 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
         default=None,
         help="on-disk point cache keyed by (point, profile, seed, backend) "
         "and verified against the full grid-point identity before replay",
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable replica batching of each cell's seed axis (the "
-        "per-seed reference path; tables are identical either way)",
     )
     parser.add_argument(
         "--format",
@@ -270,11 +257,9 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
             args.grid,
             profile=args.profile,
             backend=args.backend,
-            runtime=args.runtime,
             shards=args.shards,
             jobs=args.jobs,
             cache_dir=args.cache,
-            batch_replicas=not args.no_batch,
             progress=note_progress,
         )
         _sweep_emit(
@@ -426,13 +411,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "names exit 2 with the known list",
     )
     parser.add_argument(
-        "--runtime",
-        default=None,
-        metavar="NAME",
-        help="CONGEST runtime for message-passing engines: vectorized "
-        "(default) or reference; bit-identical per seed, speed only",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -514,7 +492,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             profile=profile,
             seed=args.seed,
             backend=args.backend,
-            runtime=args.runtime,
             shards=args.shards,
             jobs=args.jobs,
             tags=tags,

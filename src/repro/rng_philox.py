@@ -1,4 +1,4 @@
-"""Batched per-node Philox streams for the vectorized CONGEST runtime.
+"""Batched per-node Philox streams for the array-native CONGEST engine.
 
 The reference message-passing engines hand every node a private
 :func:`repro.rng.derive_rng` generator and algorithms draw from it with
@@ -11,11 +11,11 @@ exactly that stream — the Philox-4x64-10 keyed construction of
 
 The contract is **bit-identity**: for every node ``v`` and every draw
 width, the values produced by :meth:`NodeStreams.draw` equal the values
-the reference runtime obtains from
+the per-node engine obtains from
 ``random_bits(derive_rng(seed, *context, v), bits)``, draw by draw.
-That is what lets the vectorized algorithm implementations in
+That is what lets the columnar algorithm implementations in
 :mod:`repro.algorithms` promise per-seed outputs identical to the
-per-node object runtime (see ``tests/test_rng_philox.py``).
+per-node object engine (see ``tests/test_rng_philox.py``).
 
 Two numpy facts the emulation relies on (pinned by tests):
 
@@ -40,7 +40,7 @@ __all__ = ["NodeStreams", "words_for_bits"]
 #: Memoised Philox key columns, keyed by ``(seed, context, count)``.  The
 #: keys are a pure function of that tuple (SHA-256 digests), so caching
 #: cannot affect results; it amortises the only per-node Python loop left
-#: in vectorized-runtime setup across repeated runs of one experiment.
+#: in array-native engine setup across repeated runs of one experiment.
 _KEY_CACHE: LRUDict = LRUDict(limit=8)
 
 _MASK32 = np.uint64(0xFFFFFFFF)

@@ -5,10 +5,10 @@ Two kinds exist, mirroring the two programmatic entry points:
 
 ``experiment``
     The :func:`repro.experiments.api.run` payload shape — experiment
-    ids (or tags), profile, seed, backend, runtime, shards.
+    ids (or tags), profile, seed, backend, shards.
 ``sweep``
     The :func:`repro.sweeps.run` payload shape — a grid dict (the
-    TOML document form), profile, backend override, runtime, shards.
+    TOML document form), profile, backend override, shards.
 
 Normalization is **eager and lossy on aliases**: ids are resolved
 through the registry (tags folded in), grids are validated and expanded
@@ -22,9 +22,7 @@ payload shape.
 The normalized payload is also the **identity**: :meth:`JobSpec.
 identity_key` hashes exactly the fields that determine the result bytes
 — the existing cache identity (resolved ids / executed grid, profile,
-seed, backend label, shards).  ``runtime`` is deliberately excluded:
-runtimes are bit-identical per seed (the engine invariant), so two
-submissions differing only in runtime share one computation.
+seed, backend label, shards).
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..congest.runtime import resolve_runtime
 from ..engine import available_backends
 from ..errors import ConfigurationError
 from ..experiments import api
@@ -46,8 +43,8 @@ __all__ = ["JOB_KINDS", "JobFailure", "JobSpec", "execute_spec", "render_csv"]
 JOB_KINDS: tuple[str, ...] = ("experiment", "sweep")
 
 #: Payload keys accepted per kind (beyond ``"kind"`` itself).
-_EXPERIMENT_KEYS = ("ids", "tags", "profile", "seed", "backend", "runtime", "shards")
-_SWEEP_KEYS = ("grid", "profile", "backend", "runtime", "shards")
+_EXPERIMENT_KEYS = ("ids", "tags", "profile", "seed", "backend", "shards")
+_SWEEP_KEYS = ("grid", "profile", "backend", "shards")
 
 
 class JobFailure(Exception):
@@ -91,8 +88,8 @@ def _check_int(value: object, *, what: str, minimum: int) -> int:
     return value
 
 
-def _check_common(payload: Mapping) -> "tuple[str, str | None, str | None, int]":
-    """Validate the fields shared by both kinds: profile/backend/runtime/shards."""
+def _check_common(payload: Mapping) -> "tuple[str, str | None, int]":
+    """Validate the fields shared by both kinds: profile/backend/shards."""
     profile = payload.get("profile", "quick")
     if not profile or not isinstance(profile, str):
         raise _one_line(f"job profile must be a non-empty string, got {profile!r}")
@@ -102,12 +99,8 @@ def _check_common(payload: Mapping) -> "tuple[str, str | None, str | None, int]"
         raise _one_line(
             f"unknown backend {backend!r}; known: {', '.join(known_backends)}"
         )
-    runtime = payload.get("runtime")
-    if runtime is not None:
-        resolve_runtime(runtime)  # unknown names fail at submit, not execute
-        runtime = str(runtime)
     shards = _check_int(payload.get("shards", 1), what="shards", minimum=1)
-    return profile, backend, runtime, shards
+    return profile, backend, shards
 
 
 @dataclass(frozen=True)
@@ -149,7 +142,7 @@ class JobSpec:
     def _normalize_experiment(cls, raw: Mapping) -> "JobSpec":
         """Normalize an ``experiment`` payload (the ``api.run`` shape)."""
         _check_keys(raw, _EXPERIMENT_KEYS, "experiment")
-        profile, backend, runtime, shards = _check_common(raw)
+        profile, backend, shards = _check_common(raw)
         seed = _check_int(raw.get("seed", 0), what="seed", minimum=0)
         tags = raw.get("tags")
         if tags is not None and (
@@ -173,7 +166,6 @@ class JobSpec:
             "profile": profile,
             "seed": seed,
             "backend": backend,
-            "runtime": runtime,
             "shards": shards,
         }
         return cls(kind="experiment", payload=payload)
@@ -184,7 +176,7 @@ class JobSpec:
         from ..sweeps.grid import GridSpec, load_grid
 
         _check_keys(raw, _SWEEP_KEYS, "sweep")
-        profile, backend, runtime, shards = _check_common(raw)
+        profile, backend, shards = _check_common(raw)
         grid = raw.get("grid")
         if not isinstance(grid, Mapping):
             raise _one_line(
@@ -202,7 +194,6 @@ class JobSpec:
         payload = {
             "grid": executed,
             "profile": profile,
-            "runtime": runtime,
             "shards": shards,
         }
         return cls(kind="sweep", payload=payload)
@@ -220,8 +211,7 @@ class JobSpec:
         *label* (which encodes the shard count, via
         ``api._backend_name``), and shards.  For sweeps: the executed
         grid document (which pins every cell's slug, seed, and backend),
-        profile, and shards.  ``runtime`` is excluded — bit-identical by
-        the engine invariant.
+        profile, and shards.
         """
         payload = self.payload_dict()
         if self.kind == "experiment":
@@ -251,7 +241,11 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, document: Mapping) -> "JobSpec":
-        """Rebuild a spec persisted by :meth:`to_dict` (already canonical)."""
+        """Rebuild a spec persisted by :meth:`to_dict` (already canonical).
+
+        Specs stored by older versions also carry a ``runtime`` field;
+        nothing reads it, and it never entered :meth:`identity_key`.
+        """
         kind = document["kind"]
         if kind not in JOB_KINDS:
             raise _one_line(f"stored job has unknown kind {kind!r}")
@@ -281,7 +275,6 @@ def execute_spec(
             profile=payload["profile"],
             seed=payload["seed"],
             backend=payload["backend"],
-            runtime=payload["runtime"],
             shards=payload["shards"],
             jobs=1,
             cache_dir=cache_dir,
@@ -293,7 +286,6 @@ def execute_spec(
     result = sweeps.run(
         payload["grid"],
         profile=payload["profile"],
-        runtime=payload["runtime"],
         shards=payload["shards"],
         jobs=1,
         cache_dir=cache_dir,

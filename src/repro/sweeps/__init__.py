@@ -26,8 +26,7 @@ Layering (see ``docs/ARCHITECTURE.md``): a :class:`GridSpec`
 backend × seed axes into :class:`GridPoint` cells; the engine
 (:mod:`~repro.sweeps.engine`) groups each cell's seed axis into one
 replica-batched :class:`~repro.core.round_simulator.BatchedSession`
-(bit-identical to the per-seed sessions — pass
-``batch_replicas=False`` for the reference path), fanning out over
+(bit-identical to the per-seed sessions), fanning out over
 processes and caching per-point results exactly like the Experiment API
 v2 runner; :class:`SweepResult` (:mod:`~repro.sweeps.result`)
 aggregates the long-form records into per-cell statistics that are

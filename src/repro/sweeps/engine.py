@@ -16,8 +16,8 @@ singletons for randomised families like ``expander`` — executes as one
 replicas into single 3-D backend calls.  Batching never changes a
 simulated number: replica ``r`` of a batch is bit-identical to the
 standalone per-seed session (the :class:`BatchedSession` contract), so
-``run(grid, batch_replicas=False)`` and the default batched run produce
-identical :class:`~repro.sweeps.result.SweepResult` tables.
+a sweep's records equal those of :func:`execute_point` run seed by
+seed, timing fields aside.
 
 Execution reuses the Experiment API v2 machinery wholesale: work fans
 out over a :class:`concurrent.futures.ProcessPoolExecutor` exactly like
@@ -48,7 +48,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from ..beeping.noise import DynamicTopology, make_noise_model
-from ..congest.runtime import resolve_runtime
 from ..core.parameters import SimulationParameters
 from ..core.round_simulator import BatchedSession
 from ..engine import (
@@ -152,14 +151,14 @@ def _identity_columns(
 
 
 def _execute_workload_point(
-    point: GridPoint, profile: str, runtime: str, shards: int = 1
+    point: GridPoint, profile: str, shards: int = 1
 ) -> ExperimentResult:
     """Run one algorithm-workload point: build the graph, run, check.
 
-    The algorithm executes on perfect channels through the selected
-    CONGEST runtime; its seed derives from ``(seed, workload, family,
-    n)`` — noise and gamma do not enter, because they do not affect a
-    native algorithm run.
+    The algorithm executes on perfect channels through its ``run_*_bc``
+    entry point; its seed derives from ``(seed, workload, family, n)`` —
+    noise and gamma do not enter, because they do not affect a native
+    algorithm run.
     """
     topology = _point_topology(point)
     started = time.perf_counter()
@@ -169,7 +168,6 @@ def _execute_workload_point(
         seed=derive_seed(
             point.seed, "sweep-workload", point.workload, point.family, point.n
         ),
-        runtime=runtime,
     )
     elapsed = time.perf_counter() - started
     measured = _identity_columns(point, topology, shards)
@@ -192,7 +190,6 @@ def _execute_workload_point(
 def execute_point(
     point: GridPoint,
     profile: str = "quick",
-    runtime: "str | None" = None,
     shards: int = 1,
 ) -> ExperimentResult:
     """Simulate one grid point end to end and return its structured result.
@@ -210,19 +207,15 @@ def execute_point(
     :class:`~repro.core.round_simulator.BroadcastSession` loop.
 
     Algorithm workloads run the named algorithm on the same zoo graph
-    through the CONGEST runtime selected by ``runtime`` (default: the
-    process default; runtimes are bit-identical per seed).
+    on perfect channels.
     """
-    [result] = execute_batch(
-        [point], profile=profile, runtime=runtime, shards=shards
-    )
+    [result] = execute_batch([point], profile=profile, shards=shards)
     return result
 
 
 def execute_batch(
     points: "Sequence[GridPoint]",
     profile: str = "quick",
-    runtime: "str | None" = None,
     shards: int = 1,
 ) -> list[ExperimentResult]:
     """Simulate a group of same-cell points (differing only by seed) at once.
@@ -232,8 +225,7 @@ def execute_batch(
     topology run as one :class:`~repro.core.round_simulator.
     BatchedSession` (replica-batched backend calls); seeds with distinct
     graphs — randomised families — fall back to singleton batches.
-    Algorithm-workload points execute per seed through the CONGEST
-    runtime.  Results come back in input order and are value-identical
+    Algorithm-workload points execute seed by seed.  Results come back in input order and are value-identical
     to ``[execute_point(p) for p in points]`` except for wall-clock
     metadata (a batch's elapsed time is divided evenly over its
     replicas).
@@ -261,10 +253,8 @@ def execute_batch(
     if shards < 1:
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if first.workload != "broadcast":
-        resolved = resolve_runtime(runtime)
         return [
-            _execute_workload_point(point, profile, resolved, shards)
-            for point in points
+            _execute_workload_point(point, profile, shards) for point in points
         ]
     topologies = [_point_topology(point) for point in points]
 
@@ -395,15 +385,13 @@ def _execute_broadcast_groups(
 
 
 def _execute_payload(
-    payload: "tuple[tuple[GridPoint, ...], str, str | None, int]",
+    payload: "tuple[tuple[GridPoint, ...], str, int]",
 ) -> list[dict]:
     """Worker-process entry: run one batch group, return its dict forms."""
-    points, profile, runtime, shards = payload
+    points, profile, shards = payload
     return [
         result.to_dict()
-        for result in execute_batch(
-            list(points), profile=profile, runtime=runtime, shards=shards
-        )
+        for result in execute_batch(list(points), profile=profile, shards=shards)
     ]
 
 
@@ -485,21 +473,17 @@ def _load_cached_point(
 def _batch_groups(
     points: "Sequence[GridPoint]",
     pending: "Sequence[int]",
-    batch_replicas: bool,
     jobs: int = 1,
 ) -> list[list[int]]:
     """Partition pending point indices into executable batch groups.
 
-    With ``batch_replicas`` on, points sharing every axis but seed (one
-    grid cell) form one group, in first-seen order; otherwise every
-    point is its own group (the per-seed reference path).  When fewer
-    groups than ``jobs`` come out, the largest groups are halved until
-    the worker pool can be saturated — sub-groups of a cell still batch
-    internally, so this trades some batching width for fan-out instead
-    of leaving workers idle on few-cell grids.
+    Points sharing every axis but seed (one grid cell) form one group,
+    in first-seen order.  When fewer groups than ``jobs`` come out, the
+    largest groups are halved until the worker pool can be saturated —
+    sub-groups of a cell still batch internally, so this trades some
+    batching width for fan-out instead of leaving workers idle on
+    few-cell grids.
     """
-    if not batch_replicas:
-        return [[index] for index in pending]
     groups: dict[tuple, list[int]] = {}
     for index in pending:
         point = points[index]
@@ -532,11 +516,9 @@ def run(
     *,
     profile: str = "quick",
     backend: "str | None" = None,
-    runtime: "str | None" = None,
     shards: int = 1,
     jobs: int = 1,
     cache_dir: "str | Path | None" = None,
-    batch_replicas: bool = True,
     progress: Callable[[str], None] | None = None,
 ) -> SweepResult:
     """Execute a sweep grid and return the aggregated :class:`SweepResult`.
@@ -552,10 +534,6 @@ def run(
     backend:
         Override the grid's backend axis wholesale (the CLI
         ``--backend`` flag); ``None`` keeps the grid's own axis.
-    runtime:
-        CONGEST runtime for algorithm workloads (the CLI ``--runtime``
-        flag); ``None`` uses the process default.  Runtimes are
-        bit-identical per seed, so this only changes speed.
     shards:
         Shard-worker count for the sharded execution tier (the CLI
         ``--shards`` flag).  ``1`` keeps the single-process path;
@@ -569,11 +547,6 @@ def run(
         On-disk result cache shared with the experiment runner; hits are
         replayed without simulating (flagged ``cached`` in the records)
         after their stored identity is verified against the point.
-    batch_replicas:
-        Auto-batch each cell's seed axis into one
-        :class:`~repro.core.round_simulator.BatchedSession` (the
-        default).  ``False`` forces the per-seed reference path; both
-        settings produce identical tables, only wall-clock differs.
     progress:
         Optional callback receiving one-line per-point status messages.
     """
@@ -583,7 +556,6 @@ def run(
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if backend is not None and backend != "auto":
         get_backend(backend)  # eager: fail before validation/probing work
-    runtime = resolve_runtime(runtime)  # eager: unknown names fail first
     spec = load_grid(grid)
     points = spec.expand(profile=profile, backend=backend)
 
@@ -622,10 +594,10 @@ def run(
             )
             progress(f"{points[index].label()}: {status}")
 
-    groups = _batch_groups(points, pending, batch_replicas, jobs=jobs)
+    groups = _batch_groups(points, pending, jobs=jobs)
     if pending and jobs > 1:
         payloads = [
-            (tuple(points[index] for index in group), profile, runtime, shards)
+            (tuple(points[index] for index in group), profile, shards)
             for group in groups
         ]
         with ProcessPoolExecutor(
@@ -643,7 +615,6 @@ def run(
             group_results = execute_batch(
                 [points[index] for index in group],
                 profile=profile,
-                runtime=runtime,
                 shards=shards,
             )
             for index, result in zip(group, group_results):

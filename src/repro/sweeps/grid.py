@@ -172,7 +172,7 @@ class GridSpec:
         workload_names`): ``"broadcast"`` simulates noisy-beeps rounds,
         the algorithm workloads (``"matching"``, ``"mis"``, ``"bfs"``,
         ``"leader"``) run distributed algorithms on the zoo graph
-        through the CONGEST runtime and record workload metrics.
+        through the Broadcast CONGEST engine and record workload metrics.
     sizes:
         Node counts ``n`` (each ``>= 2``); sizes a family cannot realise
         exactly (e.g. non-power-of-two hypercubes) are rejected at

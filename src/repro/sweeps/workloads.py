@@ -4,14 +4,13 @@ Historically a sweep point simulated Broadcast CONGEST rounds of random
 messages through the beeping stack (the ``"broadcast"`` workload).  The
 ``workload`` axis opens the other half of the paper: each algorithm
 workload runs a distributed algorithm from :mod:`repro.algorithms` on
-the point's zoo graph — through the CONGEST runtime selected for the
-sweep — and records workload-level metrics (rounds used, messages sent,
-output size, checker validity) instead of decode statistics.
+the point's zoo graph — through its ``run_*_bc`` entry point — and
+records workload-level metrics (rounds used, messages sent, output size,
+checker validity) instead of decode statistics.
 
-Algorithm workloads execute on perfect channels (the native engines),
-so the grid's noise axis does not affect them; sweep algorithm grids
-conventionally pin ``noises = [0.0]``.  The runtimes are bit-identical
-per seed, so like the backend axis, the runtime only changes speed.
+Algorithm workloads execute on perfect channels (the array-native
+Broadcast CONGEST engine), so the grid's noise axis does not affect
+them; sweep algorithm grids conventionally pin ``noises = [0.0]``.
 """
 
 from __future__ import annotations
@@ -83,20 +82,20 @@ class Workload:
     description:
         One-line summary shown by ``sweep --list-workloads``.
     runner:
-        ``(topology, seed, runtime) -> WorkloadOutcome`` for algorithm
+        ``(topology, seed) -> WorkloadOutcome`` for algorithm
         workloads; ``None`` for the built-in ``"broadcast"`` workload,
         which the engine executes through the beeping session instead.
     """
 
     name: str
     description: str
-    runner: "Callable[[Topology, int, str], WorkloadOutcome] | None" = None
+    runner: "Callable[[Topology, int], WorkloadOutcome] | None" = None
 
 
-def _matching_runner(topology: Topology, seed: int, runtime: str) -> WorkloadOutcome:
+def _matching_runner(topology: Topology, seed: int) -> WorkloadOutcome:
     """Run Algorithm 3 maximal matching and validate the matching."""
     n = topology.num_nodes
-    result = run_matching_bc(topology, seed=seed, runtime=runtime)
+    result = run_matching_bc(topology, seed=seed)
     ok, _ = check_matching(topology, list(range(n)), result.outputs)
     matched = sum(1 for output in result.outputs if output != UNMATCHED)
     return WorkloadOutcome(
@@ -108,9 +107,9 @@ def _matching_runner(topology: Topology, seed: int, runtime: str) -> WorkloadOut
     )
 
 
-def _mis_runner(topology: Topology, seed: int, runtime: str) -> WorkloadOutcome:
+def _mis_runner(topology: Topology, seed: int) -> WorkloadOutcome:
     """Run Luby's MIS and validate independence plus maximality."""
-    result = run_mis_bc(topology, seed=seed, runtime=runtime)
+    result = run_mis_bc(topology, seed=seed)
     ok, _ = check_mis(topology, result.outputs)
     return WorkloadOutcome(
         rounds_used=result.rounds_used,
@@ -121,10 +120,10 @@ def _mis_runner(topology: Topology, seed: int, runtime: str) -> WorkloadOutcome:
     )
 
 
-def _bfs_runner(topology: Topology, seed: int, runtime: str) -> WorkloadOutcome:
+def _bfs_runner(topology: Topology, seed: int) -> WorkloadOutcome:
     """Run BFS-tree construction from node 0 and validate the layers."""
     n = topology.num_nodes
-    result = run_bfs_bc(topology, 0, seed=seed, runtime=runtime)
+    result = run_bfs_bc(topology, 0, seed=seed)
     ok, _ = check_bfs_tree(topology, list(range(n)), 0, result.outputs)
     reached = sum(1 for distance, _ in result.outputs if distance >= 0)
     # Unreachable nodes never cease, so `finished` is only demanded on
@@ -138,10 +137,10 @@ def _bfs_runner(topology: Topology, seed: int, runtime: str) -> WorkloadOutcome:
     )
 
 
-def _leader_runner(topology: Topology, seed: int, runtime: str) -> WorkloadOutcome:
+def _leader_runner(topology: Topology, seed: int) -> WorkloadOutcome:
     """Run max-ID flooding and validate per-component agreement."""
     n = topology.num_nodes
-    result = run_leader_election_bc(topology, seed=seed, runtime=runtime)
+    result = run_leader_election_bc(topology, seed=seed)
     ok, _ = check_leader_election(topology, list(range(n)), result.outputs)
     return WorkloadOutcome(
         rounds_used=result.rounds_used,
@@ -192,9 +191,7 @@ def get_workload(name: str) -> Workload:
     return workload
 
 
-def run_workload(
-    name: str, topology: Topology, seed: int, runtime: str
-) -> WorkloadOutcome:
+def run_workload(name: str, topology: Topology, seed: int) -> WorkloadOutcome:
     """Execute one algorithm workload on one topology."""
     workload = get_workload(name)
     if workload.runner is None:
@@ -202,4 +199,4 @@ def run_workload(
             f"workload {name!r} runs through the beeping session, not "
             "run_workload()"
         )
-    return workload.runner(topology, seed, runtime)
+    return workload.runner(topology, seed)

@@ -1,13 +1,17 @@
-"""The tentpole invariant: vectorized runs are bit-identical per seed.
+"""The tentpole invariant: the array-native engine equals the per-node oracle.
 
-For every algorithm with a columnar implementation, a vectorized run
-must equal the reference per-node run exactly — outputs, rounds used,
-messages sent, finished — across topology-zoo families, sizes and
-seeds, with default and custom node IDs, natively and over the beeping
-substrate.
+For every ``run_*_bc`` entry point, a run must equal the per-node
+engine's run of the same algorithm (:mod:`per_node_oracle`) exactly —
+outputs, rounds used, messages sent, finished — across topology-zoo
+families, sizes and seeds, with default and custom node IDs.  Over the
+beeping substrate, ``BeepSimulator``'s columnar host loop must equal the
+per-node host loop of ``tests/core/reference_host.py``.
 """
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,13 @@ from repro.core.parameters import SimulationParameters
 from repro.core.transpiler import BeepSimulator
 from repro.graphs import Topology, build_family_graph
 
+import per_node_oracle as oracle
+from per_node_oracle import same_run
+
+# The host-loop oracle lives beside the round oracle in tests/core.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
+from reference_host import reference_run  # noqa: E402
+
 #: Zoo families the equivalence is property-tested across (>= 4, mixing
 #: deterministic, randomised, disconnected and hub-heavy shapes).
 FAMILIES = [
@@ -36,24 +47,17 @@ FAMILIES = [
     ("hypercube", 16, None),
 ]
 
+#: Each entry point next to its per-node oracle (BFS rooted at node 0).
 RUNNERS = {
-    "matching": run_matching_bc,
-    "mis": run_mis_bc,
-    "leader": run_leader_election_bc,
-    "coloring": run_coloring_bc,
-    "bfs": lambda topology, seed, **kwargs: run_bfs_bc(
-        topology, 0, seed=seed, **kwargs
+    "matching": (run_matching_bc, oracle.matching),
+    "mis": (run_mis_bc, oracle.mis),
+    "leader": (run_leader_election_bc, oracle.leader),
+    "coloring": (run_coloring_bc, oracle.coloring),
+    "bfs": (
+        lambda topology, **kwargs: run_bfs_bc(topology, 0, **kwargs),
+        lambda topology, **kwargs: oracle.bfs(topology, 0, **kwargs),
     ),
 }
-
-
-def results_equal(a, b) -> bool:
-    return (
-        a.outputs == b.outputs
-        and a.rounds_used == b.rounds_used
-        and a.messages_sent == b.messages_sent
-        and a.finished == b.finished
-    )
 
 
 @pytest.mark.parametrize("family,n,params", FAMILIES)
@@ -61,10 +65,10 @@ def results_equal(a, b) -> bool:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_native_runs_bit_identical(family, n, params, algorithm, seed):
     topology = Topology(build_family_graph(family, n, seed=7, params=params))
-    runner = RUNNERS[algorithm]
-    reference = runner(topology, seed=seed, runtime="reference")
-    vectorized = runner(topology, seed=seed, runtime="vectorized")
-    assert results_equal(reference, vectorized), (
+    entry_point, per_node = RUNNERS[algorithm]
+    reference = per_node(topology, seed=seed)
+    vectorized = entry_point(topology, seed=seed)
+    assert same_run(reference, vectorized), (
         f"{algorithm} on {family} diverged at seed {seed}: "
         f"{reference} vs {vectorized}"
     )
@@ -74,14 +78,14 @@ def test_native_runs_bit_identical(family, n, params, algorithm, seed):
 def test_custom_ids_bit_identical(algorithm):
     topology = Topology(build_family_graph("torus", 9, seed=0))
     ids = [7, 101, 33, 5, 66, 2, 88, 41, 19]
-    runner = RUNNERS[algorithm]
-    reference = runner(topology, seed=3, ids=ids, runtime="reference")
-    vectorized = runner(topology, seed=3, ids=ids, runtime="vectorized")
-    assert results_equal(reference, vectorized)
+    entry_point, per_node = RUNNERS[algorithm]
+    reference = per_node(topology, seed=3, ids=ids)
+    vectorized = entry_point(topology, seed=3, ids=ids)
+    assert same_run(reference, vectorized)
 
 
 class TestOverBeeps:
-    """The transpiler's vectorized host loop feeds the session identically."""
+    """The transpiler's columnar host loop feeds the session identically."""
 
     def _simulators(self, topology, budget, eps):
         params = SimulationParameters(
@@ -97,13 +101,9 @@ class TestOverBeeps:
         topology = Topology(build_family_graph("gnp", 10, seed=2))
         algorithms, budget = make_matching_algorithms(topology, value_exponent=3)
         reference_sim, vectorized_sim = self._simulators(topology, budget, eps)
-        reference = reference_sim.run_broadcast_congest(
-            algorithms, max_rounds=40, runtime="reference"
-        )
+        reference = reference_run(reference_sim, algorithms, max_rounds=40)
         again, _ = make_matching_algorithms(topology, value_exponent=3)
-        vectorized = vectorized_sim.run_broadcast_congest(
-            again, max_rounds=40, runtime="vectorized"
-        )
+        vectorized = vectorized_sim.run_broadcast_congest(again, max_rounds=40)
         assert reference.outputs == vectorized.outputs
         assert reference.finished == vectorized.finished
         assert reference.stats.beep_rounds == vectorized.stats.beep_rounds
@@ -115,9 +115,7 @@ class TestOverBeeps:
         n = topology.num_nodes
         algorithms, budget = make_matching_algorithms(topology, value_exponent=3)
         reference_sim, vectorized_sim = self._simulators(topology, budget, eps)
-        reference = reference_sim.run_broadcast_congest(
-            algorithms, max_rounds=40, runtime="reference"
-        )
+        reference = reference_run(reference_sim, algorithms, max_rounds=40)
         columnar = VectorizedMaximalMatching(
             id_bits=required_bits(n),
             value_bits=max(1, 3 * required_bits(max(2, n))),

@@ -2,7 +2,9 @@
 
 Every algorithm in :mod:`repro.algorithms` must produce outputs its
 :mod:`repro.algorithms.verification` checker accepts on every registered
-topology-zoo family at small ``n``, under both CONGEST runtimes.
+topology-zoo family at small ``n``: ``vectorized`` cells check the entry
+point, held equal to :mod:`per_node_oracle`; ``reference`` cells check
+the oracle itself.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from repro.algorithms import (
     run_matching_bc,
     run_mis_bc,
 )
-from repro.congest import KNOWN_RUNTIMES
 from repro.graphs import Topology, build_family_graph, family_names
+
+import per_node_oracle as oracle
+from per_node_oracle import same_run
 
 #: A feasible small n per family (tree sizes, powers of two, ...).
 FAMILY_SIZES = {
@@ -55,45 +59,55 @@ def test_every_registered_family_has_a_size():
     assert set(FAMILY_SIZES) == set(family_names())
 
 
-@pytest.mark.parametrize("runtime", KNOWN_RUNTIMES)
+def _run(engine: str, entry_point, per_node, topology: Topology, *args):
+    """The run a cell checks: the oracle's, or the entry point's held equal to it."""
+    expected = per_node(topology, *args, seed=1)
+    if engine == "reference":
+        return expected
+    result = entry_point(topology, *args, seed=1)
+    assert same_run(result, expected), f"{result} != oracle {expected}"
+    return result
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "reference"])
 @pytest.mark.parametrize("family", sorted(FAMILY_SIZES))
 class TestZooMatrix:
-    def test_matching(self, family, runtime):
+    def test_matching(self, family, engine):
         topology = _topology(family)
-        result = run_matching_bc(topology, seed=1, runtime=runtime)
+        result = _run(engine, run_matching_bc, oracle.matching, topology)
         assert result.finished
         ok, why = check_matching(
             topology, list(range(topology.num_nodes)), result.outputs
         )
         assert ok, why
 
-    def test_mis(self, family, runtime):
+    def test_mis(self, family, engine):
         topology = _topology(family)
-        result = run_mis_bc(topology, seed=1, runtime=runtime)
+        result = _run(engine, run_mis_bc, oracle.mis, topology)
         assert result.finished
         ok, why = check_mis(topology, result.outputs)
         assert ok, why
 
-    def test_coloring(self, family, runtime):
+    def test_coloring(self, family, engine):
         topology = _topology(family)
-        result = run_coloring_bc(topology, seed=1, runtime=runtime)
+        result = _run(engine, run_coloring_bc, oracle.coloring, topology)
         assert result.finished
         ok, why = check_coloring(
             topology, result.outputs, topology.max_degree + 1
         )
         assert ok, why
 
-    def test_bfs(self, family, runtime):
+    def test_bfs(self, family, engine):
         topology = _topology(family)
-        result = run_bfs_bc(topology, 0, seed=1, runtime=runtime)
+        result = _run(engine, run_bfs_bc, oracle.bfs, topology, 0)
         ok, why = check_bfs_tree(
             topology, list(range(topology.num_nodes)), 0, result.outputs
         )
         assert ok, why
 
-    def test_leader_election(self, family, runtime):
+    def test_leader_election(self, family, engine):
         topology = _topology(family)
-        result = run_leader_election_bc(topology, seed=1, runtime=runtime)
+        result = _run(engine, run_leader_election_bc, oracle.leader, topology)
         assert result.finished
         ok, why = check_leader_election(
             topology, list(range(topology.num_nodes)), result.outputs

@@ -8,15 +8,11 @@ import pytest
 from repro.congest import (
     BroadcastCongestAlgorithm,
     BroadcastCongestNetwork,
-    KNOWN_RUNTIMES,
     MessageCodec,
     ObjectAlgorithmsAdapter,
     VectorizedBroadcastAlgorithm,
     VectorizedBroadcastNetwork,
     WordCodec,
-    get_default_runtime,
-    resolve_runtime,
-    set_default_runtime,
 )
 from repro.congest.vectorized import check_plane, plane_words
 from repro.errors import ConfigurationError, MessageSizeError
@@ -69,30 +65,6 @@ class _AllBeep(VectorizedBroadcastAlgorithm):
 
     def outputs(self):
         return [sorted(heard) for heard in self._heard]
-
-
-class TestRuntimeRegistry:
-    def test_known_runtimes(self):
-        assert set(KNOWN_RUNTIMES) == {"vectorized", "reference"}
-
-    def test_resolve_none_gives_default(self):
-        assert resolve_runtime(None) == get_default_runtime()
-
-    def test_unknown_runtime_one_line_error(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            resolve_runtime("bogus")
-        message = str(excinfo.value)
-        assert "unknown runtime 'bogus'" in message
-        assert "vectorized" in message and "reference" in message
-        assert "\n" not in message
-
-    def test_set_default_round_trips(self):
-        previous = get_default_runtime()
-        try:
-            assert set_default_runtime("reference") == "reference"
-            assert resolve_runtime(None) == "reference"
-        finally:
-            set_default_runtime(previous)
 
 
 class TestWordCodec:

@@ -69,46 +69,23 @@ class TestBackendFlag:
 
 
 class TestRuntimeFlag:
-    def test_runtime_flag_accepted(self, capsys):
-        assert main(["e11", "--runtime", "reference"]) == 0
-        assert "E11a" in capsys.readouterr().out
+    """Usage errors exit 2: the retired ``--runtime`` flag, unknown axes."""
 
-    def test_runtime_restored_after_run(self):
-        from repro.congest import get_default_runtime
-
-        before = get_default_runtime()
-        assert main(["e11", "--runtime", "reference"]) == 0
-        assert get_default_runtime() == before
-
-    def test_runtime_is_results_neutral(self, capsys):
-        assert main(["e11", "--runtime", "reference", "--format", "json"]) == 0
-        reference = json.loads(capsys.readouterr().out)
-        assert main(["e11", "--runtime", "vectorized", "--format", "json"]) == 0
-        vectorized = json.loads(capsys.readouterr().out)
-
-        def rows(results):
-            # notes record which runtime ran; the *numbers* must agree
-            return [
-                [table["rows"] for table in result["tables"]]
-                for result in results
-            ]
-
-        assert rows(reference) == rows(vectorized)
-
-    def test_unknown_runtime_exits_2_one_line(self, capsys):
-        assert main(["e11", "--runtime", "bogus"]) == 2
+    def test_runtime_flag_is_retired(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["e11", "--runtime", "reference"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1  # one-line diagnostic, no traceback
-        assert "unknown runtime 'bogus'" in err
-        assert "vectorized" in err and "reference" in err
+        assert "unrecognized arguments: --runtime reference" in err
 
-    def test_sweep_unknown_runtime_exits_2_one_line(self, tmp_path, capsys):
+    def test_sweep_runtime_flag_is_retired(self, tmp_path, capsys):
         grid = tmp_path / "grid.toml"
         grid.write_text(GRID_TOML)
-        assert main(["sweep", "--grid", str(grid), "--runtime", "bogus"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--grid", str(grid), "--runtime", "reference"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "unknown runtime 'bogus'" in err
+        assert "unrecognized arguments: --runtime reference" in err
 
     def test_sweep_unknown_noise_model_exits_2_one_line(self, tmp_path, capsys):
         grid = tmp_path / "grid.toml"
@@ -393,19 +370,12 @@ class TestSweepSubcommand:
         assert "cannot write output file" in err
         assert "Traceback" not in err
 
-    def test_no_batch_flag_produces_identical_tables(self, tmp_path, capsys):
+    def test_no_batch_flag_is_retired(self, tmp_path, capsys):
         grid = self.write_grid(tmp_path)
-        assert main(["sweep", "--grid", grid, "--format", "csv"]) == 0
-        batched = capsys.readouterr().out
-        assert main(["sweep", "--grid", grid, "--no-batch", "--format", "csv"]) == 0
-        reference = capsys.readouterr().out
-
-        def cells_block(output):
-            # the aggregate cells table excludes wall-clock columns by
-            # design, so batched and per-seed runs must match verbatim
-            return output.split("# table: sweep / cells\n")[1]
-
-        assert cells_block(batched) == cells_block(reference)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--grid", grid, "--no-batch"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-batch" in capsys.readouterr().err
 
     def test_list_families(self, capsys):
         assert main(["sweep", "--list-families"]) == 0

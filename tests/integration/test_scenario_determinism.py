@@ -1,9 +1,10 @@
 """Cross-process determinism matrix for the scenario layer.
 
-Every noise model × six zoo families × both CONGEST runtimes must be
-byte-identical across two *fresh* interpreter processes: the digest
-below covers the raw flip streams, the dynamic-topology epoch masks, and
-full algorithm-workload outcomes.  Any hidden dependence on hash
+Every noise model × six zoo families, plus an algorithm workload run by
+its entry point and by the per-node oracle, must be byte-identical
+across two *fresh* interpreter processes: the digest below covers the
+raw flip streams, the dynamic-topology epoch masks, and full
+algorithm-workload outcomes.  Any hidden dependence on hash
 randomisation, set/dict iteration order, or process-local state breaks
 the equality — the strongest form of the seeded-determinism contract the
 sweep cache and the sharded workers both rely on.
@@ -21,14 +22,16 @@ from pathlib import Path
 MATRIX_SCRIPT = r"""
 import hashlib
 
+from repro.algorithms import make_mis_algorithms
+from repro.algorithms.luby_mis import _round_budget
 from repro.beeping.noise import DynamicTopology, make_noise_model
+from repro.congest import BroadcastCongestNetwork
 from repro.graphs import Topology
 from repro.graphs.generators import build_family_graph
 from repro.sweeps.workloads import run_workload
 
 FAMILIES = ("cycle", "path", "expander", "torus", "hypercube", "powerlaw")
 MODELS = ("bernoulli", "adversarial", "zone:0.25")
-RUNTIMES = ("vectorized", "reference")
 N = 16
 
 combined = hashlib.sha256()
@@ -56,9 +59,13 @@ for family in FAMILIES:
         for e in range(4)
     ]
     emit(f"{family}/churn", repr(masks).encode())
-    for runtime in RUNTIMES:
-        outcome = run_workload("mis", topology, seed=5, runtime=runtime)
-        emit(f"{family}/mis/{runtime}", repr(outcome).encode())
+    outcome = run_workload("mis", topology, seed=5)
+    emit(f"{family}/mis/entry", repr(outcome).encode())
+    # The same run's per-node oracle, inline: the script sees only src/.
+    algorithms, budget = make_mis_algorithms(topology)
+    network = BroadcastCongestNetwork(topology, message_bits=budget, seed=5)
+    oracle = network.run(algorithms, max_rounds=_round_budget(N))
+    emit(f"{family}/mis/oracle", repr(oracle).encode())
 
 print(f"combined {combined.hexdigest()}")
 """
@@ -85,7 +92,7 @@ def test_matrix_byte_identical_across_fresh_processes():
     second = _run_matrix()
     assert first == second
     lines = first.strip().splitlines()
-    # 6 families x (graph + 3 models + churn + 2 runtimes) + combined
+    # 6 families x (graph + 3 models + churn + entry + oracle) + combined
     assert len(lines) == 6 * 7 + 1
     assert lines[-1].startswith("combined ")
     assert len(lines[-1].split()[1]) == 64

@@ -26,7 +26,6 @@ class TestNormalizeExperiment:
             "profile": "quick",
             "seed": 0,
             "backend": None,
-            "runtime": None,
             "shards": 1,
         }
 
@@ -70,9 +69,19 @@ class TestNormalizeExperiment:
         with pytest.raises(ConfigurationError, match="unknown backend"):
             normalize(kind="experiment", ids=["e01"], backend="quantum")
 
-    def test_unknown_runtime_rejected_at_submit(self):
-        with pytest.raises(ConfigurationError):
-            normalize(kind="experiment", ids=["e01"], runtime="warp")
+    def test_retired_runtime_key_rejected(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            normalize(kind="experiment", ids=["e01"], runtime="reference")
+        assert str(excinfo.value) == (
+            "unknown experiment-job key(s) 'runtime'; "
+            "known: ids, tags, profile, seed, backend, shards"
+        )
+        with pytest.raises(ConfigurationError) as excinfo:
+            normalize(kind="sweep", grid=GRID, runtime="reference")
+        assert str(excinfo.value) == (
+            "unknown sweep-job key(s) 'runtime'; "
+            "known: grid, profile, backend, shards"
+        )
 
     def test_empty_profile_rejected(self):
         with pytest.raises(ConfigurationError, match="profile"):
@@ -118,11 +127,46 @@ class TestIdentity:
         b = normalize(kind="experiment", ids=["e01"], seed=3)
         assert a.identity_key() == b.identity_key()
 
-    def test_runtime_is_excluded_from_identity(self):
-        # Runtimes are bit-identical per seed, so they share one result.
-        a = normalize(kind="experiment", ids=["e14"], runtime="vectorized")
-        b = normalize(kind="experiment", ids=["e14"], runtime="reference")
-        assert a.identity_key() == b.identity_key()
+    @pytest.mark.parametrize(
+        "submission,runtime,key",
+        [
+            (
+                {"kind": "experiment", "ids": ["e14"]},
+                None,
+                "db6d490f9490b64a3ff7eeab763e3dc2d9eda0269c7520f2d5d691b4360fe533",
+            ),
+            (
+                {
+                    "kind": "sweep",
+                    "grid": {
+                        "topologies": ["cycle"],
+                        "sizes": [8],
+                        "noises": [0.0],
+                        "seeds": [0],
+                        "rounds": 1,
+                    },
+                },
+                "reference",
+                "6bc0ec23688e1e96fc459437fbfb6f9ebf6e7d87f06b1f834f195c78e7170dcc",
+            ),
+        ],
+        ids=["experiment", "sweep"],
+    )
+    def test_stored_specs_with_runtime_keep_key_and_run(
+        self, submission, runtime, key, tmp_path
+    ):
+        # spec.json as stored before the runtime key was retired; the keys
+        # were computed then, so no payload edit can split the dedupe index.
+        fresh = JobSpec.normalize(submission)
+        document = fresh.to_dict()
+        document["payload"]["runtime"] = runtime
+        stored = JobSpec.from_dict(document)
+        assert stored.identity_key() == fresh.identity_key() == key
+        cache = str(tmp_path)
+        execute_spec(stored, cache_dir=cache)  # runs, filling the cache
+        assert execute_spec(stored, cache_dir=cache) == execute_spec(
+            fresh, cache_dir=cache
+        )
 
     @pytest.mark.parametrize(
         "variant",

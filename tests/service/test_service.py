@@ -297,6 +297,14 @@ class TestFailures:
         assert "zz99" in body["error"]["message"]
         status, body = live_service.post_json("/v1/jobs", "not an object")
         assert status == 400
+        status, body = live_service.post_json(
+            "/v1/jobs", {**EXPERIMENT_JOB, "runtime": "reference"}
+        )
+        assert status == 400
+        assert body["error"]["message"] == (
+            "unknown experiment-job key(s) 'runtime'; "
+            "known: ids, tags, profile, seed, backend, shards"
+        )
 
     def test_unknown_routes_and_jobs_are_404(self, live_service):
         assert live_service.get("/v1/nope")[0] == 404

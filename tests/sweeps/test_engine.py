@@ -223,21 +223,27 @@ def _timing_free(result: SweepResult) -> list[dict]:
     ]
 
 
+def _per_seed(grid: dict, backend: "str | None" = None) -> list[dict]:
+    """Every point of ``grid`` run alone through :func:`execute_point`."""
+    records = []
+    for point in sweeps.load_grid(grid).expand(backend=backend):
+        [record] = execute_point(point).tables[0].records()
+        records.append(record)
+    return records
+
+
 class TestReplicaBatching:
     """The seed axis auto-batches without changing a single number."""
 
     def test_batched_equals_per_seed_reference(self):
-        batched = sweeps.run(ACCEPTANCE_GRID, batch_replicas=True)
-        reference = sweeps.run(ACCEPTANCE_GRID, batch_replicas=False)
-        assert _timing_free(batched) == _timing_free(reference)
-        assert batched.cells_csv() == reference.cells_csv()
+        batched = sweeps.run(ACCEPTANCE_GRID)
+        assert _timing_free(batched) == _per_seed(ACCEPTANCE_GRID)
 
     @pytest.mark.parametrize("backend", ["dense", "bitpacked"])
     def test_batched_equals_per_seed_both_backends(self, backend):
         grid = {**ACCEPTANCE_GRID, "sizes": [8]}
-        batched = sweeps.run(grid, backend=backend, batch_replicas=True)
-        reference = sweeps.run(grid, backend=backend, batch_replicas=False)
-        assert _timing_free(batched) == _timing_free(reference)
+        batched = sweeps.run(grid, backend=backend)
+        assert _timing_free(batched) == _per_seed(grid, backend=backend)
 
     def test_randomised_families_fall_back_to_singletons(self):
         # expander graphs re-randomise per seed, so replica groups within
@@ -249,9 +255,8 @@ class TestReplicaBatching:
             "seeds": [0, 1, 2],
             "rounds": 1,
         }
-        batched = sweeps.run(grid, batch_replicas=True)
-        reference = sweeps.run(grid, batch_replicas=False)
-        assert _timing_free(batched) == _timing_free(reference)
+        batched = sweeps.run(grid)
+        assert _timing_free(batched) == _per_seed(grid)
 
     def test_parallel_batched_matches_serial(self):
         parallel = sweeps.run(ACCEPTANCE_GRID, jobs=3)
@@ -327,10 +332,9 @@ class TestScenarioSweeps:
     def test_churned_batched_equals_per_seed_reference(self):
         # churn forces singleton replica groups (each point's dynamic
         # mask derives from its own session seed) — numbers must match
-        # the unbatched reference exactly.
-        batched = sweeps.run(SCENARIO_GRID, batch_replicas=True)
-        reference = sweeps.run(SCENARIO_GRID, batch_replicas=False)
-        assert _timing_free(batched) == _timing_free(reference)
+        # the per-seed points exactly.
+        batched = sweeps.run(SCENARIO_GRID)
+        assert _timing_free(batched) == _per_seed(SCENARIO_GRID)
 
     def test_noise_model_changes_numbers(self):
         cells = sweeps.run(SCENARIO_GRID).cells()

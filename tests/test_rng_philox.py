@@ -1,6 +1,6 @@
 """NodeStreams must be bit-identical to the reference per-node streams.
 
-The vectorized runtime's whole bit-identity promise rests on
+The array-native engine's whole bit-identity promise rests on
 :class:`repro.rng_philox.NodeStreams` reproducing, draw by draw, what
 the reference engine gets from ``random_bits(derive_rng(seed,
 "node-local", v), bits)`` — including numpy's ``Generator.bytes``

@@ -56,7 +56,6 @@ MODULES: "tuple[str, ...]" = (
     "repro.congest.context",
     "repro.congest.model",
     "repro.congest.network",
-    "repro.congest.runtime",
     "repro.congest.vectorized",
     "repro.algorithms.maximal_matching",
     "repro.algorithms.luby_mis",
