@@ -106,7 +106,7 @@ def test_session_round_amortised(benchmark):
     params = SimulationParameters(message_bits=5, max_degree=4, eps=0.1, c=5)
     messages = [v % 32 for v in range(24)]
     session = BroadcastSession(topology, params, seed=7)
-    session.run_round(messages)  # warm the code caches
+    session.run_round(messages)  # warm the distance rows and noise windows
 
     def one_round():
         session.reset()

@@ -96,7 +96,7 @@ _WINDOW = 4096
 #: Flip windows kept resident per channel; a window is ``n * 4096`` bits,
 #: and chained phases touch at most two consecutive windows plus the
 #: occasional replay, so a handful suffices.
-_WINDOW_CACHE_LIMIT = 4
+_WINDOW_CACHE_SIZE = 4
 
 
 class WindowedNoise(NoiseModel):
@@ -121,7 +121,7 @@ class WindowedNoise(NoiseModel):
         # can never cross-contaminate, and re-querying an evicted window
         # regenerates exactly the same flips (regression-tested).
         self._window_cache: LRUDict[tuple[int, int], np.ndarray] = LRUDict(
-            _WINDOW_CACHE_LIMIT
+            _WINDOW_CACHE_SIZE
         )
 
     @property
@@ -386,7 +386,7 @@ class DynamicTopology:
     """
 
     #: Masked epoch topologies kept resident per wrapper.
-    _EPOCH_CACHE_LIMIT = 8
+    _EPOCH_CACHE_SIZE = 8
 
     def __init__(
         self,
@@ -426,7 +426,7 @@ class DynamicTopology:
             dtype=np.int64,
         ).reshape(-1, 2)
         self._epoch_cache: LRUDict[int, object] = LRUDict(
-            self._EPOCH_CACHE_LIMIT
+            self._EPOCH_CACHE_SIZE
         )
 
     @property

@@ -7,7 +7,6 @@ from abc import ABC, abstractmethod
 from .. import bitstrings
 from ..bitstrings import BitString
 from ..errors import ConfigurationError
-from ..lru import LRUDict
 
 __all__ = ["Code"]
 
@@ -19,16 +18,11 @@ class Code(ABC):
     bounds checking are provided here.  Codes in this library are *pure
     functions of (parameters, seed, input)*: two instances constructed with
     equal parameters produce identical codewords, which is how all nodes of
-    a network share a code without communication.
+    a network share a code without communication.  Codewords are derived
+    on every call and never cached: the simulation draws fresh random
+    inputs each round, so a cache would not hit.  Callers that re-scan a
+    fixed set encode it once (``encode_many``) and keep the matrix.
     """
-
-    #: Maximum lazily-generated codewords kept in memory.  The simulation
-    #: draws fresh random inputs every round, so an unbounded cache would
-    #: grow with the execution; when the limit is hit the least-recently
-    #: used entries are evicted (regeneration is cheap and deterministic,
-    #: but hot codewords — candidates re-scanned every round — stay
-    #: resident).
-    CACHE_LIMIT = 4096
 
     def __init__(self, input_bits: int, length: int) -> None:
         if input_bits < 1:
@@ -37,19 +31,6 @@ class Code(ABC):
             raise ConfigurationError(f"code length must be >= 1, got {length}")
         self._input_bits = input_bits
         self._length = length
-        self._cache: LRUDict[int, BitString] = LRUDict(self.CACHE_LIMIT)
-
-    def _cache_lookup(self, value: int) -> BitString | None:
-        """Fetch a cached codeword, refreshing its LRU recency on hit."""
-        return self._cache.get(value)
-
-    def _cache_store(self, value: int, word: BitString) -> None:
-        """Insert a codeword, evicting least-recently-used entries at the limit."""
-        if self._cache.limit != self.CACHE_LIMIT:
-            # CACHE_LIMIT is occasionally overridden per instance (tests,
-            # memory-constrained callers); honour the live value.
-            self._cache.limit = self.CACHE_LIMIT
-        self._cache[value] = word
 
     @property
     def input_bits(self) -> int:

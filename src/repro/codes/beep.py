@@ -24,6 +24,7 @@ from .. import bitstrings
 from ..bitstrings import BitString
 from ..errors import ConfigurationError
 from ..rng import derive_rng
+from ..rng_philox import sorted_choices
 from .base import Code
 
 __all__ = ["BeepCode"]
@@ -124,12 +125,32 @@ class BeepCode(Code):
     def encode_int(self, value: int) -> BitString:
         """Return ``C(value)``: a uniform constant-weight string keyed by input."""
         self._check_value(value)
-        cached = self._cache_lookup(value)
-        if cached is None:
-            rng = derive_rng(self._seed, "beep-code", self.length, self.weight, value)
-            cached = bitstrings.random_constant_weight(rng, self.length, self.weight)
-            self._cache_store(value, cached)
-        return cached.copy()
+        rng = derive_rng(self._seed, "beep-code", self.length, self.weight, value)
+        return bitstrings.random_constant_weight(rng, self.length, self.weight)
+
+    def encode_positions(self, values: Sequence[int]) -> np.ndarray:
+        """The ascending one-positions of ``C(v)`` for every ``v`` in ``values``.
+
+        Returns a ``(len(values), weight)`` int64 array whose row ``i``
+        equals ``np.flatnonzero(self.encode_int(values[i]))``, computed for
+        all values in one vectorised pass over :meth:`encode_int`'s exact
+        stream (:func:`repro.rng_philox.sorted_choices`).  The rows that
+        pass cannot reproduce — a rejected Lemire draw, or a code in
+        numpy's tail-shuffle branch — come from :meth:`encode_int`.
+        """
+        values = [int(value) for value in values]
+        for value in values:
+            self._check_value(value)
+        positions, exact = sorted_choices(
+            self._seed,
+            ("beep-code", self.length, self.weight),
+            self.length,
+            self.weight,
+            values,
+        )
+        for row in np.flatnonzero(~exact):
+            positions[row] = np.flatnonzero(self.encode_int(values[row]))
+        return positions
 
     def noiseless_membership_test(self, value: int, heard: BitString) -> bool:
         """Whether codeword ``value`` is consistent with a noiseless
@@ -202,14 +223,14 @@ class BeepCode(Code):
         subset.
 
         ``others`` restricts which outside codewords are checked (defaults
-        to the full domain; exponential in ``a``).  Used by the E2
-        experiment to measure the Definition 3 fraction empirically.
+        to the full domain; exponential in ``a``, and encoded into one
+        ``(len(others), b)`` matrix).  Used by the E2 experiment to measure
+        the Definition 3 fraction empirically.
         """
-        domain: Sequence[int]
-        if others is None:
-            domain = range(self.num_codewords)
-        else:
-            domain = others
+        domain = list(range(self.num_codewords) if others is None else others)
+        # Encode the domain once; each subset is then one exact count
+        # product (float64 sums of 0/1 are exact far beyond any b).
+        words = self.encode_many(domain).astype(np.float64)
         threshold = self.intersection_threshold
         bad = 0
         for subset in subsets:
@@ -220,15 +241,11 @@ class BeepCode(Code):
             union = bitstrings.superimpose(
                 [self.encode_int(value) for value in subset]
             )
-            subset_set = set(subset)
-            for value in domain:
-                if value in subset_set:
-                    continue
-                if bitstrings.d_intersects(
-                    self.encode_int(value), union, threshold
-                ):
-                    bad += 1
-                    break
+            overlaps = words @ union.astype(np.float64)
+            members = set(subset)
+            outside = [value not in members for value in domain]
+            if np.any(overlaps[outside] >= threshold):
+                bad += 1
         return bad
 
     def encode_many(self, values: Sequence[int]) -> np.ndarray:

@@ -82,12 +82,8 @@ class DistanceCode(Code):
     def encode_int(self, value: int) -> BitString:
         """Return ``D(value)``: a uniform random string keyed by the input."""
         self._check_value(value)
-        cached = self._cache_lookup(value)
-        if cached is None:
-            rng = derive_rng(self._seed, "distance-code", self.length, value)
-            cached = bitstrings.random_bitstring(rng, self.length)
-            self._cache_store(value, cached)
-        return cached.copy()
+        rng = derive_rng(self._seed, "distance-code", self.length, value)
+        return bitstrings.random_bitstring(rng, self.length)
 
     def decode_nearest(
         self, word: BitString, candidates: Iterable[int] | None = None

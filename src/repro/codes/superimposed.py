@@ -86,16 +86,12 @@ class KautzSingletonCode(Code):
     def encode_int(self, value: int) -> BitString:
         """One-hot-concatenate the RS codeword of ``value``."""
         self._check_value(value)
-        cached = self._cache_lookup(value)
-        if cached is None:
-            p = self._rs.field_size
-            symbols = self._rs.encode_int(value)
-            word = np.zeros(p * p, dtype=bool)
-            for position, symbol in enumerate(symbols):
-                word[position * p + symbol] = True
-            cached = word
-            self._cache_store(value, cached)
-        return cached.copy()
+        p = self._rs.field_size
+        symbols = self._rs.encode_int(value)
+        word = np.zeros(p * p, dtype=bool)
+        for position, symbol in enumerate(symbols):
+            word[position * p + symbol] = True
+        return word
 
     def decode_union(
         self, union: BitString, candidates: Iterable[int] | None = None

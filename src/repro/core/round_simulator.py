@@ -59,7 +59,7 @@ from ..engine import SimulationBackend, resolve_backend
 from ..errors import ConfigurationError
 from ..graphs import Topology
 from ..lru import LRUDict
-from ..rng import derive_rng, derive_seed, random_bits
+from ..rng import derive_rng, derive_seed
 from .decoder import DecodedMessage
 from .parameters import CandidatePolicy, SimulationParameters
 
@@ -83,7 +83,7 @@ _EXHAUSTIVE_LIMIT_BITS = 22
 #: Distance-code rows cached across rounds (per session).  Rows are short
 #: (``c²B`` bits) and in-flight messages recur across rounds (IDs, counters
 #: ...), so this cache converts phase-2 matrix builds into lookups.
-_DISTANCE_ROW_CACHE_LIMIT = 8192
+_DISTANCE_ROW_CACHE_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ class BroadcastSession:
         self._exhaustive_phase1: np.ndarray | None = None
         self._exhaustive_phase2: np.ndarray | None = None
         self._distance_rows: LRUDict[int, np.ndarray] = LRUDict(
-            _DISTANCE_ROW_CACHE_LIMIT
+            _DISTANCE_ROW_CACHE_SIZE
         )
 
     @property
@@ -308,13 +308,15 @@ class BroadcastSession:
         messages: Sequence[int | None],
         round_offset: int | None,
     ) -> "_RoundPlan":
-        """Everything before the beeping phases: validation, ``r_v``, schedules.
+        """Everything before the beeping phases: validation, draws, schedules.
 
-        Draws each node's random string (the first consumer of the
-        per-round stream) and builds both phase schedules; the returned
-        plan carries the still-live round RNG, which
-        :meth:`_finish_round` continues from in exactly the reference
-        draw order (candidates, then message decoys).
+        Draws each node's random string and then the candidate decoys
+        (the first two consumers of the per-round stream), encodes every
+        in-flight value and decoy in one
+        :meth:`~repro.codes.BeepCode.encode_positions` call, and builds
+        both phase schedules from those rows.  The returned plan carries
+        the still-live round RNG, which :meth:`_finish_round` continues
+        from in exactly the reference draw order (message decoys last).
         """
         topology = self._topology
         params = self._params
@@ -334,17 +336,36 @@ class BroadcastSession:
         # Step 1: every participating node draws r_v uniformly at random.
         round_rng = derive_rng(self._seed, "round-randomness", round_offset)
         r_space = 1 << params.r_bits
-        r_values = [int(value) for value in _draw_r_values(round_rng, n, r_space)]
+        r_values = _draw_r_values(round_rng, n, r_space)
         participating = [messages[v] is not None for v in range(n)]
 
-        # Steps 2-3: the two oblivious beeping phase schedules.
+        # Candidate enumeration per the chosen policy.
+        in_flight = sorted({r_values[v] for v in range(n) if participating[v]})
+        candidates = _candidate_set(
+            self._policy,
+            in_flight,
+            r_space,
+            params.r_bits,
+            self._num_decoys,
+            round_rng,
+        )
+
+        # Steps 2-3: the two oblivious beeping phase schedules.  The
+        # exhaustive domain has its own once-per-session matrix, so only
+        # the other policies' candidates join the round's encode call.
         (
             phase1_schedule,
             phase2_schedule,
             slot_positions,
             slot_rows,
         ) = _build_phase_schedules_fast(
-            self._codes, r_values, messages, self._distance_rows
+            self._codes,
+            r_values,
+            messages,
+            self._distance_rows,
+            extra_values=()
+            if self._policy is CandidatePolicy.EXHAUSTIVE
+            else candidates,
         )
         return _RoundPlan(
             messages=list(messages),
@@ -352,6 +373,7 @@ class BroadcastSession:
             round_rng=round_rng,
             r_values=r_values,
             participating=participating,
+            candidates=candidates,
             phase1_schedule=phase1_schedule,
             phase2_schedule=phase2_schedule,
             slot_positions=slot_positions,
@@ -366,10 +388,9 @@ class BroadcastSession:
     ) -> RoundOutcome:
         """Everything after the beeping phases: candidate scans and decoding.
 
-        Consumes the plan's round RNG in the reference order (candidate
-        decoys, then message decoys) and advances the session offset, so
-        splitting a round around the backend call cannot perturb any
-        stream.
+        Consumes the plan's round RNG where the plan left it (message
+        decoys) and advances the session offset, so splitting a round
+        around the backend call cannot perturb any stream.
         """
         topology = self._round_topology(plan.round_offset)
         params = self._params
@@ -378,20 +399,8 @@ class BroadcastSession:
         messages = plan.messages
         r_values = plan.r_values
         participating = plan.participating
-        round_rng = plan.round_rng
-        r_space = 1 << params.r_bits
+        candidates = plan.candidates
         b = codes.length
-
-        # Candidate enumeration per the chosen policy.
-        in_flight = sorted({r_values[v] for v in range(n) if participating[v]})
-        candidates = _candidate_set(
-            self._policy,
-            in_flight,
-            r_space,
-            params.r_bits,
-            self._num_decoys,
-            round_rng,
-        )
 
         # Step 4a: phase-1 decoding (Lemma 9 threshold test).
         accepted_raw = _phase1_decode_fast(
@@ -427,15 +436,15 @@ class BroadcastSession:
                 message_candidates,
                 params.message_bits,
                 self._num_decoys,
-                round_rng,
+                plan.round_rng,
             )
         if self._policy is CandidatePolicy.EXHAUSTIVE:
             message_candidates = list(range(1 << params.message_bits))
         if not message_candidates:
             decoded_maps = [dict() for _ in range(n)]
         else:
-            # Accepted in-flight values reuse the schedule builder's slot
-            # positions; only accepted decoys pay an encode.
+            # Accepted values reuse the plan's slot table; only values
+            # outside it (the exhaustive domain's) pay an encode.
             decoded_maps = _phase2_decode_fast(
                 codes,
                 heard2,
@@ -502,12 +511,21 @@ class BroadcastSession:
         Under :attr:`CandidatePolicy.EXHAUSTIVE` the candidate list is the
         full domain every round, so the matrix is built once and reused.
         The other policies draw fresh random decoys each round; their
-        matrix is recycled from the plan's schedule rows.
+        matrix is scattered from the plan's slot table, which holds every
+        candidate's one-positions.
         """
         if self._policy is not CandidatePolicy.EXHAUSTIVE:
-            return _candidate_matrix_from_plan(
-                self._codes.beep_code, plan, candidates
+            # float32 from the start: the phase-1 count product consumes
+            # this matrix on the BLAS sgemm path (values stay exactly 0/1).
+            matrix = np.zeros(
+                (len(candidates), self._codes.length), dtype=np.float32
             )
+            if candidates:
+                rows = [plan.slot_rows[value] for value in candidates]
+                matrix[
+                    np.arange(len(candidates))[:, None], plan.slot_positions[rows]
+                ] = 1.0
+            return matrix
         if self._exhaustive_phase1 is None:
             self._exhaustive_phase1 = self._codes.beep_code.encode_many(
                 list(candidates)
@@ -561,11 +579,14 @@ class _RoundPlan:
     round_rng: np.random.Generator
     r_values: list[int]
     participating: list[bool]
+    #: The phase-1 candidate list (in-flight values plus decoys, sorted).
+    candidates: list[int]
     phase1_schedule: np.ndarray
     phase2_schedule: np.ndarray
-    #: The ascending one-positions of each active node's beep codeword
-    #: (row ``slot_rows[r_v]``; ``None`` when every node is silent),
-    #: computed once by the schedule builder and reused by the decoders.
+    #: The ascending one-positions of every in-flight value's and every
+    #: non-exhaustive candidate's beep codeword (row ``slot_rows[r]``;
+    #: ``None`` when there is nothing to encode), from the round's one
+    #: encode call and reused by the schedules and both decoders.
     slot_positions: "np.ndarray | None"
     slot_rows: "dict[int, int]"
 
@@ -575,19 +596,23 @@ def _build_phase_schedules_fast(
     r_values: Sequence[int],
     messages: "Sequence[int | None]",
     distance_rows: "LRUDict[int, np.ndarray]",
+    extra_values: Sequence[int] = (),
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray | None, dict[int, int]]":
     """Vectorised twin of :func:`~repro.core.encoder.build_phase_schedules`.
 
-    Produces element-identical schedules: phase 1 stacks the same
-    ``C(r_v)`` codewords via :meth:`~repro.codes.BeepCode.encode_many`,
-    and phase 2 scatters each ``D(m_v)`` into the one-positions of
-    ``C(r_v)`` in ascending order — exactly Notation 7's ``CD`` layout —
-    instead of looping :meth:`~repro.codes.CombinedCode.encode` per node.
-    ``distance_rows`` is the owning session's bounded row cache.
+    Produces element-identical schedules: phase 1 sets the one-positions
+    of each active node's ``C(r_v)``, and phase 2 scatters each ``D(m_v)``
+    into those positions in ascending order — exactly Notation 7's ``CD``
+    layout — instead of looping :meth:`~repro.codes.CombinedCode.encode`
+    per node.  ``distance_rows`` is the owning session's bounded row
+    cache.
 
-    Besides the two schedules, returns the active nodes' slot-position
-    matrix and a ``r_value → row`` map so the decoders can reuse the
-    one-positions without rescanning any codeword.
+    The active nodes' r-values and ``extra_values`` (the round's decoy
+    candidates) are encoded together in one
+    :meth:`~repro.codes.BeepCode.encode_positions` call.  Besides the two
+    schedules, returns that slot-position matrix (``None`` when it is
+    empty) and a ``value → row`` map, so the decoders can reuse the
+    one-positions without encoding or scanning any codeword again.
     """
     n = len(r_values)
     if n != len(messages):
@@ -598,18 +623,16 @@ def _build_phase_schedules_fast(
     phase1 = np.zeros((n, b), dtype=bool)
     phase2 = np.zeros((n, b), dtype=bool)
     active = [v for v in range(n) if messages[v] is not None]
-    if not active:
+    values = sorted({r_values[v] for v in active}.union(extra_values))
+    if not values:
         return phase1, phase2, None, {}
-    beep_code = codes.beep_code
-    slots = beep_code.encode_many([r_values[v] for v in active])
-    phase1[active] = slots
-    # Beep codewords have constant weight (Definition 3), so the ascending
-    # one-positions of every row form a rectangular (active, weight) matrix.
-    weight = beep_code.weight
-    positions = np.nonzero(slots)[1].reshape(len(active), weight)
-    slot_rows: dict[int, int] = {}
-    for row, v in enumerate(active):
-        slot_rows.setdefault(r_values[v], row)
+    positions = codes.beep_code.encode_positions(values)
+    slot_rows = {value: row for row, value in enumerate(values)}
+    if not active:
+        return phase1, phase2, positions, slot_rows
+    nodes = np.asarray(active)[:, None]
+    active_positions = positions[[slot_rows[r_values[v]] for v in active]]
+    phase1[nodes, active_positions] = True
     distance_code = codes.distance_code
     payloads = np.empty((len(active), distance_code.length), dtype=bool)
     for position, v in enumerate(active):
@@ -619,39 +642,8 @@ def _build_phase_schedules_fast(
             row = np.asarray(distance_code.encode_int(message), dtype=bool)
             distance_rows[message] = row
         payloads[position] = row
-    phase2[np.asarray(active)[:, None], positions] = payloads
+    phase2[nodes, active_positions] = payloads
     return phase1, phase2, positions, slot_rows
-
-
-def _candidate_matrix_from_plan(
-    beep_code,
-    plan: "_RoundPlan",
-    candidates: Sequence[int],
-) -> np.ndarray:
-    """The phase-1 candidate codeword matrix, recycled from the schedule.
-
-    A participating node's phase-1 schedule row *is* its codeword
-    ``C(r_v)``, so every in-flight candidate's row can be copied from the
-    plan instead of re-encoded; only decoy candidates (absent from the
-    schedule) pay an encode.  Bit-identical to
-    ``beep_code.encode_many(candidates)`` by construction.
-    """
-    sources: dict[int, int] = {}
-    for node, value in enumerate(plan.r_values):
-        if plan.participating[node] and value not in sources:
-            sources[value] = node
-    # float32 from the start: the phase-1 count product consumes this
-    # matrix on the BLAS sgemm path, so building it in the target dtype
-    # saves a whole-matrix conversion (values stay exactly 0.0/1.0).
-    matrix = np.empty((len(candidates), beep_code.length), dtype=np.float32)
-    rows = [sources.get(value) for value in candidates]
-    known = [i for i, node in enumerate(rows) if node is not None]
-    if known:
-        matrix[known] = plan.phase1_schedule[[rows[i] for i in known]]
-    for position, value in enumerate(candidates):
-        if rows[position] is None:
-            matrix[position] = beep_code.encode_int(value)
-    return matrix
 
 
 def _phase1_decode_fast(
@@ -712,9 +704,9 @@ def _phase2_decode_fast(
 
     ``slot_positions``/``slot_index`` optionally supply precomputed slot
     patterns (row ``slot_index[r]`` holds the ascending one-positions of
-    ``C(r)``, as the schedule builder returns them) so accepted in-flight
-    values need neither re-encoding nor a fresh ``nonzero``; values
-    missing from the index (accepted decoys) fall back to the code.
+    ``C(r)``, as the schedule builder returns them) so accepted values
+    need no re-encoding; values missing from the index (the exhaustive
+    domain's) are encoded in one ``encode_positions`` call.
     """
     heard = np.asarray(heard, dtype=bool)
     n = heard.shape[0]
@@ -755,20 +747,18 @@ def _phase2_decode_fast(
 
     beep_code = combined_code.beep_code
     weight = beep_code.weight
-    if slot_positions is not None and slot_index is not None:
-        rows = [slot_index.get(r) for r in pair_rs]
-        if all(row is not None for row in rows):
-            positions = slot_positions[rows]
-        else:
-            positions = np.empty((len(pair_rs), weight), dtype=np.int64)
-            for pair, (r, row) in enumerate(zip(pair_rs, rows)):
-                if row is None:
-                    positions[pair] = np.flatnonzero(beep_code.encode_int(r))
-                else:
-                    positions[pair] = slot_positions[row]
-    else:
-        slots = beep_code.encode_many(pair_rs)
-        positions = np.nonzero(slots)[1].reshape(len(pair_rs), weight)
+    if slot_positions is None or slot_index is None:
+        slot_positions, slot_index = np.empty((0, weight), dtype=np.int64), {}
+    missing = sorted({r for r in pair_rs if r not in slot_index})
+    if missing:
+        slot_index = {
+            **slot_index,
+            **{r: len(slot_positions) + row for row, r in enumerate(missing)},
+        }
+        slot_positions = np.concatenate(
+            (slot_positions, beep_code.encode_positions(missing))
+        )
+    positions = slot_positions[[slot_index[r] for r in pair_rs]]
     # One flat gather for every pair's subsequence beats row-wise
     # advanced indexing on the heard matrix.
     flat = heard.reshape(-1)
@@ -1012,7 +1002,7 @@ def simulate_broadcast_round(
         Override the noise channel (defaults to the one implied by
         ``params.eps``).
     codes:
-        Reuse a previously built code pair (saves cache warm-up when
+        Reuse a previously built code pair (saves rebuilding it when
         simulating many rounds).
     backend:
         Execution backend for the beeping phases (see :mod:`repro.engine`).
@@ -1035,11 +1025,24 @@ def _draw_r_values(
 ) -> list[int]:
     """Draw each node's random string as an integer in ``[0, 2^a)``.
 
-    ``a`` routinely exceeds 63 bits, so values come from
-    :func:`repro.rng.random_bits` rather than ``Generator.integers``.
+    Equal, value for value, to ``count`` calls of
+    :func:`repro.rng.random_bits` (``a`` routinely exceeds 63 bits, so
+    ``Generator.integers`` cannot draw them), from one
+    ``Generator.bytes`` call: each of those calls consumes whole 32-bit
+    words, so node ``v``'s bytes start at ``v`` times the rounded-up
+    stride, and the stream is left exactly where the calls would leave it.
     """
+    if not count:
+        return []  # numpy's bytes(0) still consumes a word
     bits = (r_space - 1).bit_length() if r_space > 1 else 1
-    return [random_bits(rng, bits) for _ in range(count)]
+    nbytes = (bits + 7) // 8
+    stride = 4 * ((nbytes + 3) // 4)
+    data = rng.bytes(count * stride)
+    mask = (1 << bits) - 1
+    return [
+        int.from_bytes(data[start : start + nbytes], "little") & mask
+        for start in range(0, count * stride, stride)
+    ]
 
 
 def _candidate_set(

@@ -62,22 +62,20 @@ def run(ctx: RunContext) -> list[Table]:
         noisy = union ^ (rng.random(code.length) < eps)
         cases.append((members, noisy))
     candidates = list(range(0, code.num_codewords, 3))  # fixed scan set
+    # Encode the scan set once; every case's Lemma 9 statistics are then
+    # one exact count product (case x candidate), shared by all factors.
+    words = code.encode_many(candidates).astype(np.float64)
+    not_heard = np.stack([bs.complement(noisy) for _, noisy in cases])
+    statistics = not_heard.astype(np.float64) @ words.T
+    present = np.array(
+        [[candidate in members for candidate in candidates] for members, _ in cases]
+    )
 
     for factor in factors:
         threshold = int(factor * code.weight)
-        false_rejects = 0
-        false_accepts = 0
-        for members, noisy in cases:
-            not_heard = bs.complement(noisy)
-            for candidate in candidates:
-                statistic = bs.intersection_weight(
-                    code.encode_int(candidate), not_heard
-                )
-                accepted = statistic < threshold
-                if candidate in members and not accepted:
-                    false_rejects += 1
-                if candidate not in members and accepted:
-                    false_accepts += 1
+        accepted = statistics < threshold
+        false_rejects = int(np.count_nonzero(present & ~accepted))
+        false_accepts = int(np.count_nonzero(~present & accepted))
         table.add_row(
             round(factor, 3),
             threshold,

@@ -1,14 +1,15 @@
 """A small bounded LRU mapping shared by the library's working caches.
 
-Several layers keep per-object caches of recomputable values — codeword
-bitstrings (:mod:`repro.codes`), distance-code rows inside a
+Several layers keep per-object caches of recomputable values —
+distance-code rows inside a
 :class:`~repro.core.round_simulator.BroadcastSession`, Philox flip windows
-inside :class:`~repro.beeping.noise.BernoulliNoise`.  All of them need the
-same behaviour: stay below a fixed entry count, evict the least recently
-*used* entry first (recurring keys are each cache's whole point), and
-never affect results — every cached value is a pure function of its key.
-:class:`LRUDict` is that one behaviour, implemented once, on top of the
-insertion-ordered ``dict``.
+inside :class:`~repro.beeping.noise.BernoulliNoise`, masked epoch
+topologies, Philox key columns in :mod:`repro.rng_philox`.  All of them
+need the same behaviour: stay below a fixed entry count, evict the least
+recently *used* entry first (recurring keys are each cache's whole point),
+and never affect results — every cached value is a pure function of its
+key.  :class:`LRUDict` is that one behaviour, implemented once, on top of
+the insertion-ordered ``dict``.
 """
 
 from __future__ import annotations

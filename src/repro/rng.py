@@ -41,15 +41,31 @@ def random_bits(rng: np.random.Generator, bits: int) -> int:
     return raw & ((1 << bits) - 1)
 
 
-def _context_digest(seed: int, context: Iterable[object]) -> bytes:
-    """Hash ``seed`` and a context tuple into 32 bytes of key material."""
-    hasher = hashlib.sha256()
-    hasher.update(int(seed).to_bytes(16, "little", signed=True))
-    for part in context:
+def _hash_parts(
+    hasher: "hashlib._Hash", parts: Iterable[object]
+) -> "hashlib._Hash":
+    """Append each context part to ``hasher`` (length-prefixed ``repr``)."""
+    for part in parts:
         encoded = repr(part).encode("utf-8")
         hasher.update(len(encoded).to_bytes(4, "little"))
         hasher.update(encoded)
-    return hasher.digest()
+    return hasher
+
+
+def _context_hasher(seed: int, context: Iterable[object]) -> "hashlib._Hash":
+    """The SHA-256 state after hashing ``seed`` and a context tuple.
+
+    Batched key derivations (:mod:`repro.rng_philox`) hash a shared
+    prefix once and ``copy()`` this state per trailing part.
+    """
+    hasher = hashlib.sha256()
+    hasher.update(int(seed).to_bytes(16, "little", signed=True))
+    return _hash_parts(hasher, context)
+
+
+def _context_digest(seed: int, context: Iterable[object]) -> bytes:
+    """Hash ``seed`` and a context tuple into 32 bytes of key material."""
+    return _context_hasher(seed, context).digest()
 
 
 def derive_seed(seed: int, *context: object) -> int:

@@ -1,41 +1,48 @@
-"""Batched per-node Philox streams for the array-native CONGEST engine.
+"""Batched Philox streams, bit-identical to ``derive_rng`` generators.
 
-The reference message-passing engines hand every node a private
-:func:`repro.rng.derive_rng` generator and algorithms draw from it with
-:func:`repro.rng.random_bits`.  Constructing ``n`` numpy ``Generator``
-objects and drawing from them one by one is pure-Python work that
-dominates a vectorized round loop, so :class:`NodeStreams` re-implements
-exactly that stream — the Philox-4x64-10 keyed construction of
-``derive_rng`` plus the byte-consumption discipline of
-``Generator.bytes`` — as batched numpy kernels over all nodes at once.
+:func:`repro.rng.derive_rng` keys one numpy Philox ``Generator`` per
+context.  Constructing thousands of them and drawing from each one by one
+is pure-Python work that dominates a vectorised round, so this module
+re-implements those exact streams — the SHA-256 keyed Philox-4x64-10
+construction of ``derive_rng`` plus the way numpy consumes its words — as
+batched numpy kernels over many streams at once.  Two consumers:
 
-The contract is **bit-identity**: for every node ``v`` and every draw
-width, the values produced by :meth:`NodeStreams.draw` equal the values
-the per-node engine obtains from
-``random_bits(derive_rng(seed, *context, v), bits)``, draw by draw.
-That is what lets the columnar algorithm implementations in
-:mod:`repro.algorithms` promise per-seed outputs identical to the
-per-node object engine (see ``tests/test_rng_philox.py``).
+* :class:`NodeStreams`: each node's private byte stream, as the per-node
+  engine draws it with :func:`repro.rng.random_bits`, for the array-native
+  CONGEST algorithms in :mod:`repro.algorithms`;
+* :func:`sorted_choices`: each beep codeword's one-positions, as
+  ``derive_rng(...).choice(b, w, replace=False)`` draws them for
+  :meth:`repro.codes.BeepCode.encode_int`, for every codeword of a
+  simulated round in one call.
 
-Two numpy facts the emulation relies on (pinned by tests):
+The contract is **bit-identity** (``tests/test_rng_philox.py`` and
+``tests/codes/test_beep.py``).  The numpy facts the emulation pins:
 
+* Philox yields 64-bit words from a buffered 4x64-bit block whose counter
+  is **pre-incremented** (the first block is generated at counter 1), and
+  hands out 32-bit words **low half first**;
 * ``Generator.bytes(length)`` consumes ``ceil(length / 4)`` 32-bit words
-  from the bit generator and truncates the byte string to ``length`` —
-  so a 11-byte draw burns 12 bytes of stream;
-* Philox yields those words low-half-first from a buffered 4x64-bit
-  block whose counter is **pre-incremented** (the first block is
-  generated at counter 1).
+  and truncates the byte string to ``length`` — so an 11-byte draw burns
+  12 bytes of stream;
+* ``Generator.choice(b, w, replace=False)`` takes Floyd's algorithm unless
+  ``b > 10000 and w > b // 50`` (then it shuffles a tail instead).  For
+  ``j = b - w, ..., b - 1`` Floyd makes one bounded draw on ``[0, j]`` —
+  Lemire's method on the next 32-bit word, which *rejects* and draws again
+  when the product's low half falls below ``2^32 mod (j + 1)`` — and keeps
+  it unless it is already taken, in which case it keeps ``j``.  ``choice``
+  then shuffles the picks, which changes their order but not the set.
 """
 
 from __future__ import annotations
 
-import hashlib
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .lru import LRUDict
+from .rng import _context_hasher, _hash_parts
 
-__all__ = ["NodeStreams", "words_for_bits"]
+__all__ = ["NodeStreams", "sorted_choices", "words_for_bits"]
 
 #: Memoised Philox key columns, keyed by ``(seed, context, count)``.  The
 #: keys are a pure function of that tuple (SHA-256 digests), so caching
@@ -46,6 +53,21 @@ _KEY_CACHE: LRUDict = LRUDict(limit=8)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 
+#: Philox blocks per kernel pass: small enough that the dozen uint64
+#: scratch columns of a pass stay cache-resident, large enough to amortise
+#: numpy's per-call overhead (about 16k is fastest on x86-64 hosts).
+_KERNEL_CHUNK = 1 << 14
+
+#: 32-bit draws per lane chunk of :func:`sorted_choices`; a chunk holds
+#: ``_LANE_DRAWS // size`` streams, so its scratch stays a few MB for any
+#: population and sample size.
+_LANE_DRAWS = 1 << 18
+
+#: Philox-4x64 round multipliers and Weyl key increments (Random123 /
+#: numpy's philox.h).
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+
 
 def words_for_bits(bits: int) -> int:
     """How many 64-bit words a ``bits``-wide value spans (min 1)."""
@@ -54,47 +76,186 @@ def words_for_bits(bits: int) -> int:
     return (bits + 63) // 64
 
 
-def _mulhilo64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit product of uint64 arrays (broadcasting), split into hi/lo."""
-    lo = a * b  # wraps mod 2^64, which is exactly the low half
-    a_lo, a_hi = a & _MASK32, a >> _U32
-    b_lo, b_hi = b & _MASK32, b >> _U32
-    carry = (a_lo * b_lo) >> _U32
-    mid1 = a_hi * b_lo
-    mid2 = a_lo * b_hi
-    cross = carry + (mid1 & _MASK32) + (mid2 & _MASK32)
-    hi = a_hi * b_hi + (mid1 >> _U32) + (mid2 >> _U32) + (cross >> _U32)
-    return hi, lo
+def _context_keys(
+    seed: int, context: Sequence[object], parts: Iterable[object]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Philox key columns of ``derive_rng(seed, *context, part)`` per part.
+
+    Hashes the shared ``(seed, *context)`` prefix once and copies the
+    hasher per part: the same digests as ``rng._context_digest``, far
+    fewer updates.  ``derive_rng`` keys Philox with the digest's first 16
+    bytes as a little-endian integer, i.e. words ``(key0, key1)``.
+    """
+    prefix = _context_hasher(seed, context)
+    digests = bytearray()
+    for part in parts:
+        digests += _hash_parts(prefix.copy(), (part,)).digest()[:16]
+    words = np.frombuffer(bytes(digests), dtype="<u8").reshape(-1, 2)
+    return words[:, 0].astype(np.uint64), words[:, 1].astype(np.uint64)
 
 
-#: Philox-4x64 round multipliers / Weyl key increments (Random123 /
-#: numpy's philox.h), as broadcastable lane row pairs.
-_M01 = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)
-_W01 = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
+def _mulhilo(
+    multiplier: int,
+    x: np.ndarray,
+    hi: np.ndarray,
+    lo: np.ndarray,
+    t0: np.ndarray,
+    t1: np.ndarray,
+    t2: np.ndarray,
+) -> None:
+    """``hi:lo = multiplier * x`` as 128 bits, written in place.
+
+    ``t0..t2`` are scratch columns; ``lo`` may alias ``x`` (it is written
+    last).  The high half comes from 32-bit limbs, summed so that no
+    partial sum overflows 64 bits.
+    """
+    m_lo = np.uint64(multiplier & 0xFFFFFFFF)
+    m_hi = np.uint64(multiplier >> 32)
+    np.bitwise_and(x, _MASK32, out=t0)  # x_lo
+    np.right_shift(x, _U32, out=t1)  # x_hi
+    np.multiply(t0, m_lo, out=t2)
+    np.right_shift(t2, _U32, out=t2)  # carry out of x_lo * m_lo
+    np.multiply(t1, m_lo, out=hi)
+    hi += t2  # x_hi * m_lo + carry
+    np.bitwise_and(hi, _MASK32, out=t2)
+    hi >>= _U32
+    t0 *= m_hi
+    t0 += t2  # x_lo * m_hi + low limb of the line above
+    t0 >>= _U32
+    t1 *= m_hi
+    hi += t1
+    hi += t0
+    np.multiply(x, np.uint64(multiplier), out=lo)
 
 
 def _philox4x64_10(
-    c0: np.ndarray, k0: np.ndarray, k1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One Philox-4x64-10 block per lane for counters ``(c0, 0, 0, 0)``.
+    counter: np.ndarray, key0: np.ndarray, key1: np.ndarray
+) -> np.ndarray:
+    """One Philox-4x64-10 block per lane for counters ``(counter, 0, 0, 0)``.
 
-    Only the first counter word varies because the reference streams
-    never draw anywhere near ``2^64`` blocks, so the carry words stay 0.
-    The state runs as column pairs ``a = (c0, c2)``, ``b = (c1, c3)`` so
-    each round is one stacked multiply plus two xors:
-    ``a' = mulhi(M, a)[::-1] ^ b ^ keys``, ``b' = mullo(M, a)[::-1]``.
+    Returns an ``(N, 4)`` uint64 array whose row ``i`` is block
+    ``counter[i]`` of ``np.random.Philox(key=key0[i] + 2**64 * key1[i])``.
+    Only the first counter word varies because the streams never draw
+    anywhere near ``2^64`` blocks, so the carry words stay 0.  Lanes run
+    in passes of :data:`_KERNEL_CHUNK`, each round on separate state
+    columns: ``(c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+    hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))``, then the keys step by the Weyl
+    increments.
     """
-    a = np.zeros((c0.size, 2), dtype=np.uint64)
-    a[:, 0] = c0
-    b = np.zeros_like(a)
-    keys = np.stack((k0, k1), axis=1)
-    for round_index in range(10):
-        if round_index:
-            keys = keys + _W01
-        hi, lo = _mulhilo64(_M01, a)
-        a = hi[:, ::-1] ^ b ^ keys
-        b = lo[:, ::-1]
-    return a[:, 0], b[:, 0], a[:, 1], b[:, 1]
+    lanes = counter.size
+    out = np.empty((lanes, 4), dtype=np.uint64)
+    scratch = np.empty((11, min(lanes, _KERNEL_CHUNK)), dtype=np.uint64)
+    for start in range(0, lanes, _KERNEL_CHUNK):
+        stop = min(start + _KERNEL_CHUNK, lanes)
+        c0, c1, c2, c3, k0, k1, hi0, hi1, t0, t1, t2 = scratch[:, : stop - start]
+        c0[:] = counter[start:stop]
+        c1.fill(0)
+        c2.fill(0)
+        c3.fill(0)
+        k0[:] = key0[start:stop]
+        k1[:] = key1[start:stop]
+        for round_index in range(10):
+            if round_index:
+                k0 += _W0
+                k1 += _W1
+            _mulhilo(_M0, c0, hi0, c0, t0, t1, t2)  # c0 <- lo(M0 c0)
+            _mulhilo(_M1, c2, hi1, c2, t0, t1, t2)  # c2 <- lo(M1 c2)
+            hi1 ^= c1
+            hi1 ^= k0
+            hi0 ^= c3
+            hi0 ^= k1
+            c0, c1, c2, c3, hi0, hi1 = hi1, c2, hi0, c0, c1, c3
+        for column, word in enumerate((c0, c1, c2, c3)):
+            out[start:stop, column] = word
+    return out
+
+
+def _floyd_applies(population: int, size: int) -> bool:
+    """Whether ``choice(population, size, replace=False)`` runs Floyd's
+    algorithm on 32-bit Lemire draws, one word per step (so it can be
+    emulated): numpy's branch condition, plus a population below ``2^31``
+    (so every product below fits) and ``0 < size < population`` (every
+    ``j`` is then at least 1, and a draw on ``[0, 0]`` takes no word)."""
+    tail_shuffle = population > 10000 and size > population // 50
+    return 0 < size < population < 1 << 31 and not tail_shuffle
+
+
+def _floyd_sets(picks: np.ndarray, population: int) -> np.ndarray:
+    """The sorted sets Floyd's algorithm keeps, given its raw draws.
+
+    ``picks[:, i]`` is step ``i``'s draw on ``[0, j_i]``, ``j_i =
+    population - size + i``; the step keeps it unless it is already
+    taken, else it keeps ``j_i``.  Every earlier draw is in the set by
+    step ``i`` (kept, or itself a collision with a member), and the other
+    members are the ``j_t`` of colliding steps ``t < i``.  So step ``i``
+    collides iff its draw repeats an earlier draw, or equals ``j_t`` for
+    some earlier step ``t`` that collided.  The second rule points
+    strictly backwards, so a short fixpoint resolves every chain.
+    """
+    lanes, size = picks.shape
+    first_j = population - size
+    step = np.arange(size)
+    # Repeats: sort (draw, step) pairs per lane; each later equal draw collides.
+    order = np.sort(picks * size + step, axis=1)
+    lane, column = np.nonzero(order[:, 1:] // size == order[:, :-1] // size)
+    collided = np.zeros((lanes, size), dtype=bool)
+    collided[lane, order[lane, column + 1] % size] = True
+    # Draws equal to an earlier step's j collide iff that step did.
+    earlier = picks - first_j
+    lane, column = np.nonzero((earlier >= 0) & (earlier < step) & ~collided)
+    target = earlier[lane, column]
+    while lane.size:
+        hit = collided[lane, target]
+        if not hit.any():
+            break
+        collided[lane[hit], column[hit]] = True
+        lane, column, target = lane[~hit], column[~hit], target[~hit]
+    return np.sort(np.where(collided, first_j + step, picks), axis=1)
+
+
+def sorted_choices(
+    seed: int,
+    context: Sequence[object],
+    population: int,
+    size: int,
+    values: Sequence[object],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sorted(derive_rng(seed, *context, v).choice(population, size,
+    replace=False))`` for every ``v`` in ``values``, in one batched pass.
+
+    Returns ``(positions, exact)``: an ``(len(values), size)`` int64 array
+    and a boolean mask of the rows the emulation reproduced.  The other
+    rows are zeros and must come from the reference generator: streams in
+    which a Lemire draw rejects (it would consume an extra word, about
+    one stream in ten thousand at ``b = 5184``), and every stream when
+    numpy takes its tail-shuffle branch (see the module docstring).
+    """
+    count = len(values)
+    positions = np.zeros((count, size), dtype=np.int64)
+    exact = np.zeros(count, dtype=bool)
+    if not count or not _floyd_applies(population, size):
+        return positions, exact
+    key0, key1 = _context_keys(seed, context, values)
+    blocks = (size + 7) // 8  # a block holds eight 32-bit draws
+    bound = np.arange(population - size + 1, population + 1, dtype=np.uint64)
+    reject_below = np.uint64(1 << 32) % bound  # Lemire's threshold per step
+    chunk = max(1, _LANE_DRAWS // size)
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        lanes = stop - start
+        raw = _philox4x64_10(
+            np.tile(np.arange(1, blocks + 1, dtype=np.uint64), lanes),
+            np.repeat(key0[start:stop], blocks),
+            np.repeat(key1[start:stop], blocks),
+        )
+        # Viewing little-endian uint64 words as uint32 pairs yields each
+        # word's low half first, Philox's own order.
+        draws = raw.astype("<u8", copy=False).view("<u4").reshape(lanes, -1)
+        scaled = draws[:, :size].astype(np.uint64) * bound
+        exact[start:stop] = ~np.any((scaled & _MASK32) < reject_below, axis=1)
+        picks = (scaled >> _U32).astype(np.int64)
+        positions[start:stop] = _floyd_sets(picks, population)
+    return positions, exact
 
 
 class NodeStreams:
@@ -116,25 +277,7 @@ class NodeStreams:
         cache_key = (int(seed), context, count)
         cached = _KEY_CACHE.get(cache_key)
         if cached is None:
-            key0 = np.empty(count, dtype=np.uint64)
-            key1 = np.empty(count, dtype=np.uint64)
-            # Hash the shared (seed, *context) prefix once; per node, clone
-            # the hasher and append only the node index — same digests as
-            # _context_digest(seed, (*context, index)), far fewer updates.
-            prefix = hashlib.sha256()
-            prefix.update(int(seed).to_bytes(16, "little", signed=True))
-            for part in context:
-                encoded = repr(part).encode("utf-8")
-                prefix.update(len(encoded).to_bytes(4, "little"))
-                prefix.update(encoded)
-            for index in range(count):
-                encoded = repr(index).encode("utf-8")
-                hasher = prefix.copy()
-                hasher.update(len(encoded).to_bytes(4, "little"))
-                hasher.update(encoded)
-                digest = hasher.digest()
-                key0[index] = int.from_bytes(digest[:8], "little")
-                key1[index] = int.from_bytes(digest[8:16], "little")
+            key0, key1 = _context_keys(seed, context, range(count))
             key0.setflags(write=False)
             key1.setflags(write=False)
             _KEY_CACHE[cache_key] = (key0, key1)
@@ -188,12 +331,11 @@ class NodeStreams:
             unique_pairs, inverse = np.unique(pair, return_inverse=True)
             pair_node = unique_pairs // np.int64(int(block.max()) + 1)
             pair_block = unique_pairs - pair_node * np.int64(int(block.max()) + 1)
-            outputs = _philox4x64_10(
+            stacked = _philox4x64_10(
                 (pair_block + 1).astype(np.uint64),  # counter pre-increments
                 self._key0[pair_node],
                 self._key1[pair_node],
-            )
-            stacked = np.stack(outputs, axis=1)  # (pairs, 4) uint64
+            )  # (pairs, 4) uint64
             lane64 = stacked[inverse.reshape(block.shape), slot]
             lane32 = (lane64 >> (half * _U32)) & _MASK32
             # Truncate the final 32-bit word to the bytes actually kept.

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import bitstrings as bs
+from repro import rng_philox
 from repro.codes import BeepCode
 from repro.errors import ConfigurationError
 from repro.rng import derive_rng
@@ -71,36 +74,121 @@ class TestEncoding:
         code = BeepCode(input_bits=4, k=2, c=3)
         assert code.encode_many([]).shape == (0, code.length)
 
-    def test_cache_limit_does_not_change_codewords(self):
-        code = BeepCode(input_bits=10, k=2, c=3, seed=5)
-        code.CACHE_LIMIT = 8  # force evictions
-        first = code.encode_int(123).copy()
-        for value in range(40):
-            code.encode_int(value)
-        assert np.array_equal(code.encode_int(123), first)
 
-    def test_cache_eviction_is_lru_not_wholesale(self):
-        """Overflow evicts only the coldest entries: a codeword touched
-        every round survives an overflowing scan of fresh values."""
-        code = BeepCode(input_bits=10, k=2, c=3, seed=5)
-        code.CACHE_LIMIT = 8
-        hot = 123
-        code.encode_int(hot)
-        for value in range(40):
-            code.encode_int(value)
-            code.encode_int(hot)  # re-touch, as candidate scans do
-        assert hot in code._cache  # never evicted
-        assert len(code._cache) <= code.CACHE_LIMIT
-        # the coldest of the scanned values are gone, the freshest remain
-        assert 39 in code._cache
-        assert 0 not in code._cache
+@st.composite
+def codes_and_values(draw):
+    """A beep code in one of numpy's three ``choice`` regimes, a lane
+    chunk of 1-4 streams, and a value list around that chunk."""
+    regime = draw(st.sampled_from(["small", "large-floyd", "large-tail"]))
+    if regime == "small":  # b <= 10000: always Floyd
+        c = draw(st.integers(3, 6))
+        k = draw(st.integers(1, 8))
+        weight = draw(st.integers(1, 60))
+    else:  # b > 10000: Floyd iff w <= b // 50, i.e. iff c * k >= 50
+        c = draw(st.integers(3, 8))
+        if regime == "large-floyd":
+            k = draw(st.integers(-(-50 // c), 20))
+        else:
+            k = draw(st.integers(1, 49 // c))
+        weight = 10000 // (c * k) + draw(st.integers(1, 30))
+    length = c * k * weight
+    assert (length > 10000) == (regime != "small")
+    assert (regime == "large-tail") == (length > 10000 and weight > length // 50)
+    input_bits = draw(st.integers(1, 40))
+    code = BeepCode(
+        input_bits=input_bits,
+        k=k,
+        c=c,
+        seed=draw(st.integers(0, 2**31)),
+        length=length,
+    )
+    lanes = draw(st.integers(1, 4))
+    count = draw(st.integers(0, 3 * lanes + 1))
+    values = draw(
+        st.lists(
+            st.integers(0, code.num_codewords - 1), min_size=count, max_size=count
+        )
+    )
+    if draw(st.booleans()):
+        values += values[: len(values) // 2]  # duplicates
+    return code, lanes, values
 
-    def test_cache_never_exceeds_limit(self):
-        code = BeepCode(input_bits=10, k=2, c=3, seed=5)
-        code.CACHE_LIMIT = 4
-        for value in range(20):
-            code.encode_int(value)
-            assert len(code._cache) <= 4
+
+class TestEncodePositions:
+    """``encode_positions`` is ``flatnonzero(encode_int(v))``, row by row."""
+
+    @given(codes_and_values())
+    def test_equals_reference_rows(self, case):
+        code, lanes, values = case
+        with mock.patch.object(rng_philox, "_LANE_DRAWS", lanes * code.weight):
+            positions = code.encode_positions(values)
+        assert positions.shape == (len(values), code.weight)
+        assert positions.dtype == np.int64
+        for row, value in zip(positions, values):
+            assert np.array_equal(row, np.flatnonzero(code.encode_int(value)))
+
+    def test_forced_rejection_lane_falls_back_once(self, monkeypatch):
+        """At value 22803 one of Floyd's Lemire draws rejects and takes an
+        extra word, so only the reference generator gets this row right."""
+        code = BeepCode(input_bits=36, k=9, c=4, seed=0)
+        reference = np.flatnonzero(code.encode_int(22803))
+        b, w = code.length, code.weight
+        _, exact = rng_philox.sorted_choices(0, ("beep-code", b, w), b, w, [22803])
+        assert not exact[0]
+        calls = []
+        original = code.encode_int
+
+        def counting(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(code, "encode_int", counting)
+        positions = code.encode_positions([5, 22803, 17])
+        assert calls == [22803]
+        assert np.array_equal(positions[1], reference)
+        assert np.array_equal(positions[0], np.flatnonzero(original(5)))
+
+    def test_tail_shuffle_codes_use_the_reference(self, monkeypatch):
+        # b = 21312, w = 592 > b // 50: numpy shuffles a tail instead of
+        # running Floyd, so every row comes from encode_int.
+        code = BeepCode(input_bits=148, k=9, c=4, seed=3)
+        assert code.length == 21312 and code.weight > code.length // 50
+        calls = []
+        original = code.encode_int
+        monkeypatch.setattr(
+            code, "encode_int", lambda value: calls.append(value) or original(value)
+        )
+        positions = code.encode_positions([1, 2])
+        assert calls == [1, 2]
+        assert np.array_equal(positions[1], np.flatnonzero(original(2)))
+
+    @pytest.mark.parametrize(
+        "c, k, length, floyd",
+        [
+            (4, 5, 10000, True),  # b = 10000 is not > 10000
+            (5, 10, 10050, True),  # w = 201 = b // 50 is not > b // 50
+            (7, 7, 10045, False),  # w = 205 > b // 50 = 200
+        ],
+    )
+    def test_branch_boundary(self, monkeypatch, c, k, length, floyd):
+        """Exactly numpy's Floyd codes take the batched path."""
+        code = BeepCode(input_bits=12, k=k, c=c, seed=1, length=length)
+        values = [0, 7, 4095]
+        calls = []
+        original = code.encode_int
+        monkeypatch.setattr(
+            code, "encode_int", lambda value: calls.append(value) or original(value)
+        )
+        positions = code.encode_positions(values)
+        assert calls == ([] if floyd else values)
+        for row, value in zip(positions, values):
+            assert np.array_equal(row, np.flatnonzero(original(value)))
+
+    def test_empty_and_out_of_domain(self):
+        code = BeepCode(input_bits=4, k=2, c=3)
+        assert code.encode_positions([]).shape == (0, code.weight)
+        with pytest.raises(ConfigurationError):
+            code.encode_positions([3, 16])
 
 
 class TestSuperimpositionDecoding:
@@ -183,6 +271,31 @@ class TestBadSubsetCensus:
             for _ in range(20)
         ]
         assert code.count_bad_subsets(subsets) == 0
+
+    def test_count_matches_per_codeword_scan(self):
+        # w = 4 and threshold 3: some unions 3-intersect another codeword.
+        code = BeepCode(input_bits=6, k=2, c=6, seed=4, length=48)
+        assert code.intersection_threshold == 3
+        rng = derive_rng(2, "census")
+        subsets = [
+            [int(v) for v in rng.choice(64, size=2, replace=False)]
+            for _ in range(30)
+        ]
+        # Members and duplicates in ``others`` are never "other" codewords.
+        others = [0, 0, 5, 9, 17, 33, 60, *subsets[0]]
+
+        def scan(subset, domain):
+            union = bs.superimpose([code.encode_int(v) for v in subset])
+            return any(
+                bs.d_intersects(code.encode_int(v), union, 3)
+                for v in domain
+                if v not in subset
+            )
+
+        for domain, restrict in ((range(64), None), (others, others)):
+            expected = sum(scan(subset, domain) for subset in subsets)
+            assert 0 < expected < len(subsets)
+            assert code.count_bad_subsets(subsets, others=restrict) == expected
 
     def test_wrong_subset_size_rejected(self):
         code = BeepCode(input_bits=4, k=2, c=3)

@@ -23,7 +23,7 @@ from repro.core.parameters import CandidatePolicy, SimulationParameters
 from repro.core.round_simulator import (
     BatchedSession,
     BroadcastSession,
-    _DISTANCE_ROW_CACHE_LIMIT,
+    _DISTANCE_ROW_CACHE_SIZE,
     _build_phase_schedules_fast,
     _phase1_decode_fast,
     _phase2_decode_fast,
@@ -253,7 +253,7 @@ class TestDistanceRowCacheBound:
         topology = Topology(path_graph(6))
         params = SimulationParameters.for_network(6, 2, eps=0.0)
         session = BroadcastSession(topology, params, 0)
-        assert session._distance_rows.limit == _DISTANCE_ROW_CACHE_LIMIT
+        assert session._distance_rows.limit == _DISTANCE_ROW_CACHE_SIZE
         # Shrink the bound so a short run exercises eviction.
         session._distance_rows.limit = 8
         rng = derive_rng(17, "messages")
@@ -276,5 +276,5 @@ class TestDistanceRowCacheBound:
                 ]
             )
         for session in batched.sessions:
-            assert len(session._distance_rows) <= _DISTANCE_ROW_CACHE_LIMIT
+            assert len(session._distance_rows) <= _DISTANCE_ROW_CACHE_SIZE
             assert len(session._distance_rows) > 0

@@ -1,10 +1,12 @@
-"""NodeStreams must be bit-identical to the reference per-node streams.
+"""The batched Philox streams must be bit-identical to numpy's.
 
 The array-native engine's whole bit-identity promise rests on
 :class:`repro.rng_philox.NodeStreams` reproducing, draw by draw, what
 the reference engine gets from ``random_bits(derive_rng(seed,
 "node-local", v), bits)`` — including numpy's ``Generator.bytes``
-consumption semantics (whole 32-bit words, truncation discards).
+consumption semantics (whole 32-bit words, truncation discards).  Both
+it and the codeword sampler run on one Philox-4x64-10 kernel, pinned
+here against ``np.random.Philox`` itself.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.rng import derive_rng, random_bits
-from repro.rng_philox import NodeStreams, words_for_bits
+from repro import rng_philox
+from repro.rng_philox import NodeStreams, _philox4x64_10, words_for_bits
 
 
 def as_int(words: np.ndarray) -> int:
@@ -88,3 +91,41 @@ class TestDrawEquality:
             words_for_bits(0)
         assert words_for_bits(64) == 1
         assert words_for_bits(65) == 2
+
+
+class TestPhiloxKernel:
+    @pytest.mark.parametrize(
+        "lanes",
+        [
+            1,
+            37,
+            rng_philox._KERNEL_CHUNK - 1,
+            rng_philox._KERNEL_CHUNK,
+            rng_philox._KERNEL_CHUNK + 1,
+            2 * rng_philox._KERNEL_CHUNK + 5,
+        ],
+    )
+    def test_blocks_equal_numpy_philox(self, lanes):
+        """Lane ``i`` is block ``counter[i]`` of ``Philox(key=k_i)``, for
+        random 128-bit keys and block counts, across kernel passes."""
+        rng = np.random.default_rng(lanes)
+        counters, key0, key1, expected = [], [], [], []
+        remaining = lanes
+        while remaining:
+            blocks = min(remaining, int(rng.integers(1, 4000)))
+            remaining -= blocks
+            low, high = (int(word) for word in rng.integers(0, 2**64, 2, np.uint64))
+            raw = np.random.Philox(key=low + (high << 64)).random_raw(4 * blocks)
+            # Lanes need not walk a stream in order: shuffle the blocks.
+            order = rng.permutation(blocks)
+            counters.append(order + 1)
+            expected.append(raw.reshape(blocks, 4)[order])
+            key0 += [low] * blocks
+            key1 += [high] * blocks
+        got = _philox4x64_10(
+            np.concatenate(counters).astype(np.uint64),
+            np.array(key0, dtype=np.uint64),
+            np.array(key1, dtype=np.uint64),
+        )
+        assert got.shape == (lanes, 4)
+        assert np.array_equal(got, np.concatenate(expected))
