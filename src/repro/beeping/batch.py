@@ -13,21 +13,31 @@ SimulationBackend` — the scipy-CSR/numpy ``"dense"`` path or the ``uint64``
 ``"bitpacked"`` path, selected per call, process-wide, or automatically by
 schedule size (see :mod:`repro.engine`).
 
-Dynamic networks plug in *above* the backends: when the topology is a
-:class:`~repro.beeping.noise.DynamicTopology`, the runners here split the
-schedule at epoch boundaries and execute each segment against that epoch's
-masked static topology (noise keying stays global-round, so the split is
-invisible to the flip stream).  Backends therefore only ever see static
-topologies, and the bit-identity invariant across dense / bit-packed /
-batched / sharded execution extends to churn scenarios with no per-backend
-code.
+Every schedule runs as a replica batch: :func:`run_schedule` is
+:func:`run_schedule_batch` on a batch of one.  Dynamic networks plug in
+*above* the backends: when the topology is a
+:class:`~repro.beeping.noise.DynamicTopology`, the batch runner splits
+the schedules at epoch boundaries and executes each segment against that
+epoch's masked static topology (noise keying stays global-round, so the
+split is invisible to the flip stream).  Backends therefore only ever
+see static topologies, and the bit-identity invariant across dense /
+bit-packed / batched / sharded execution extends to churn scenarios with
+no per-backend code.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from ..engine import SimulationBackend, resolve_backend
+from ..engine import (
+    SimulationBackend,
+    normalize_batch_args,
+    resolve_backend,
+    validate_schedule,
+    validate_schedule_batch,
+)
 from ..graphs import Topology
 from .noise import DynamicTopology, NoiseModel
 
@@ -67,40 +77,30 @@ def run_schedule(
     -------
     numpy.ndarray
         Boolean ``(n, rounds)`` matrix of heard bits: own beep or
-        neighbours' OR, passed through the channel.
+        neighbours' OR, passed through the channel.  It is
+        :func:`run_schedule_batch` on a batch of one.
     """
-    schedule = np.asarray(schedule, dtype=bool)
-    rounds = schedule.shape[1] if schedule.ndim == 2 else None
-    resolved = resolve_backend(backend, topology=topology, rounds=rounds)
-    if not isinstance(topology, DynamicTopology):
-        return resolved.run_schedule(topology, schedule, channel, start_round)
-    if schedule.ndim != 2:
-        raise ValueError(
-            "dynamic topologies need an (n, rounds) schedule, got shape "
-            f"{schedule.shape}"
-        )
-    heard = np.empty_like(schedule)
-    for start, stop in topology.segments(start_round, schedule.shape[1]):
-        lo = start - start_round
-        hi = stop - start_round
-        heard[:, lo:hi] = resolved.run_schedule(
-            topology.topology_at(start), schedule[:, lo:hi], channel, start
-        )
-    return heard
+    schedule = validate_schedule(topology, schedule)
+    return run_schedule_batch(
+        topology, schedule[np.newaxis], [channel], [start_round], backend
+    )[0]
 
 
 def run_schedule_batch(
     topology: Topology | DynamicTopology,
     schedules: np.ndarray,
-    channels,
-    start_rounds,
+    channels: NoiseModel | Sequence[NoiseModel | None] | None,
+    start_rounds: int | Sequence[int] | None,
     backend: str | SimulationBackend | None = None,
 ) -> np.ndarray:
     """Execute R replica schedules over one shared topology in one call.
 
     ``schedules`` is boolean ``(R, n, rounds)``; ``channels`` and
-    ``start_rounds`` are per-replica sequences of length R.  Static
-    topologies go straight to the backend's replica-batched kernel.  A
+    ``start_rounds`` are broadcast to one entry per replica as
+    :func:`~repro.engine.normalize_batch_args` does (a ``None`` channel
+    means noiseless).  Shape and count mistakes raise
+    :class:`~repro.errors.ConfigurationError`.  Static topologies go
+    straight to the backend's replica-batched kernel.  A
     :class:`~repro.beeping.noise.DynamicTopology` is executed epoch
     segment by epoch segment when every replica shares one start round
     (the common case — :class:`~repro.core.round_simulator.BatchedSession`
@@ -109,45 +109,35 @@ def run_schedule_batch(
     Either way the result is bit-identical to R separate
     :func:`run_schedule` calls.
     """
-    schedules = np.asarray(schedules, dtype=bool)
-    if schedules.ndim != 3:
-        raise ValueError(
-            f"schedules must be (R, n, rounds), got shape {schedules.shape}"
-        )
-    replicas = schedules.shape[0]
-    if len(channels) != replicas or len(start_rounds) != replicas:
-        raise ValueError(
-            f"{replicas} schedules need {replicas} channels and start "
-            f"rounds, got {len(channels)} and {len(start_rounds)}"
-        )
-    resolved = resolve_backend(
-        backend, topology=topology, rounds=schedules.shape[2]
+    schedules = validate_schedule_batch(topology, schedules)
+    replicas, _, rounds = schedules.shape
+    channel_list, starts = normalize_batch_args(
+        replicas, channels, start_rounds
     )
+    resolved = resolve_backend(backend, topology=topology, rounds=rounds)
     if not isinstance(topology, DynamicTopology):
         return resolved.run_schedule_batch(
-            topology, schedules, channels, start_rounds
+            topology, schedules, channel_list, starts
         )
-    starts = [int(start) for start in start_rounds]
+    heard = np.empty_like(schedules)
     if len(set(starts)) > 1:
-        heard = np.empty_like(schedules)
         for index in range(replicas):
-            heard[index] = run_schedule(
+            heard[index : index + 1] = run_schedule_batch(
                 topology,
-                schedules[index],
-                channels[index],
-                starts[index],
+                schedules[index : index + 1],
+                channel_list[index : index + 1],
+                starts[index : index + 1],
                 backend=resolved,
             )
         return heard
     start_round = starts[0] if starts else 0
-    heard = np.empty_like(schedules)
-    for start, stop in topology.segments(start_round, schedules.shape[2]):
+    for start, stop in topology.segments(start_round, rounds):
         lo = start - start_round
         hi = stop - start_round
         heard[:, :, lo:hi] = resolved.run_schedule_batch(
             topology.topology_at(start),
             schedules[:, :, lo:hi],
-            channels,
-            [start] * replicas,
+            channel_list,
+            start,
         )
     return heard

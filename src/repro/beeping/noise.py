@@ -45,7 +45,6 @@ __all__ = [
     "AdversarialNoise",
     "DynamicTopology",
     "unreliable_zone",
-    "make_channel",
     "make_noise_model",
     "noise_model_names",
     "parse_noise_model",
@@ -536,13 +535,6 @@ class DynamicTopology:
             f"churn={self._churn}, edge_failure={self._edge_failure}, "
             f"seed={self._seed})"
         )
-
-
-def make_channel(eps: float, seed: int) -> NoiseModel:
-    """Build the appropriate channel for a noise rate (0 means noiseless)."""
-    if eps == 0.0:
-        return NoiselessChannel()
-    return BernoulliNoise(eps, seed)
 
 
 #: Grid-facing noise-model names (the ``zone:`` form is parameterised by

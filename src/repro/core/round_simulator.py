@@ -26,13 +26,14 @@ reference implementations in :mod:`repro.core.encoder` and
 compare against (``tests/core/test_session_oracle.py`` replays whole
 rounds through them); no module here calls them.
 
-:class:`BatchedSession` is the replica-batched engine on top: it stacks
-``R`` seed-replicas of the same ``(topology, params)`` pair — one
-:class:`BroadcastSession` per seed — and executes each round's beeping
-phases as a single 3-D :meth:`~repro.engine.SimulationBackend.
-run_schedule_batch` call.  ``BatchedSession(...).run_round(batch)[r]``
-is bit-identical to what the ``r``-th standalone
-:class:`BroadcastSession` would return, a property enforced by
+Every round's beeping phases run through one driver, :func:`_run_round`,
+as 3-D :func:`~repro.beeping.batch.run_schedule_batch` calls: a
+standalone :class:`BroadcastSession` is a batch of one, and
+:class:`BatchedSession` stacks ``R`` seed-replicas of the same
+``(topology, params)`` pair — one :class:`BroadcastSession` per seed —
+into one batch.  ``BatchedSession(...).run_round(batch)[r]`` is
+bit-identical to what the ``r``-th standalone :class:`BroadcastSession`
+would return, a property enforced by
 ``tests/core/test_batched_session.py``.
 
 The returned :class:`RoundOutcome` carries both the decoded messages (which
@@ -47,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..beeping.batch import run_schedule, run_schedule_batch
+from ..beeping.batch import run_schedule_batch
 from ..beeping.noise import (
     BernoulliNoise,
     DynamicTopology,
@@ -271,23 +272,7 @@ class BroadcastSession:
         per-round random strings); either way the session's offset advances
         to just past this round, so back-to-back calls chain contiguously.
         """
-        plan = self._plan_round(messages, round_offset)
-        b = self._codes.length
-        heard1 = run_schedule(
-            self._topology,
-            plan.phase1_schedule,
-            self._channel,
-            start_round=plan.round_offset,
-            backend=self._backend,
-        )
-        heard2 = run_schedule(
-            self._topology,
-            plan.phase2_schedule,
-            self._channel,
-            start_round=plan.round_offset + b,
-            backend=self._backend,
-        )
-        return self._finish_round(plan, heard1, heard2)
+        return _run_round([self], [self._plan_round(messages, round_offset)])[0]
 
     def _round_topology(self, round_offset: int) -> Topology:
         """The static adjacency defining a round's ground truth.
@@ -591,6 +576,40 @@ class _RoundPlan:
     slot_rows: "dict[int, int]"
 
 
+def _run_round(
+    sessions: "Sequence[BroadcastSession]", plans: "Sequence[_RoundPlan]"
+) -> list[RoundOutcome]:
+    """Run one planned round's beeping phases for every session, then decode.
+
+    The one round driver: a standalone session passes itself as a batch of
+    one, a :class:`BatchedSession` passes all its replicas (same topology
+    and backend).  Each phase is one replica-batched schedule execution,
+    routed through :func:`~repro.beeping.batch.run_schedule_batch` (not the
+    backend directly) so dynamic topologies get their epoch segmentation.
+    """
+    first = sessions[0]
+    b = first.codes.length
+    channels = [session.channel for session in sessions]
+    phases = (
+        [plan.phase1_schedule for plan in plans],
+        [plan.phase2_schedule for plan in plans],
+    )
+    heard1, heard2 = (
+        run_schedule_batch(
+            first.topology,
+            np.stack(schedules),
+            channels,
+            [plan.round_offset + phase * b for plan in plans],
+            backend=first.backend,
+        )
+        for phase, schedules in enumerate(phases)
+    )
+    return [
+        session._finish_round(plan, heard1[index], heard2[index])
+        for index, (session, plan) in enumerate(zip(sessions, plans))
+    ]
+
+
 def _build_phase_schedules_fast(
     codes: CombinedCode,
     r_values: Sequence[int],
@@ -801,7 +820,7 @@ class BatchedSession:
     Each replica is a full :class:`BroadcastSession` built from its own
     master seed — codes, channel and decoder state derive from that seed
     exactly as standalone sessions do — but every simulated round executes
-    both beeping phases as a single stacked
+    each beeping phase for all replicas as one stacked
     :meth:`~repro.engine.SimulationBackend.run_schedule_batch` call, then
     hands each replica's heard matrices to that replica's own decode
     half.  Outcome ``r`` of
@@ -922,29 +941,7 @@ class BatchedSession:
             session._plan_round(replica_messages, round_offset)
             for session, replica_messages in zip(self._sessions, messages)
         ]
-        b = self._sessions[0].codes.length
-        channels = [session.channel for session in self._sessions]
-        starts = [plan.round_offset for plan in plans]
-        # Routed through the schedule-runner helper (not the backend
-        # directly) so dynamic topologies get their epoch segmentation.
-        heard1 = run_schedule_batch(
-            self._topology,
-            np.stack([plan.phase1_schedule for plan in plans]),
-            channels,
-            starts,
-            backend=self._backend,
-        )
-        heard2 = run_schedule_batch(
-            self._topology,
-            np.stack([plan.phase2_schedule for plan in plans]),
-            channels,
-            [start + b for start in starts],
-            backend=self._backend,
-        )
-        return [
-            session._finish_round(plan, heard1[index], heard2[index])
-            for index, (session, plan) in enumerate(zip(self._sessions, plans))
-        ]
+        return _run_round(self._sessions, plans)
 
     def run_many(
         self,

@@ -3,25 +3,24 @@
 A backend owns the two carrier-sense primitives everything above it is
 built from:
 
-* :meth:`SimulationBackend.run_schedule` — execute a fixed boolean
-  ``(n, rounds)`` beep schedule and return the heard matrix;
-* :meth:`SimulationBackend.neighbor_or` — one round's OR-of-neighbours for
-  the step-by-step :class:`~repro.beeping.BeepingNetwork` engine;
 * :meth:`SimulationBackend.run_schedule_batch` — execute ``R``
-  seed-replica schedules over the *same* topology in one call (the
-  replica-batched hot path of :class:`~repro.core.round_simulator.
-  BatchedSession`), with a loop-over-:meth:`run_schedule` default so
-  third-party backends inherit correct behaviour for free.
+  seed-replica schedules, each a fixed boolean ``(n, rounds)`` beep
+  schedule, over the *same* topology in one call and return the stacked
+  heard matrices.  This is the one schedule code path: the base class's
+  :meth:`SimulationBackend.run_schedule` is a batch of one, and the round
+  engine of :mod:`repro.core.round_simulator` calls the batch directly;
+* :meth:`SimulationBackend.neighbor_or` — one round's OR-of-neighbours for
+  the step-by-step :class:`~repro.beeping.BeepingNetwork` engine.
 
 Backends are interchangeable: every implementation must be *bit-identical*
 to :class:`~repro.engine.dense.DenseBackend` on the same inputs, including
 under :class:`~repro.beeping.noise.BernoulliNoise` (the noise stream is
 keyed by ``(seed, round)``, so the flip pattern is a pure function of the
-inputs, not of the execution strategy).  The batched entry point extends
-the contract along the replica axis: ``run_schedule_batch(schedules)[r]``
-must equal ``run_schedule(schedules[r])`` with replica ``r``'s channel and
-start round, for every backend.  These contracts are property-tested in
-``tests/beeping/test_batch.py``, ``tests/engine/test_backends.py`` and
+inputs, not of the execution strategy).  Along the replica axis,
+``run_schedule_batch(schedules)[r]`` must equal the batch of one holding
+replica ``r``'s schedule, channel and start round, for every backend.
+These contracts are property-tested in ``tests/beeping/test_batch.py``,
+``tests/engine/test_backends.py`` and
 ``tests/engine/test_batched_backends.py``.
 """
 
@@ -78,16 +77,17 @@ def validate_schedule_batch(
 
 def normalize_batch_args(
     replicas: int,
-    channels: "NoiseModel | Sequence[NoiseModel] | None",
+    channels: "NoiseModel | Sequence[NoiseModel | None] | None",
     start_rounds: "int | Sequence[int] | None",
 ) -> "tuple[list[NoiseModel], list[int]]":
     """Broadcast per-batch channel/offset arguments to one entry per replica.
 
     ``channels`` may be ``None`` (noiseless everywhere), a single
     :class:`~repro.beeping.noise.NoiseModel` shared by every replica, or a
-    sequence of exactly ``replicas`` models.  ``start_rounds`` likewise
-    accepts ``None`` (all zero), a single offset, or one offset per
-    replica.  Length mismatches raise :class:`ConfigurationError`.
+    sequence of exactly ``replicas`` models, in which a ``None`` entry
+    means noiseless for that replica.  ``start_rounds`` likewise accepts
+    ``None`` (all zero), a single offset, or one offset per replica.
+    Length mismatches raise :class:`ConfigurationError`.
     """
     from ..beeping.noise import NoiseModel, NoiselessChannel
 
@@ -96,7 +96,10 @@ def normalize_batch_args(
     elif isinstance(channels, NoiseModel):
         channel_list = [channels] * replicas
     else:
-        channel_list = list(channels)
+        channel_list = [
+            NoiselessChannel() if channel is None else channel
+            for channel in channels
+        ]
         if len(channel_list) != replicas:
             raise ConfigurationError(
                 f"got {len(channel_list)} channels for {replicas} replicas"
@@ -125,6 +128,24 @@ class SimulationBackend(ABC):
     name: ClassVar[str]
 
     @abstractmethod
+    def run_schedule_batch(
+        self,
+        topology: "Topology",
+        schedules: np.ndarray,
+        channels: "NoiseModel | Sequence[NoiseModel | None] | None" = None,
+        start_rounds: "int | Sequence[int] | None" = None,
+    ) -> np.ndarray:
+        """Execute ``R`` replica schedules over one topology in a single call.
+
+        ``schedules`` is a boolean ``(R, n, rounds)`` array — replica ``r``'s
+        schedule is ``schedules[r]`` (``schedules[r, v, t]`` means device
+        ``v`` beeps in phase round ``t``); ``channels`` and
+        ``start_rounds`` are broadcast per :func:`normalize_batch_args`.
+        The result is the same-shaped stack of heard matrices: own beep or
+        neighbours' OR, passed through replica ``r``'s channel with its
+        noise stream keyed from replica ``r``'s start round.
+        """
+
     def run_schedule(
         self,
         topology: "Topology",
@@ -134,11 +155,14 @@ class SimulationBackend(ABC):
     ) -> np.ndarray:
         """Execute a fixed beep schedule and return what every device hears.
 
-        ``schedule`` is a boolean ``(n, rounds)`` matrix (``schedule[v, t]``
-        means device ``v`` beeps in phase round ``t``); the result is the
-        same-shaped heard matrix: own beep or neighbours' OR, passed through
-        the channel with the noise stream keyed from ``start_round``.
+        ``schedule`` is a boolean ``(n, rounds)`` matrix; the result is the
+        same-shaped heard matrix.  It is :meth:`run_schedule_batch` on a
+        batch of one, so every backend has exactly one schedule path.
         """
+        schedule = validate_schedule(topology, schedule)
+        return self.run_schedule_batch(
+            topology, schedule[np.newaxis], [channel], [start_round]
+        )[0]
 
     @abstractmethod
     def neighbor_or(self, topology: "Topology", beeps: np.ndarray) -> np.ndarray:
@@ -147,41 +171,6 @@ class SimulationBackend(ABC):
         ``beeps`` is a boolean ``(n,)`` vector; a node's own beep does not
         contribute to its own entry.
         """
-
-    def run_schedule_batch(
-        self,
-        topology: "Topology",
-        schedules: np.ndarray,
-        channels: "NoiseModel | Sequence[NoiseModel] | None" = None,
-        start_rounds: "int | Sequence[int] | None" = None,
-    ) -> np.ndarray:
-        """Execute ``R`` replica schedules over one topology in a single call.
-
-        ``schedules`` is a boolean ``(R, n, rounds)`` array — replica ``r``'s
-        schedule is ``schedules[r]``; ``channels`` and ``start_rounds`` are
-        broadcast per :func:`normalize_batch_args`.  The result is the
-        same-shaped stack of heard matrices, and slice ``r`` must be
-        bit-identical to ``run_schedule(topology, schedules[r],
-        channels[r], start_rounds[r])`` — this default implementation is
-        exactly that loop, so backends that only implement the two
-        single-schedule primitives stay correct; optimised backends
-        override it to share the carrier-sense work across replicas.
-        """
-        schedules = validate_schedule_batch(topology, schedules)
-        replicas = schedules.shape[0]
-        channel_list, start_list = normalize_batch_args(
-            replicas, channels, start_rounds
-        )
-        if replicas == 0:
-            return np.zeros_like(schedules)
-        return np.stack(
-            [
-                self.run_schedule(
-                    topology, schedules[r], channel_list[r], start_list[r]
-                )
-                for r in range(replicas)
-            ]
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"

@@ -18,14 +18,14 @@ neighbourhoods.  On sparse graphs the bitmap's ``Theta(n^2 / 8)`` bytes
 are never materialised — the vector runs through the same segmented CSR
 reduction as schedules, one packed column wide (bit-identical).
 
-The replica-batched entry point generalises the packed schedule with a
-replica axis: ``R`` replicas stack into one ``(R * n, words)`` word
-matrix, the OR-of-neighbours becomes a single segmented reduction over a
-replicated CSR (the neighbour arrays shifted by ``r * n`` per replica),
-and all replicas' Bernoulli flips are packed and XORed in one pass — the
-per-replica Philox streams stay exactly those of
-:meth:`~repro.beeping.noise.BernoulliNoise.flip_block`, so every replica
-slice is bit-identical to its standalone :meth:`run_schedule` execution.
+Schedules always run as a replica batch (a single schedule is a batch of
+one): ``R`` replicas stack into one ``(R * n, words)`` word matrix, the
+OR-of-neighbours becomes a single segmented reduction over a replicated
+CSR (the neighbour arrays shifted by ``r * n`` per replica), and one loop
+over the replicas packs each windowed replica's
+:meth:`~repro.beeping.noise.WindowedNoise.flip_block` and XORs it into
+that replica's rows — the very flips that channel's own ``apply`` XORs
+in, so every replica slice is bit-identical to the dense path.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ class BitpackedBackend(SimulationBackend):
 
     name = "bitpacked"
 
+    # perfbench/seams.py wraps this name from the class __dict__.
     def run_schedule(
         self,
         topology: "Topology",
@@ -79,27 +80,7 @@ class BitpackedBackend(SimulationBackend):
         channel: "NoiseModel | None" = None,
         start_round: int = 0,
     ) -> np.ndarray:
-        from ..beeping.noise import NoiselessChannel
-
-        if channel is None:
-            channel = NoiselessChannel()
-        schedule = validate_schedule(topology, schedule)
-        n, rounds = schedule.shape
-        packed = pack_rows(schedule)
-        received = self.neighbor_or_words(topology, packed)
-        np.bitwise_or(received, packed, out=received)
-        # Exact-type checks: a subclass may override apply(), in which case
-        # only the generic fallback below is guaranteed to honour it.
-        if type(channel) is NoiselessChannel:
-            return unpack_rows(received, rounds)
-        if type(channel) in _flip_block_types():
-            if rounds:
-                flips = pack_rows(channel.flip_block(start_round, rounds, n))
-                np.bitwise_xor(received, flips, out=received)
-            return unpack_rows(received, rounds)
-        # Unknown channel: it only understands boolean matrices, so hop out
-        # of the packed domain and let it apply itself as usual.
-        return channel.apply(unpack_rows(received, rounds), start_round)
+        return super().run_schedule(topology, schedule, channel, start_round)
 
     #: Packed working-set budget per batched sub-chunk, in uint64 words.
     #: Gathers over a packed matrix larger than the cache hierarchy cost
@@ -113,10 +94,10 @@ class BitpackedBackend(SimulationBackend):
         self,
         topology: "Topology",
         schedules: np.ndarray,
-        channels: "NoiseModel | Sequence[NoiseModel] | None" = None,
+        channels: "NoiseModel | Sequence[NoiseModel | None] | None" = None,
         start_rounds: "int | Sequence[int] | None" = None,
     ) -> np.ndarray:
-        """Replica-axis packed execution: one segmented OR, one flip pass."""
+        """Replica-axis packed execution: one segmented OR, per-replica flips."""
         schedules = validate_schedule_batch(topology, schedules)
         replicas, n, rounds = schedules.shape
         channel_list, start_list = normalize_batch_args(
@@ -130,35 +111,22 @@ class BitpackedBackend(SimulationBackend):
         packed = pack_rows(schedules.reshape(replicas * n, rounds))
         received = self.neighbor_or_words(topology, packed, replicas=replicas)
         np.bitwise_or(received, packed, out=received)
-        # Channel dispatch mirrors run_schedule per replica (exact-type
-        # checks for the same subclass-override reason), but all windowed
-        # replicas' Philox flips are packed and XORed in one pass.
-        bernoulli = [
-            r
-            for r in range(replicas)
-            if type(channel_list[r]) in flip_types
-        ]
-        if bernoulli and rounds:
-            flips = np.empty((len(bernoulli) * n, rounds), dtype=bool)
-            for position, r in enumerate(bernoulli):
-                flips[position * n : (position + 1) * n] = channel_list[
-                    r
-                ].flip_block(start_list[r], rounds, n)
-            flip_words = pack_rows(flips)
-            for position, r in enumerate(bernoulli):
-                np.bitwise_xor(
-                    received[r * n : (r + 1) * n],
-                    flip_words[position * n : (position + 1) * n],
-                    out=received[r * n : (r + 1) * n],
-                )
+        # Exact-type checks: a subclass may override apply(), in which case
+        # only the generic path below is guaranteed to honour it.
+        generic: list[int] = []
+        for r, channel in enumerate(channel_list):
+            if type(channel) in flip_types:
+                if rounds:
+                    rows = received[r * n : (r + 1) * n]
+                    flips = channel.flip_block(start_list[r], rounds, n)
+                    np.bitwise_xor(rows, pack_rows(flips), out=rows)
+            elif type(channel) is not NoiselessChannel:
+                generic.append(r)
         heard = unpack_rows(received, rounds).reshape(replicas, n, rounds)
-        for r in range(replicas):
-            channel = channel_list[r]
-            if type(channel) is NoiselessChannel or type(channel) in flip_types:
-                continue
+        for r in generic:
             # Unknown channel: it only understands boolean matrices, so it
             # applies itself to the unpacked replica slice as usual.
-            heard[r] = channel.apply(heard[r], start_list[r])
+            heard[r] = channel_list[r].apply(heard[r], start_list[r])
         return heard
 
     @staticmethod

@@ -1,9 +1,10 @@
 """The sharded execution tier: persistent worker pool + ShardedBackend.
 
 :class:`ShardedBackend` satisfies the full
-:class:`~repro.engine.base.SimulationBackend` protocol (``run_schedule``,
-``run_schedule_batch``, ``neighbor_or``) by fanning the carrier-sense
-work out over ``P`` persistent worker processes:
+:class:`~repro.engine.base.SimulationBackend` protocol
+(``run_schedule_batch``, ``neighbor_or``, and the inherited
+``run_schedule``, a batch of one) by fanning the carrier-sense work out
+over ``P`` persistent worker processes:
 
 1. the topology is partitioned once per ``(topology, P)`` by
    :func:`~repro.engine.sharded.partition.build_shard_plan` (cached on
@@ -97,7 +98,7 @@ def recv_array(conn: "Connection") -> np.ndarray:
     return out
 
 
-def _channel_spec(channel: "NoiseModel | None") -> "tuple | None":
+def _channel_spec(channel: "NoiseModel") -> "tuple | None":
     """Describe a channel for shard-local application, or ``None``.
 
     Exact-type checks (mirroring the bit-packed backend's dispatch):
@@ -114,7 +115,7 @@ def _channel_spec(channel: "NoiseModel | None") -> "tuple | None":
         NoiselessChannel,
     )
 
-    if channel is None or type(channel) is NoiselessChannel:
+    if type(channel) is NoiselessChannel:
         return ("noiseless",)
     if type(channel) is BernoulliNoise:
         return ("bernoulli", channel.eps, channel.seed)
@@ -573,40 +574,11 @@ class ShardedBackend(SimulationBackend):
             plan, columns, kernel, include_self, rounds, specs, starts
         )
 
-    def run_schedule(
-        self,
-        topology: "Topology",
-        schedule: np.ndarray,
-        channel: "NoiseModel | None" = None,
-        start_round: int = 0,
-    ) -> np.ndarray:
-        """Sharded schedule execution, bit-identical to the dense path."""
-        schedule = validate_schedule(topology, schedule)
-        rounds = schedule.shape[1]
-        base = self._kernel(topology, rounds)
-        if self._shards == 1 or topology.num_nodes == 0 or rounds == 0:
-            return base.run_schedule(topology, schedule, channel, start_round)
-        spec = _channel_spec(channel)
-        heard = self._execute(
-            topology,
-            schedule,
-            base.name,
-            True,
-            rounds,
-            [spec],
-            [start_round],
-        )
-        if spec is None:
-            # Unknown channel type: apply it to the assembled global
-            # matrix, exactly as the single-process backends do.
-            return channel.apply(heard, start_round)
-        return heard
-
     def run_schedule_batch(
         self,
         topology: "Topology",
         schedules: np.ndarray,
-        channels: "NoiseModel | Sequence[NoiseModel] | None" = None,
+        channels: "NoiseModel | Sequence[NoiseModel | None] | None" = None,
         start_rounds: "int | Sequence[int] | None" = None,
     ) -> np.ndarray:
         """Replica batch: one sharded pass over replica-stacked columns."""

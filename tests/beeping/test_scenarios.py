@@ -393,18 +393,22 @@ class TestDynamicExecution:
             assert np.array_equal(batched[index], solo)
 
     def test_batch_shape_validation(self):
-        _, dynamic, schedule = self._setup()
-        with pytest.raises(ValueError):
-            run_schedule_batch(dynamic, schedule, [None], [0])
-        with pytest.raises(ValueError):
-            run_schedule_batch(
-                dynamic, schedule[None], [None, None], [0]
-            )
+        base, dynamic, schedule = self._setup()
+        for topology in (base, dynamic):
+            with pytest.raises(ConfigurationError):
+                run_schedule_batch(topology, schedule, [None], [0])
+            with pytest.raises(ConfigurationError):
+                run_schedule_batch(
+                    topology, schedule[None], [None, None], [0]
+                )
+            with pytest.raises(ConfigurationError):
+                run_schedule_batch(topology, schedule[None], [None], [0, 0])
 
     def test_dynamic_rejects_1d_schedule(self):
-        _, dynamic, _ = self._setup()
-        with pytest.raises(ValueError):
-            run_schedule(dynamic, np.zeros(dynamic.num_nodes, dtype=bool))
+        base, dynamic, _ = self._setup()
+        for topology in (base, dynamic):
+            with pytest.raises(ConfigurationError):
+                run_schedule(topology, np.zeros(topology.num_nodes, dtype=bool))
 
 
 class TestCrossBackendIdentity:

@@ -1,11 +1,14 @@
 """Tests for the replica-batched backend entry point (run_schedule_batch).
 
-The contract under test: for every backend, replica ``r`` of a batched
-execution is bit-identical to a standalone ``run_schedule`` call with
-replica ``r``'s schedule, channel and start round — for any mix of
-channels, for per-replica start rounds (including offsets that straddle
-the Philox noise-window boundary), and through the loop-based default
-that third-party backends inherit.
+``run_schedule_batch`` is every backend's one schedule path, and
+``run_schedule`` is the base class's batch of one.  The contract under
+test: for every backend, replica ``r`` of a batched execution is
+bit-identical to a standalone ``run_schedule`` call with replica ``r``'s
+schedule, channel and start round — for any mix of channels (``None``
+entries meaning noiseless, and channel subclasses that override
+``apply``), for per-replica start rounds (including offsets that
+straddle the Philox noise-window boundary), and for a third-party
+backend that defines only ``run_schedule_batch`` and ``neighbor_or``.
 """
 
 from __future__ import annotations
@@ -14,13 +17,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.beeping.noise import BernoulliNoise, NoiseModel, NoiselessChannel
+from repro.beeping import run_schedule_batch
+from repro.beeping.noise import (
+    AdversarialNoise,
+    BernoulliNoise,
+    NoiseModel,
+    NoiselessChannel,
+    unreliable_zone,
+)
 from repro.engine import (
     BitpackedBackend,
     DenseBackend,
     SimulationBackend,
     normalize_batch_args,
     validate_schedule_batch,
+    with_shards,
 )
 from repro.errors import ConfigurationError
 from repro.graphs import (
@@ -39,7 +50,7 @@ WINDOW = 4096
 
 
 def batch_reference(backend, topology, schedules, channels, starts):
-    """The defining semantics: one run_schedule call per replica."""
+    """The defining semantics: one run_schedule call (a batch of one) per replica."""
     return np.stack(
         [
             backend.run_schedule(topology, schedules[r], channels[r], starts[r])
@@ -59,13 +70,31 @@ class InvertingChannel(NoiseModel):
         return ~np.asarray(received, dtype=bool)
 
 
-class LoopOnlyBackend(SimulationBackend):
+class InvertingBernoulli(BernoulliNoise):
+    """A windowed-channel subclass whose ``apply`` also inverts node 0's row.
+
+    Its flips are a plain :class:`BernoulliNoise` stream, so only a
+    dispatch on the exact channel type sends it down the generic path
+    that honours the overridden ``apply``.
+    """
+
+    def apply(self, received, round_index):
+        heard = super().apply(received, round_index)
+        heard[0] = ~heard[0]
+        return heard
+
+
+class BatchOnlyBackend(SimulationBackend):
     """A third-party backend implementing only the two required primitives."""
 
-    name = "loop-only"
+    name = "batch-only"
 
-    def run_schedule(self, topology, schedule, channel=None, start_round=0):
-        return DENSE.run_schedule(topology, schedule, channel, start_round)
+    def run_schedule_batch(
+        self, topology, schedules, channels=None, start_rounds=None
+    ):
+        return DENSE.run_schedule_batch(
+            topology, schedules, channels, start_rounds
+        )
 
     def neighbor_or(self, topology, beeps):
         return DENSE.neighbor_or(topology, beeps)
@@ -133,6 +162,23 @@ class TestBatchMatchesLoop:
             batched, batch_reference(backend, topology, schedules, channels, starts)
         )
 
+    def test_none_channel_entries_are_noiseless(self, backend):
+        topology = Topology(gnp_graph(14, 0.3, seed=6))
+        rng = np.random.default_rng(7)
+        schedules = rng.random((3, 14, 80)) < 0.3
+        noiseless = [NoiselessChannel()] * 3
+        expected = backend.run_schedule_batch(topology, schedules, noiseless)
+        mixed = [None, NoiselessChannel(), None]
+        assert np.array_equal(
+            backend.run_schedule_batch(topology, schedules, mixed), expected
+        )
+        assert np.array_equal(
+            run_schedule_batch(
+                topology, schedules, mixed, [0, 0, 0], backend=backend
+            ),
+            expected,
+        )
+
     def test_single_replica_and_degenerate_shapes(self, backend):
         topology = Topology(complete_graph(5))
         rng = np.random.default_rng(4)
@@ -182,17 +228,67 @@ class TestBackendsAgree:
             PACKED.run_schedule_batch(topology, schedules, channels, starts),
         )
 
-    def test_loop_default_inherited_by_third_party_backend(self):
-        backend = LoopOnlyBackend()
+    def test_batch_of_one_inherited_by_third_party_backend(self):
+        backend = BatchOnlyBackend()
         topology = Topology(star_graph(7))
-        rng = np.random.default_rng(6)
-        schedules = rng.random((3, 7, 50)) < 0.5
-        channels = [BernoulliNoise(0.1, seed=40 + r) for r in range(3)]
-        starts = [0, 4000, 8000]
-        assert np.array_equal(
-            backend.run_schedule_batch(topology, schedules, channels, starts),
-            DENSE.run_schedule_batch(topology, schedules, channels, starts),
+        schedule = np.random.default_rng(6).random((7, 50)) < 0.5
+        for channel, start in (
+            (None, 0),
+            (BernoulliNoise(0.1, seed=40), 4070),
+            (InvertingChannel(), 8000),
+        ):
+            assert np.array_equal(
+                backend.run_schedule(topology, schedule, channel, start),
+                DENSE.run_schedule(topology, schedule, channel, start),
+            )
+
+    @pytest.mark.parametrize("spec", ["bitpacked", "sharded"])
+    def test_windowed_subclass_takes_the_generic_path(self, spec):
+        """A subclass of a packed-flip channel type must keep its ``apply``.
+
+        The bit-packed backend packs flips and the sharded tier ships
+        channel specs to its workers only for the exact library types;
+        ``InvertingBernoulli`` overrides ``apply`` and must take the
+        generic path, in a batch that mixes it with every other kind.
+        """
+        backend = (
+            PACKED if spec == "bitpacked" else with_shards("bitpacked", 2)
         )
+        try:
+            topology = Topology(gnp_graph(24, 0.2, seed=11))
+            rng = np.random.default_rng(8)
+            schedules = rng.random((5, 24, 100)) < 0.3
+            channels = [
+                InvertingBernoulli(0.1, seed=50),
+                BernoulliNoise(0.1, seed=50),
+                AdversarialNoise(0.1, seed=51),
+                unreliable_zone(
+                    24, frac=0.25, eps_hot=0.3, eps_cold=0.05, seed=52
+                ),
+                NoiselessChannel(),
+            ]
+            starts = [WINDOW - 40 + 7 * r for r in range(5)]
+            expected = DENSE.run_schedule_batch(
+                topology, schedules, channels, starts
+            )
+            plain = DENSE.run_schedule(
+                topology, schedules[0], channels[1], starts[0]
+            )
+            assert np.array_equal(expected[0][0], ~plain[0])
+            assert np.array_equal(
+                backend.run_schedule_batch(topology, schedules, channels, starts),
+                expected,
+            )
+            for r in range(5):
+                assert np.array_equal(
+                    backend.run_schedule(
+                        topology, schedules[r], channels[r], starts[r]
+                    ),
+                    expected[r],
+                )
+        finally:
+            if spec == "sharded":
+                backend.close()
 
 
 class TestValidation:
