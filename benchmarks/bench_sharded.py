@@ -6,9 +6,8 @@ Measures the PR-6 tentpole end to end on one large zoo graph:
   ``run_schedule`` (the bit-packed kernel single-process, then the same
   kernel hash-sharded across each ``--shards`` value, boundary rows
   exchanged in chunks every round block);
-* **flood broadcast** — repeated ``neighbor_or`` frontier expansion from
-  node 0 until the whole component is covered (the per-round engine the
-  paper's primitives sit on).
+* **flood broadcast** — frontier expansion from node 0, one one-column
+  ``run_schedule`` per step, until the whole component is covered.
 
 Every sharded run executes under a per-worker
 :class:`~repro.memguard.MemoryGuard` budget (``--budget-mb``), records
@@ -68,12 +67,12 @@ def timed(callable_, repeats: int) -> "tuple[object, list[float]]":
 
 
 def flood_broadcast(backend, topology: Topology, max_rounds: int) -> np.ndarray:
-    """Frontier expansion from node 0 via ``neighbor_or`` until coverage."""
+    """Frontier expansion from node 0 via one-column schedules until coverage."""
     covered = np.zeros(topology.num_nodes, dtype=bool)
     covered[0] = True
     for _ in range(max_rounds):
-        heard = backend.neighbor_or(topology, covered)
-        grown = covered | heard
+        # Heard bits include each node's own beep: this is covered | OR.
+        grown = backend.run_schedule(topology, covered[:, np.newaxis])[:, 0]
         if np.array_equal(grown, covered):
             break
         covered = grown
@@ -112,7 +111,7 @@ def measure_shard_count(
     try:
         # Warm-up: spawns the worker pool and ships the shard plan, so
         # the timings below measure steady-state execution, not setup.
-        backend.neighbor_or(topology, np.zeros(n, dtype=bool))
+        backend.run_schedule(topology, np.zeros((n, 1), dtype=bool))
         heard, schedule_timings = timed(
             lambda: backend.run_schedule(topology, schedule), repeats
         )

@@ -1,10 +1,12 @@
 """Round-by-round execution engine for the beeping model.
 
 Each round: every device picks BEEP or LISTEN; the engine computes the true
-received bit for every device (own beep, else OR of beeping neighbours),
-passes it through the noise model, and delivers the heard bit back to the
-device.  This is an exact discrete-time implementation of the model in
-Section 1.1 of the paper.
+received bit for every device (own beep, else OR of beeping neighbours,
+from :meth:`repro.graphs.Topology.neighbor_or` — the function
+:class:`~repro.engine.DenseBackend` runs on whole schedules), passes it
+through the noise model, and delivers the heard bit back to the device.
+This is an exact discrete-time implementation of the model in Section 1.1
+of the paper.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..engine import SimulationBackend, resolve_backend
 from ..errors import ConfigurationError, ProtocolViolationError
 from ..graphs import Topology
 from .model import Action
@@ -92,22 +93,13 @@ class ExecutionTrace:
 
 
 class BeepingNetwork:
-    """A beeping network over a fixed topology and noise model.
-
-    ``backend`` selects the carrier-sense implementation for each round
-    (name, instance, ``"auto"``, or ``None`` for the process default); all
-    backends hear bit-identical rounds.
-    """
+    """A beeping network over a fixed topology and noise model."""
 
     def __init__(
-        self,
-        topology: Topology,
-        channel: NoiseModel | None = None,
-        backend: str | SimulationBackend | None = None,
+        self, topology: Topology, channel: NoiseModel | None = None
     ) -> None:
         self._topology = topology
         self._channel = channel if channel is not None else NoiselessChannel()
-        self._backend = resolve_backend(backend, topology=topology)
 
     @property
     def topology(self) -> Topology:
@@ -118,11 +110,6 @@ class BeepingNetwork:
     def channel(self) -> NoiseModel:
         """The noise model applied to heard bits."""
         return self._channel
-
-    @property
-    def backend(self) -> SimulationBackend:
-        """The carrier-sense backend in force."""
-        return self._backend
 
     def run(
         self,
@@ -172,7 +159,7 @@ class BeepingNetwork:
                         "return Action.BEEP or Action.LISTEN"
                     )
                 beeps[node] = action is Action.BEEP
-            received = self._backend.neighbor_or(self._topology, beeps) | beeps
+            received = self._topology.neighbor_or(beeps) | beeps
             heard = self._channel.apply(received, round_index)
             for node, protocol in enumerate(protocols):
                 protocol.observe(round_index, bool(heard[node]))

@@ -609,12 +609,11 @@ def zone_rates(n: int, frac: float, eps: float) -> tuple[int, float, float]:
 def make_noise_model(name: str, eps: float, seed: int, n: int) -> NoiseModel:
     """Build a grid point's channel from its ``noise_model`` axis value.
 
-    ``seed`` is the point's *session* seed; the channel seed derives from
-    it exactly like :func:`repro.core.round_simulator.make_channel_for`
-    does, so ``"bernoulli"`` through this registry is bit-identical to
-    the historical default channel.  ``eps == 0`` is the noiseless
-    channel for every model name (all models are ε-budget shapes, and a
-    zero budget buys zero flips).
+    ``seed`` is the point's *session* seed; the channel seed is
+    ``derive_seed(seed, "channel")``, and ``"bernoulli"`` is the default
+    channel of :class:`repro.core.BroadcastSession`.  ``eps == 0`` is the
+    noiseless channel for every model name (all models are ε-budget
+    shapes, and a zero budget buys zero flips).
     """
     parsed = parse_noise_model(name)
     if eps == 0.0:

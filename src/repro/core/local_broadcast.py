@@ -24,7 +24,11 @@ from typing import Mapping
 from ..congest.algorithm import BroadcastCongestAlgorithm, CongestAlgorithm
 from ..congest.context import NodeContext
 from ..congest.model import MessageCodec, required_bits
-from ..congest.network import BroadcastCongestNetwork, CongestNetwork
+from ..congest.network import CongestNetwork
+from ..congest.vectorized import (
+    ObjectAlgorithmsAdapter,
+    VectorizedBroadcastNetwork,
+)
 from ..errors import ConfigurationError
 from ..graphs import Topology
 from ..graphs.hard_instances import LocalBroadcastInstance
@@ -194,11 +198,13 @@ class LocalBroadcastViaCongest(CongestAlgorithm):
 
 
 def run_local_broadcast_bc(
-    instance: LocalBroadcastInstance,
-    budget_bits: int | None = None,
-    seed: int = 0,
+    instance: LocalBroadcastInstance, budget_bits: int | None = None
 ) -> LocalBroadcastReport:
-    """Solve an instance with the Broadcast CONGEST algorithm and verify it."""
+    """Solve an instance with the Broadcast CONGEST algorithm and verify it.
+
+    The per-node algorithms run on the array-native Broadcast CONGEST
+    engine through :class:`~repro.congest.vectorized.ObjectAlgorithmsAdapter`.
+    """
     topology = Topology(instance.graph)
     n = topology.num_nodes
     id_bits = required_bits(max(instance.ids.values()) + 1)
@@ -219,12 +225,14 @@ def run_local_broadcast_bc(
         )
         for v in range(n)
     ]
-    network = BroadcastCongestNetwork(
+    network = VectorizedBroadcastNetwork(
         topology, ids=[instance.ids[v] for v in range(n)], message_bits=budget_bits
     )
     # All nodes share the chunk count; total rounds = Δ · chunks (Lemma 15).
     predicted = max(1, topology.max_degree) * algorithms[0].chunks
-    result = network.run(algorithms, max_rounds=predicted + 1)
+    result = network.run(
+        ObjectAlgorithmsAdapter(algorithms), max_rounds=predicted + 1
+    )
     correct = all(
         result.outputs[v] == instance.expected_output(v) for v in range(n)
     )
@@ -234,9 +242,7 @@ def run_local_broadcast_bc(
 
 
 def run_local_broadcast_congest(
-    instance: LocalBroadcastInstance,
-    budget_bits: int | None = None,
-    seed: int = 0,
+    instance: LocalBroadcastInstance, budget_bits: int | None = None
 ) -> LocalBroadcastReport:
     """Solve an instance with the CONGEST algorithm and verify it."""
     topology = Topology(instance.graph)

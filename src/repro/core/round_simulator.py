@@ -49,12 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from ..beeping.batch import run_schedule_batch
-from ..beeping.noise import (
-    BernoulliNoise,
-    DynamicTopology,
-    NoiseModel,
-    NoiselessChannel,
-)
+from ..beeping.noise import DynamicTopology, NoiseModel, make_noise_model
 from ..codes import CombinedCode
 from ..engine import SimulationBackend, resolve_backend
 from ..errors import ConfigurationError
@@ -69,7 +64,6 @@ __all__ = [
     "BroadcastSession",
     "BatchedSession",
     "simulate_broadcast_round",
-    "make_channel_for",
 ]
 
 #: Largest code length at which 0/1 dot products are exactly representable
@@ -121,13 +115,6 @@ class RoundOutcome:
     phase2_errors: int
     r_collision: bool
     accepted_sets: list[set[int]]
-
-
-def make_channel_for(params: SimulationParameters, seed: int) -> NoiseModel:
-    """The channel implied by the parameters' noise rate."""
-    if params.eps == 0.0:
-        return NoiselessChannel()
-    return BernoulliNoise(params.eps, seed=derive_seed(seed, "channel"))
 
 
 class BroadcastSession:
@@ -206,7 +193,11 @@ class BroadcastSession:
             else params.combined_code(derive_seed(seed, "codes"))
         )
         self._channel = (
-            channel if channel is not None else make_channel_for(params, seed)
+            channel
+            if channel is not None
+            else make_noise_model(
+                "bernoulli", params.eps, seed, topology.num_nodes
+            )
         )
         self._backend = resolve_backend(
             backend, topology=topology, rounds=self._codes.length

@@ -1,9 +1,9 @@
 """Pluggable simulation backends for the beeping substrate.
 
 Everything that executes beep schedules — :func:`repro.beeping.run_schedule`,
-:class:`repro.beeping.BeepingNetwork`, :class:`repro.core.BroadcastSession`
-and the CONGEST runners above it — delegates its carrier-sense primitives
-to a :class:`SimulationBackend`:
+:class:`repro.core.BroadcastSession` and the CONGEST runners above it —
+delegates its carrier sense to a :class:`SimulationBackend`, whose one
+method is ``run_schedule_batch``:
 
 * :class:`DenseBackend` (``"dense"``) — the scipy-CSR/numpy reference path;
 * :class:`BitpackedBackend` (``"bitpacked"``) — schedules packed into
@@ -33,7 +33,7 @@ from .base import (
 from .bitpacked import BitpackedBackend
 from .dense import DenseBackend
 from .mp import START_METHOD, mp_context
-from .packing import WORD_BITS, pack_rows, pack_vector, unpack_rows, words_for
+from .packing import WORD_BITS, pack_rows, unpack_rows, words_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..graphs import Topology
@@ -56,7 +56,6 @@ __all__ = [
     "normalize_batch_args",
     "WORD_BITS",
     "pack_rows",
-    "pack_vector",
     "unpack_rows",
     "words_for",
 ]
@@ -122,15 +121,9 @@ def get_default_backend() -> "str | SimulationBackend":
 def _auto_choice(
     topology: "Topology | None" = None, rounds: "int | None" = None
 ) -> SimulationBackend:
-    if topology is None:
+    if topology is None or rounds is None:
         return _BACKENDS[DenseBackend.name]
     n = topology.num_nodes
-    if rounds is None:
-        # Per-round (vector) use: the packed row-bitmap AND beats the CSR
-        # matvec only on dense neighbourhoods (average degree ~ n/64+).
-        if n >= WORD_BITS and 2 * topology.num_edges * WORD_BITS >= n * n:
-            return _BACKENDS[BitpackedBackend.name]
-        return _BACKENDS[DenseBackend.name]
     if rounds >= _AUTO_MIN_ROUNDS and n * rounds >= _AUTO_MIN_CELLS:
         return _BACKENDS[BitpackedBackend.name]
     return _BACKENDS[DenseBackend.name]
@@ -146,8 +139,8 @@ def resolve_backend(
     ``spec`` may be a backend instance (returned as-is), a registry name,
     ``"auto"``, or ``None`` (= the process default, itself ``"auto"``
     unless :func:`set_default_backend` changed it).  ``"auto"`` consults
-    the workload shape: ``topology`` plus ``rounds`` for schedule
-    execution, ``topology`` alone for the per-round engine.
+    the schedule shape, ``topology`` plus ``rounds``, and resolves to the
+    dense backend when either is missing.
     """
     if spec is None:
         spec = _default_backend

@@ -1,16 +1,12 @@
 """The :class:`SimulationBackend` protocol shared by all execution engines.
 
-A backend owns the two carrier-sense primitives everything above it is
-built from:
-
-* :meth:`SimulationBackend.run_schedule_batch` — execute ``R``
-  seed-replica schedules, each a fixed boolean ``(n, rounds)`` beep
-  schedule, over the *same* topology in one call and return the stacked
-  heard matrices.  This is the one schedule code path: the base class's
-  :meth:`SimulationBackend.run_schedule` is a batch of one, and the round
-  engine of :mod:`repro.core.round_simulator` calls the batch directly;
-* :meth:`SimulationBackend.neighbor_or` — one round's OR-of-neighbours for
-  the step-by-step :class:`~repro.beeping.BeepingNetwork` engine.
+A backend implements one method,
+:meth:`SimulationBackend.run_schedule_batch`: execute ``R`` seed-replica
+schedules, each a fixed boolean ``(n, rounds)`` beep schedule, over the
+*same* topology in one call and return the stacked heard matrices.  This
+is the one carrier-sense code path: the base class's
+:meth:`SimulationBackend.run_schedule` is a batch of one, and the round
+engine of :mod:`repro.core.round_simulator` calls the batch directly.
 
 Backends are interchangeable: every implementation must be *bit-identical*
 to :class:`~repro.engine.dense.DenseBackend` on the same inputs, including
@@ -118,7 +114,7 @@ def normalize_batch_args(
 
 
 class SimulationBackend(ABC):
-    """Executes beeping-model primitives over a :class:`~repro.graphs.Topology`.
+    """Executes beep schedules over a :class:`~repro.graphs.Topology`.
 
     Backends are stateless (all state lives in the topology and channel), so
     a single instance can be shared freely across sessions and threads.
@@ -163,14 +159,6 @@ class SimulationBackend(ABC):
         return self.run_schedule_batch(
             topology, schedule[np.newaxis], [channel], [start_round]
         )[0]
-
-    @abstractmethod
-    def neighbor_or(self, topology: "Topology", beeps: np.ndarray) -> np.ndarray:
-        """One round's carrier-sense: for each node, OR of neighbours' beeps.
-
-        ``beeps`` is a boolean ``(n,)`` vector; a node's own beep does not
-        contribute to its own entry.
-        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"

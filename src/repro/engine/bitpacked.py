@@ -10,14 +10,6 @@ BernoulliNoise` — so the heard matrix is bit-identical to
 :class:`~repro.engine.dense.DenseBackend` under every channel, for every
 ``start_round``, including phases that straddle noise-window boundaries.
 
-For the per-round :meth:`neighbor_or` primitive the backend uses the
-topology's row-bitmap adjacency (:attr:`~repro.graphs.Topology.
-packed_adjacency`): node ``v`` hears a beep iff ``adjacency_words[v] &
-beep_words`` is non-zero anywhere, which beats the CSR matvec on dense
-neighbourhoods.  On sparse graphs the bitmap's ``Theta(n^2 / 8)`` bytes
-are never materialised — the vector runs through the same segmented CSR
-reduction as schedules, one packed column wide (bit-identical).
-
 Schedules always run as a replica batch (a single schedule is a batch of
 one): ``R`` replicas stack into one ``(R * n, words)`` word matrix, the
 OR-of-neighbours becomes a single segmented reduction over a replicated
@@ -37,10 +29,9 @@ import numpy as np
 from .base import (
     SimulationBackend,
     normalize_batch_args,
-    validate_schedule,
     validate_schedule_batch,
 )
-from .packing import WORD_BITS, pack_rows, pack_vector, unpack_rows
+from .packing import pack_rows, unpack_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..beeping.noise import NoiseModel
@@ -109,7 +100,7 @@ class BitpackedBackend(SimulationBackend):
 
         flip_types = _flip_block_types()
         packed = pack_rows(schedules.reshape(replicas * n, rounds))
-        received = self.neighbor_or_words(topology, packed, replicas=replicas)
+        received = self._segmented_or(topology, packed, replicas)
         np.bitwise_or(received, packed, out=received)
         # Exact-type checks: a subclass may override apply(), in which case
         # only the generic path below is guaranteed to honour it.
@@ -130,8 +121,8 @@ class BitpackedBackend(SimulationBackend):
         return heard
 
     @staticmethod
-    def neighbor_or_words(
-        topology: "Topology", packed: np.ndarray, replicas: int = 1
+    def _segmented_or(
+        topology: "Topology", packed: np.ndarray, replicas: int
     ) -> np.ndarray:
         """Per-node OR of neighbours' packed rows, via segmented reduction.
 
@@ -194,35 +185,3 @@ class BitpackedBackend(SimulationBackend):
                 gathered, chunk_starts, axis=0
             )
         return out
-
-    def neighbor_or(self, topology: "Topology", beeps: np.ndarray) -> np.ndarray:
-        from ..errors import ConfigurationError
-
-        beeps = np.asarray(beeps, dtype=bool)
-        if beeps.ndim != 1:
-            # Matrix form: same packed path as schedule execution.
-            schedule = validate_schedule(topology, beeps)
-            return unpack_rows(
-                self.neighbor_or_words(topology, pack_rows(schedule)),
-                schedule.shape[1],
-            )
-        if beeps.shape[0] != topology.num_nodes:
-            raise ConfigurationError(
-                f"beep vector has {beeps.shape[0]} rows, expected "
-                f"{topology.num_nodes}"
-            )
-        n = topology.num_nodes
-        # The row-bitmap AND is only worth its Theta(n^2 / 8) bytes on
-        # dense neighbourhoods (same bar as the "auto" heuristic); on a
-        # sparse million-node zoo graph materialising it would dwarf the
-        # graph itself, so reuse it only if it already exists and fall
-        # back to the one-column segmented CSR path (bit-identical).
-        if (
-            "packed_adjacency" in topology.__dict__
-            or 2 * topology.num_edges * WORD_BITS >= n * n
-        ):
-            words = pack_vector(beeps)
-            hits = topology.packed_adjacency & words[np.newaxis, :]
-            return hits.any(axis=1)
-        packed = pack_rows(beeps[:, np.newaxis])
-        return unpack_rows(self.neighbor_or_words(topology, packed), 1)[:, 0]

@@ -71,6 +71,3 @@ class DenseBackend(SimulationBackend):
                 for r in range(replicas)
             ]
         )
-
-    def neighbor_or(self, topology: "Topology", beeps: np.ndarray) -> np.ndarray:
-        return topology.neighbor_or(beeps)

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["WORD_BITS", "pack_rows", "pack_vector", "unpack_rows", "words_for"]
+__all__ = ["WORD_BITS", "pack_rows", "unpack_rows", "words_for"]
 
 #: Bits per packed word.
 WORD_BITS = 64
@@ -47,20 +47,8 @@ def pack_rows(matrix: np.ndarray) -> np.ndarray:
     if pad:
         packed_bytes = np.pad(packed_bytes, ((0, 0), (0, pad)))
     # Explicit little-endian view: word values are sum(bit_t << t) on every
-    # platform, matching the numeric-shift construction of
-    # Topology.packed_adjacency (on little-endian hosts "<u8" is native and
-    # this is free).
+    # platform (on little-endian hosts "<u8" is native and this is free).
     return np.ascontiguousarray(packed_bytes).view(np.dtype("<u8"))
-
-
-def pack_vector(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean ``(width,)`` vector into a ``(words,)`` ``uint64`` row."""
-    bits = np.asarray(bits, dtype=bool)
-    if bits.ndim != 1:
-        raise ConfigurationError(
-            f"pack_vector expects a 1-D vector, got {bits.ndim}-D"
-        )
-    return pack_rows(bits[np.newaxis, :])[0]
 
 
 def unpack_rows(packed: np.ndarray, width: int) -> np.ndarray:

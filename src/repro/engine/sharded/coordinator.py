@@ -2,9 +2,9 @@
 
 :class:`ShardedBackend` satisfies the full
 :class:`~repro.engine.base.SimulationBackend` protocol
-(``run_schedule_batch``, ``neighbor_or``, and the inherited
-``run_schedule``, a batch of one) by fanning the carrier-sense work out
-over ``P`` persistent worker processes:
+(``run_schedule_batch`` and the inherited ``run_schedule``, a batch of
+one) by fanning the carrier-sense work out over ``P`` persistent worker
+processes:
 
 1. the topology is partitioned once per ``(topology, P)`` by
    :func:`~repro.engine.sharded.partition.build_shard_plan` (cached on
@@ -45,7 +45,6 @@ from ...memguard import MemoryGuard, peak_rss
 from ..base import (
     SimulationBackend,
     normalize_batch_args,
-    validate_schedule,
     validate_schedule_batch,
 )
 from ..mp import mp_context
@@ -213,7 +212,7 @@ def _worker_main(
                     guard.check("after shard load")
                     conn.send(("ok", None))
                 elif op == "run":
-                    _, run_token, kernel, include_self, rounds, specs, starts = message
+                    _, run_token, kernel, rounds, specs, starts = message
                     if executor is None or run_token != token:
                         raise SimulationError(
                             f"worker {rank} asked to run unloaded plan"
@@ -226,8 +225,7 @@ def _worker_main(
                     guard.check("after halo merge")
                     received = executor.neighbor_or(stacked, kernel)
                     del stacked
-                    if include_self:
-                        received |= local_rows
+                    received |= local_rows
                     guard.check("after carrier sense")
                     for index, (spec, start) in enumerate(zip(specs, starts)):
                         block = received[:, index * rounds : (index + 1) * rounds]
@@ -383,7 +381,6 @@ class _ShardWorkerPool:
         plan: ShardPlan,
         columns: np.ndarray,
         kernel: str,
-        include_self: bool,
         rounds: int,
         specs: "Sequence[tuple | None]",
         starts: "Sequence[int]",
@@ -404,7 +401,6 @@ class _ShardWorkerPool:
                     "run",
                     self._token,
                     kernel,
-                    include_self,
                     rounds,
                     tuple(specs),
                     tuple(int(start) for start in starts),
@@ -532,9 +528,7 @@ class ShardedBackend(SimulationBackend):
             base = self._base or "auto"
         return f"{base}-shards{self._shards}"
 
-    def _kernel(
-        self, topology: "Topology", rounds: "int | None"
-    ) -> SimulationBackend:
+    def _kernel(self, topology: "Topology", rounds: int) -> SimulationBackend:
         """Resolve the local kernel backend (never the process default)."""
         from .. import resolve_backend
 
@@ -563,7 +557,6 @@ class ShardedBackend(SimulationBackend):
         topology: "Topology",
         columns: np.ndarray,
         kernel: str,
-        include_self: bool,
         rounds: int,
         specs: "Sequence[tuple | None]",
         starts: "Sequence[int]",
@@ -571,7 +564,7 @@ class ShardedBackend(SimulationBackend):
         """Run one stacked column block through the pool."""
         plan = topology.shard_plan(self._shards)
         return self._ensure_pool().run(
-            plan, columns, kernel, include_self, rounds, specs, starts
+            plan, columns, kernel, rounds, specs, starts
         )
 
     def run_schedule_batch(
@@ -602,7 +595,7 @@ class ShardedBackend(SimulationBackend):
             schedules.transpose(1, 0, 2).reshape(n, replicas * rounds)
         )
         heard = self._execute(
-            topology, stacked, base.name, True, rounds, specs, start_list
+            topology, stacked, base.name, rounds, specs, start_list
         )
         result = np.ascontiguousarray(
             heard.reshape(n, replicas, rounds).transpose(1, 0, 2)
@@ -613,28 +606,6 @@ class ShardedBackend(SimulationBackend):
                     result[index], start_list[index]
                 )
         return result
-
-    def neighbor_or(self, topology: "Topology", beeps: np.ndarray) -> np.ndarray:
-        """Sharded per-round carrier-sense (vector or matrix form)."""
-        beeps = np.asarray(beeps, dtype=bool)
-        base = self._kernel(topology, None if beeps.ndim == 1 else beeps.shape[-1])
-        if self._shards == 1 or topology.num_nodes == 0:
-            return base.neighbor_or(topology, beeps)
-        vector = beeps.ndim == 1
-        matrix = beeps[:, np.newaxis] if vector else beeps
-        matrix = validate_schedule(topology, matrix)
-        if matrix.shape[1] == 0:
-            return base.neighbor_or(topology, beeps)
-        heard = self._execute(
-            topology,
-            matrix,
-            self._kernel(topology, matrix.shape[1]).name,
-            False,
-            matrix.shape[1],
-            [("noiseless",)],
-            [0],
-        )
-        return heard[:, 0] if vector else heard
 
     def worker_stats(self) -> list[dict]:
         """Per-worker memory/shard stats (empty if no pool has spawned)."""

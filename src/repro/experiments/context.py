@@ -9,7 +9,7 @@ methods for per-experiment child RNG streams (built on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -100,7 +100,3 @@ class RunContext:
         """Forward ``message`` to the progress callback, if one is set."""
         if self.progress is not None:
             self.progress(f"{self.experiment_id}: {message}")
-
-    def with_progress(self, progress: Callable[[str], None] | None) -> "RunContext":
-        """A copy of this context with a different progress callback."""
-        return replace(self, progress=progress)

@@ -82,29 +82,6 @@ class Topology:
         ]
 
     @cached_property
-    def packed_adjacency(self) -> np.ndarray:
-        """Row-bitmap adjacency: ``uint64`` matrix of shape ``(n, ceil(n/64))``.
-
-        Bit ``u % 64`` of word ``u // 64`` in row ``v`` is set iff ``{u, v}``
-        is an edge.  The bit-packed backend's per-round carrier-sense reads
-        this directly: node ``v`` hears a beep iff ``row_v & beep_words`` is
-        non-zero anywhere.
-        """
-        n = self.num_nodes
-        words = (n + 63) // 64
-        bitmap = np.zeros((n, words), dtype=np.uint64)
-        indptr = self.adjacency.indptr
-        indices = self.adjacency.indices.astype(np.int64)
-        if indices.size:
-            rows = np.repeat(np.arange(n), np.diff(indptr))
-            np.bitwise_or.at(
-                bitmap,
-                (rows, indices >> 6),
-                np.uint64(1) << (indices & 63).astype(np.uint64),
-            )
-        return bitmap
-
-    @cached_property
     def degrees(self) -> np.ndarray:
         """Per-node degree vector."""
         return np.asarray(

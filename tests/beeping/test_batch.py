@@ -15,7 +15,58 @@ from repro.beeping import (
     run_schedule,
 )
 from repro.errors import ConfigurationError
-from repro.graphs import Topology, gnp_graph, path_graph, star_graph
+from repro.graphs import (
+    Topology,
+    gnp_graph,
+    path_graph,
+    random_regular_graph,
+    star_graph,
+)
+
+#: Mirrors repro.beeping.noise._WINDOW — start offsets are drawn around
+#: multiples of it so phases straddle noise-window boundaries.
+_NOISE_WINDOW = 4096
+
+#: A graph on which the per-round engine's carrier sense once took a
+#: packed row-bitmap path (n >= 64 and mean degree >= n / 64).  Its
+#: schedules start 12 rounds before a noise-window boundary, so each
+#: 24-round check straddles it.
+_REGULAR = Topology(random_regular_graph(130, 8, seed=0))
+_STRADDLING_START = _NOISE_WINDOW - 12
+
+
+def _engine_heard(topology, schedule, channel=None, start_round=0):
+    """The heard matrix of ``BeepingNetwork`` replaying ``schedule``."""
+    n, rounds = schedule.shape
+    protocols = [
+        ScheduledProtocol(schedule[v], start_round=start_round) for v in range(n)
+    ]
+    BeepingNetwork(topology, channel).run(
+        protocols,
+        max_rounds=rounds,
+        start_round=start_round,
+        stop_when_finished=False,
+    )
+    return np.stack([protocol.heard for protocol in protocols])
+
+
+def _assert_regular_graph_matches(schedule_seed, noisy):
+    """On ``_REGULAR``, the per-round engine hears what both backends hear."""
+    schedule = np.random.default_rng(schedule_seed).random((130, 24)) < 0.3
+
+    def channel():
+        return BernoulliNoise(0.2, seed=5) if noisy else None
+
+    expected = _engine_heard(_REGULAR, schedule, channel(), _STRADDLING_START)
+    for backend in ("dense", "bitpacked"):
+        heard = run_schedule(
+            _REGULAR,
+            schedule,
+            channel(),
+            start_round=_STRADDLING_START,
+            backend=backend,
+        )
+        assert np.array_equal(heard, expected), backend
 
 
 class TestRunSchedule:
@@ -68,33 +119,18 @@ class TestEngineEquivalence:
         heard_batch = run_schedule(t, schedule, channel_batch, start_round=start_round)
 
         channel_engine = BernoulliNoise(0.2, seed=5)
-        protocols = [
-            ScheduledProtocol(schedule[v], start_round=start_round)
-            for v in range(8)
-        ]
-        BeepingNetwork(t, channel_engine).run(
-            protocols,
-            max_rounds=rounds,
-            start_round=start_round,
-            stop_when_finished=False,
+        assert np.array_equal(
+            heard_batch, _engine_heard(t, schedule, channel_engine, start_round)
         )
-        for v in range(8):
-            assert np.array_equal(heard_batch[v], protocols[v].heard), f"node {v}"
+        _assert_regular_graph_matches(graph_seed, noisy=True)
 
     def test_batch_equals_engine_noiseless(self):
         t = Topology(gnp_graph(10, 0.3, seed=3))
         rng = np.random.default_rng(0)
         schedule = rng.random((10, 30)) < 0.25
         heard_batch = run_schedule(t, schedule)
-        protocols = [ScheduledProtocol(schedule[v]) for v in range(10)]
-        BeepingNetwork(t).run(protocols, max_rounds=30, stop_when_finished=False)
-        for v in range(10):
-            assert np.array_equal(heard_batch[v], protocols[v].heard)
-
-
-#: Mirrors repro.beeping.noise._WINDOW — start offsets are drawn around
-#: multiples of it so phases straddle noise-window boundaries.
-_NOISE_WINDOW = 4096
+        assert np.array_equal(heard_batch, _engine_heard(t, schedule))
+        _assert_regular_graph_matches(0, noisy=False)
 
 
 class TestBackendEquivalence:
@@ -191,15 +227,8 @@ class TestBackendEquivalence:
             start_round=start_round,
             backend="bitpacked",
         )
-        protocols = [
-            ScheduledProtocol(schedule[v], start_round=start_round)
-            for v in range(8)
-        ]
-        BeepingNetwork(t, BernoulliNoise(0.2, seed=5), backend="bitpacked").run(
-            protocols,
-            max_rounds=rounds,
-            start_round=start_round,
-            stop_when_finished=False,
+        assert np.array_equal(
+            heard,
+            _engine_heard(t, schedule, BernoulliNoise(0.2, seed=5), start_round),
         )
-        for v in range(8):
-            assert np.array_equal(heard[v], protocols[v].heard), f"node {v}"
+        _assert_regular_graph_matches(graph_seed, noisy=True)

@@ -240,8 +240,9 @@ class TestRegistry:
 
     def test_bernoulli_matches_historical_default_channel(self):
         # make_noise_model derives the channel seed from the session seed
-        # exactly like the historical make_channel_for path, so cached
-        # sweep results from earlier schema versions replay bit-for-bit.
+        # as derive_seed(seed, "channel"), the derivation BroadcastSession's
+        # default channel has always used, so cached sweep results from
+        # earlier schema versions replay bit-for-bit.
         session_seed = 42
         channel = make_noise_model("bernoulli", 0.1, session_seed, 8)
         legacy = BernoulliNoise(0.1, derive_seed(session_seed, "channel"))

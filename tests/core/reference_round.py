@@ -9,10 +9,11 @@ same round through the public reference implementations instead —
 :func:`~repro.core.decoder.phase2_decode` — so the oracle tests can
 require every session round to equal it field by field.
 
-It shares no code with the sessions beyond those pieces and the code and
-channel constructors.  It draws from the per-round RNG in the session's
-documented order: the ``r_v`` values, then the candidate decoys, then the
-message decoys.
+It shares no code with the sessions beyond those pieces and the code
+constructor; the default channel is built inline from its documented
+definition.  It draws from the per-round RNG in the session's documented
+order: the ``r_v`` values, then the candidate decoys, then the message
+decoys.
 """
 
 from __future__ import annotations
@@ -22,11 +23,16 @@ from typing import Sequence
 import numpy as np
 
 from repro.beeping import run_schedule
-from repro.beeping.noise import DynamicTopology, NoiseModel
+from repro.beeping.noise import (
+    BernoulliNoise,
+    DynamicTopology,
+    NoiseModel,
+    NoiselessChannel,
+)
 from repro.core.decoder import phase1_decode, phase2_decode
 from repro.core.encoder import build_phase_schedules
 from repro.core.parameters import CandidatePolicy, SimulationParameters
-from repro.core.round_simulator import RoundOutcome, make_channel_for
+from repro.core.round_simulator import RoundOutcome
 from repro.rng import derive_rng, derive_seed, random_bits
 
 __all__ = ["reference_round", "assert_outcomes_equal"]
@@ -86,7 +92,11 @@ def reference_round(
     n = topology.num_nodes
     codes = params.combined_code(derive_seed(seed, "codes"))
     if channel is None:
-        channel = make_channel_for(params, seed)
+        channel = (
+            NoiselessChannel()
+            if params.eps == 0.0
+            else BernoulliNoise(params.eps, derive_seed(seed, "channel"))
+        )
     b = codes.length
     senders = [v for v in range(n) if messages[v] is not None]
 

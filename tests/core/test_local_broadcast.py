@@ -36,6 +36,20 @@ class TestBroadcastCongestSolution:
         report = run_local_broadcast_bc(instance)
         assert report.correct  # includes isolated nodes outputting {}
 
+    def test_runs_on_the_array_native_engine(self, monkeypatch):
+        # The per-node engine is only the tests' oracle; the runner must
+        # not reach it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-node Broadcast CONGEST engine used")
+
+        monkeypatch.setattr(
+            "repro.congest.network.BroadcastCongestNetwork.run", refuse
+        )
+        instance = local_broadcast_hard_instance(3, 8, 10, seed=1)
+        report = run_local_broadcast_bc(instance, budget_bits=2 * 3 + 4)
+        assert report.correct
+        assert report.rounds_used == report.predicted_rounds == 3 * 3
+
 
 class TestCongestSolution:
     @pytest.mark.parametrize("delta,bits", [(2, 4), (3, 8), (4, 16)])

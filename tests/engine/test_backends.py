@@ -14,7 +14,6 @@ from repro.engine import (
     get_backend,
     get_default_backend,
     pack_rows,
-    pack_vector,
     resolve_backend,
     set_default_backend,
     unpack_rows,
@@ -54,32 +53,25 @@ class TestPacking:
         assert packed[0, 1] == 2
         assert packed[0, 2] == 1 << 1
 
-    def test_pack_vector(self):
-        bits = np.zeros(70, dtype=bool)
-        bits[64] = True
-        words = pack_vector(bits)
-        assert words.shape == (2,)
-        assert words[1] == 1
-
     def test_shape_checked(self):
         with pytest.raises(ConfigurationError):
             pack_rows(np.zeros(4, dtype=bool))
-        with pytest.raises(ConfigurationError):
-            pack_vector(np.zeros((2, 2), dtype=bool))
         with pytest.raises(ConfigurationError):
             unpack_rows(np.zeros((2, 1), dtype=np.uint64), 65)
 
 
 class TestNeighborOrEquivalence:
+    """Carrier sense through ``run_schedule``: own beep or neighbours' OR."""
+
     @settings(max_examples=25)
     @given(st.integers(0, 200), st.integers(2, 80), st.integers(0, 2**16))
     def test_vector_matches_dense(self, graph_seed, n, beep_seed):
         topology = Topology(gnp_graph(n, 0.15, seed=graph_seed))
         rng = np.random.default_rng(beep_seed)
-        beeps = rng.random(n) < 0.3
+        column = rng.random((n, 1)) < 0.3
         assert np.array_equal(
-            DENSE.neighbor_or(topology, beeps),
-            PACKED.neighbor_or(topology, beeps),
+            DENSE.run_schedule(topology, column),
+            PACKED.run_schedule(topology, column),
         )
 
     def test_isolated_nodes_hear_nothing(self):
@@ -89,8 +81,9 @@ class TestNeighborOrEquivalence:
         graph.add_nodes_from(range(6))
         graph.add_edges_from([(0, 1), (3, 4)])  # nodes 2 and 5 isolated
         topology = Topology(graph)
-        beeps = np.ones(6, dtype=bool)
-        heard = PACKED.neighbor_or(topology, beeps)
+        column = np.ones((6, 1), dtype=bool)
+        column[[2, 5]] = False
+        heard = PACKED.run_schedule(topology, column)[:, 0]
         assert not heard[2] and not heard[5]
         assert heard[0] and heard[1] and heard[3] and heard[4]
 
@@ -104,36 +97,22 @@ class TestNeighborOrEquivalence:
         heard = PACKED.run_schedule(topology, schedule)
         # everyone beeps, nobody has neighbours: own beep only
         assert np.array_equal(heard, schedule)
-        assert not PACKED.neighbor_or(topology, np.ones(4, dtype=bool)).any()
+        column = np.array([[True], [False], [False], [False]])
+        assert np.array_equal(PACKED.run_schedule(topology, column), column)
 
     def test_matrix_form_matches_dense(self):
         topology = Topology(star_graph(9))
         rng = np.random.default_rng(1)
         beeps = rng.random((9, 77)) < 0.4
         assert np.array_equal(
-            DENSE.neighbor_or(topology, beeps),
-            PACKED.neighbor_or(topology, beeps),
+            DENSE.run_schedule(topology, beeps),
+            PACKED.run_schedule(topology, beeps),
         )
 
     def test_wrong_length_rejected(self):
         topology = Topology(path_graph(3))
         with pytest.raises(ConfigurationError):
-            PACKED.neighbor_or(topology, np.zeros(4, dtype=bool))
-
-    def test_sparse_vector_skips_row_bitmap(self):
-        # A long path is far below the density bar: the vector primitive
-        # must answer through the CSR path without ever materialising the
-        # Theta(n^2 / 8)-byte row bitmap (prohibitive at zoo scale).
-        topology = Topology(path_graph(400))
-        rng = np.random.default_rng(11)
-        beeps = rng.random(400) < 0.3
-        heard = PACKED.neighbor_or(topology, beeps)
-        assert "packed_adjacency" not in topology.__dict__
-        assert np.array_equal(heard, DENSE.neighbor_or(topology, beeps))
-        # Once the bitmap exists (a dense-graph caller paid for it), the
-        # fast path reuses it — same bits either way.
-        _ = topology.packed_adjacency
-        assert np.array_equal(heard, PACKED.neighbor_or(topology, beeps))
+            PACKED.run_schedule(topology, np.zeros((4, 1), dtype=bool))
 
 
 class _InvertChannel(NoiseModel):
@@ -216,12 +195,6 @@ class TestResolution:
             resolve_backend("auto", topology=topology, rounds=5000).name
             == "bitpacked"
         )
-
-    def test_auto_dense_neighborhoods_pack_per_round(self):
-        sparse = Topology(path_graph(256))  # avg degree ~2 << n/64
-        dense_graph = Topology(complete_graph(128))
-        assert resolve_backend("auto", topology=sparse).name == "dense"
-        assert resolve_backend("auto", topology=dense_graph).name == "bitpacked"
 
     def test_default_backend_round_trip(self):
         previous = get_default_backend()

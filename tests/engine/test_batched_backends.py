@@ -8,7 +8,8 @@ schedule, channel and start round — for any mix of channels (``None``
 entries meaning noiseless, and channel subclasses that override
 ``apply``), for per-replica start rounds (including offsets that
 straddle the Philox noise-window boundary), and for a third-party
-backend that defines only ``run_schedule_batch`` and ``neighbor_or``.
+backend that defines only ``run_schedule_batch``, the one abstract
+method.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class InvertingBernoulli(BernoulliNoise):
 
 
 class BatchOnlyBackend(SimulationBackend):
-    """A third-party backend implementing only the two required primitives."""
+    """A third-party backend implementing only the one abstract method."""
 
     name = "batch-only"
 
@@ -95,9 +96,6 @@ class BatchOnlyBackend(SimulationBackend):
         return DENSE.run_schedule_batch(
             topology, schedules, channels, start_rounds
         )
-
-    def neighbor_or(self, topology, beeps):
-        return DENSE.neighbor_or(topology, beeps)
 
 
 @pytest.mark.parametrize("backend", [DENSE, PACKED], ids=["dense", "bitpacked"])
@@ -230,6 +228,7 @@ class TestBackendsAgree:
 
     def test_batch_of_one_inherited_by_third_party_backend(self):
         backend = BatchOnlyBackend()
+        assert SimulationBackend.__abstractmethods__ == {"run_schedule_batch"}
         topology = Topology(star_graph(7))
         schedule = np.random.default_rng(6).random((7, 50)) < 0.5
         for channel, start in (

@@ -82,17 +82,18 @@ class TestBitIdentity:
         assert np.array_equal(expected, actual)
 
     def test_neighbor_or_vector_and_matrix(self, request, topology):
+        # Carrier sense one column wide and 33 columns wide.
         backend = sharded(request, 3)
         rng = np.random.default_rng(3)
-        vector = rng.random(topology.num_nodes) < 0.3
+        column = rng.random((topology.num_nodes, 1)) < 0.3
         assert np.array_equal(
-            DENSE.neighbor_or(topology, vector),
-            backend.neighbor_or(topology, vector),
+            DENSE.run_schedule(topology, column),
+            backend.run_schedule(topology, column),
         )
         matrix = schedule_for(topology, 33, seed=8)
         assert np.array_equal(
-            DENSE.neighbor_or(topology, matrix),
-            backend.neighbor_or(topology, matrix),
+            DENSE.run_schedule(topology, matrix),
+            backend.run_schedule(topology, matrix),
         )
 
     def test_custom_channel_applied_at_coordinator(self, request, topology):
