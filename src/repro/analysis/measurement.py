@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.parameters import CandidatePolicy, SimulationParameters
-from ..core.round_simulator import simulate_broadcast_round
+from ..core.round_simulator import BroadcastSession
 from ..errors import ConfigurationError
 from ..graphs import Topology
 from ..rng import derive_rng, random_bits
@@ -59,20 +59,20 @@ def measure_round_success(
     failures = 0
     p1 = 0
     p2 = 0
-    codes = params.combined_code(seed)
+    session = BroadcastSession(
+        topology,
+        params,
+        seed,
+        policy=policy,
+        num_decoys=num_decoys,
+        codes=params.combined_code(seed),
+    )
     for trial in range(trials):
         messages = [
             random_bits(message_rng, params.message_bits) for _ in range(n)
         ]
-        outcome = simulate_broadcast_round(
-            topology,
-            messages,
-            params,
-            seed=seed,
-            round_offset=trial * params.rounds_per_simulated_round,
-            policy=policy,
-            num_decoys=num_decoys,
-            codes=codes,
+        outcome = session.run_round(
+            messages, round_offset=trial * params.rounds_per_simulated_round
         )
         failures += 0 if outcome.success else 1
         p1 += outcome.phase1_errors

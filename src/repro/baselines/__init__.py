@@ -5,8 +5,8 @@
 * :func:`simulate_round_tdma` / :class:`TDMABroadcastSimulator` — the
   colour-class TDMA simulation in the style of Beauquier et al. [7]
   (noiseless) and Ashkenazi–Gelles–Leshem [4] (noisy, with per-bit
-  repetition + majority);
-* :func:`simulate_round_naive` — sequential round-robin by node index;
+  repetition + majority); with one colour per node (``range(n)``) it is
+  the naive sequential simulation, one slot per node;
 * :mod:`~repro.baselines.formulas` — the analytic overhead landscape
   ([7] vs [4] vs this paper).
 """
@@ -14,7 +14,6 @@
 from .coloring import greedy_distance2_coloring
 from .tdma import TDMAOutcome, simulate_round_tdma, tdma_round_length
 from .agl import TDMABroadcastSimulator, agl_repetitions
-from .naive import simulate_round_naive
 from .formulas import (
     agl_overhead,
     agl_setup,
@@ -31,7 +30,6 @@ __all__ = [
     "tdma_round_length",
     "TDMABroadcastSimulator",
     "agl_repetitions",
-    "simulate_round_naive",
     "agl_overhead",
     "agl_setup",
     "beauquier_overhead",

@@ -2,7 +2,9 @@
 
 Runs whole Broadcast CONGEST algorithms over colour-class TDMA with
 per-bit repetition, mirroring :class:`repro.core.BeepSimulator`'s interface
-so experiment E8 can race the two simulators on identical workloads.
+so the two simulators can race on identical workloads.  Both run the one
+round loop, :func:`~repro.congest.vectorized.drive`; here each round's
+delivery is one :func:`~repro.baselines.tdma.simulate_round_tdma` call.
 
 The per-round overhead is ``num_colors · (B+1) · ρ`` with
 ``num_colors ≤ min{n, Δ²+1}`` and ``ρ = Θ(log n)`` under noise — the
@@ -17,15 +19,22 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from ..beeping.noise import BernoulliNoise, NoiseModel, NoiselessChannel
 from ..congest.algorithm import BroadcastCongestAlgorithm
-from ..congest.context import NodeContext
-from ..congest.model import check_message
+from ..congest.vectorized import (
+    ObjectAlgorithmsAdapter,
+    VectorizedBroadcastNetwork,
+    drive,
+    inbox_from_lists,
+    plane_ints,
+)
 from ..core.stats import SimulationStats
 from ..core.transpiler import TranspiledRunResult
 from ..errors import ConfigurationError
 from ..graphs import Topology
-from ..rng import derive_rng, derive_seed
+from ..rng import derive_seed
 from .coloring import greedy_distance2_coloring
 from .tdma import simulate_round_tdma
 
@@ -63,14 +72,9 @@ class TDMABroadcastSimulator:
         n = topology.num_nodes
         if n < 2:
             raise ConfigurationError("simulation needs at least 2 nodes")
-        if ids is None:
-            ids = list(range(n))
-        if len(ids) != n or len(set(ids)) != n:
-            raise ConfigurationError("ids must be unique, one per node")
-        self._topology = topology
-        self._message_bits = message_bits
-        self._seed = seed
-        self._ids = list(ids)
+        self._network = VectorizedBroadcastNetwork(
+            topology, ids=ids, message_bits=message_bits, seed=seed
+        )
         self._coloring = greedy_distance2_coloring(topology)
         self._num_colors = max(self._coloring) + 1
         if repetitions is None:
@@ -95,7 +99,7 @@ class TDMABroadcastSimulator:
     @property
     def overhead(self) -> int:
         """Beeping rounds per simulated Broadcast CONGEST round."""
-        return self._num_colors * (self._message_bits + 1) * self._repetitions
+        return self._num_colors * (self._network.message_bits + 1) * self._repetitions
 
     def run_broadcast_congest(
         self,
@@ -103,27 +107,18 @@ class TDMABroadcastSimulator:
         max_rounds: int,
     ) -> TranspiledRunResult:
         """Drive the algorithms, one TDMA-simulated round per BC round."""
-        n = self._topology.num_nodes
-        if len(algorithms) != n:
-            raise ConfigurationError(f"got {len(algorithms)} algorithms for {n} nodes")
-        for index, algorithm in enumerate(algorithms):
-            algorithm.setup(self._context(index))
         stats = SimulationStats()
         round_offset = 0
-        for round_index in range(max_rounds):
-            if all(a.finished for a in algorithms):
-                break
-            broadcasts: list[int | None] = []
-            for algorithm in algorithms:
-                message = None if algorithm.finished else algorithm.broadcast(round_index)
-                if message is not None:
-                    check_message(message, self._message_bits)
-                broadcasts.append(message)
+
+        def deliver(
+            round_index: int, words: np.ndarray, active: np.ndarray
+        ) -> tuple[np.ndarray, np.ndarray]:
+            nonlocal round_offset
             outcome = simulate_round_tdma(
-                self._topology,
-                broadcasts,
+                self._network.topology,
+                plane_ints(words, active),
                 self._coloring,
-                self._message_bits,
+                self._network.message_bits,
                 channel=self._channel,
                 repetitions=self._repetitions,
                 start_round=round_offset,
@@ -136,23 +131,14 @@ class TDMABroadcastSimulator:
                 phase2_errors=int((~outcome.per_node_success).sum()),
                 r_collision=False,
             )
-            for index, algorithm in enumerate(algorithms):
-                if not algorithm.finished:
-                    algorithm.receive(round_index, list(outcome.decoded[index]))
-        return TranspiledRunResult(
-            outputs=[a.output() for a in algorithms],
-            finished=all(a.finished for a in algorithms),
-            stats=stats,
-        )
+            return inbox_from_lists(outcome.decoded, self._network.message_bits)
 
-    def _context(self, index: int) -> NodeContext:
-        return NodeContext(
-            index=index,
-            node_id=self._ids[index],
-            num_nodes=self._topology.num_nodes,
-            max_degree=self._topology.max_degree,
-            degree=int(self._topology.degrees[index]),
-            message_bits=self._message_bits,
-            rng=derive_rng(self._seed, "node-local", index),
-            neighbor_ids=None,
+        result = drive(
+            self._network.vector_context(),
+            ObjectAlgorithmsAdapter(algorithms),
+            max_rounds,
+            deliver,
+        )
+        return TranspiledRunResult(
+            outputs=result.outputs, finished=result.finished, stats=stats
         )

@@ -68,7 +68,9 @@ def simulate_round_tdma(
         Per node, the message to broadcast (``None`` = silent).
     coloring:
         A distance-2 colouring (from
-        :func:`~repro.baselines.coloring.greedy_distance2_coloring`).
+        :func:`~repro.baselines.coloring.greedy_distance2_coloring`);
+        ``range(n)`` gives every node its own slot, the naive sequential
+        simulation.
     message_bits:
         Message width ``B``.
     channel:

@@ -30,7 +30,7 @@ from .noise import (
     unreliable_zone,
 )
 from .node import BeepingProtocol, ScheduledProtocol
-from .network import BeepingNetwork, ExecutionTrace
+from .network import BeepingNetwork
 from .batch import run_schedule, run_schedule_batch
 from .primitives import BeepWaveResult, beep_wave_broadcast
 from .mis import BeepingMISProtocol, BeepingMISResult, beeping_mis
@@ -53,7 +53,6 @@ __all__ = [
     "BeepingProtocol",
     "ScheduledProtocol",
     "BeepingNetwork",
-    "ExecutionTrace",
     "run_schedule",
     "run_schedule_batch",
     "BeepWaveResult",

@@ -160,12 +160,11 @@ def beeping_mis(
     ]
     network = BeepingNetwork(topology, channel)
     phase_length = rank_bits + 2
-    trace = network.run(
+    rounds_used = network.run(
         protocols, max_rounds=max_phases * phase_length, stop_when_finished=True
     )
-    phases = math.ceil(trace.rounds_used / phase_length)
     return BeepingMISResult(
         in_mis=[p.output() for p in protocols],
-        rounds_used=trace.rounds_used,
-        phases_used=phases,
+        rounds_used=rounds_used,
+        phases_used=math.ceil(rounds_used / phase_length),
     )

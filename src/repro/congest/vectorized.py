@@ -4,17 +4,19 @@ The per-node engine (:class:`~repro.congest.network.
 BroadcastCongestNetwork`), kept as the executable specification the
 tests compare against, drives one Python object per node; this module
 drives one :class:`VectorizedBroadcastAlgorithm` object per *network*,
-whose state lives in numpy arrays.  Each round the driver
+whose state lives in numpy arrays.  Each round :func:`drive`
 
 1. asks the algorithm for the whole network's broadcasts at once —
    a message plane plus an *active* mask (``active[v]`` iff node ``v``
    broadcasts, the reference's ``broadcast() is not None``);
 2. enforces the ``γ log n`` message budget with one vector comparison;
-3. delivers messages by CSR neighbour gather over the topology's
-   adjacency arrays (the same CSR the beeping backends execute on),
-   producing an **unattributed ragged inbox** — exactly the reference
-   delivery convention, so corrupted decodes from the beeping substrate
-   are representable too;
+3. hands the plane to a *delivery*, which returns an **unattributed
+   ragged inbox** — exactly the reference delivery convention, so
+   corrupted decodes from the beeping substrate are representable too.
+   :meth:`VectorContext.gather` is the perfect channel (a CSR neighbour
+   gather over the topology's adjacency arrays, the same CSR the
+   beeping backends execute on); the beeping simulators pass a delivery
+   that runs one simulated round;
 4. hands the inbox to ``receive_step`` and updates the live-node count.
 
 Message planes: algorithms whose budget fits a machine word return an
@@ -23,7 +25,8 @@ return ``(n, W)`` uint64 word planes, word 0 least significant.
 :class:`WordCodec` packs/unpacks structured fields on either plane with
 the exact little-endian layout of :class:`~repro.congest.model.
 MessageCodec`, so vectorized and per-node algorithms interoperate on the
-wire.
+wire; :func:`plane_ints` and :func:`inbox_from_lists` convert between
+word planes and per-node Python ints.
 
 :class:`ObjectAlgorithmsAdapter` wraps a sequence of per-node
 :class:`~repro.congest.algorithm.BroadcastCongestAlgorithm` objects as a
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,12 +58,18 @@ __all__ = [
     "VectorizedBroadcastNetwork",
     "ObjectAlgorithmsAdapter",
     "WordCodec",
+    "drive",
     "plane_words",
+    "plane_ints",
+    "inbox_from_lists",
     "plane_width",
     "check_plane",
     "words_less_equal_mask",
     "inbox_receivers",
 ]
+
+_WORD_MASK = (1 << 64) - 1
+
 
 def plane_width(message_bits: int) -> int:
     """Words per message on the wire plane for a given bit budget."""
@@ -88,6 +97,47 @@ def plane_words(messages: np.ndarray, message_bits: int) -> np.ndarray:
             f"{message_bits}-bit budget ({width} words)"
         )
     return np.ascontiguousarray(messages, dtype=np.uint64)
+
+
+def plane_ints(words: np.ndarray, active: np.ndarray) -> list[int | None]:
+    """One Python int per row of a ``(k, W)`` word plane, ``None`` where
+    ``active`` is False — the per-node message list of the reference."""
+    rows = words[active]
+    values = rows[:, 0].tolist()
+    for word in range(1, rows.shape[1]):
+        shift = 64 * word
+        values = [
+            value | (high << shift)
+            for value, high in zip(values, rows[:, word].tolist())
+        ]
+    out: list[int | None] = [None] * words.shape[0]
+    for index, value in zip(np.flatnonzero(active).tolist(), values):
+        out[index] = value
+    return out
+
+
+def inbox_from_lists(
+    lists: Sequence[Sequence[int]], message_bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node message lists as the ragged ``(indptr, inbox)`` word form.
+
+    Node ``v``'s messages become rows ``indptr[v]:indptr[v+1]`` of the
+    ``(k, W)`` uint64 inbox, in list order; bits past ``64 W`` are
+    dropped.
+    """
+    width = plane_width(message_bits)
+    indptr = np.concatenate(
+        ([0], np.cumsum([len(values) for values in lists], dtype=np.int64))
+    )
+    flat = [value for values in lists for value in values]
+    inbox = np.empty((len(flat), width), dtype=np.uint64)
+    for word in range(width):
+        inbox[:, word] = np.fromiter(
+            ((value >> (64 * word)) & _WORD_MASK for value in flat),
+            dtype=np.uint64,
+            count=len(flat),
+        )
+    return indptr, inbox
 
 
 def words_less_equal_mask(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,6 +338,22 @@ class VectorContext:
         self._ids_order = order
         self._edge_key = self.edge_dst * np.int64(self.num_nodes) + self.edge_src
 
+    def gather(
+        self, round_index: int, words: np.ndarray, active: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The perfect-channel delivery: every active row reaches each
+        neighbour, by CSR gather.
+
+        Node ``v``'s inbox holds its active neighbours' rows in ascending
+        sender-index order.  A perfect channel is the same every round,
+        so ``round_index`` is unused.
+        """
+        edge_live = active[self.edge_src]
+        inbox = words[self.edge_src[edge_live]]
+        counts = np.bincount(self.edge_dst[edge_live], minlength=self.num_nodes)
+        indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        return indptr, inbox
+
     def node_streams(self) -> NodeStreams:
         """Batched per-node draw streams matching the reference engine.
 
@@ -389,9 +455,12 @@ class VectorizedBroadcastNetwork(_EngineBase):
     """Synchronous Broadcast CONGEST engine over columnar algorithms.
 
     Construction-time validation (ids, budget) is shared with the
-    reference engine via ``_EngineBase``; the round loop replaces the
-    per-node scans with vector ops and produces the same
-    :class:`~repro.congest.network.RunResult` contract.
+    reference engine via ``_EngineBase``; :meth:`run` is :func:`drive`
+    over the perfect channel, which replaces the per-node scans with
+    vector ops and produces the same
+    :class:`~repro.congest.network.RunResult` contract.  The beeping
+    simulators build one too, for its checks and its
+    :class:`VectorContext`.
     """
 
     def run(
@@ -399,37 +468,7 @@ class VectorizedBroadcastNetwork(_EngineBase):
     ) -> RunResult:
         """Drive the columnar algorithm for up to ``max_rounds`` rounds."""
         net = self.vector_context()
-        algorithm.setup(net)
-        rounds_used = 0
-        messages_sent = 0
-        live = int(net.num_nodes - np.count_nonzero(algorithm.finished_mask()))
-        for round_index in range(max_rounds):
-            if live == 0:
-                break
-            messages, active = algorithm.broadcast_step(round_index)
-            active = np.asarray(active, dtype=bool)
-            words = plane_words(np.asarray(messages), self._message_bits)
-            check_plane(words, active, self._message_bits)
-            messages_sent += int(np.count_nonzero(active))
-            edge_live = active[net.edge_src]
-            inbox = words[net.edge_src[edge_live]]
-            counts = np.bincount(
-                net.edge_dst[edge_live], minlength=net.num_nodes
-            )
-            indptr = np.concatenate(
-                ([0], np.cumsum(counts, dtype=np.int64))
-            )
-            algorithm.receive_step(round_index, indptr, inbox)
-            rounds_used += 1
-            live = int(
-                net.num_nodes - np.count_nonzero(algorithm.finished_mask())
-            )
-        return RunResult(
-            outputs=algorithm.outputs(),
-            rounds_used=rounds_used,
-            messages_sent=messages_sent,
-            finished=live == 0,
-        )
+        return drive(net, algorithm, max_rounds, net.gather)
 
     def vector_context(self) -> VectorContext:
         """Build the :class:`VectorContext` this network hands to setup."""
@@ -442,6 +481,49 @@ class VectorizedBroadcastNetwork(_EngineBase):
             message_bits=self._message_bits,
             seed=self._seed,
         )
+
+
+def drive(
+    net: VectorContext,
+    algorithm: VectorizedBroadcastAlgorithm,
+    max_rounds: int,
+    deliver: Callable[
+        [int, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]
+    ],
+) -> RunResult:
+    """The Broadcast CONGEST round loop, for up to ``max_rounds`` rounds.
+
+    Each round collects the algorithm's broadcasts, enforces the
+    ``γ log n`` budget, calls ``deliver(round_index, words, active)``
+    with the ``(n, W)`` uint64 word plane and the active mask, and
+    hands the ragged ``(indptr, inbox)`` it returns to ``receive_step``.
+    The run stops once every node has finished.  ``net.gather`` is the
+    perfect channel; the beeping simulators pass a delivery that runs
+    one simulated round.
+    """
+    algorithm.setup(net)
+    rounds_used = 0
+    messages_sent = 0
+    live = int(net.num_nodes - np.count_nonzero(algorithm.finished_mask()))
+    for round_index in range(max_rounds):
+        if live == 0:
+            break
+        messages, active = algorithm.broadcast_step(round_index)
+        active = np.asarray(active, dtype=bool)
+        words = plane_words(np.asarray(messages), net.message_bits)
+        check_plane(words, active, net.message_bits)
+        messages_sent += int(np.count_nonzero(active))
+        indptr, inbox = deliver(round_index, words, active)
+        algorithm.receive_step(round_index, indptr, inbox)
+        rounds_used += 1
+        live = int(net.num_nodes - np.count_nonzero(algorithm.finished_mask()))
+    return RunResult(
+        outputs=algorithm.outputs(),
+        rounds_used=rounds_used,
+        messages_sent=messages_sent,
+        finished=live == 0,
+    )
+
 
 class ObjectAlgorithmsAdapter(VectorizedBroadcastAlgorithm):
     """Runs per-node object algorithms under the vectorized driver.
@@ -501,11 +583,7 @@ class ObjectAlgorithmsAdapter(VectorizedBroadcastAlgorithm):
         self, round_index: int, inbox_indptr: np.ndarray, inbox: np.ndarray
     ) -> None:
         """Slice the ragged inbox back into per-node message lists."""
-        shifts = [64 * word for word in range(inbox.shape[1])]
-        values = [
-            sum(int(row[word]) << shifts[word] for word in range(inbox.shape[1]))
-            for row in inbox
-        ]
+        values = plane_ints(inbox, np.ones(inbox.shape[0], dtype=bool))
         for index, algorithm in enumerate(self._algorithms):
             if algorithm.finished:
                 continue

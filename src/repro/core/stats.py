@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["SimulationStats"]
 
@@ -37,7 +37,6 @@ class SimulationStats:
     phase1_node_errors: int = 0
     phase2_node_errors: int = 0
     r_collisions: int = 0
-    _per_round_success: list[bool] = field(default_factory=list, repr=False)
 
     def record_round(
         self,
@@ -54,7 +53,6 @@ class SimulationStats:
         self.phase1_node_errors += phase1_errors
         self.phase2_node_errors += phase2_errors
         self.r_collisions += 1 if r_collision else 0
-        self._per_round_success.append(success)
 
     @property
     def success_rate(self) -> float:

@@ -1,8 +1,8 @@
 """Theorem 11 / Corollary 12: running message-passing algorithms on beeps.
 
-:class:`BeepSimulator` drives per-node Broadcast CONGEST algorithms exactly
-like :class:`~repro.congest.BroadcastCongestNetwork`, except every
-communication round is realised by Algorithm 1 on the (noisy) beeping
+:class:`BeepSimulator` runs Broadcast CONGEST algorithms through the one
+round loop, :func:`~repro.congest.vectorized.drive`, with a delivery that
+realises every communication round by Algorithm 1 on the (noisy) beeping
 substrate.  Nodes consume whatever they *decoded* — when a simulated round
 fails (a low-probability event), downstream state diverges exactly as it
 would on a real network, which is what the end-to-end experiments measure.
@@ -22,11 +22,11 @@ from ..beeping.noise import NoiseModel
 from ..congest.algorithm import BroadcastCongestAlgorithm, CongestAlgorithm
 from ..congest.vectorized import (
     ObjectAlgorithmsAdapter,
-    VectorContext,
     VectorizedBroadcastAlgorithm,
-    check_plane,
-    plane_width,
-    plane_words,
+    VectorizedBroadcastNetwork,
+    drive,
+    inbox_from_lists,
+    plane_ints,
 )
 from ..engine import SimulationBackend
 from ..errors import ConfigurationError
@@ -116,14 +116,10 @@ class BeepSimulator:
                 eps=eps,
                 gamma=gamma,
             )
-        if ids is None:
-            ids = list(range(n))
-        if len(ids) != n or len(set(ids)) != n:
-            raise ConfigurationError("ids must be unique, one per node")
-        self._topology = topology
+        self._network = VectorizedBroadcastNetwork(
+            topology, ids=ids, message_bits=params.message_bits, seed=seed
+        )
         self._params = params
-        self._seed = seed
-        self._ids = list(ids)
         # All per-execution state — codes, channel, backend, decoder
         # matrices — is built once here and amortised across every
         # simulated round of every run.
@@ -149,7 +145,7 @@ class BeepSimulator:
     @property
     def topology(self) -> Topology:
         """The network topology."""
-        return self._topology
+        return self._network.topology
 
     @property
     def session(self) -> BroadcastSession:
@@ -167,45 +163,20 @@ class BeepSimulator:
         which runs wrapped in an :class:`~repro.congest.vectorized.
         ObjectAlgorithmsAdapter`, or one whole-network
         :class:`~repro.congest.vectorized.VectorizedBroadcastAlgorithm`.
-        The host side (collection, budget enforcement, inbox
-        construction, termination) runs columnar; every round's
-        broadcasts go through one
-        :meth:`~repro.core.round_simulator.BroadcastSession.run_round`.
+        Every round's broadcasts go through one
+        :meth:`~repro.core.round_simulator.BroadcastSession.run_round`,
+        and every run starts at beeping round 0.
         """
         if isinstance(algorithms, VectorizedBroadcastAlgorithm):
             algorithm = algorithms
         else:
             algorithm = ObjectAlgorithmsAdapter(algorithms)
-        n = self._topology.num_nodes
-        message_bits = self._params.message_bits
-        width = plane_width(message_bits)
-        net = VectorContext(
-            topology=self._topology,
-            ids=np.asarray(self._ids, dtype=np.int64),
-            num_nodes=n,
-            max_degree=self._topology.max_degree,
-            degrees=self._topology.degrees,
-            message_bits=message_bits,
-            seed=self._seed,
-        )
-        algorithm.setup(net)
         stats = SimulationStats()
-        round_offset = 0
-        live = int(n - np.count_nonzero(algorithm.finished_mask()))
-        for round_index in range(max_rounds):
-            if live == 0:
-                break
-            messages, active = algorithm.broadcast_step(round_index)
-            active = np.asarray(active, dtype=bool)
-            words = plane_words(np.asarray(messages), message_bits)
-            check_plane(words, active, message_bits)
-            broadcasts: list[int | None] = [None] * n
-            for node in np.flatnonzero(active):
-                broadcasts[node] = sum(
-                    int(words[node, word]) << (64 * word) for word in range(width)
-                )
-            outcome = self._session.run_round(broadcasts, round_offset=round_offset)
-            round_offset += outcome.beep_rounds_used
+
+        def deliver(
+            round_index: int, words: np.ndarray, active: np.ndarray
+        ) -> tuple[np.ndarray, np.ndarray]:
+            outcome = self._session.run_round(plane_ints(words, active))
             stats.record_round(
                 beep_rounds=outcome.beep_rounds_used,
                 success=outcome.success,
@@ -213,23 +184,14 @@ class BeepSimulator:
                 phase2_errors=outcome.phase2_errors,
                 r_collision=outcome.r_collision,
             )
-            lengths = [len(decoded) for decoded in outcome.decoded]
-            indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-            inbox = np.zeros((int(indptr[-1]), width), dtype=np.uint64)
-            cursor = 0
-            for decoded in outcome.decoded:
-                for message in decoded:
-                    for word in range(width):
-                        inbox[cursor, word] = (message >> (64 * word)) & (
-                            0xFFFFFFFFFFFFFFFF
-                        )
-                    cursor += 1
-            algorithm.receive_step(round_index, indptr, inbox)
-            live = int(n - np.count_nonzero(algorithm.finished_mask()))
+            return inbox_from_lists(outcome.decoded, self._params.message_bits)
+
+        self._session.reset()
+        result = drive(
+            self._network.vector_context(), algorithm, max_rounds, deliver
+        )
         return TranspiledRunResult(
-            outputs=algorithm.outputs(),
-            finished=live == 0,
-            stats=stats,
+            outputs=result.outputs, finished=result.finished, stats=stats
         )
 
     def run_congest(
@@ -246,9 +208,9 @@ class BeepSimulator:
         """
         wrapped = wrap_congest_algorithms(
             algorithms,
-            ids=self._ids,
+            ids=self._network.ids,
             message_bits=self._params.message_bits,
             payload_bits=payload_bits,
         )
-        bc_budget = 1 + max_rounds * max(1, self._topology.max_degree)
+        bc_budget = 1 + max_rounds * max(1, self.topology.max_degree)
         return self.run_broadcast_congest(wrapped, bc_budget)

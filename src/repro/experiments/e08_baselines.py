@@ -2,9 +2,10 @@
 
 Races the paper's simulator against the two implemented baselines
 (Beauquier-style noiseless TDMA, AGL-style noisy TDMA with repetition) and
-the naive sequential simulator, on one simulated Broadcast CONGEST round at
-matched message size and noise.  The paper's improvement factor
-``Θ(min{n/Δ, Δ})`` over [4] should emerge as Δ grows.
+the naive sequential simulation (TDMA with one slot per node), on one
+simulated Broadcast CONGEST round at matched message size and noise.  The
+paper's improvement factor ``Θ(min{n/Δ, Δ})`` over [4] should emerge as Δ
+grows.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from ..baselines import (
     agl_repetitions,
     greedy_distance2_coloring,
-    simulate_round_naive,
     simulate_round_tdma,
 )
 from ..beeping.noise import BernoulliNoise, NoiselessChannel
@@ -81,9 +81,10 @@ def run(ctx: RunContext) -> list[Table]:
             channel=channel,
             repetitions=rho,
         )
-        naive = simulate_round_naive(
+        naive = simulate_round_tdma(
             topology,
             messages,
+            range(n),
             message_bits,
             channel=channel,
             repetitions=rho,

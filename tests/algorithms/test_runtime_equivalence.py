@@ -5,7 +5,8 @@ engine's run of the same algorithm (:mod:`per_node_oracle`) exactly —
 outputs, rounds used, messages sent, finished — across topology-zoo
 families, sizes and seeds, with default and custom node IDs.  Over the
 beeping substrate, ``BeepSimulator``'s columnar host loop must equal the
-per-node host loop of ``tests/core/reference_host.py``.
+per-node host loop of ``tests/core/reference_host.py`` run over the
+simulator's own session.
 """
 
 from __future__ import annotations
@@ -87,13 +88,25 @@ def test_custom_ids_bit_identical(algorithm):
 class TestOverBeeps:
     """The transpiler's columnar host loop feeds the session identically."""
 
+    SEED = 9
+
     def _simulators(self, topology, budget, eps):
         params = SimulationParameters(
             message_bits=budget, max_degree=topology.max_degree, eps=eps, c=4
         )
         return (
-            BeepSimulator(topology, params=params, seed=9),
-            BeepSimulator(topology, params=params, seed=9),
+            BeepSimulator(topology, params=params, seed=self.SEED),
+            BeepSimulator(topology, params=params, seed=self.SEED),
+        )
+
+    def _reference(self, simulator, algorithms):
+        return reference_run(
+            simulator.session.run_round,
+            simulator.topology,
+            simulator.params.message_bits,
+            self.SEED,
+            algorithms,
+            max_rounds=40,
         )
 
     @pytest.mark.parametrize("eps", [0.0, 0.05])
@@ -101,7 +114,7 @@ class TestOverBeeps:
         topology = Topology(build_family_graph("gnp", 10, seed=2))
         algorithms, budget = make_matching_algorithms(topology, value_exponent=3)
         reference_sim, vectorized_sim = self._simulators(topology, budget, eps)
-        reference = reference_run(reference_sim, algorithms, max_rounds=40)
+        reference = self._reference(reference_sim, algorithms)
         again, _ = make_matching_algorithms(topology, value_exponent=3)
         vectorized = vectorized_sim.run_broadcast_congest(again, max_rounds=40)
         assert reference.outputs == vectorized.outputs
@@ -115,7 +128,7 @@ class TestOverBeeps:
         n = topology.num_nodes
         algorithms, budget = make_matching_algorithms(topology, value_exponent=3)
         reference_sim, vectorized_sim = self._simulators(topology, budget, eps)
-        reference = reference_run(reference_sim, algorithms, max_rounds=40)
+        reference = self._reference(reference_sim, algorithms)
         columnar = VectorizedMaximalMatching(
             id_bits=required_bits(n),
             value_bits=max(1, 3 * required_bits(max(2, n))),

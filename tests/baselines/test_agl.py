@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.baselines import (
@@ -11,11 +13,16 @@ from repro.baselines import (
     agl_setup,
     beauquier_overhead,
     beauquier_setup,
+    greedy_distance2_coloring,
     ours_broadcast_overhead,
     ours_congest_overhead,
+    simulate_round_tdma,
 )
+from repro.beeping import BernoulliNoise
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, random_regular_graph
+from repro.rng import derive_seed
+from tests.core.reference_host import reference_run
 from tests.core.test_transpiler import GossipSum
 
 
@@ -56,6 +63,47 @@ class TestSimulator:
         assert result.finished
         assert result.stats.failed_rounds == 0
 
+    def test_noisy_run_equals_per_node_loop(self, regular12):
+        """Without repetition rounds fail, so outputs depend on every flip."""
+        eps, seed = 0.1, 1
+        coloring = greedy_distance2_coloring(regular12)
+        channel = BernoulliNoise(eps, seed=derive_seed(seed, "tdma-noise"))
+
+        def tdma_round(broadcasts, round_offset):
+            outcome = simulate_round_tdma(
+                regular12,
+                broadcasts,
+                coloring,
+                6,
+                channel=channel,
+                repetitions=1,
+                start_round=round_offset,
+            )
+            return SimpleNamespace(
+                decoded=outcome.decoded,
+                beep_rounds_used=outcome.beep_rounds_used,
+                success=outcome.success,
+                phase1_errors=0,
+                phase2_errors=int((~outcome.per_node_success).sum()),
+                r_collision=False,
+            )
+
+        reference = reference_run(
+            tdma_round,
+            regular12,
+            6,
+            seed,
+            [GossipSum() for _ in range(12)],
+            max_rounds=10,
+        )
+        simulated = TDMABroadcastSimulator(
+            regular12, message_bits=6, eps=eps, seed=seed, repetitions=1
+        ).run_broadcast_congest([GossipSum() for _ in range(12)], max_rounds=10)
+        assert reference.stats.failed_rounds > 0
+        assert simulated.outputs == reference.outputs
+        assert simulated.finished == reference.finished
+        assert simulated.stats == reference.stats
+
     def test_overhead_property(self, regular12):
         simulator = TDMABroadcastSimulator(
             regular12, message_bits=6, eps=0.0, seed=1
@@ -65,6 +113,11 @@ class TestSimulator:
             [GossipSum(horizon=2) for _ in range(12)], max_rounds=10
         )
         assert result.stats.overhead == simulator.overhead
+
+    @pytest.mark.parametrize("ids", [[0] * 12, [-1] + list(range(1, 12))])
+    def test_bad_ids_rejected(self, regular12, ids):
+        with pytest.raises(ConfigurationError):
+            TDMABroadcastSimulator(regular12, message_bits=6, ids=ids)
 
     def test_too_small_rejected(self):
         from repro.graphs import path_graph

@@ -6,7 +6,6 @@ import pytest
 
 from repro.baselines import (
     greedy_distance2_coloring,
-    simulate_round_naive,
     simulate_round_tdma,
     tdma_round_length,
 )
@@ -91,28 +90,33 @@ class TestNoisyTDMA:
 
 
 class TestNaiveBaseline:
+    """The naive sequential simulation is TDMA with one slot per node."""
+
     def test_delivers_all_messages(self, sparse20):
         messages = [(v * 5 + 1) % 64 for v in range(20)]
-        outcome = simulate_round_naive(sparse20, messages, message_bits=6)
+        outcome = simulate_round_tdma(sparse20, messages, range(20), message_bits=6)
         assert outcome.success
         assert outcome.beep_rounds_used == 20 * 7
 
     def test_linear_in_n_not_delta(self):
         # naive cost is n slots even on a path
         t = Topology(path_graph(30))
-        outcome = simulate_round_naive(t, [1] * 30, message_bits=4)
+        outcome = simulate_round_tdma(t, [1] * 30, range(30), message_bits=4)
         assert outcome.beep_rounds_used == 30 * 5
 
     def test_silent_nodes(self):
         t = Topology(star_graph(4))
-        outcome = simulate_round_naive(t, [None, 3, None, 5], message_bits=4)
+        outcome = simulate_round_tdma(
+            t, [None, 3, None, 5], range(4), message_bits=4
+        )
         assert outcome.success
         assert outcome.decoded[0] == [3, 5]
 
     def test_noise_with_repetition(self, sparse20):
-        outcome = simulate_round_naive(
+        outcome = simulate_round_tdma(
             sparse20,
             [(v * 3) % 16 for v in range(20)],
+            range(20),
             message_bits=4,
             channel=BernoulliNoise(0.1, seed=2),
             repetitions=21,

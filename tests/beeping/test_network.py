@@ -125,83 +125,9 @@ class TestScheduledProtocol:
 
 
 class TestTraceAndStopping:
-    def test_trace_records_matrices(self, path6):
-        protocols = [ScheduledProtocol(np.zeros(4, dtype=bool)) for _ in range(6)]
-        trace = BeepingNetwork(path6).run(protocols, max_rounds=4, trace=True)
-        assert trace.rounds_used == 4
-        assert trace.beeps.shape == (6, 4)
-        assert trace.heard.shape == (6, 4)
-
-    def test_trace_matches_schedule_with_early_stop(self, path6):
-        """Equivalence regression for the preallocated trace matrices.
-
-        The trace must equal the executed schedule column for column,
-        and an early stop must trim the preallocated budget back to
-        ``rounds_used`` columns.
-        """
-        schedules = [
-            np.array([bool((node + r) % 2) for r in range(3)])
-            for node in range(6)
-        ]
-        protocols = [ScheduledProtocol(schedule) for schedule in schedules]
-        trace = BeepingNetwork(path6).run(protocols, max_rounds=50, trace=True)
-        assert trace.rounds_used == 3
-        assert trace.beeps.shape == (6, 3)
-        assert np.array_equal(trace.beeps, np.stack(schedules))
-        # heard = own beep OR any neighbour's beep (noiseless path graph)
-        expected_heard = np.stack(
-            [protocol.heard for protocol in protocols]
-        )
-        assert np.array_equal(trace.heard, expected_heard)
-
-    def test_trace_memory_is_one_owned_allocation(self, path6):
-        """Memory regression: no per-round column lists, no budget-sized
-        views kept alive after an early stop."""
-        protocols = [ScheduledProtocol(np.zeros(2, dtype=bool)) for _ in range(6)]
-        trace = BeepingNetwork(path6).run(protocols, max_rounds=500, trace=True)
-        assert trace.rounds_used == 2
-        for matrix in (trace.beeps, trace.heard):
-            assert matrix.shape == (6, 2)
-            # the trimmed matrix owns its data (not a view over the
-            # 500-round preallocation) ...
-            assert matrix.base is None
-        # ... and the historical per-round column accumulators are gone.
-        assert not hasattr(trace, "_beep_columns")
-
-    def test_trace_full_budget_uses_preallocation_directly(self, path6):
-        protocols = [ScheduledProtocol(np.zeros(4, dtype=bool)) for _ in range(6)]
-        trace = BeepingNetwork(path6).run(protocols, max_rounds=4, trace=True)
-        assert trace.beeps.shape == (6, 4)
-        assert trace.beeps.base is None
-
-    def test_trace_capacity_grows_past_initial_chunk(self, path6, monkeypatch):
-        """Huge budgets must not preallocate budget-sized matrices; the
-        capacity grows geometrically only as rounds actually execute."""
-        from repro.beeping.network import ExecutionTrace
-
-        monkeypatch.setattr(ExecutionTrace, "_INITIAL_CAPACITY", 2)
-        schedules = [
-            np.array([bool((node + r) % 2) for r in range(5)])
-            for node in range(6)
-        ]
-        protocols = [ScheduledProtocol(schedule) for schedule in schedules]
-        trace = BeepingNetwork(path6).run(
-            protocols, max_rounds=10_000, trace=True
-        )
-        assert trace.rounds_used == 5
-        assert trace.beeps.shape == (6, 5)
-        assert np.array_equal(trace.beeps, np.stack(schedules))
-
-    def test_trace_with_zero_rounds_keeps_none(self, path6):
-        protocols = [ScheduledProtocol(np.zeros(2, dtype=bool)) for _ in range(6)]
-        trace = BeepingNetwork(path6).run(protocols, max_rounds=0, trace=True)
-        assert trace.rounds_used == 0
-        assert trace.beeps is None and trace.heard is None
-
     def test_early_stop_when_finished(self, path6):
         protocols = [ScheduledProtocol(np.zeros(2, dtype=bool)) for _ in range(6)]
-        trace = BeepingNetwork(path6).run(protocols, max_rounds=100)
-        assert trace.rounds_used == 2
+        assert BeepingNetwork(path6).run(protocols, max_rounds=100) == 2
 
     def test_noise_applied_with_start_round(self):
         t = Topology(path_graph(2))

@@ -14,9 +14,16 @@ from repro.congest import (
     VectorizedBroadcastNetwork,
     WordCodec,
 )
-from repro.congest.vectorized import check_plane, plane_words
+from repro.congest.vectorized import (
+    check_plane,
+    drive,
+    inbox_from_lists,
+    plane_ints,
+    plane_words,
+)
 from repro.errors import ConfigurationError, MessageSizeError
 from repro.graphs import Topology, path_graph, star_graph
+from tests.core.test_transpiler import GossipSum
 
 
 class _BroadcastOnce(BroadcastCongestAlgorithm):
@@ -140,6 +147,62 @@ class TestPlane:
         words = plane_words(np.array([-1], dtype=np.int64), 8)
         with pytest.raises(MessageSizeError):
             check_plane(words, np.array([True]), 8)
+
+    def test_ints_and_lists_round_trip_wide_planes(self):
+        wide = (1 << 64) + 3
+        words = np.array([[3, 1], [7, 0], [5, 2]], dtype=np.uint64)
+        active = np.array([True, False, True])
+        assert plane_ints(words, active) == [wide, None, (2 << 64) + 5]
+        indptr, inbox = inbox_from_lists([[wide], [], [7, (2 << 64) + 5]], 90)
+        assert indptr.tolist() == [0, 1, 1, 3]
+        assert inbox.tolist() == [[3, 1], [7, 0], [5, 2]]
+
+
+class TestDrive:
+    """The one round loop: a delivery decides what each node receives."""
+
+    def _network(self, topology):
+        return VectorizedBroadcastNetwork(topology, message_bits=6, seed=3)
+
+    def _gossip(self, n):
+        return ObjectAlgorithmsAdapter([GossipSum() for _ in range(n)])
+
+    def test_run_is_drive_with_gather(self, regular12):
+        network = self._network(regular12)
+        net = network.vector_context()
+        assert drive(net, self._gossip(12), 10, net.gather) == network.run(
+            self._gossip(12), max_rounds=10
+        )
+
+    def test_delivery_that_drops_every_message(self, regular12):
+        net = self._network(regular12).vector_context()
+
+        def drop(round_index, words, active):
+            empty = np.zeros((0, words.shape[1]), dtype=np.uint64)
+            return np.zeros(net.num_nodes + 1, dtype=np.int64), empty
+
+        result = drive(net, self._gossip(12), 10, drop)
+        assert result.outputs == [0] * 12
+        assert result.rounds_used == 3
+        assert result.messages_sent == 3 * 12
+        assert result.finished
+
+    def test_delivery_sees_every_round(self, regular12):
+        net = self._network(regular12).vector_context()
+        calls = []
+
+        def record(round_index, words, active):
+            calls.append((round_index, words.copy(), active.copy()))
+            return net.gather(round_index, words, active)
+
+        result = drive(net, self._gossip(12), 10, record)
+        assert [round_index for round_index, _, _ in calls] == [0, 1, 2]
+        for round_index, words, active in calls:
+            assert active.all()
+            assert words[:, 0].tolist() == [
+                (v + round_index) % 61 for v in range(12)
+            ]
+        assert result.rounds_used == len(calls)
 
 
 class TestVectorizedDriver:

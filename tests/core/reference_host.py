@@ -1,12 +1,13 @@
-"""``BeepSimulator``'s per-node host loop, kept as a test oracle.
+"""The per-node host loop of the beeping simulators, kept as a test oracle.
 
-:meth:`~repro.core.transpiler.BeepSimulator.run_broadcast_congest` runs
-every algorithm through one columnar host loop, per-node objects via
-:class:`~repro.congest.vectorized.ObjectAlgorithmsAdapter`.
-:func:`reference_run` is the per-node loop it replaced, unchanged: each
-node's ``broadcast`` and ``receive`` in turn, every round through the
-simulator's own session.  Fresh algorithms on fresh simulators with one
-seed must give equal results under both loops.
+:class:`~repro.core.transpiler.BeepSimulator` and
+:class:`~repro.baselines.agl.TDMABroadcastSimulator` run every algorithm
+through the one round loop, :func:`~repro.congest.vectorized.drive`,
+per-node objects via :class:`~repro.congest.vectorized.
+ObjectAlgorithmsAdapter`.  :func:`reference_run` is the per-node loop
+they replaced: each node's ``broadcast`` and ``receive`` in turn, every
+round through the simulated round it is given.  Fresh algorithms on
+fresh simulators with one seed must give equal results under both loops.
 """
 
 from __future__ import annotations
@@ -19,27 +20,35 @@ from repro.errors import ConfigurationError
 from repro.rng import derive_rng
 
 
-def _context(simulator, index):
-    topology = simulator.topology
+def _context(topology, message_bits, seed, index):
     return NodeContext(
         index=index,
-        node_id=simulator._ids[index],
+        node_id=index,
         num_nodes=topology.num_nodes,
         max_degree=topology.max_degree,
         degree=int(topology.degrees[index]),
-        message_bits=simulator.params.message_bits,
-        rng=derive_rng(simulator._seed, "node-local", index),
+        message_bits=message_bits,
+        rng=derive_rng(seed, "node-local", index),
         neighbor_ids=None,
     )
 
 
-def reference_run(simulator, algorithms, max_rounds) -> TranspiledRunResult:
-    """Run per-node ``algorithms`` over ``simulator``'s session, node by node."""
-    n = simulator.topology.num_nodes
+def reference_run(
+    simulated_round, topology, message_bits, seed, algorithms, max_rounds
+) -> TranspiledRunResult:
+    """Run per-node ``algorithms`` node by node over ``simulated_round``.
+
+    ``simulated_round(broadcasts, round_offset=...)`` simulates one
+    Broadcast CONGEST round and returns an outcome shaped like
+    :class:`~repro.core.round_simulator.RoundOutcome` (``decoded``,
+    ``beep_rounds_used``, ``success``, ``phase1_errors``,
+    ``phase2_errors``, ``r_collision``).  Node ``v`` has ID ``v``.
+    """
+    n = topology.num_nodes
     if len(algorithms) != n:
         raise ConfigurationError(f"got {len(algorithms)} algorithms for {n} nodes")
     for index, algorithm in enumerate(algorithms):
-        algorithm.setup(_context(simulator, index))
+        algorithm.setup(_context(topology, message_bits, seed, index))
     stats = SimulationStats()
     round_offset = 0
     for round_index in range(max_rounds):
@@ -49,9 +58,9 @@ def reference_run(simulator, algorithms, max_rounds) -> TranspiledRunResult:
         for algorithm in algorithms:
             message = None if algorithm.finished else algorithm.broadcast(round_index)
             if message is not None:
-                check_message(message, simulator.params.message_bits)
+                check_message(message, message_bits)
             broadcasts.append(message)
-        outcome = simulator.session.run_round(broadcasts, round_offset=round_offset)
+        outcome = simulated_round(broadcasts, round_offset=round_offset)
         round_offset += outcome.beep_rounds_used
         stats.record_round(
             beep_rounds=outcome.beep_rounds_used,

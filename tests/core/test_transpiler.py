@@ -97,6 +97,10 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             BeepSimulator(regular12, ids=[0] * 12)
 
+    def test_negative_ids_rejected(self, regular12):
+        with pytest.raises(ConfigurationError):
+            BeepSimulator(regular12, ids=[-1] + list(range(1, 12)))
+
     def test_algorithm_count_checked(self, regular12):
         simulator = BeepSimulator(regular12, seed=0)
         with pytest.raises(ConfigurationError):
