@@ -24,8 +24,9 @@ import numpy as np
 from ..beeping.noise import BernoulliNoise, NoiseModel, NoiselessChannel
 from ..congest.algorithm import BroadcastCongestAlgorithm
 from ..congest.vectorized import (
-    ObjectAlgorithmsAdapter,
+    VectorizedBroadcastAlgorithm,
     VectorizedBroadcastNetwork,
+    as_vectorized,
     drive,
     inbox_from_lists,
     plane_ints,
@@ -103,10 +104,15 @@ class TDMABroadcastSimulator:
 
     def run_broadcast_congest(
         self,
-        algorithms: Sequence[BroadcastCongestAlgorithm],
+        algorithms: "Sequence[BroadcastCongestAlgorithm] | VectorizedBroadcastAlgorithm",
         max_rounds: int,
     ) -> TranspiledRunResult:
-        """Drive the algorithms, one TDMA-simulated round per BC round."""
+        """Drive the algorithms, one TDMA-simulated round per BC round.
+
+        ``algorithms`` is a per-node object sequence or one columnar
+        algorithm, as for :meth:`repro.core.BeepSimulator.
+        run_broadcast_congest`.
+        """
         stats = SimulationStats()
         round_offset = 0
 
@@ -135,7 +141,7 @@ class TDMABroadcastSimulator:
 
         result = drive(
             self._network.vector_context(),
-            ObjectAlgorithmsAdapter(algorithms),
+            as_vectorized(algorithms),
             max_rounds,
             deliver,
         )

@@ -21,8 +21,8 @@ the schedules at epoch boundaries and executes each segment against that
 epoch's masked static topology (noise keying stays global-round, so the
 split is invisible to the flip stream).  Backends therefore only ever
 see static topologies, and the bit-identity invariant across dense /
-bit-packed / batched / sharded execution extends to churn scenarios with
-no per-backend code.
+bit-packed / batched execution extends to churn scenarios with no
+per-backend code.
 """
 
 from __future__ import annotations

@@ -19,11 +19,11 @@ schedules over a static topology (:class:`DynamicTopology`).
 ``(seed, window index)``, and :class:`DynamicTopology` draws its per-epoch
 masks the same way — so the flips (or the active edge set) for round
 ``t`` are a pure function of ``(seed, t, n)``.  They never depend on how
-rounds are batched, which backend executes them, how many replicas share
-a call, or how many shard workers split the nodes.  That is the single
-property that keeps the dense, bit-packed, replica-batched and sharded
-execution paths bit-identical under every scenario (property-tested in
-``tests/beeping/test_scenarios.py`` and ``tests/engine/``).
+rounds are batched, which backend executes them, or how many replicas
+share a call.  That is the single property that keeps the dense,
+bit-packed and replica-batched execution paths bit-identical under every
+scenario (property-tested in ``tests/beeping/test_scenarios.py`` and
+``tests/engine/``).
 """
 
 from __future__ import annotations
@@ -145,9 +145,8 @@ class WindowedNoise(NoiseModel):
 
         This is the raw noise stream :meth:`apply` XORs in, exposed so the
         bit-packed backend can pack the very same Philox flips into words
-        and shard workers can slice their local nodes' rows — the
-        ``(seed, round)`` keying and window semantics are shared, which
-        is what makes the backends bit-identical under noise.
+        — the ``(seed, round)`` keying and window semantics are shared,
+        which is what makes the backends bit-identical under noise.
         """
         flips = np.empty((n, rounds), dtype=bool)
         position = 0
@@ -374,8 +373,8 @@ class DynamicTopology:
     cached), which is how the executors consume it: the schedule runner
     segments executions at epoch boundaries and hands each segment a
     static topology, so **no backend ever sees the wrapper** and the
-    bit-identity of dense / bit-packed / batched / sharded execution
-    extends to dynamic networks for free.
+    bit-identity of dense / bit-packed / batched execution extends to
+    dynamic networks for free.
 
     The mask for round ``t`` depends only on ``(seed, t // period, n)``
     — the window contract again — never on how the surrounding rounds

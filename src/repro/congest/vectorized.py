@@ -32,7 +32,8 @@ word planes and per-node Python ints.
 :class:`~repro.congest.algorithm.BroadcastCongestAlgorithm` objects as a
 (non-columnar) vectorized algorithm, so third-party object algorithms
 run unchanged under this driver — with outputs, rounds and message
-counts identical to the reference engine.
+counts identical to the reference engine.  :func:`as_vectorized` applies
+it where needed, so both beeping simulators accept either form.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = [
     "ObjectAlgorithmsAdapter",
     "WordCodec",
     "drive",
+    "as_vectorized",
     "plane_words",
     "plane_ints",
     "inbox_from_lists",
@@ -523,6 +525,20 @@ def drive(
         messages_sent=messages_sent,
         finished=live == 0,
     )
+
+
+def as_vectorized(
+    algorithms: "Sequence[BroadcastCongestAlgorithm] | VectorizedBroadcastAlgorithm",
+) -> VectorizedBroadcastAlgorithm:
+    """The algorithm :func:`drive` runs for a simulator's argument.
+
+    A columnar :class:`VectorizedBroadcastAlgorithm` is returned as-is;
+    a sequence of per-node objects is wrapped in an
+    :class:`ObjectAlgorithmsAdapter`.
+    """
+    if isinstance(algorithms, VectorizedBroadcastAlgorithm):
+        return algorithms
+    return ObjectAlgorithmsAdapter(algorithms)
 
 
 class ObjectAlgorithmsAdapter(VectorizedBroadcastAlgorithm):

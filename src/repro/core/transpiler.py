@@ -21,9 +21,9 @@ import numpy as np
 from ..beeping.noise import NoiseModel
 from ..congest.algorithm import BroadcastCongestAlgorithm, CongestAlgorithm
 from ..congest.vectorized import (
-    ObjectAlgorithmsAdapter,
     VectorizedBroadcastAlgorithm,
     VectorizedBroadcastNetwork,
+    as_vectorized,
     drive,
     inbox_from_lists,
     plane_ints,
@@ -85,11 +85,6 @@ class BeepSimulator:
     channel:
         Override the noise channel (defaults to the one implied by the
         parameters' noise rate) — the failure-injection seam.
-    shards:
-        Shard-worker count for the sharded execution tier; ``1``
-        (default) keeps the single-process path, ``P > 1`` wraps the
-        backend in a :class:`~repro.engine.ShardedBackend` (bit-identical
-        results, multi-process execution).
     """
 
     def __init__(
@@ -104,7 +99,6 @@ class BeepSimulator:
         gamma: int = 4,
         backend: str | SimulationBackend | None = None,
         channel: "NoiseModel | None" = None,
-        shards: int = 1,
     ) -> None:
         n = topology.num_nodes
         if n < 2:
@@ -123,10 +117,6 @@ class BeepSimulator:
         # All per-execution state — codes, channel, backend, decoder
         # matrices — is built once here and amortised across every
         # simulated round of every run.
-        if shards > 1:
-            from ..engine import with_shards
-
-            backend = with_shards(backend, shards)
         self._session = BroadcastSession(
             topology,
             params,
@@ -167,10 +157,6 @@ class BeepSimulator:
         :meth:`~repro.core.round_simulator.BroadcastSession.run_round`,
         and every run starts at beeping round 0.
         """
-        if isinstance(algorithms, VectorizedBroadcastAlgorithm):
-            algorithm = algorithms
-        else:
-            algorithm = ObjectAlgorithmsAdapter(algorithms)
         stats = SimulationStats()
 
         def deliver(
@@ -188,7 +174,10 @@ class BeepSimulator:
 
         self._session.reset()
         result = drive(
-            self._network.vector_context(), algorithm, max_rounds, deliver
+            self._network.vector_context(),
+            as_vectorized(algorithms),
+            max_rounds,
+            deliver,
         )
         return TranspiledRunResult(
             outputs=result.outputs, finished=result.finished, stats=stats

@@ -7,12 +7,10 @@ method is ``run_schedule_batch``:
 
 * :class:`DenseBackend` (``"dense"``) — the scipy-CSR/numpy reference path;
 * :class:`BitpackedBackend` (``"bitpacked"``) — schedules packed into
-  ``uint64`` words, 64 rounds per OR/XOR;
-* :class:`ShardedBackend` (``"sharded"``) — either of the above hash-sharded
-  across ``P`` worker processes with chunked boundary exchange (see
-  :mod:`repro.engine.sharded`); built via :func:`with_shards`.
+  ``uint64`` words, 64 rounds per OR/XOR.
 
-All are bit-identical (property-tested); they differ only in speed.
+Both run in the calling process and are bit-identical (property-tested);
+they differ only in speed.
 Selection is by name, by instance, or ``"auto"`` — a size heuristic that
 picks the packed path once the schedule is big enough to amortise the
 pack/unpack overhead.  :func:`set_default_backend` changes what ``"auto"``
@@ -42,8 +40,6 @@ __all__ = [
     "SimulationBackend",
     "DenseBackend",
     "BitpackedBackend",
-    "ShardedBackend",
-    "with_shards",
     "mp_context",
     "START_METHOD",
     "available_backends",
@@ -149,40 +145,3 @@ def resolve_backend(
     if spec == "auto":
         return _auto_choice(topology, rounds)
     return get_backend(spec)
-
-
-# Imported after the registry helpers exist: the sharded coordinator
-# resolves its local kernel through ``resolve_backend`` lazily.
-from .sharded import ShardedBackend  # noqa: E402
-
-
-def with_shards(
-    spec: "str | SimulationBackend | None",
-    shards: int,
-    memory_budget_bytes: "int | None" = None,
-) -> "str | SimulationBackend | None":
-    """Wrap a backend spec in a :class:`ShardedBackend` when ``shards > 1``.
-
-    The single seam every ``--shards`` flag goes through: ``shards <= 1``
-    returns ``spec`` unchanged (no worker pool, byte-for-byte the
-    existing single-process path), while ``shards > 1`` returns a
-    :class:`ShardedBackend` using ``spec`` as its local kernel.  A spec
-    that is already a :class:`ShardedBackend` is returned as-is when the
-    shard counts agree, and rejected otherwise — nesting sharded tiers
-    is never meaningful.
-    """
-    from ..errors import ConfigurationError
-
-    if isinstance(spec, ShardedBackend):
-        if spec.shards != shards and shards > 1:
-            raise ConfigurationError(
-                f"backend is already sharded ({spec.shards} shards); "
-                f"cannot re-shard to {shards}"
-            )
-        return spec
-    if shards is None or int(shards) <= 1:
-        return spec
-    base = None if spec in (None, "auto") else spec
-    return ShardedBackend(
-        int(shards), base=base, memory_budget_bytes=memory_budget_bytes
-    )

@@ -4,8 +4,8 @@ Python's default start method varies by platform (``fork`` on Linux
 until 3.14, ``spawn`` on macOS/Windows), and ``fork`` silently copies
 whatever mutable process state — default-backend overrides, RNG caches,
 open pipes — the parent happened to hold.  Every process pool in this
-library (the experiments runner, the sweep engine, the sharded
-coordinator) therefore goes through :func:`mp_context`, which pins the
+library (the experiments runner, the sweep engine, the service's
+subprocess executor) therefore goes through :func:`mp_context`, which pins the
 ``spawn`` method: workers always start from a clean interpreter, and
 behaviour no longer differs between platforms.
 """

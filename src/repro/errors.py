@@ -44,13 +44,3 @@ class DecodingError(ReproError):
 
 class SimulationError(ReproError):
     """The simulation engine reached an inconsistent internal state."""
-
-
-class MemoryBudgetError(ReproError):
-    """A process exceeded its configured resident-memory budget.
-
-    Raised by :class:`repro.memguard.MemoryGuard` — and re-raised at the
-    sharded coordinator when a worker trips its per-worker guard — so a
-    run that would otherwise grow until the OS OOM-kills the host fails
-    with a clean, catchable error instead.
-    """

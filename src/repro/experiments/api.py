@@ -26,13 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ..engine import (
-    ShardedBackend,
-    get_default_backend,
-    mp_context,
-    set_default_backend,
-    with_shards,
-)
+from ..engine import get_default_backend, mp_context, set_default_backend
 from ..errors import ConfigurationError
 from .registry import all_specs, get_spec
 from .result import ExperimentResult
@@ -40,21 +34,12 @@ from .result import ExperimentResult
 __all__ = ["run", "run_one", "resolve_ids", "cache_path", "load_cached", "write_cache"]
 
 
-def _backend_name(backend: "str | None", shards: int = 1) -> str:
-    """The backend label recorded in results and cache keys.
-
-    ``shards > 1`` suffixes the label (e.g. ``"auto-shards4"``) so
-    sharded results never collide with single-process cache entries —
-    they are bit-identical, but their provenance differs.
-    """
+def _backend_name(backend: "str | None") -> str:
+    """The backend label recorded in results and cache keys."""
     if backend is not None:
-        base = backend
-    else:
-        default = get_default_backend()
-        base = default if isinstance(default, str) else default.name
-    if shards > 1:
-        return f"{base}-shards{shards}"
-    return base
+        return backend
+    default = get_default_backend()
+    return default if isinstance(default, str) else default.name
 
 
 def resolve_ids(
@@ -97,13 +82,12 @@ def cache_path(
     profile: str,
     seed: int,
     backend: "str | None" = None,
-    shards: int = 1,
 ) -> Path:
-    """The cache location for one ``(id, profile, seed, backend, shards)``."""
+    """The cache location for one ``(id, profile, seed, backend)``."""
     safe_profile = re.sub(r"[^A-Za-z0-9_.-]+", "-", profile)
     name = (
         f"{experiment_id}--{safe_profile}--seed{seed}"
-        f"--{_backend_name(backend, shards)}.json"
+        f"--{_backend_name(backend)}.json"
     )
     return Path(cache_dir) / name
 
@@ -177,26 +161,18 @@ def run_one(
     profile: str = "quick",
     seed: int = 0,
     backend: "str | None" = None,
-    shards: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> ExperimentResult:
     """Execute a single experiment in-process and return its result.
 
     Sets the process-wide default backend for the duration of the run
     (restored afterwards) so every simulation layer resolves to it.
-    With ``shards > 1`` the backend is wrapped in a
-    :class:`~repro.engine.ShardedBackend` (its worker pool is shut down
-    when the experiment finishes); results are bit-identical to
-    ``shards=1``, only the execution fabric changes.
     """
     spec = get_spec(experiment_id)
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    backend_name = _backend_name(backend, shards)
-    effective_backend = with_shards(backend, shards)
+    backend_name = _backend_name(backend)
     previous_backend = get_default_backend()
-    if effective_backend is not None:
-        set_default_backend(effective_backend)
+    if backend is not None:
+        set_default_backend(backend)
     try:
         ctx = spec.make_context(
             profile=profile, seed=seed, backend=backend_name, progress=progress
@@ -206,8 +182,6 @@ def run_one(
         elapsed = time.perf_counter() - started
     finally:
         set_default_backend(previous_backend)
-        if isinstance(effective_backend, ShardedBackend):
-            effective_backend.close()
     return ExperimentResult(
         experiment_id=spec.id,
         title=spec.title,
@@ -266,7 +240,7 @@ def _progress_relay(progress: Callable[[str], None]) -> Iterator[object]:
 
 
 def _run_payload(
-    payload: "tuple[str, str, int, str | None, int, object]",
+    payload: "tuple[str, str, int, str | None, object]",
 ) -> dict:
     """Worker-process entry: run one experiment, return its dict form.
 
@@ -277,13 +251,12 @@ def _run_payload(
     callback, so in-experiment :meth:`RunContext.report` messages reach
     the caller instead of being silently dropped.
     """
-    experiment_id, profile, seed, backend, shards, relay_queue = payload
+    experiment_id, profile, seed, backend, relay_queue = payload
     return run_one(
         experiment_id,
         profile=profile,
         seed=seed,
         backend=backend,
-        shards=shards,
         progress=relay_queue.put if relay_queue is not None else None,
     ).to_dict()
 
@@ -294,7 +267,6 @@ def run(
     profile: str = "quick",
     seed: int = 0,
     backend: "str | None" = None,
-    shards: int = 1,
     jobs: int = 1,
     tags: Iterable[str] | None = None,
     cache_dir: "str | Path | None" = None,
@@ -314,12 +286,6 @@ def run(
         Master seed handed to every experiment's context.
     backend:
         Simulation backend name (``None`` keeps the process default).
-    shards:
-        Worker-process count for the sharded execution tier.  ``1``
-        (default) runs single-process; ``P > 1`` partitions every
-        topology across ``P`` shard workers — results stay bit-identical
-        (only throughput and memory locality change), but cache entries
-        are kept separate via the ``-shardsP`` backend label.
     jobs:
         Worker processes; ``1`` runs serially in-process, ``N > 1`` fans
         experiments out over a :class:`ProcessPoolExecutor`.
@@ -344,8 +310,6 @@ def run(
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
     selected = resolve_ids(ids, tags=tags)
 
     hits: dict[str, ExperimentResult] = {}
@@ -360,12 +324,11 @@ def run(
                     profile=profile,
                     seed=seed,
                     backend=backend,
-                    shards=shards,
                 ),
                 experiment_id=experiment_id,
                 profile=profile,
                 seed=seed,
-                backend_name=_backend_name(backend, shards),
+                backend_name=_backend_name(backend),
             )
         if cached is not None:
             hits[experiment_id] = cached
@@ -384,7 +347,6 @@ def run(
                     profile=profile,
                     seed=seed,
                     backend=backend,
-                    shards=shards,
                 ),
                 result,
             )
@@ -402,8 +364,7 @@ def run(
             relay = _progress_relay(progress)
         with relay as relay_queue:
             payloads = [
-                (x, profile, seed, backend, shards, relay_queue)
-                for x in pending
+                (x, profile, seed, backend, relay_queue) for x in pending
             ]
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(pending)), mp_context=mp_context()
@@ -429,7 +390,6 @@ def run(
                         profile=profile,
                         seed=seed,
                         backend=backend,
-                        shards=shards,
                         progress=progress,
                     ),
                 )

@@ -202,15 +202,6 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
         "exit 2 with the known list",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="P",
-        help="partition each point's topology across P shard worker "
-        "processes (default 1 = single-process); results are "
-        "bit-identical for every P",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -257,7 +248,6 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
             args.grid,
             profile=args.profile,
             backend=args.backend,
-            shards=args.shards,
             jobs=args.jobs,
             cache_dir=args.cache,
             progress=note_progress,
@@ -411,15 +401,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "names exit 2 with the known list",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="P",
-        help="shard each simulation across P worker processes "
-        "(default 1 = single-process); results are bit-identical, "
-        "cache entries are kept per shard count",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -492,7 +473,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             profile=profile,
             seed=args.seed,
             backend=args.backend,
-            shards=args.shards,
             jobs=args.jobs,
             tags=tags,
             cache_dir=args.cache,

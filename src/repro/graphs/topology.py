@@ -99,25 +99,6 @@ class Topology:
         """All edges as sorted ``(min, max)`` pairs."""
         return [tuple(sorted(edge)) for edge in self._graph.edges]
 
-    def shard_plan(self, shards: int):
-        """The ``shards``-way hash partition of this topology, cached.
-
-        Builds (once per shard count) the
-        :class:`~repro.engine.sharded.ShardPlan` the sharded execution
-        tier runs on — deterministic hash ownership, per-rank CSR shards,
-        halo and exchange maps.  Repeated sharded runs over one topology
-        reuse the cached plan; the coordinator also keys its loaded
-        worker state on the plan's identity.
-        """
-        cache = self.__dict__.setdefault("_shard_plans", {})
-        plan = cache.get(shards)
-        if plan is None:
-            from ..engine.sharded import build_shard_plan
-
-            plan = build_shard_plan(self, shards)
-            cache[shards] = plan
-        return plan
-
     def are_adjacent(self, u: int, v: int) -> bool:
         """Whether ``u`` and ``v`` share a link."""
         return self._graph.has_edge(u, v)

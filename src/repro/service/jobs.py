@@ -5,10 +5,10 @@ Two kinds exist, mirroring the two programmatic entry points:
 
 ``experiment``
     The :func:`repro.experiments.api.run` payload shape — experiment
-    ids (or tags), profile, seed, backend, shards.
+    ids (or tags), profile, seed, backend.
 ``sweep``
     The :func:`repro.sweeps.run` payload shape — a grid dict (the
-    TOML document form), profile, backend override, shards.
+    TOML document form), profile, backend override.
 
 Normalization is **eager and lossy on aliases**: ids are resolved
 through the registry (tags folded in), grids are validated and expanded
@@ -22,7 +22,7 @@ payload shape.
 The normalized payload is also the **identity**: :meth:`JobSpec.
 identity_key` hashes exactly the fields that determine the result bytes
 — the existing cache identity (resolved ids / executed grid, profile,
-seed, backend label, shards).
+seed, backend label).
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ __all__ = ["JOB_KINDS", "JobFailure", "JobSpec", "execute_spec", "render_csv"]
 JOB_KINDS: tuple[str, ...] = ("experiment", "sweep")
 
 #: Payload keys accepted per kind (beyond ``"kind"`` itself).
-_EXPERIMENT_KEYS = ("ids", "tags", "profile", "seed", "backend", "shards")
-_SWEEP_KEYS = ("grid", "profile", "backend", "shards")
+_EXPERIMENT_KEYS = ("ids", "tags", "profile", "seed", "backend")
+_SWEEP_KEYS = ("grid", "profile", "backend")
 
 
 class JobFailure(Exception):
@@ -88,8 +88,8 @@ def _check_int(value: object, *, what: str, minimum: int) -> int:
     return value
 
 
-def _check_common(payload: Mapping) -> "tuple[str, str | None, int]":
-    """Validate the fields shared by both kinds: profile/backend/shards."""
+def _check_common(payload: Mapping) -> "tuple[str, str | None]":
+    """Validate the fields shared by both kinds: profile/backend."""
     profile = payload.get("profile", "quick")
     if not profile or not isinstance(profile, str):
         raise _one_line(f"job profile must be a non-empty string, got {profile!r}")
@@ -99,8 +99,7 @@ def _check_common(payload: Mapping) -> "tuple[str, str | None, int]":
         raise _one_line(
             f"unknown backend {backend!r}; known: {', '.join(known_backends)}"
         )
-    shards = _check_int(payload.get("shards", 1), what="shards", minimum=1)
-    return profile, backend, shards
+    return profile, backend
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,7 @@ class JobSpec:
     def _normalize_experiment(cls, raw: Mapping) -> "JobSpec":
         """Normalize an ``experiment`` payload (the ``api.run`` shape)."""
         _check_keys(raw, _EXPERIMENT_KEYS, "experiment")
-        profile, backend, shards = _check_common(raw)
+        profile, backend = _check_common(raw)
         seed = _check_int(raw.get("seed", 0), what="seed", minimum=0)
         tags = raw.get("tags")
         if tags is not None and (
@@ -166,7 +165,6 @@ class JobSpec:
             "profile": profile,
             "seed": seed,
             "backend": backend,
-            "shards": shards,
         }
         return cls(kind="experiment", payload=payload)
 
@@ -176,7 +174,7 @@ class JobSpec:
         from ..sweeps.grid import GridSpec, load_grid
 
         _check_keys(raw, _SWEEP_KEYS, "sweep")
-        profile, backend, shards = _check_common(raw)
+        profile, backend = _check_common(raw)
         grid = raw.get("grid")
         if not isinstance(grid, Mapping):
             raise _one_line(
@@ -191,11 +189,7 @@ class JobSpec:
             executed["grid"]["backends"] = [backend]
             spec = GridSpec.from_dict(executed)
             executed = spec.to_dict()
-        payload = {
-            "grid": executed,
-            "profile": profile,
-            "shards": shards,
-        }
+        payload = {"grid": executed, "profile": profile}
         return cls(kind="sweep", payload=payload)
 
     def payload_dict(self) -> dict:
@@ -207,11 +201,12 @@ class JobSpec:
 
         Hashes exactly what determines the result document's bytes — the
         existing cache identity surfaced one level up.  For experiments:
-        resolved ids in selection order, profile, seed, the backend
-        *label* (which encodes the shard count, via
-        ``api._backend_name``), and shards.  For sweeps: the executed
-        grid document (which pins every cell's slug, seed, and backend),
-        profile, and shards.
+        resolved ids in selection order, profile, seed and the backend
+        *label* (via ``api._backend_name``).  For sweeps: the executed
+        grid document (which pins every cell's slug, seed, and backend)
+        and profile.  Both documents also hash ``"shards": 1``, the
+        single-process value of the retired shard count, so every key
+        computed while it was settable stays valid.
         """
         payload = self.payload_dict()
         if self.kind == "experiment":
@@ -220,17 +215,15 @@ class JobSpec:
                 "ids": payload["ids"],
                 "profile": payload["profile"],
                 "seed": payload["seed"],
-                "backend": api._backend_name(
-                    payload["backend"], payload["shards"]
-                ),
-                "shards": payload["shards"],
+                "backend": api._backend_name(payload["backend"]),
+                "shards": 1,
             }
         else:
             doc = {
                 "kind": self.kind,
                 "grid": payload["grid"],
                 "profile": payload["profile"],
-                "shards": payload["shards"],
+                "shards": 1,
             }
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -243,8 +236,10 @@ class JobSpec:
     def from_dict(cls, document: Mapping) -> "JobSpec":
         """Rebuild a spec persisted by :meth:`to_dict` (already canonical).
 
-        Specs stored by older versions also carry a ``runtime`` field;
-        nothing reads it, and it never entered :meth:`identity_key`.
+        Specs stored by older versions also carry a ``runtime`` field,
+        a ``shards`` field, or both.  Nothing reads either: ``runtime``
+        never entered :meth:`identity_key`, and every job now runs in
+        one process.
         """
         kind = document["kind"]
         if kind not in JOB_KINDS:
@@ -275,7 +270,6 @@ def execute_spec(
             profile=payload["profile"],
             seed=payload["seed"],
             backend=payload["backend"],
-            shards=payload["shards"],
             jobs=1,
             cache_dir=cache_dir,
             progress=progress,
@@ -286,7 +280,6 @@ def execute_spec(
     result = sweeps.run(
         payload["grid"],
         profile=payload["profile"],
-        shards=payload["shards"],
         jobs=1,
         cache_dir=cache_dir,
         progress=progress,

@@ -50,13 +50,7 @@ from typing import Callable, Mapping, Sequence
 from ..beeping.noise import DynamicTopology, make_noise_model
 from ..core.parameters import SimulationParameters
 from ..core.round_simulator import BatchedSession
-from ..engine import (
-    ShardedBackend,
-    SimulationBackend,
-    get_backend,
-    mp_context,
-    with_shards,
-)
+from ..engine import get_backend, mp_context
 from ..errors import ConfigurationError
 from ..experiments import api
 from ..experiments.result import ExperimentResult
@@ -128,9 +122,7 @@ def _point_result(
     )
 
 
-def _identity_columns(
-    point: GridPoint, topology: Topology, shards: int = 1
-) -> dict:
+def _identity_columns(point: GridPoint, topology: Topology) -> dict:
     """The record columns shared by every workload: axes and structure."""
     return {
         "family": point.family,
@@ -142,7 +134,9 @@ def _identity_columns(
         "churn": point.churn,
         "gamma": point.gamma,
         "backend": point.backend,
-        "shards": shards,
+        # Always 1: every point runs in one process.  The column stays
+        # because perfbench's pinned sweep digests hash every point field.
+        "shards": 1,
         "seed": point.seed,
         "delta": topology.max_degree,
         "edges": topology.num_edges,
@@ -150,9 +144,7 @@ def _identity_columns(
     }
 
 
-def _execute_workload_point(
-    point: GridPoint, profile: str, shards: int = 1
-) -> ExperimentResult:
+def _execute_workload_point(point: GridPoint, profile: str) -> ExperimentResult:
     """Run one algorithm-workload point: build the graph, run, check.
 
     The algorithm executes on perfect channels through its ``run_*_bc``
@@ -170,7 +162,7 @@ def _execute_workload_point(
         ),
     )
     elapsed = time.perf_counter() - started
-    measured = _identity_columns(point, topology, shards)
+    measured = _identity_columns(point, topology)
     measured.update(
         message_bits=outcome.message_bits,
         beep_rounds_per_round=None,
@@ -187,11 +179,7 @@ def _execute_workload_point(
     return _point_result(point, profile, measured, elapsed)
 
 
-def execute_point(
-    point: GridPoint,
-    profile: str = "quick",
-    shards: int = 1,
-) -> ExperimentResult:
+def execute_point(point: GridPoint, profile: str = "quick") -> ExperimentResult:
     """Simulate one grid point end to end and return its structured result.
 
     For the ``broadcast`` workload: builds the validated zoo graph,
@@ -209,14 +197,12 @@ def execute_point(
     Algorithm workloads run the named algorithm on the same zoo graph
     on perfect channels.
     """
-    [result] = execute_batch([point], profile=profile, shards=shards)
+    [result] = execute_batch([point], profile=profile)
     return result
 
 
 def execute_batch(
-    points: "Sequence[GridPoint]",
-    profile: str = "quick",
-    shards: int = 1,
+    points: "Sequence[GridPoint]", profile: str = "quick"
 ) -> list[ExperimentResult]:
     """Simulate a group of same-cell points (differing only by seed) at once.
 
@@ -250,12 +236,8 @@ def execute_batch(
                 "execute_batch points must differ only by seed; got "
                 f"{point.label()} next to {first.label()}"
             )
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if first.workload != "broadcast":
-        return [
-            _execute_workload_point(point, profile, shards) for point in points
-        ]
+        return [_execute_workload_point(point, profile) for point in points]
     topologies = [_point_topology(point) for point in points]
 
     # Replica groups: identical realised adjacency (deterministic families
@@ -275,35 +257,6 @@ def execute_batch(
             )
             groups.setdefault(fingerprint, []).append(index)
 
-    results: list[ExperimentResult] = [None] * len(points)  # type: ignore[list-item]
-    # One sharded wrapper (and worker pool) for the whole batch; shards=1
-    # passes the plain backend name through untouched.
-    effective_backend = with_shards(first.backend, shards)
-    try:
-        results = _execute_broadcast_groups(
-            points, topologies, groups, first, profile, shards, effective_backend
-        )
-    finally:
-        if isinstance(effective_backend, ShardedBackend):
-            effective_backend.close()
-    # Every input index is covered by exactly one fingerprint group, so
-    # no slot can be left empty — fail loudly rather than ever letting a
-    # coverage bug misalign results with their points.
-    if any(result is None for result in results):  # pragma: no cover
-        raise ConfigurationError("execute_batch left a point without a result")
-    return results
-
-
-def _execute_broadcast_groups(
-    points: "Sequence[GridPoint]",
-    topologies: "Sequence[Topology]",
-    groups: "Mapping[bytes, list[int]]",
-    first: GridPoint,
-    profile: str,
-    shards: int,
-    effective_backend: "str | SimulationBackend | None",
-) -> list[ExperimentResult]:
-    """Run every replica group of one broadcast batch (see execute_batch)."""
     results: list[ExperimentResult] = [None] * len(points)  # type: ignore[list-item]
     for indices in groups.values():
         topology = topologies[indices[0]]
@@ -338,7 +291,7 @@ def _execute_broadcast_groups(
             session_topology,
             params,
             [_session_seed(points[index]) for index in indices],
-            backend=effective_backend,
+            backend=first.backend,
             channels=channels,
         )
         message_rngs = [
@@ -366,7 +319,7 @@ def _execute_broadcast_groups(
         elapsed = (time.perf_counter() - started) / len(indices)
         for position, index in enumerate(indices):
             point = points[index]
-            measured = _identity_columns(point, topology, shards)
+            measured = _identity_columns(point, topology)
             measured.update(
                 message_bits=params.message_bits,
                 beep_rounds_per_round=params.rounds_per_simulated_round,
@@ -381,17 +334,22 @@ def _execute_broadcast_groups(
                 valid=None,
             )
             results[index] = _point_result(point, profile, measured, elapsed)
+    # Every input index is covered by exactly one fingerprint group, so
+    # no slot can be left empty — fail loudly rather than ever letting a
+    # coverage bug misalign results with their points.
+    if any(result is None for result in results):  # pragma: no cover
+        raise ConfigurationError("execute_batch left a point without a result")
     return results
 
 
 def _execute_payload(
-    payload: "tuple[tuple[GridPoint, ...], str, int]",
+    payload: "tuple[tuple[GridPoint, ...], str]",
 ) -> list[dict]:
     """Worker-process entry: run one batch group, return its dict forms."""
-    points, profile, shards = payload
+    points, profile = payload
     return [
         result.to_dict()
-        for result in execute_batch(list(points), profile=profile, shards=shards)
+        for result in execute_batch(list(points), profile=profile)
     ]
 
 
@@ -408,9 +366,7 @@ def _point_record(point: GridPoint, result: ExperimentResult) -> dict:
     return record
 
 
-def _cache_identity_matches(
-    point: GridPoint, result: ExperimentResult, shards: int = 1
-) -> bool:
+def _cache_identity_matches(point: GridPoint, result: ExperimentResult) -> bool:
     """Whether a cached result's record carries exactly ``point``'s identity.
 
     The cache file name and stored ``experiment_id`` are the sanitised
@@ -419,10 +375,9 @@ def _cache_identity_matches(
     predates schema additions; the long-form record inside the result
     carries the *unsanitised* identity, so replay requires every
     identity column — family, generator params, ``n``, ``eps``,
-    ``noise_model``, ``churn``, ``gamma``, backend, ``shards``, seed,
-    ``rounds`` — to match the requested point exactly.  Anything malformed or mismatched is a
-    cache miss (``shards`` runs are bit-identical but cached separately,
-    so each record's provenance column stays truthful).
+    ``noise_model``, ``churn``, ``gamma``, backend, seed, ``rounds`` —
+    to match the requested point exactly.  Anything malformed or
+    mismatched is a cache miss.
     """
     try:
         record = _point_record(point, result)
@@ -439,7 +394,6 @@ def _cache_identity_matches(
             and record["churn"] == point.churn
             and record["gamma"] == point.gamma
             and record["backend"] == point.backend
-            and record["shards"] == shards
             and record["seed"] == point.seed
             and record["rounds"] == point.rounds
         )
@@ -448,7 +402,7 @@ def _cache_identity_matches(
 
 
 def _load_cached_point(
-    cache_dir: "str | Path", point: GridPoint, profile: str, shards: int = 1
+    cache_dir: "str | Path", point: GridPoint, profile: str
 ) -> "ExperimentResult | None":
     """Probe the on-disk cache for one point, with full identity verification."""
     cached = api.load_cached(
@@ -458,14 +412,13 @@ def _load_cached_point(
             profile=profile,
             seed=point.seed,
             backend=point.backend,
-            shards=shards,
         ),
         experiment_id=point.slug(),
         profile=profile,
         seed=point.seed,
         backend_name=point.backend,
     )
-    if cached is None or not _cache_identity_matches(point, cached, shards):
+    if cached is None or not _cache_identity_matches(point, cached):
         return None
     return cached
 
@@ -516,7 +469,6 @@ def run(
     *,
     profile: str = "quick",
     backend: "str | None" = None,
-    shards: int = 1,
     jobs: int = 1,
     cache_dir: "str | Path | None" = None,
     progress: Callable[[str], None] | None = None,
@@ -534,13 +486,6 @@ def run(
     backend:
         Override the grid's backend axis wholesale (the CLI
         ``--backend`` flag); ``None`` keeps the grid's own axis.
-    shards:
-        Shard-worker count for the sharded execution tier (the CLI
-        ``--shards`` flag).  ``1`` keeps the single-process path;
-        ``P > 1`` partitions each point's topology across ``P`` worker
-        processes.  Simulated numbers are bit-identical for every value
-        — the ``shards`` column in the records (and the cache identity)
-        tracks provenance only.
     jobs:
         Worker processes; ``1`` runs batch groups serially in-process.
     cache_dir:
@@ -552,8 +497,6 @@ def run(
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if backend is not None and backend != "auto":
         get_backend(backend)  # eager: fail before validation/probing work
     spec = load_grid(grid)
@@ -563,7 +506,7 @@ def run(
     pending: list[int] = []
     for index, point in enumerate(points):
         cached = (
-            _load_cached_point(cache_dir, point, profile, shards)
+            _load_cached_point(cache_dir, point, profile)
             if cache_dir is not None
             else None
         )
@@ -584,7 +527,6 @@ def run(
                     profile=profile,
                     seed=points[index].seed,
                     backend=points[index].backend,
-                    shards=shards,
                 ),
                 result,
             )
@@ -597,7 +539,7 @@ def run(
     groups = _batch_groups(points, pending, jobs=jobs)
     if pending and jobs > 1:
         payloads = [
-            (tuple(points[index] for index in group), profile, shards)
+            (tuple(points[index] for index in group), profile)
             for group in groups
         ]
         with ProcessPoolExecutor(
@@ -613,9 +555,7 @@ def run(
     else:
         for group in groups:
             group_results = execute_batch(
-                [points[index] for index in group],
-                profile=profile,
-                shards=shards,
+                [points[index] for index in group], profile=profile
             )
             for index, result in zip(group, group_results):
                 finish(index, result)

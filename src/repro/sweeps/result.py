@@ -38,7 +38,10 @@ __all__ = ["SWEEP_SCHEMA_VERSION", "POINT_FIELDS", "CELL_KEY", "SweepResult"]
 #: Version 4 added the ``shards`` execution column (worker-process count
 #: of the sharded tier; ``1`` = single-process).  ``shards`` is
 #: provenance, not identity: it is deliberately excluded from
-#: :data:`CELL_KEY`, because sharded execution is bit-identical.
+#: :data:`CELL_KEY`, because sharded execution was bit-identical.  The
+#: tier is gone and the column is now always ``1``; it stays, at this
+#: version, because perfbench's pinned ``sweep_noiseless`` digests hash
+#: every point field, and leaves with the next re-pin.
 #: Version 5 added the scenario axes: the ``noise_model`` identity
 #: column (how the eps budget is spent — ``bernoulli``, ``adversarial``,
 #: ``zone:<frac>``) and the ``churn`` identity column (per-epoch node

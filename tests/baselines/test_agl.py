@@ -6,6 +6,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.algorithms import (
+    VectorizedMaximalMatching,
+    make_matching_algorithms,
+    matching_field_widths,
+)
 from repro.baselines import (
     TDMABroadcastSimulator,
     agl_overhead,
@@ -103,6 +108,43 @@ class TestSimulator:
         assert simulated.outputs == reference.outputs
         assert simulated.finished == reference.finished
         assert simulated.stats == reference.stats
+
+    @pytest.mark.parametrize(
+        "eps,repetitions,failed",
+        [(0.05, None, False), (0.1, 1, True), (0.2, 3, True)],
+    )
+    def test_columnar_matching_equals_objects(
+        self, regular12, eps, repetitions, failed
+    ):
+        """A columnar algorithm runs through TDMA exactly as its objects do.
+
+        With the default repetitions at ε = 0.05 every round is clean;
+        with fewer repetitions every round fails, so the outputs depend
+        on every flip the two runs decode.
+        """
+        objects, budget = make_matching_algorithms(regular12)
+        id_bits, value_bits = matching_field_widths(regular12.num_nodes)
+
+        def run(algorithms):
+            return TDMABroadcastSimulator(
+                regular12,
+                message_bits=budget,
+                eps=eps,
+                seed=3,
+                repetitions=repetitions,
+            ).run_broadcast_congest(algorithms, max_rounds=40)
+
+        reference = run(objects)
+        columnar = run(
+            VectorizedMaximalMatching(id_bits=id_bits, value_bits=value_bits)
+        )
+        if failed:
+            assert reference.stats.failed_rounds == 40
+        else:
+            assert reference.stats.failed_rounds == 0
+        assert columnar.outputs == reference.outputs
+        assert columnar.finished == reference.finished
+        assert columnar.stats == reference.stats
 
     def test_overhead_property(self, regular12):
         simulator = TDMABroadcastSimulator(

@@ -32,7 +32,6 @@ from repro.engine import (
     SimulationBackend,
     normalize_batch_args,
     validate_schedule_batch,
-    with_shards,
 )
 from repro.errors import ConfigurationError
 from repro.graphs import (
@@ -241,53 +240,39 @@ class TestBackendsAgree:
                 DENSE.run_schedule(topology, schedule, channel, start),
             )
 
-    @pytest.mark.parametrize("spec", ["bitpacked", "sharded"])
-    def test_windowed_subclass_takes_the_generic_path(self, spec):
+    @pytest.mark.parametrize("backend", [PACKED], ids=["bitpacked"])
+    def test_windowed_subclass_takes_the_generic_path(self, backend):
         """A subclass of a packed-flip channel type must keep its ``apply``.
 
-        The bit-packed backend packs flips and the sharded tier ships
-        channel specs to its workers only for the exact library types;
-        ``InvertingBernoulli`` overrides ``apply`` and must take the
-        generic path, in a batch that mixes it with every other kind.
+        The bit-packed backend packs flips only for the exact library
+        types; ``InvertingBernoulli`` overrides ``apply`` and must take
+        the generic path, in a batch that mixes it with every other kind.
         """
-        backend = (
-            PACKED if spec == "bitpacked" else with_shards("bitpacked", 2)
+        topology = Topology(gnp_graph(24, 0.2, seed=11))
+        rng = np.random.default_rng(8)
+        schedules = rng.random((5, 24, 100)) < 0.3
+        channels = [
+            InvertingBernoulli(0.1, seed=50),
+            BernoulliNoise(0.1, seed=50),
+            AdversarialNoise(0.1, seed=51),
+            unreliable_zone(24, frac=0.25, eps_hot=0.3, eps_cold=0.05, seed=52),
+            NoiselessChannel(),
+        ]
+        starts = [WINDOW - 40 + 7 * r for r in range(5)]
+        expected = DENSE.run_schedule_batch(topology, schedules, channels, starts)
+        plain = DENSE.run_schedule(topology, schedules[0], channels[1], starts[0])
+        assert np.array_equal(expected[0][0], ~plain[0])
+        assert np.array_equal(
+            backend.run_schedule_batch(topology, schedules, channels, starts),
+            expected,
         )
-        try:
-            topology = Topology(gnp_graph(24, 0.2, seed=11))
-            rng = np.random.default_rng(8)
-            schedules = rng.random((5, 24, 100)) < 0.3
-            channels = [
-                InvertingBernoulli(0.1, seed=50),
-                BernoulliNoise(0.1, seed=50),
-                AdversarialNoise(0.1, seed=51),
-                unreliable_zone(
-                    24, frac=0.25, eps_hot=0.3, eps_cold=0.05, seed=52
-                ),
-                NoiselessChannel(),
-            ]
-            starts = [WINDOW - 40 + 7 * r for r in range(5)]
-            expected = DENSE.run_schedule_batch(
-                topology, schedules, channels, starts
-            )
-            plain = DENSE.run_schedule(
-                topology, schedules[0], channels[1], starts[0]
-            )
-            assert np.array_equal(expected[0][0], ~plain[0])
+        for r in range(5):
             assert np.array_equal(
-                backend.run_schedule_batch(topology, schedules, channels, starts),
-                expected,
+                backend.run_schedule(
+                    topology, schedules[r], channels[r], starts[r]
+                ),
+                expected[r],
             )
-            for r in range(5):
-                assert np.array_equal(
-                    backend.run_schedule(
-                        topology, schedules[r], channels[r], starts[r]
-                    ),
-                    expected[r],
-                )
-        finally:
-            if spec == "sharded":
-                backend.close()
 
 
 class TestValidation:

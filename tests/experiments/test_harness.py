@@ -68,24 +68,31 @@ class TestBackendFlag:
         assert "['bitpacked', 'dense'] (or 'auto')" in err
 
 
+#: Flags of retired settings, each with a value the old CLI accepted.
+RETIRED_FLAGS = (["--runtime", "reference"], ["--shards", "2"])
+
+
 class TestRuntimeFlag:
-    """Usage errors exit 2: the retired ``--runtime`` flag, unknown axes."""
+    """Usage errors exit 2: the retired ``--runtime`` and ``--shards``
+    flags, unknown axes."""
 
     def test_runtime_flag_is_retired(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["e11", "--runtime", "reference"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "unrecognized arguments: --runtime reference" in err
+        for flag in RETIRED_FLAGS:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["e11", *flag])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     def test_sweep_runtime_flag_is_retired(self, tmp_path, capsys):
         grid = tmp_path / "grid.toml"
         grid.write_text(GRID_TOML)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--grid", str(grid), "--runtime", "reference"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "unrecognized arguments: --runtime reference" in err
+        for flag in RETIRED_FLAGS:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sweep", "--grid", str(grid), *flag])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     def test_sweep_unknown_noise_model_exits_2_one_line(self, tmp_path, capsys):
         grid = tmp_path / "grid.toml"

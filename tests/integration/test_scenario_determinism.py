@@ -7,7 +7,7 @@ raw flip streams, the dynamic-topology epoch masks, and full
 algorithm-workload outcomes.  Any hidden dependence on hash
 randomisation, set/dict iteration order, or process-local state breaks
 the equality — the strongest form of the seeded-determinism contract the
-sweep cache and the sharded workers both rely on.
+sweep cache and the spawn worker pools rely on.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""The doc-path gate: strings naming missing ``*.md`` files are findings.
+"""The doc-path gate: strings naming missing ``*.md`` files, and
+backticked repo paths in the docs naming missing files, are findings.
 
 The strings in this file name markdown files inside temporary trees, so
 the gate itself skips this file (``FIXTURE_FILES``).
@@ -9,7 +10,12 @@ from __future__ import annotations
 from pathlib import Path
 
 from test_repo_clean import run_cli
-from tools.lint.docpaths import RULE_ID, dead_doc_paths, doc_paths_gate
+from tools.lint.docpaths import (
+    RULE_ID,
+    dead_doc_paths,
+    dead_repo_paths,
+    doc_paths_gate,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -76,3 +82,41 @@ def test_every_python_tree_is_scanned(tmp_path):
     plant(tmp_path, "notes/x.py", '"""See DESIGN.md."""\n')
     result = doc_paths_gate(tmp_path)
     assert [finding.location for finding in result.findings] == scanned
+
+
+def test_planted_dangling_repo_path_in_docs_fails_the_all_gate(tmp_path):
+    plant(tmp_path, "tests/test_kept.py", "def test_kept():\n    pass\n")
+    plant(
+        tmp_path,
+        "README.md",
+        "# Readme\n\nTested by `tests/test_kept.py::test_kept`.\n",
+    )
+    plant(
+        tmp_path,
+        "docs/GUIDE.md",
+        "# Guide\n\nSee `src/repro/kept.py` and `tests/test_gone.py::test_x`.\n",
+    )
+    plant(tmp_path, "src/repro/kept.py", '"""Kept."""\n')
+    completed = run_cli("--all", "--root", str(tmp_path))
+    assert completed.returncode == 2
+    assert (
+        f"docs/GUIDE.md:3: {RULE_ID} names tests/test_gone.py, "
+        "which does not exist in the repo"
+    ) in completed.stdout
+    assert "README.md" not in completed.stdout
+    assert "doc-paths" in completed.stderr
+
+
+def test_history_documents_and_prose_are_out_of_scope(tmp_path):
+    # paths named by history documents may be gone on purpose; spans that
+    # are not a single repo path (commands, other trees) are not checked
+    for name in ("ROADMAP.md", "CHANGES.md", "SNIPPETS.md"):
+        plant(tmp_path, name, "Deleted `src/repro/gone.py`.\n")
+    plant(
+        tmp_path,
+        "README.md",
+        "Run `python benchmarks/bench_gone.py` and see `notes/gone.py`;\n"
+        "every `docs/*.md` is linked.\n",
+    )
+    assert doc_paths_gate(tmp_path).ok
+    assert dead_repo_paths(tmp_path / "README.md", tmp_path) == []

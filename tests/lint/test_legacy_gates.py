@@ -26,7 +26,6 @@ def test_docstring_gate_covers_the_lint_relevant_modules():
     for module in (
         "repro.beeping.noise",
         "repro.engine.base",
-        "repro.engine.sharded.coordinator",
         "repro.sweeps.engine",
         "repro.service.app",
     ):

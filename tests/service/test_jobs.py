@@ -26,7 +26,6 @@ class TestNormalizeExperiment:
             "profile": "quick",
             "seed": 0,
             "backend": None,
-            "shards": 1,
         }
 
     def test_ids_resolved_through_registry(self):
@@ -59,7 +58,7 @@ class TestNormalizeExperiment:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("seed", -1), ("seed", "7"), ("shards", 0), ("shards", True)],
+        [("seed", -1), ("seed", "7")],
     )
     def test_bad_integers_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
@@ -70,18 +69,20 @@ class TestNormalizeExperiment:
             normalize(kind="experiment", ids=["e01"], backend="quantum")
 
     def test_retired_runtime_key_rejected(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            normalize(kind="experiment", ids=["e01"], runtime="reference")
-        assert str(excinfo.value) == (
-            "unknown experiment-job key(s) 'runtime'; "
-            "known: ids, tags, profile, seed, backend, shards"
-        )
-        with pytest.raises(ConfigurationError) as excinfo:
-            normalize(kind="sweep", grid=GRID, runtime="reference")
-        assert str(excinfo.value) == (
-            "unknown sweep-job key(s) 'runtime'; "
-            "known: grid, profile, backend, shards"
-        )
+        # runtime and shards are both retired: each is an unknown key
+        for retired, value in (("runtime", "reference"), ("shards", 2)):
+            with pytest.raises(ConfigurationError) as excinfo:
+                normalize(kind="experiment", ids=["e01"], **{retired: value})
+            assert str(excinfo.value) == (
+                f"unknown experiment-job key(s) '{retired}'; "
+                "known: ids, tags, profile, seed, backend"
+            )
+            with pytest.raises(ConfigurationError) as excinfo:
+                normalize(kind="sweep", grid=GRID, **{retired: value})
+            assert str(excinfo.value) == (
+                f"unknown sweep-job key(s) '{retired}'; "
+                "known: grid, profile, backend"
+            )
 
     def test_empty_profile_rejected(self):
         with pytest.raises(ConfigurationError, match="profile"):
@@ -121,6 +122,21 @@ class TestNormalizeSweep:
             normalize(kind="sweep", grid=bad)
 
 
+#: Submissions whose identity keys were pinned while ``runtime`` and
+#: ``shards`` were still job keys.
+STORED_EXPERIMENT = {"kind": "experiment", "ids": ["e14"]}
+STORED_SWEEP = {
+    "kind": "sweep",
+    "grid": {
+        "topologies": ["cycle"],
+        "sizes": [8],
+        "noises": [0.0],
+        "seeds": [0],
+        "rounds": 1,
+    },
+}
+
+
 class TestIdentity:
     def test_identical_payloads_share_a_key(self):
         a = normalize(kind="experiment", ids=["e01"], seed=3)
@@ -128,38 +144,42 @@ class TestIdentity:
         assert a.identity_key() == b.identity_key()
 
     @pytest.mark.parametrize(
-        "submission,runtime,key",
+        "submission,retired,key",
         [
             (
-                {"kind": "experiment", "ids": ["e14"]},
-                None,
+                STORED_EXPERIMENT,
+                {"runtime": None},
                 "db6d490f9490b64a3ff7eeab763e3dc2d9eda0269c7520f2d5d691b4360fe533",
             ),
             (
-                {
-                    "kind": "sweep",
-                    "grid": {
-                        "topologies": ["cycle"],
-                        "sizes": [8],
-                        "noises": [0.0],
-                        "seeds": [0],
-                        "rounds": 1,
-                    },
-                },
-                "reference",
+                STORED_SWEEP,
+                {"runtime": "reference"},
+                "6bc0ec23688e1e96fc459437fbfb6f9ebf6e7d87f06b1f834f195c78e7170dcc",
+            ),
+            (
+                STORED_EXPERIMENT,
+                {"runtime": None, "shards": 1},
+                "db6d490f9490b64a3ff7eeab763e3dc2d9eda0269c7520f2d5d691b4360fe533",
+            ),
+            (
+                STORED_SWEEP,
+                {"shards": 2},
                 "6bc0ec23688e1e96fc459437fbfb6f9ebf6e7d87f06b1f834f195c78e7170dcc",
             ),
         ],
-        ids=["experiment", "sweep"],
+        ids=["experiment", "sweep", "experiment-shards1", "sweep-shards2"],
     )
     def test_stored_specs_with_runtime_keep_key_and_run(
-        self, submission, runtime, key, tmp_path
+        self, submission, retired, key, tmp_path
     ):
-        # spec.json as stored before the runtime key was retired; the keys
-        # were computed then, so no payload edit can split the dedupe index.
+        # spec.json as stored before the runtime and shards keys were
+        # retired; the keys were computed then, so no payload edit can
+        # split the dedupe index.  Nothing reads either field: a spec
+        # stored with shards 2 runs in one process under the key of the
+        # single-process spec.
         fresh = JobSpec.normalize(submission)
         document = fresh.to_dict()
-        document["payload"]["runtime"] = runtime
+        document["payload"].update(retired)
         stored = JobSpec.from_dict(document)
         assert stored.identity_key() == fresh.identity_key() == key
         cache = str(tmp_path)
@@ -173,7 +193,7 @@ class TestIdentity:
         [
             {"seed": 1},
             {"profile": "full"},
-            {"shards": 2},
+            {"backend": "dense"},
             {"ids": ["e03"]},
         ],
     )

@@ -1,16 +1,22 @@
-"""The doc-path gate: python strings must not name missing markdown files.
+"""The doc-path gate: code and docs must not name missing repo files.
 
 Docstrings, error messages and experiment labels point readers at the
-repo's markdown documents (``docs/ARCHITECTURE.md``, ``README.md`` ...).
-When a document is renamed or never written, those pointers dangle
-silently.  This gate scans every string constant — docstrings included —
-in the python files of every tree in :data:`TREES`, picks out each
-``*.md`` path, resolves it against the repo root, and reports
-``path:line: DOC-001 ...`` for every one that does not exist.
+repo's markdown documents (``docs/ARCHITECTURE.md``, ``README.md`` ...),
+and the documents point back at source files, tests and benchmarks
+(``tests/engine/test_backends.py``).  When a file is renamed or deleted,
+those pointers dangle silently.  This gate resolves both directions
+against the repo root and reports ``path:line: DOC-001 ...`` for every
+one that does not exist:
 
-URLs and glob patterns (``*.md``) are not paths and are skipped.  The
-markdown link gate (:mod:`tools.lint.links`) is the counterpart for links
-*inside* the markdown files.
+* every ``*.md`` path in a string constant — docstrings included — of
+  the python files in every tree in :data:`TREES`.  URLs and glob
+  patterns (``*.md``) are not paths and are skipped;
+* every backticked repo path (an inline code span that is one path
+  under a tree in :data:`PATH_TREES`, with any ``::test`` suffix
+  stripped; globs are skipped) in the :data:`DOCUMENTS`.
+
+The markdown link gate (:mod:`tools.lint.links`) is the counterpart for
+``[text](target)`` links inside the markdown files.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from pathlib import Path
 from .reporter import Finding, GateResult
 from .walker import iter_python_files, relative_posix
 
-__all__ = ["RULE_ID", "dead_doc_paths", "doc_paths_gate"]
+__all__ = ["RULE_ID", "dead_doc_paths", "dead_repo_paths", "doc_paths_gate"]
 
 #: Rule id printed with every finding.
 RULE_ID = "DOC-001"
@@ -36,6 +42,29 @@ FIXTURE_FILES = (
     "tests/lint/test_check_links.py",
     "tests/lint/test_doc_paths.py",
 )
+
+#: Markdown documents whose backticked repo paths must resolve, as globs
+#: relative to the root.  ROADMAP, CHANGES and SNIPPETS record history,
+#: so the paths they name may be gone on purpose.
+DOCUMENTS = ("README.md", "docs/*.md")
+
+#: The top-level trees a backticked path in a document may point into.
+PATH_TREES = (
+    "src",
+    "tests",
+    "benchmarks",
+    "tools",
+    "examples",
+    "perfbench",
+    "docs",
+)
+
+#: An inline code span on one line.
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+
+#: A code span that is exactly one repo path (or a pytest node id); a
+#: glob (``docs/*.md``) is not a path.
+REPO_PATH = re.compile(rf"(?:{'|'.join(PATH_TREES)})/[^\s*]*")
 
 #: A relative ``*.md`` path: slash-separated segments ending in a name
 #: with the ``.md`` suffix.  It may not start inside a longer token, so the
@@ -73,16 +102,44 @@ def dead_doc_paths(path: Path, root: Path) -> "list[Finding]":
     return findings
 
 
+def dead_repo_paths(markdown: Path, root: Path) -> "list[Finding]":
+    """Every backticked repo path in ``markdown`` missing under ``root``."""
+    relpath = relative_posix(markdown, root)
+    findings: "list[Finding]" = []
+    lines = markdown.read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
+        for span in CODE_SPAN.finditer(line):
+            if REPO_PATH.fullmatch(span.group(1)) is None:
+                continue
+            target = span.group(1).split("::", 1)[0]
+            if not (root / target).exists():
+                findings.append(
+                    Finding(
+                        relpath,
+                        number,
+                        RULE_ID,
+                        f"names {target}, which does not exist in the repo",
+                    )
+                )
+    return findings
+
+
 def doc_paths_gate(root: Path) -> GateResult:
-    """Scan the python files under ``root``'s :data:`TREES`; package the outcome."""
+    """Scan ``root``'s :data:`TREES` and :data:`DOCUMENTS`; package the outcome."""
     files = [
         path
         for path in iter_python_files(root / tree for tree in TREES)
         if relative_posix(path, root) not in FIXTURE_FILES
     ]
+    documents = sorted(
+        {path for pattern in DOCUMENTS for path in root.glob(pattern)}
+    )
     findings: "list[Finding]" = []
     for path in files:
         findings.extend(dead_doc_paths(path, root))
+    for path in documents:
+        findings.extend(dead_repo_paths(path, root))
+    files.extend(documents)
     return GateResult(
         name="doc-paths",
         findings=sorted(findings),

@@ -37,11 +37,6 @@ MODULES: "tuple[str, ...]" = (
     "repro.engine.bitpacked",
     "repro.engine.packing",
     "repro.engine.mp",
-    "repro.engine.sharded",
-    "repro.engine.sharded.partition",
-    "repro.engine.sharded.shard",
-    "repro.engine.sharded.coordinator",
-    "repro.memguard",
     "repro.experiments.spec",
     "repro.experiments.api",
     "repro.experiments.result",

@@ -51,7 +51,7 @@ def check_unseeded_randomness(context: FileContext) -> Iterator[Finding]:
 
     Every random stream must come from ``repro.rng.derive_rng(seed,
     *context)`` (SHA-256-keyed Philox) so runs are reproducible across
-    processes, backends, and shard counts.  ``np.random.<dist>()`` draws
+    processes and backends.  ``np.random.<dist>()`` draws
     from the hidden global state, ``random.*`` from the interpreter-wide
     Mersenne twister, and ``default_rng()`` without a seed from the OS —
     all three make results depend on call order or the host.
@@ -133,8 +133,7 @@ def check_nondeterminism_sources(context: FileContext) -> Iterator[Finding]:
                 "RNG-002",
                 node,
                 "builtin hash() is salted per interpreter; "
-                "use repro.rng.derive_seed or "
-                "repro.engine.sharded.partition.hash64",
+                "use repro.rng.derive_seed",
             )
             continue
         origin = _call_origin(context, node)
@@ -169,9 +168,9 @@ def check_set_iteration(context: FileContext) -> Iterator[Finding]:
 
     Set iteration order depends on element hashes — stable for ints
     within a run, but an invitation for str-keyed sets (salted) and a
-    trap whenever the construction order differs across shards or
-    backends.  Kernel code must iterate ``sorted(...)`` collections (the
-    sharded tier's "symmetric edge ids" discipline).  Dicts are exempt:
+    trap whenever the construction order differs across processes or
+    backends.  Kernel code must iterate ``sorted(...)`` collections.
+    Dicts are exempt:
     insertion order is a language guarantee and part of the
     deterministic program state.
     """
@@ -272,7 +271,7 @@ class _SpawnVisitor(ast.NodeVisitor):
 @rule(
     "SPAWN-001",
     "only module-level callables cross process-spawn boundaries",
-    backing_test="tests/engine/test_sharded_backend.py (spawn workers)",
+    backing_test="tests/experiments/test_api.py::TestRunMany::test_parallel_matches_serial",
     scopes=("src/",),
 )
 def check_spawn_picklability(context: FileContext) -> Iterator[Finding]:
@@ -372,17 +371,17 @@ def check_window_firewall(context: FileContext) -> Iterator[Finding]:
     "LOCK-001",
     "locks are held via with-statements, never bare acquire()",
     backing_test="tests/service/test_jobs.py (concurrent submissions)",
-    scopes=("src/repro/service/", "src/repro/engine/sharded/"),
+    scopes=("src/repro/service/",),
 )
 def check_lock_discipline(context: FileContext) -> Iterator[Finding]:
-    """Flag explicit ``.acquire()`` calls in the concurrent layers.
+    """Flag explicit ``.acquire()`` calls in the service layer.
 
     A bare ``lock.acquire()`` that is not paired with ``release()`` in a
-    ``finally`` deadlocks the single-flight dedupe table or a shard
-    worker the first time the guarded block raises.  The repo's
-    concurrency layers therefore hold every ``threading.Lock`` /
-    ``Condition`` through a ``with`` statement, which the AST shows
-    unambiguously; any explicit ``.acquire()`` call is a finding.
+    ``finally`` deadlocks the single-flight dedupe table the first time
+    the guarded block raises.  The service therefore holds every
+    ``threading.Lock`` / ``Condition`` through a ``with`` statement,
+    which the AST shows unambiguously; any explicit ``.acquire()`` call
+    is a finding.
     """
     for node in ast.walk(context.tree):
         if (
