@@ -3,10 +3,10 @@
 Times the scenario layer of ``repro.beeping.noise`` end to end: raw
 ``flip_block`` generation for each windowed channel (Bernoulli,
 heterogeneous zone, adversarial), full ``run_schedule`` execution under
-each channel on both single-process backends, and the dynamic-topology
+each channel on both schedule kernels, and the dynamic-topology
 wrapper's epoch-masking overhead against the equivalent static run.
 Before any number is reported, every channel's heard matrix is checked
-bit-identical between the dense and bit-packed backends — the scenario
+bit-identical between the dense and bit-packed kernels — the scenario
 layer's core invariant — so a broken stream can never masquerade as a
 fast one.
 
@@ -31,7 +31,8 @@ import numpy as np
 from conftest import host_metadata
 from repro.beeping.batch import run_schedule
 from repro.beeping.noise import DynamicTopology, make_noise_model
-from repro.engine import get_backend
+from repro.engine.bitpacked import BitpackedBackend
+from repro.engine.dense import DenseBackend
 from repro.graphs import Topology
 from repro.graphs.generators import random_regular_graph
 
@@ -41,6 +42,10 @@ MODELS = (
     ("zone", "zone:0.25"),
     ("adversarial", "adversarial"),
 )
+
+#: The executor's two kernels, timed directly so each is measured at
+#: every schedule size.
+KERNELS = {"dense": DenseBackend(), "bitpacked": BitpackedBackend()}
 
 
 def best_of(fn, repeats: int) -> "tuple[float, float]":
@@ -77,7 +82,7 @@ def flip_block_section(n: int, rounds: int, eps: float, repeats: int) -> dict:
 def schedule_section(
     topology: Topology, rounds: int, eps: float, repeats: int
 ) -> dict:
-    """Full schedule execution per channel on both backends (+ identity)."""
+    """Full schedule execution per channel on both kernels (+ identity)."""
     n = topology.num_nodes
     schedule = np.random.default_rng(0).random((n, rounds)) < 0.2
     section = {}
@@ -85,21 +90,20 @@ def schedule_section(
         channel = make_noise_model(name, eps, 7, n)
         heard = {}
         timing = {}
-        for backend_name in ("dense", "bitpacked"):
-            backend = get_backend(backend_name)
-            heard[backend_name] = backend.run_schedule(
+        for kernel_name, kernel in KERNELS.items():
+            heard[kernel_name] = kernel.run_schedule(
                 topology, schedule, channel, 4000
             )
             best, _ = best_of(
-                lambda backend=backend: backend.run_schedule(
+                lambda kernel=kernel: kernel.run_schedule(
                     topology, schedule, channel, 4000
                 ),
                 repeats,
             )
-            timing[backend_name] = best
+            timing[kernel_name] = best
         if not np.array_equal(heard["dense"], heard["bitpacked"]):
             raise SystemExit(
-                f"FATAL: {label} channel not bit-identical across backends"
+                f"FATAL: {label} channel not bit-identical across kernels"
             )
         section[label] = {
             "dense_s": timing["dense"],
@@ -117,7 +121,7 @@ def churn_section(
     schedule = np.random.default_rng(1).random((n, rounds)) < 0.2
     channel = make_noise_model("bernoulli", eps, 7, n)
     static_best, _ = best_of(
-        lambda: run_schedule(topology, schedule, channel, 0, backend="bitpacked"),
+        lambda: run_schedule(topology, schedule, channel, 0),
         repeats,
     )
     section = {"static_s": static_best}
@@ -128,7 +132,7 @@ def churn_section(
 
         def run_dynamic(dynamic=dynamic) -> None:
             dynamic._epoch_cache.clear()
-            run_schedule(dynamic, schedule, channel, 0, backend="bitpacked")
+            run_schedule(dynamic, schedule, channel, 0)
 
         best, _ = best_of(run_dynamic, repeats)
         section[f"period_{period}"] = {

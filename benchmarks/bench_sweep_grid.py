@@ -25,7 +25,7 @@ GRID = GridSpec.from_dict(
 
 def test_single_point_amortised(benchmark):
     """One grid point: graph build + session + 1 Broadcast CONGEST round."""
-    point = GRID.expand(backend="dense")[0]
+    point = GRID.expand()[0]
     result = benchmark(execute_point, point)
     assert result.tables[0].rows
 
@@ -33,7 +33,7 @@ def test_single_point_amortised(benchmark):
 def test_grid_serial(benchmark):
     """The 24-point example-sized grid, serial in-process execution."""
     result = benchmark.pedantic(
-        lambda: sweeps.run(GRID, backend="dense"), rounds=1, iterations=1
+        lambda: sweeps.run(GRID), rounds=1, iterations=1
     )
     assert len(result.points) == 24
     print()
@@ -43,7 +43,7 @@ def test_grid_serial(benchmark):
 def test_grid_parallel_jobs4(benchmark):
     """Same grid fanned out over 4 worker processes."""
     result = benchmark.pedantic(
-        lambda: sweeps.run(GRID, backend="dense", jobs=4), rounds=1, iterations=1
+        lambda: sweeps.run(GRID, jobs=4), rounds=1, iterations=1
     )
     assert len(result.points) == 24
 
@@ -51,10 +51,10 @@ def test_grid_parallel_jobs4(benchmark):
 def test_grid_cached_replay(benchmark, tmp_path):
     """Second run of a cached grid: pure cache-replay throughput."""
     cache = tmp_path / "cache"
-    sweeps.run(GRID, backend="dense", cache_dir=cache)  # warm
+    sweeps.run(GRID, cache_dir=cache)  # warm
 
     def replay():
-        return sweeps.run(GRID, backend="dense", cache_dir=cache)
+        return sweeps.run(GRID, cache_dir=cache)
 
     result = benchmark(replay)
     assert all(point["cached"] for point in result.points)

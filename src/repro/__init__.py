@@ -10,8 +10,8 @@ The library implements the complete stack the paper builds on:
   (:mod:`repro.codes`);
 * the **optimal simulation** — Algorithm 1, Theorem 11, Corollary 12 —
   (:mod:`repro.core`);
-* the pluggable **execution backends** (dense and bit-packed) it runs on
-  (:mod:`repro.engine`);
+* the **schedule executor** it runs on, which picks a dense or a
+  bit-packed kernel by schedule size (:mod:`repro.engine`);
 * the **prior-work baselines** it improves on (:mod:`repro.baselines`);
 * the **maximal matching** application and friends (:mod:`repro.algorithms`);
 * the **lower-bound machinery** of Section 5 (:mod:`repro.lower_bounds`).
@@ -25,7 +25,6 @@ from .errors import (
     MessageSizeError,
     ProtocolViolationError,
     ReproError,
-    SimulationError,
 )
 from .graphs import (
     Topology,
@@ -67,14 +66,6 @@ from .core import (
     practical_c,
     simulate_broadcast_round,
 )
-from .engine import (
-    BitpackedBackend,
-    DenseBackend,
-    SimulationBackend,
-    available_backends,
-    get_default_backend,
-    set_default_backend,
-)
 
 __version__ = "1.0.0"
 
@@ -84,7 +75,6 @@ __all__ = [
     "DecodingError",
     "MessageSizeError",
     "ProtocolViolationError",
-    "SimulationError",
     "Topology",
     "build_family_graph",
     "family_names",
@@ -120,11 +110,5 @@ __all__ = [
     "paper_strict_c",
     "practical_c",
     "simulate_broadcast_round",
-    "SimulationBackend",
-    "DenseBackend",
-    "BitpackedBackend",
-    "available_backends",
-    "get_default_backend",
-    "set_default_backend",
     "__version__",
 ]

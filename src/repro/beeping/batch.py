@@ -8,21 +8,20 @@ faster than the per-round engine while being bit-identical to it (the noise
 model keys flips by global round number, and the equivalence is
 property-tested in ``tests/beeping/test_batch.py``).
 
-Execution is delegated to a pluggable :class:`~repro.engine.
-SimulationBackend` — the scipy-CSR/numpy ``"dense"`` path or the ``uint64``
-``"bitpacked"`` path, selected per call, process-wide, or automatically by
-schedule size (see :mod:`repro.engine`).
+Execution is delegated to the schedule executor,
+:func:`repro.engine.run_schedule_batch`, which picks its dense or
+bit-packed kernel by schedule size.
 
 Every schedule runs as a replica batch: :func:`run_schedule` is
 :func:`run_schedule_batch` on a batch of one.  Dynamic networks plug in
-*above* the backends: when the topology is a
+*above* the executor: when the topology is a
 :class:`~repro.beeping.noise.DynamicTopology`, the batch runner splits
 the schedules at epoch boundaries and executes each segment against that
 epoch's masked static topology (noise keying stays global-round, so the
-split is invisible to the flip stream).  Backends therefore only ever
+split is invisible to the flip stream).  The kernels therefore only ever
 see static topologies, and the bit-identity invariant across dense /
 bit-packed / batched execution extends to churn scenarios with no
-per-backend code.
+per-kernel code.
 """
 
 from __future__ import annotations
@@ -31,13 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..engine import (
-    SimulationBackend,
-    normalize_batch_args,
-    resolve_backend,
-    validate_schedule,
-    validate_schedule_batch,
-)
+from .. import engine
+from ..engine import normalize_batch_args, validate_schedule, validate_schedule_batch
 from ..graphs import Topology
 from .noise import DynamicTopology, NoiseModel
 
@@ -49,7 +43,6 @@ def run_schedule(
     schedule: np.ndarray,
     channel: NoiseModel | None = None,
     start_round: int = 0,
-    backend: str | SimulationBackend | None = None,
 ) -> np.ndarray:
     """Execute a fixed beep schedule and return what every device hears.
 
@@ -68,10 +61,6 @@ def run_schedule(
         Global round number of the phase's first round; keys the noise
         stream (and the churn epochs) so chained phases reproduce the
         per-round engine exactly.
-    backend:
-        Execution backend: a name (``"dense"``, ``"bitpacked"``), an
-        instance, ``"auto"``, or ``None`` for the process default.  All
-        backends return bit-identical heard matrices.
 
     Returns
     -------
@@ -82,7 +71,7 @@ def run_schedule(
     """
     schedule = validate_schedule(topology, schedule)
     return run_schedule_batch(
-        topology, schedule[np.newaxis], [channel], [start_round], backend
+        topology, schedule[np.newaxis], [channel], [start_round]
     )[0]
 
 
@@ -91,7 +80,6 @@ def run_schedule_batch(
     schedules: np.ndarray,
     channels: NoiseModel | Sequence[NoiseModel | None] | None,
     start_rounds: int | Sequence[int] | None,
-    backend: str | SimulationBackend | None = None,
 ) -> np.ndarray:
     """Execute R replica schedules over one shared topology in one call.
 
@@ -100,7 +88,7 @@ def run_schedule_batch(
     :func:`~repro.engine.normalize_batch_args` does (a ``None`` channel
     means noiseless).  Shape and count mistakes raise
     :class:`~repro.errors.ConfigurationError`.  Static topologies go
-    straight to the backend's replica-batched kernel.  A
+    straight to :func:`repro.engine.run_schedule_batch`.  A
     :class:`~repro.beeping.noise.DynamicTopology` is executed epoch
     segment by epoch segment when every replica shares one start round
     (the common case — :class:`~repro.core.round_simulator.BatchedSession`
@@ -114,9 +102,8 @@ def run_schedule_batch(
     channel_list, starts = normalize_batch_args(
         replicas, channels, start_rounds
     )
-    resolved = resolve_backend(backend, topology=topology, rounds=rounds)
     if not isinstance(topology, DynamicTopology):
-        return resolved.run_schedule_batch(
+        return engine.run_schedule_batch(
             topology, schedules, channel_list, starts
         )
     heard = np.empty_like(schedules)
@@ -127,14 +114,13 @@ def run_schedule_batch(
                 schedules[index : index + 1],
                 channel_list[index : index + 1],
                 starts[index : index + 1],
-                backend=resolved,
             )
         return heard
     start_round = starts[0] if starts else 0
     for start, stop in topology.segments(start_round, rounds):
         lo = start - start_round
         hi = stop - start_round
-        heard[:, :, lo:hi] = resolved.run_schedule_batch(
+        heard[:, :, lo:hi] = engine.run_schedule_batch(
             topology.topology_at(start),
             schedules[:, :, lo:hi],
             channel_list,

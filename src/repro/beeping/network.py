@@ -3,7 +3,7 @@
 Each round: every device picks BEEP or LISTEN; the engine computes the true
 received bit for every device (own beep, else OR of beeping neighbours,
 from :meth:`repro.graphs.Topology.neighbor_or` — the function
-:class:`~repro.engine.DenseBackend` runs on whole schedules), passes it
+:class:`~repro.engine.dense.DenseBackend` runs on whole schedules), passes it
 through the noise model, and delivers the heard bit back to the device.
 This is an exact discrete-time implementation of the model in Section 1.1
 of the paper.

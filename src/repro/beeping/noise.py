@@ -19,7 +19,7 @@ schedules over a static topology (:class:`DynamicTopology`).
 ``(seed, window index)``, and :class:`DynamicTopology` draws its per-epoch
 masks the same way — so the flips (or the active edge set) for round
 ``t`` are a pure function of ``(seed, t, n)``.  They never depend on how
-rounds are batched, which backend executes them, or how many replicas
+rounds are batched, which kernel executes them, or how many replicas
 share a call.  That is the single property that keeps the dense,
 bit-packed and replica-batched execution paths bit-identical under every
 scenario (property-tested in ``tests/beeping/test_scenarios.py`` and
@@ -108,7 +108,7 @@ class WindowedNoise(NoiseModel):
     per-``(window, n)`` LRU of generated windows.  Because every flip is
     a pure function of ``(seed, round, n)``, any channel built on this
     base automatically satisfies the window contract that keeps the
-    execution backends bit-identical.
+    execution kernels bit-identical.
     """
 
     def __init__(self, seed: int) -> None:
@@ -144,9 +144,9 @@ class WindowedNoise(NoiseModel):
         """The boolean ``(n, rounds)`` flip matrix starting at ``round_index``.
 
         This is the raw noise stream :meth:`apply` XORs in, exposed so the
-        bit-packed backend can pack the very same Philox flips into words
+        bit-packed kernel can pack the very same Philox flips into words
         — the ``(seed, round)`` keying and window semantics are shared,
-        which is what makes the backends bit-identical under noise.
+        which is what makes the kernels bit-identical under noise.
         """
         flips = np.empty((n, rounds), dtype=bool)
         position = 0
@@ -339,7 +339,7 @@ def unreliable_zone(
     ``round(frac * n)`` nodes (at least one, chosen by a seeded
     permutation) hear through ``eps_hot``; every other node hears through
     ``eps_cold``.  The hot-node subset depends only on ``(seed, n)``, so
-    the profile is reproducible across processes and backends.
+    the profile is reproducible across processes and kernels.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ConfigurationError(f"unreliable_zone needs n >= 1, got {n!r}")
@@ -372,7 +372,7 @@ class DynamicTopology:
     epoch as an ordinary static :class:`~repro.graphs.Topology` (LRU
     cached), which is how the executors consume it: the schedule runner
     segments executions at epoch boundaries and hands each segment a
-    static topology, so **no backend ever sees the wrapper** and the
+    static topology, so **no kernel ever sees the wrapper** and the
     bit-identity of dense / bit-packed / batched execution extends to
     dynamic networks for free.
 

@@ -15,7 +15,7 @@ whose state lives in numpy arrays.  Each round :func:`drive`
    corrupted decodes from the beeping substrate are representable too.
    :meth:`VectorContext.gather` is the perfect channel (a CSR neighbour
    gather over the topology's adjacency arrays, the same CSR the
-   beeping backends execute on); the beeping simulators pass a delivery
+   beeping kernels execute on); the beeping simulators pass a delivery
    that runs one simulated round;
 4. hands the inbox to ``receive_step`` and updates the live-node count.
 
@@ -292,7 +292,7 @@ class VectorContext:
 
     The columnar counterpart of :class:`~repro.congest.context.
     NodeContext`: one object describing every node at once, plus the CSR
-    adjacency arrays (shared with the :mod:`repro.engine` backends) that
+    adjacency arrays (shared with the :mod:`repro.engine` kernels) that
     delivery gathers run over.
 
     Attributes

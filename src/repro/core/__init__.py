@@ -5,9 +5,9 @@
 * :func:`simulate_broadcast_round` — Algorithm 1: one Broadcast CONGEST
   round in ``O(Δ log n)`` noisy-beep rounds;
 * :class:`BroadcastSession` — the amortised multi-round engine behind it
-  (codes, channel, backend and decoder matrices built once);
+  (codes, channel and decoder matrices built once);
 * :class:`BatchedSession` — ``R`` seed-replicas of one ``(topology,
-  params)`` pair executed as a single replica-batched backend call per
+  params)`` pair executed as a single replica-batched schedule call per
   phase, bit-identical to the per-seed sessions;
 * :class:`BeepSimulator` — Theorem 11 / Corollary 12: run entire Broadcast
   CONGEST or CONGEST algorithms on a (noisy) beeping network;

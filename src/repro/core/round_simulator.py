@@ -51,7 +51,6 @@ import numpy as np
 from ..beeping.batch import run_schedule_batch
 from ..beeping.noise import DynamicTopology, NoiseModel, make_noise_model
 from ..codes import CombinedCode
-from ..engine import SimulationBackend, resolve_backend
 from ..errors import ConfigurationError
 from ..graphs import Topology
 from ..lru import LRUDict
@@ -120,9 +119,8 @@ class RoundOutcome:
 class BroadcastSession:
     """An amortised multi-round engine for Algorithm 1.
 
-    All per-execution state — the code pair ``(C, D)``, the channel, the
-    execution backend, and the candidate-policy decoder state — is built in
-    the constructor; each :meth:`run_round` call then only pays for the
+    All per-execution state — the code pair ``(C, D)``, the channel and
+    the candidate-policy decoder state — is built in the constructor; each :meth:`run_round` call then only pays for the
     round itself, planned and decoded through the exact vectorised
     kernels.  The session tracks the global beeping-round offset so
     consecutive rounds chain exactly like
@@ -150,9 +148,6 @@ class BroadcastSession:
         ``params.eps``).
     codes:
         Reuse a previously built code pair.
-    backend:
-        Execution backend for the beeping phases (name, instance,
-        ``"auto"``, or ``None`` for the process default).
     """
 
     def __init__(
@@ -165,7 +160,6 @@ class BroadcastSession:
         num_decoys: int = 16,
         channel: NoiseModel | None = None,
         codes: CombinedCode | None = None,
-        backend: str | SimulationBackend | None = None,
     ) -> None:
         if topology.max_degree > params.max_degree:
             raise ConfigurationError(
@@ -199,9 +193,6 @@ class BroadcastSession:
                 "bernoulli", params.eps, seed, topology.num_nodes
             )
         )
-        self._backend = resolve_backend(
-            backend, topology=topology, rounds=self._codes.length
-        )
         self._round_offset = 0
         # Candidate-policy decoder state, built lazily once per session:
         # the full phase-1/phase-2 matrices for EXHAUSTIVE, and a bounded
@@ -231,11 +222,6 @@ class BroadcastSession:
     def channel(self) -> NoiseModel:
         """The noise channel, built once per session."""
         return self._channel
-
-    @property
-    def backend(self) -> SimulationBackend:
-        """The execution backend driving the beeping phases."""
-        return self._backend
 
     @property
     def next_round_offset(self) -> int:
@@ -366,7 +352,7 @@ class BroadcastSession:
 
         Consumes the plan's round RNG where the plan left it (message
         decoys) and advances the session offset, so splitting a round
-        around the backend call cannot perturb any stream.
+        around the beeping phases cannot perturb any stream.
         """
         topology = self._round_topology(plan.round_offset)
         params = self._params
@@ -472,7 +458,7 @@ class BroadcastSession:
 
         Equivalent to calling :func:`simulate_broadcast_round` once per
         entry with ``round_offset`` advancing by ``2b`` each time — but the
-        codes, channel, backend and decoder matrices are constructed only
+        codes, channel and decoder matrices are constructed only
         once, in the session constructor.
         """
         if round_offset is not None:
@@ -542,7 +528,7 @@ class BroadcastSession:
 
 @dataclass
 class _RoundPlan:
-    """Pre-backend state of one simulated round (see ``_plan_round``).
+    """Pre-beeping state of one simulated round (see ``_plan_round``).
 
     Carries the still-live per-round RNG between the plan and finish
     halves so the draw order (``r_v`` values, candidate decoys, message
@@ -573,10 +559,10 @@ def _run_round(
     """Run one planned round's beeping phases for every session, then decode.
 
     The one round driver: a standalone session passes itself as a batch of
-    one, a :class:`BatchedSession` passes all its replicas (same topology
-    and backend).  Each phase is one replica-batched schedule execution,
-    routed through :func:`~repro.beeping.batch.run_schedule_batch` (not the
-    backend directly) so dynamic topologies get their epoch segmentation.
+    one, a :class:`BatchedSession` passes all its replicas (same topology).
+    Each phase is one replica-batched schedule execution, routed through
+    :func:`~repro.beeping.batch.run_schedule_batch` (not the executor
+    directly) so dynamic topologies get their epoch segmentation.
     """
     first = sessions[0]
     b = first.codes.length
@@ -591,7 +577,6 @@ def _run_round(
             np.stack(schedules),
             channels,
             [plan.round_offset + phase * b for plan in plans],
-            backend=first.backend,
         )
         for phase, schedules in enumerate(phases)
     )
@@ -812,7 +797,7 @@ class BatchedSession:
     master seed — codes, channel and decoder state derive from that seed
     exactly as standalone sessions do — but every simulated round executes
     each beeping phase for all replicas as one stacked
-    :meth:`~repro.engine.SimulationBackend.run_schedule_batch` call, then
+    :func:`~repro.engine.run_schedule_batch` call, then
     hands each replica's heard matrices to that replica's own decode
     half.  Outcome ``r`` of
     :meth:`run_round` is therefore bit-identical to what
@@ -829,9 +814,8 @@ class BatchedSession:
         Code parameters, shared by every replica.
     seeds:
         One master seed per replica (the batch size is ``len(seeds)``).
-    policy, num_decoys, backend:
-        As for :class:`BroadcastSession`; the backend is resolved once
-        and shared so the batch executes as one call.
+    policy, num_decoys:
+        As for :class:`BroadcastSession`.
     channels:
         Optional per-replica channel overrides (one entry per seed,
         ``None`` entries meaning "the default for that seed's params") —
@@ -846,7 +830,6 @@ class BatchedSession:
         *,
         policy: CandidatePolicy = CandidatePolicy.ORACLE_WITH_DECOYS,
         num_decoys: int = 16,
-        backend: "str | SimulationBackend | None" = None,
         channels: "Sequence[NoiseModel | None] | None" = None,
     ) -> None:
         seeds = [int(seed) for seed in seeds]
@@ -866,7 +849,6 @@ class BatchedSession:
                 seed,
                 policy=policy,
                 num_decoys=num_decoys,
-                backend=backend,
                 channel=channel,
             )
             for seed, channel in zip(seeds, channels)
@@ -874,7 +856,6 @@ class BatchedSession:
         self._topology = topology
         self._params = params
         self._seeds = tuple(seeds)
-        self._backend = self._sessions[0].backend
 
     @property
     def topology(self) -> Topology:
@@ -895,11 +876,6 @@ class BatchedSession:
     def num_replicas(self) -> int:
         """Number of seed-replicas in the batch."""
         return len(self._sessions)
-
-    @property
-    def backend(self) -> SimulationBackend:
-        """The execution backend shared by the whole batch."""
-        return self._backend
 
     @property
     def sessions(self) -> "tuple[BroadcastSession, ...]":
@@ -959,7 +935,6 @@ def simulate_broadcast_round(
     num_decoys: int = 16,
     channel: NoiseModel | None = None,
     codes: CombinedCode | None = None,
-    backend: str | SimulationBackend | None = None,
 ) -> RoundOutcome:
     """Run Algorithm 1 once and decode every node's neighbour messages.
 
@@ -992,8 +967,6 @@ def simulate_broadcast_round(
     codes:
         Reuse a previously built code pair (saves rebuilding it when
         simulating many rounds).
-    backend:
-        Execution backend for the beeping phases (see :mod:`repro.engine`).
     """
     session = BroadcastSession(
         topology,
@@ -1003,7 +976,6 @@ def simulate_broadcast_round(
         num_decoys=num_decoys,
         channel=channel,
         codes=codes,
-        backend=backend,
     )
     return session.run_round(messages, round_offset=round_offset)
 

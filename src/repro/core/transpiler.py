@@ -28,7 +28,6 @@ from ..congest.vectorized import (
     inbox_from_lists,
     plane_ints,
 )
-from ..engine import SimulationBackend
 from ..errors import ConfigurationError
 from ..graphs import Topology
 from .congest_wrapper import wrap_congest_algorithms
@@ -80,8 +79,6 @@ class BeepSimulator:
         Candidate enumeration policy for the decoders.
     gamma:
         Message-size multiplier ``γ`` when deriving default parameters.
-    backend:
-        Execution backend for the beeping phases (see :mod:`repro.engine`).
     channel:
         Override the noise channel (defaults to the one implied by the
         parameters' noise rate) — the failure-injection seam.
@@ -97,7 +94,6 @@ class BeepSimulator:
         policy: CandidatePolicy = CandidatePolicy.ORACLE_WITH_DECOYS,
         num_decoys: int = 16,
         gamma: int = 4,
-        backend: str | SimulationBackend | None = None,
         channel: "NoiseModel | None" = None,
     ) -> None:
         n = topology.num_nodes
@@ -114,16 +110,15 @@ class BeepSimulator:
             topology, ids=ids, message_bits=params.message_bits, seed=seed
         )
         self._params = params
-        # All per-execution state — codes, channel, backend, decoder
-        # matrices — is built once here and amortised across every
-        # simulated round of every run.
+        # All per-execution state — codes, channel, decoder matrices — is
+        # built once here and amortised across every simulated round of
+        # every run.
         self._session = BroadcastSession(
             topology,
             params,
             seed,
             policy=policy,
             num_decoys=num_decoys,
-            backend=backend,
             channel=channel,
         )
 

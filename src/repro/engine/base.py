@@ -1,21 +1,22 @@
-"""The :class:`SimulationBackend` protocol shared by all execution engines.
+"""The base class of the two schedule kernels.
 
-A backend implements one method,
+A kernel implements one method,
 :meth:`SimulationBackend.run_schedule_batch`: execute ``R`` seed-replica
 schedules, each a fixed boolean ``(n, rounds)`` beep schedule, over the
-*same* topology in one call and return the stacked heard matrices.  This
-is the one carrier-sense code path: the base class's
-:meth:`SimulationBackend.run_schedule` is a batch of one, and the round
-engine of :mod:`repro.core.round_simulator` calls the batch directly.
+*same* topology in one call and return the stacked heard matrices.  The
+base class's :meth:`SimulationBackend.run_schedule` is a batch of one.
+Within the library only :func:`repro.engine.run_schedule_batch` calls
+the kernels; it picks one by schedule size.
 
-Backends are interchangeable: every implementation must be *bit-identical*
-to :class:`~repro.engine.dense.DenseBackend` on the same inputs, including
-under :class:`~repro.beeping.noise.BernoulliNoise` (the noise stream is
-keyed by ``(seed, round)``, so the flip pattern is a pure function of the
+The kernels are interchangeable: :class:`~repro.engine.bitpacked.
+BitpackedBackend` must be *bit-identical* to :class:`~repro.engine.dense.
+DenseBackend` on the same inputs, including under
+:class:`~repro.beeping.noise.BernoulliNoise` (the noise stream is keyed
+by ``(seed, round)``, so the flip pattern is a pure function of the
 inputs, not of the execution strategy).  Along the replica axis,
 ``run_schedule_batch(schedules)[r]`` must equal the batch of one holding
-replica ``r``'s schedule, channel and start round, for every backend.
-These contracts are property-tested in ``tests/beeping/test_batch.py``,
+replica ``r``'s schedule, channel and start round.  These contracts are
+property-tested in ``tests/beeping/test_batch.py``,
 ``tests/engine/test_backends.py`` and
 ``tests/engine/test_batched_backends.py``.
 """
@@ -23,7 +24,7 @@ These contracts are property-tested in ``tests/beeping/test_batch.py``,
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -116,12 +117,9 @@ def normalize_batch_args(
 class SimulationBackend(ABC):
     """Executes beep schedules over a :class:`~repro.graphs.Topology`.
 
-    Backends are stateless (all state lives in the topology and channel), so
+    Kernels are stateless (all state lives in the topology and channel), so
     a single instance can be shared freely across sessions and threads.
     """
-
-    #: Registry name of the backend (``"dense"``, ``"bitpacked"``, ...).
-    name: ClassVar[str]
 
     @abstractmethod
     def run_schedule_batch(
@@ -153,7 +151,7 @@ class SimulationBackend(ABC):
 
         ``schedule`` is a boolean ``(n, rounds)`` matrix; the result is the
         same-shaped heard matrix.  It is :meth:`run_schedule_batch` on a
-        batch of one, so every backend has exactly one schedule path.
+        batch of one, so every kernel has exactly one schedule path.
         """
         schedule = validate_schedule(topology, schedule)
         return self.run_schedule_batch(

@@ -1,4 +1,4 @@
-"""The bit-packed backend: 64 rounds per machine word.
+"""The bit-packed kernel: 64 rounds per machine word.
 
 Schedules are packed along the round axis into ``uint64`` words
 (:mod:`~repro.engine.packing`), the OR-of-neighbours is computed with a
@@ -44,7 +44,7 @@ def _flip_block_types() -> tuple[type, ...]:
     """The exact channel types whose flips can be packed-XORed directly.
 
     These are the windowed channels whose ``apply`` is exactly
-    ``received ^ flip_block(...)`` — for them the backend packs the
+    ``received ^ flip_block(...)`` — for them the kernel packs the
     Philox flip matrix into words instead of unpacking the heard bits.
     Exact types only: a subclass may override ``apply``, and then only
     the generic boolean fallback honours it.
@@ -60,8 +60,6 @@ def _flip_block_types() -> tuple[type, ...]:
 
 class BitpackedBackend(SimulationBackend):
     """Packed-word execution: OR/XOR on ``uint64`` words, 64 rounds at a time."""
-
-    name = "bitpacked"
 
     # perfbench/seams.py wraps this name from the class __dict__.
     def run_schedule(

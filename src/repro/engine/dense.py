@@ -1,8 +1,10 @@
-"""The scipy-CSR/numpy reference backend.
+"""The scipy-CSR/numpy reference kernel.
 
 A sparse boolean matrix product gives the OR-of-neighbours, then the
 channel is applied to the dense heard matrix.  It defines the bit-exact
-semantics every other backend must reproduce.
+semantics the bit-packed kernel must reproduce, and
+:func:`repro.engine.run_schedule_batch` runs it on schedules too short
+to fill packed words.
 
 The replica batch stacks all ``R`` replica schedules along the round
 axis — ``(R, n, rounds)`` becomes ``(n, R * rounds)`` — so the
@@ -33,8 +35,6 @@ __all__ = ["DenseBackend"]
 
 class DenseBackend(SimulationBackend):
     """Dense boolean execution over the CSR adjacency matrix."""
-
-    name = "dense"
 
     # perfbench/seams.py wraps this name from the class __dict__.
     def run_schedule(

@@ -2,7 +2,7 @@
 
 Python's default start method varies by platform (``fork`` on Linux
 until 3.14, ``spawn`` on macOS/Windows), and ``fork`` silently copies
-whatever mutable process state — default-backend overrides, RNG caches,
+whatever mutable process state — RNG caches, module-level LRUs,
 open pipes — the parent happened to hold.  Every process pool in this
 library (the experiments runner, the sweep engine, the service's
 subprocess executor) therefore goes through :func:`mp_context`, which pins the

@@ -40,7 +40,3 @@ class DecodingError(ReproError):
     the noisy model); this error is reserved for unrecoverable misuse, such
     as decoding a word of the wrong length.
     """
-
-
-class SimulationError(ReproError):
-    """The simulation engine reached an inconsistent internal state."""

@@ -13,7 +13,7 @@ under a :class:`~repro.experiments.context.RunContext` — process-parallel
 across experiments when ``jobs > 1`` — and returns
 :class:`~repro.experiments.result.ExperimentResult` objects.  With
 ``cache_dir`` set, results are replayed from / written to an on-disk JSON
-cache keyed by ``(id, profile, seed, backend)``.
+cache keyed by ``(id, profile, seed)``.
 """
 
 from __future__ import annotations
@@ -26,20 +26,12 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ..engine import get_default_backend, mp_context, set_default_backend
+from ..engine import mp_context
 from ..errors import ConfigurationError
 from .registry import all_specs, get_spec
 from .result import ExperimentResult
 
 __all__ = ["run", "run_one", "resolve_ids", "cache_path", "load_cached", "write_cache"]
-
-
-def _backend_name(backend: "str | None") -> str:
-    """The backend label recorded in results and cache keys."""
-    if backend is not None:
-        return backend
-    default = get_default_backend()
-    return default if isinstance(default, str) else default.name
 
 
 def resolve_ids(
@@ -81,15 +73,10 @@ def cache_path(
     *,
     profile: str,
     seed: int,
-    backend: "str | None" = None,
 ) -> Path:
-    """The cache location for one ``(id, profile, seed, backend)``."""
+    """The cache location for one ``(id, profile, seed)``."""
     safe_profile = re.sub(r"[^A-Za-z0-9_.-]+", "-", profile)
-    name = (
-        f"{experiment_id}--{safe_profile}--seed{seed}"
-        f"--{_backend_name(backend)}.json"
-    )
-    return Path(cache_dir) / name
+    return Path(cache_dir) / f"{experiment_id}--{safe_profile}--seed{seed}.json"
 
 
 def load_cached(
@@ -98,7 +85,6 @@ def load_cached(
     experiment_id: str,
     profile: str,
     seed: int,
-    backend_name: str,
 ) -> "ExperimentResult | None":
     """Read a cache entry; anything unreadable or mismatched is a miss.
 
@@ -128,7 +114,6 @@ def load_cached(
         result.experiment_id != experiment_id
         or result.profile != profile
         or result.seed != seed
-        or result.backend != backend_name
     ):
         return None
     result.cached = True
@@ -160,28 +145,14 @@ def run_one(
     *,
     profile: str = "quick",
     seed: int = 0,
-    backend: "str | None" = None,
     progress: Callable[[str], None] | None = None,
 ) -> ExperimentResult:
-    """Execute a single experiment in-process and return its result.
-
-    Sets the process-wide default backend for the duration of the run
-    (restored afterwards) so every simulation layer resolves to it.
-    """
+    """Execute a single experiment in-process and return its result."""
     spec = get_spec(experiment_id)
-    backend_name = _backend_name(backend)
-    previous_backend = get_default_backend()
-    if backend is not None:
-        set_default_backend(backend)
-    try:
-        ctx = spec.make_context(
-            profile=profile, seed=seed, backend=backend_name, progress=progress
-        )
-        started = time.perf_counter()
-        tables = spec.execute(ctx)
-        elapsed = time.perf_counter() - started
-    finally:
-        set_default_backend(previous_backend)
+    ctx = spec.make_context(profile=profile, seed=seed, progress=progress)
+    started = time.perf_counter()
+    tables = spec.execute(ctx)
+    elapsed = time.perf_counter() - started
     return ExperimentResult(
         experiment_id=spec.id,
         title=spec.title,
@@ -189,7 +160,6 @@ def run_one(
         tags=spec.tags,
         profile=profile,
         seed=seed,
-        backend=backend_name,
         elapsed=elapsed,
         tables=tables,
     )
@@ -240,7 +210,7 @@ def _progress_relay(progress: Callable[[str], None]) -> Iterator[object]:
 
 
 def _run_payload(
-    payload: "tuple[str, str, int, str | None, object]",
+    payload: "tuple[str, str, int, object]",
 ) -> dict:
     """Worker-process entry: run one experiment, return its dict form.
 
@@ -251,12 +221,11 @@ def _run_payload(
     callback, so in-experiment :meth:`RunContext.report` messages reach
     the caller instead of being silently dropped.
     """
-    experiment_id, profile, seed, backend, relay_queue = payload
+    experiment_id, profile, seed, relay_queue = payload
     return run_one(
         experiment_id,
         profile=profile,
         seed=seed,
-        backend=backend,
         progress=relay_queue.put if relay_queue is not None else None,
     ).to_dict()
 
@@ -266,7 +235,6 @@ def run(
     *,
     profile: str = "quick",
     seed: int = 0,
-    backend: "str | None" = None,
     jobs: int = 1,
     tags: Iterable[str] | None = None,
     cache_dir: "str | Path | None" = None,
@@ -284,8 +252,6 @@ def run(
         ``"quick"``, ``"full"``, or a custom label (recorded verbatim).
     seed:
         Master seed handed to every experiment's context.
-    backend:
-        Simulation backend name (``None`` keeps the process default).
     jobs:
         Worker processes; ``1`` runs serially in-process, ``N > 1`` fans
         experiments out over a :class:`ProcessPoolExecutor`.
@@ -293,7 +259,7 @@ def run(
         Restrict the selection to specs carrying at least one tag.
     cache_dir:
         Directory of the on-disk result cache.  Hits (same id, profile,
-        seed, backend) are replayed without executing; misses are
+        seed) are replayed without executing; misses are
         executed then written back (unreadable entries count as misses).
     progress:
         Optional callback receiving one-line status messages, including
@@ -318,17 +284,10 @@ def run(
         cached = None
         if cache_dir is not None:
             cached = load_cached(
-                cache_path(
-                    cache_dir,
-                    experiment_id,
-                    profile=profile,
-                    seed=seed,
-                    backend=backend,
-                ),
+                cache_path(cache_dir, experiment_id, profile=profile, seed=seed),
                 experiment_id=experiment_id,
                 profile=profile,
                 seed=seed,
-                backend_name=_backend_name(backend),
             )
         if cached is not None:
             hits[experiment_id] = cached
@@ -341,13 +300,7 @@ def run(
         results[experiment_id] = result
         if cache_dir is not None and not result.cached:
             write_cache(
-                cache_path(
-                    cache_dir,
-                    experiment_id,
-                    profile=profile,
-                    seed=seed,
-                    backend=backend,
-                ),
+                cache_path(cache_dir, experiment_id, profile=profile, seed=seed),
                 result,
             )
         if progress is not None:
@@ -363,9 +316,7 @@ def run(
         if progress is not None:
             relay = _progress_relay(progress)
         with relay as relay_queue:
-            payloads = [
-                (x, profile, seed, backend, relay_queue) for x in pending
-            ]
+            payloads = [(x, profile, seed, relay_queue) for x in pending]
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(pending)), mp_context=mp_context()
             ) as pool:
@@ -389,7 +340,6 @@ def run(
                         experiment_id,
                         profile=profile,
                         seed=seed,
-                        backend=backend,
                         progress=progress,
                     ),
                 )

@@ -2,7 +2,7 @@
 
 :class:`RunContext` is one immutable object carrying the execution
 **profile** (``"quick"``, ``"full"``, or a custom label), the master
-seed, the resolved simulation backend, a progress callback, and factory
+seed, a progress callback, and factory
 methods for per-experiment child RNG streams (built on
 :func:`repro.rng.derive_rng`).
 """
@@ -39,10 +39,6 @@ class RunContext:
         recorded in result metadata).
     seed:
         Master seed; all child streams derive from it.
-    backend:
-        The simulation-backend name this run resolves to (``"auto"``,
-        ``"dense"``, ``"bitpacked"``); informational — the process-wide
-        default is already set by the runner API before execution.
     progress:
         Optional callback receiving free-text progress messages.
     """
@@ -50,7 +46,6 @@ class RunContext:
     experiment_id: str
     profile: str = "quick"
     seed: int = 0
-    backend: str = "auto"
     progress: Callable[[str], None] | None = None
 
     def __post_init__(self) -> None:

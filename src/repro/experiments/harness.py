@@ -27,7 +27,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from ..engine import available_backends
 from ..errors import ConfigurationError
 from . import api
 from .registry import all_specs
@@ -193,15 +192,6 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
         "or a custom label recorded in result metadata",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="override the grid's backend axis: "
-        f"{', '.join(('auto', *available_backends()))} (all backends are "
-        "bit-identical; this axis measures speed only).  Unknown names "
-        "exit 2 with the known list",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -212,7 +202,7 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
         "--cache",
         metavar="DIR",
         default=None,
-        help="on-disk point cache keyed by (point, profile, seed, backend) "
+        help="on-disk point cache keyed by (point, profile, seed) "
         "and verified against the full grid-point identity before replay",
     )
     parser.add_argument(
@@ -247,7 +237,6 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
         result = sweeps.run(
             args.grid,
             profile=args.profile,
-            backend=args.backend,
             jobs=args.jobs,
             cache_dir=args.cache,
             progress=note_progress,
@@ -392,15 +381,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--seed", type=int, default=0, help="master seed (default 0)"
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="simulation backend for beep-schedule execution: "
-        f"{', '.join(('auto', *available_backends()))}; all choices are "
-        "bit-identical (default: auto = pick by schedule size).  Unknown "
-        "names exit 2 with the known list",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -431,7 +411,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--cache",
         metavar="DIR",
         default=None,
-        help="on-disk result cache keyed by (id, profile, seed, backend)",
+        help="on-disk result cache keyed by (id, profile, seed)",
     )
     args = parser.parse_args(argv)
 
@@ -472,7 +452,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.experiments or None,
             profile=profile,
             seed=args.seed,
-            backend=args.backend,
             jobs=args.jobs,
             tags=tags,
             cache_dir=args.cache,

@@ -3,8 +3,8 @@
 v1 experiments produced :class:`Table` objects whose monospace rendering
 was the *only* artifact.  v2 inverts that: an :class:`ExperimentResult`
 carries the row data (as JSON-able scalars), the table schema (headers,
-title, notes) and run metadata (profile, seed, backend, elapsed seconds,
-schema version), and the text table is *rendered from* the result.  The
+title, notes) and run metadata (profile, seed, elapsed seconds, schema
+version), and the text table is *rendered from* the result.  The
 result round-trips losslessly through JSON (``to_json``/``from_json``)
 and exports per-table CSV, which is what the ``--format json|csv`` and
 ``--output`` CLI modes and the on-disk result cache are built on.
@@ -136,9 +136,8 @@ class ExperimentResult:
     ----------
     experiment_id, title, claim, tags:
         Copied from the :class:`~repro.experiments.spec.ExperimentSpec`.
-    profile, seed, backend:
-        The run configuration (``backend`` is the requested backend name,
-        ``"auto"`` when unset).
+    profile, seed:
+        The run configuration.
     elapsed:
         Wall-clock seconds the runner took (0.0 for cache hits replayed
         from disk — the stored value is the original run's).
@@ -153,7 +152,6 @@ class ExperimentResult:
     title: str
     profile: str
     seed: int
-    backend: str
     elapsed: float
     tables: list[TableData]
     claim: str = ""
@@ -205,14 +203,17 @@ class ExperimentResult:
             "tags": list(self.tags),
             "profile": self.profile,
             "seed": self.seed,
-            "backend": self.backend,
             "elapsed": self.elapsed,
             "tables": [table.to_dict() for table in self.tables],
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ExperimentResult":
-        """Inverse of :meth:`to_dict`; rejects unknown schema versions."""
+        """Inverse of :meth:`to_dict`; rejects unknown schema versions.
+
+        A ``backend`` field, which documents written before the kernel
+        choice became internal carry, is ignored.
+        """
         version = payload.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ConfigurationError(
@@ -226,7 +227,6 @@ class ExperimentResult:
             tags=tuple(payload.get("tags", ())),
             profile=payload["profile"],
             seed=payload["seed"],
-            backend=payload["backend"],
             elapsed=payload["elapsed"],
             tables=[TableData.from_dict(table) for table in payload["tables"]],
         )

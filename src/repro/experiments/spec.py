@@ -67,7 +67,6 @@ class ExperimentSpec:
         *,
         profile: str = "quick",
         seed: int = 0,
-        backend: str = "auto",
         progress: Callable[[str], None] | None = None,
     ) -> RunContext:
         """Build a :class:`RunContext` bound to this experiment's id."""
@@ -75,7 +74,6 @@ class ExperimentSpec:
             experiment_id=self.id,
             profile=profile,
             seed=seed,
-            backend=backend,
             progress=progress,
         )
 

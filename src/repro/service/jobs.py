@@ -5,24 +5,23 @@ Two kinds exist, mirroring the two programmatic entry points:
 
 ``experiment``
     The :func:`repro.experiments.api.run` payload shape — experiment
-    ids (or tags), profile, seed, backend.
+    ids (or tags), profile, seed.
 ``sweep``
     The :func:`repro.sweeps.run` payload shape — a grid dict (the
-    TOML document form), profile, backend override.
+    TOML document form), profile.
 
 Normalization is **eager and lossy on aliases**: ids are resolved
 through the registry (tags folded in), grids are validated and expanded
-through :class:`~repro.sweeps.grid.GridSpec` with any backend override
-folded into the backends axis.  Everything a job could reject at
-execution time is rejected at submit time instead with the same
-one-line :class:`~repro.errors.ConfigurationError` the CLI surfaces, so
-a queued job can only fail for execution-environment reasons, never for
-payload shape.
+through :class:`~repro.sweeps.grid.GridSpec`.  Everything a job could
+reject at execution time is rejected at submit time instead with the
+same one-line :class:`~repro.errors.ConfigurationError` the CLI
+surfaces, so a queued job can only fail for execution-environment
+reasons, never for payload shape.
 
 The normalized payload is also the **identity**: :meth:`JobSpec.
 identity_key` hashes exactly the fields that determine the result bytes
 — the existing cache identity (resolved ids / executed grid, profile,
-seed, backend label).
+seed).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..engine import available_backends
 from ..errors import ConfigurationError
 from ..experiments import api
 from ..experiments.result import ExperimentResult
@@ -43,8 +41,8 @@ __all__ = ["JOB_KINDS", "JobFailure", "JobSpec", "execute_spec", "render_csv"]
 JOB_KINDS: tuple[str, ...] = ("experiment", "sweep")
 
 #: Payload keys accepted per kind (beyond ``"kind"`` itself).
-_EXPERIMENT_KEYS = ("ids", "tags", "profile", "seed", "backend")
-_SWEEP_KEYS = ("grid", "profile", "backend")
+_EXPERIMENT_KEYS = ("ids", "tags", "profile", "seed")
+_SWEEP_KEYS = ("grid", "profile")
 
 
 class JobFailure(Exception):
@@ -88,18 +86,12 @@ def _check_int(value: object, *, what: str, minimum: int) -> int:
     return value
 
 
-def _check_common(payload: Mapping) -> "tuple[str, str | None]":
-    """Validate the fields shared by both kinds: profile/backend."""
+def _check_common(payload: Mapping) -> str:
+    """Validate the field shared by both kinds: the profile."""
     profile = payload.get("profile", "quick")
     if not profile or not isinstance(profile, str):
         raise _one_line(f"job profile must be a non-empty string, got {profile!r}")
-    backend = payload.get("backend")
-    known_backends = ("auto", *available_backends())
-    if backend is not None and backend not in known_backends:
-        raise _one_line(
-            f"unknown backend {backend!r}; known: {', '.join(known_backends)}"
-        )
-    return profile, backend
+    return profile
 
 
 @dataclass(frozen=True)
@@ -109,9 +101,9 @@ class JobSpec:
     Construct through :meth:`normalize` (for raw ``POST`` bodies) or
     :meth:`from_dict` (for payloads already normalized and persisted by
     the store).  The payload is canonical: ids resolved, grid in its
-    :meth:`~repro.sweeps.grid.GridSpec.to_dict` form with any backend
-    override folded in, defaults made explicit.  Treat the payload as
-    read-only — identity (:meth:`identity_key`) is computed from it.
+    :meth:`~repro.sweeps.grid.GridSpec.to_dict` form, defaults made
+    explicit.  Treat the payload as read-only — identity
+    (:meth:`identity_key`) is computed from it.
     """
 
     kind: str
@@ -141,7 +133,7 @@ class JobSpec:
     def _normalize_experiment(cls, raw: Mapping) -> "JobSpec":
         """Normalize an ``experiment`` payload (the ``api.run`` shape)."""
         _check_keys(raw, _EXPERIMENT_KEYS, "experiment")
-        profile, backend = _check_common(raw)
+        profile = _check_common(raw)
         seed = _check_int(raw.get("seed", 0), what="seed", minimum=0)
         tags = raw.get("tags")
         if tags is not None and (
@@ -160,35 +152,23 @@ class JobSpec:
             raise _one_line(
                 f"job selects no experiments (ids={ids!r}, tags={tags!r})"
             )
-        payload = {
-            "ids": list(resolved),
-            "profile": profile,
-            "seed": seed,
-            "backend": backend,
-        }
+        payload = {"ids": list(resolved), "profile": profile, "seed": seed}
         return cls(kind="experiment", payload=payload)
 
     @classmethod
     def _normalize_sweep(cls, raw: Mapping) -> "JobSpec":
         """Normalize a ``sweep`` payload (the ``sweeps.run`` shape)."""
-        from ..sweeps.grid import GridSpec, load_grid
+        from ..sweeps.grid import load_grid
 
         _check_keys(raw, _SWEEP_KEYS, "sweep")
-        profile, backend = _check_common(raw)
+        profile = _check_common(raw)
         grid = raw.get("grid")
         if not isinstance(grid, Mapping):
             raise _one_line(
                 f"sweep job requires a 'grid' table (the grid.toml document "
                 f"shape), got {grid!r}"
             )
-        spec = load_grid(dict(grid))  # full eager validation
-        executed = spec.to_dict()
-        if backend is not None:
-            # Fold the override into the backends axis — exactly what the
-            # sweep engine records as the executed grid — and re-validate.
-            executed["grid"]["backends"] = [backend]
-            spec = GridSpec.from_dict(executed)
-            executed = spec.to_dict()
+        executed = load_grid(dict(grid)).to_dict()  # full eager validation
         payload = {"grid": executed, "profile": profile}
         return cls(kind="sweep", payload=payload)
 
@@ -201,12 +181,13 @@ class JobSpec:
 
         Hashes exactly what determines the result document's bytes — the
         existing cache identity surfaced one level up.  For experiments:
-        resolved ids in selection order, profile, seed and the backend
-        *label* (via ``api._backend_name``).  For sweeps: the executed
-        grid document (which pins every cell's slug, seed, and backend)
-        and profile.  Both documents also hash ``"shards": 1``, the
-        single-process value of the retired shard count, so every key
-        computed while it was settable stays valid.
+        resolved ids in selection order, profile and seed.  For sweeps:
+        the executed grid document (which pins every cell's slug and
+        seed) and profile.  Both documents also hash the values of the
+        retired settings that every job now runs with — ``"shards": 1``,
+        and the backend label ``"auto"`` (``"backends": ["auto"]`` in a
+        grid) unless a stored spec carries its own — so every key
+        computed while they were settable stays valid.
         """
         payload = self.payload_dict()
         if self.kind == "experiment":
@@ -215,10 +196,11 @@ class JobSpec:
                 "ids": payload["ids"],
                 "profile": payload["profile"],
                 "seed": payload["seed"],
-                "backend": api._backend_name(payload["backend"]),
+                "backend": payload.get("backend") or "auto",
                 "shards": 1,
             }
         else:
+            payload["grid"]["grid"].setdefault("backends", ["auto"])
             doc = {
                 "kind": self.kind,
                 "grid": payload["grid"],
@@ -237,9 +219,10 @@ class JobSpec:
         """Rebuild a spec persisted by :meth:`to_dict` (already canonical).
 
         Specs stored by older versions also carry a ``runtime`` field,
-        a ``shards`` field, or both.  Nothing reads either: ``runtime``
-        never entered :meth:`identity_key`, and every job now runs in
-        one process.
+        a ``shards`` field, a ``backend`` field, or several.  Only
+        :meth:`identity_key` reads ``backend``: ``runtime`` never entered
+        it, every job now runs in one process, and the schedule kernel
+        is chosen by size.
         """
         kind = document["kind"]
         if kind not in JOB_KINDS:
@@ -269,7 +252,6 @@ def execute_spec(
             list(payload["ids"]),
             profile=payload["profile"],
             seed=payload["seed"],
-            backend=payload["backend"],
             jobs=1,
             cache_dir=cache_dir,
             progress=progress,

@@ -23,14 +23,14 @@ or, from the command line::
 
 Layering (see ``docs/ARCHITECTURE.md``): a :class:`GridSpec`
 (:mod:`~repro.sweeps.grid`) expands topology-family × size × noise ×
-backend × seed axes into :class:`GridPoint` cells; the engine
+seed axes into :class:`GridPoint` cells; the engine
 (:mod:`~repro.sweeps.engine`) groups each cell's seed axis into one
 replica-batched :class:`~repro.core.round_simulator.BatchedSession`
 (bit-identical to the per-seed sessions), fanning out over
 processes and caching per-point results exactly like the Experiment API
 v2 runner; :class:`SweepResult` (:mod:`~repro.sweeps.result`)
-aggregates the long-form records into per-cell statistics that are
-bit-identical across simulation backends.
+aggregates the long-form records into per-cell statistics over the
+seed axis.
 """
 
 from .grid import GridPoint, GridSpec, load_grid

@@ -4,8 +4,8 @@ Each :class:`~repro.sweeps.grid.GridPoint` becomes one **amortised
 simulation**: the zoo graph is built (seed-derived), code parameters are
 sized from the realised maximum degree, and the point's Broadcast CONGEST
 rounds run through the session engine of
-:mod:`repro.core.round_simulator` — codes, channel, backend state and
-decoder matrices are constructed once per point, not once per round.
+:mod:`repro.core.round_simulator` — codes, channel and decoder
+matrices are constructed once per point, not once per round.
 
 On top of that the engine **auto-batches the seed axis**: pending points
 that differ only by seed (one grid *cell*) are grouped, and every subset
@@ -13,7 +13,7 @@ whose seed-derived graphs realise the *same* topology — always the whole
 cell for deterministic families like ``path`` or ``hypercube``, usually
 singletons for randomised families like ``expander`` — executes as one
 :class:`~repro.core.round_simulator.BatchedSession`, which stacks the
-replicas into single 3-D backend calls.  Batching never changes a
+replicas into single 3-D schedule calls.  Batching never changes a
 simulated number: replica ``r`` of a batch is bit-identical to the
 standalone per-seed session (the :class:`BatchedSession` contract), so
 a sweep's records equal those of :func:`execute_point` run seed by
@@ -27,17 +27,15 @@ per task), and each point's record is cached on disk as an
 :func:`~repro.experiments.api.cache_path` /
 :func:`~repro.experiments.api.load_cached` /
 :func:`~repro.experiments.api.write_cache` helpers — keyed by
-``(point slug, profile, seed, backend)`` and **verified** against the
-full :class:`GridPoint` identity (family, generator params, ``n``,
-``eps``, ``gamma``, ``rounds``, backend, seed) before replay, so neither
-an edited grid axis nor a slug sanitisation collision can resurrect a
-stale cell.
+``(point slug, profile, seed)`` and **verified** against the full
+:class:`GridPoint` identity (family, generator params, ``n``, ``eps``,
+``gamma``, ``rounds``, seed) before replay, so neither an edited grid
+axis nor a slug sanitisation collision can resurrect a stale cell.
 
 Determinism: all randomness derives from ``(seed, family, n, eps,
-gamma)`` via :func:`repro.rng.derive_seed` — never from the backend — so
-``dense`` and ``bitpacked`` runs of one grid produce identical simulated
-numbers (the engine's bit-identical-backends invariant, surfaced at
-campaign scale).
+gamma)`` via :func:`repro.rng.derive_seed`, and the schedule kernels
+are bit-identical, so a grid's simulated numbers depend on nothing but
+the grid.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from typing import Callable, Mapping, Sequence
 from ..beeping.noise import DynamicTopology, make_noise_model
 from ..core.parameters import SimulationParameters
 from ..core.round_simulator import BatchedSession
-from ..engine import get_backend, mp_context
+from ..engine import mp_context
 from ..errors import ConfigurationError
 from ..experiments import api
 from ..experiments.result import ExperimentResult
@@ -90,7 +88,7 @@ def _point_parameters(point: GridPoint, topology: Topology) -> SimulationParamet
 
 
 def _session_seed(point: GridPoint) -> int:
-    """The per-point master seed: every stream but the backend derives here."""
+    """The per-point master seed: every stream of the point derives here."""
     return derive_seed(
         point.seed, "sweep-session", point.family, point.n, point.eps, point.gamma
     )
@@ -115,7 +113,6 @@ def _point_result(
         title=f"sweep point: {point.label()}",
         profile=profile,
         seed=point.seed,
-        backend=point.backend,
         elapsed=elapsed,
         tables=[table],
         tags=("sweep", point.family, point.workload),
@@ -133,9 +130,10 @@ def _identity_columns(point: GridPoint, topology: Topology) -> dict:
         "noise_model": point.noise_model,
         "churn": point.churn,
         "gamma": point.gamma,
-        "backend": point.backend,
-        # Always 1: every point runs in one process.  The column stays
-        # because perfbench's pinned sweep digests hash every point field.
+        # Always "auto" and 1: the schedule kernel is chosen by size, and
+        # every point runs in one process.  Both columns stay because
+        # perfbench's pinned sweep digests hash every point field.
+        "backend": "auto",
         "shards": 1,
         "seed": point.seed,
         "delta": topology.max_degree,
@@ -187,9 +185,7 @@ def execute_point(point: GridPoint, profile: str = "quick") -> ExperimentResult:
     drives ``point.rounds`` Broadcast CONGEST rounds of uniformly random
     ``B``-bit messages (all nodes transmit) through one amortised
     session.  Every stream — graph, channel, per-round strings, messages
-    — derives from ``(seed, family, n, eps, gamma)``, deliberately
-    excluding the backend so backends stay comparable cell by cell.
-    Implemented as a batch of one, which the
+    — derives from ``(seed, family, n, eps, gamma)``.  Implemented as a batch of one, which the
     :class:`~repro.core.round_simulator.BatchedSession` contract makes
     bit-identical to the historical per-seed
     :class:`~repro.core.round_simulator.BroadcastSession` loop.
@@ -209,7 +205,7 @@ def execute_batch(
     All points must share every axis except ``seed``.  For the
     ``broadcast`` workload, seeds whose derived graphs realise the same
     topology run as one :class:`~repro.core.round_simulator.
-    BatchedSession` (replica-batched backend calls); seeds with distinct
+    BatchedSession` (replica-batched schedule calls); seeds with distinct
     graphs — randomised families — fall back to singleton batches.
     Algorithm-workload points execute seed by seed.  Results come back in input order and are value-identical
     to ``[execute_point(p) for p in points]`` except for wall-clock
@@ -228,7 +224,6 @@ def execute_batch(
             or point.eps != first.eps
             or point.noise_model != first.noise_model
             or point.churn != first.churn
-            or point.backend != first.backend
             or point.rounds != first.rounds
             or point.gamma != first.gamma
         ):
@@ -291,7 +286,6 @@ def execute_batch(
             session_topology,
             params,
             [_session_seed(points[index]) for index in indices],
-            backend=first.backend,
             channels=channels,
         )
         message_rngs = [
@@ -375,7 +369,7 @@ def _cache_identity_matches(point: GridPoint, result: ExperimentResult) -> bool:
     predates schema additions; the long-form record inside the result
     carries the *unsanitised* identity, so replay requires every
     identity column — family, generator params, ``n``, ``eps``,
-    ``noise_model``, ``churn``, ``gamma``, backend, seed, ``rounds`` —
+    ``noise_model``, ``churn``, ``gamma``, seed, ``rounds`` —
     to match the requested point exactly.  Anything malformed or
     mismatched is a cache miss.
     """
@@ -393,7 +387,6 @@ def _cache_identity_matches(point: GridPoint, result: ExperimentResult) -> bool:
             and record["noise_model"] == point.noise_model
             and record["churn"] == point.churn
             and record["gamma"] == point.gamma
-            and record["backend"] == point.backend
             and record["seed"] == point.seed
             and record["rounds"] == point.rounds
         )
@@ -406,17 +399,10 @@ def _load_cached_point(
 ) -> "ExperimentResult | None":
     """Probe the on-disk cache for one point, with full identity verification."""
     cached = api.load_cached(
-        api.cache_path(
-            cache_dir,
-            point.slug(),
-            profile=profile,
-            seed=point.seed,
-            backend=point.backend,
-        ),
+        api.cache_path(cache_dir, point.slug(), profile=profile, seed=point.seed),
         experiment_id=point.slug(),
         profile=profile,
         seed=point.seed,
-        backend_name=point.backend,
     )
     if cached is None or not _cache_identity_matches(point, cached):
         return None
@@ -448,7 +434,6 @@ def _batch_groups(
             point.eps,
             point.noise_model,
             point.churn,
-            point.backend,
             point.rounds,
             point.gamma,
         )
@@ -468,7 +453,6 @@ def run(
     grid: "GridSpec | Mapping | str | Path",
     *,
     profile: str = "quick",
-    backend: "str | None" = None,
     jobs: int = 1,
     cache_dir: "str | Path | None" = None,
     progress: Callable[[str], None] | None = None,
@@ -483,9 +467,6 @@ def run(
     profile:
         ``"quick"`` (grid's ``rounds`` per point), ``"full"`` (scaled
         up), or a custom label treated as quick but recorded verbatim.
-    backend:
-        Override the grid's backend axis wholesale (the CLI
-        ``--backend`` flag); ``None`` keeps the grid's own axis.
     jobs:
         Worker processes; ``1`` runs batch groups serially in-process.
     cache_dir:
@@ -497,10 +478,8 @@ def run(
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if backend is not None and backend != "auto":
-        get_backend(backend)  # eager: fail before validation/probing work
     spec = load_grid(grid)
-    points = spec.expand(profile=profile, backend=backend)
+    points = spec.expand(profile=profile)
 
     hits: dict[int, ExperimentResult] = {}
     pending: list[int] = []
@@ -526,7 +505,6 @@ def run(
                     points[index].slug(),
                     profile=profile,
                     seed=points[index].seed,
-                    backend=points[index].backend,
                 ),
                 result,
             )
@@ -562,14 +540,8 @@ def run(
         for index in hits:
             finish(index, hits[index])
 
-    # Record the grid *as executed*: a --backend override replaces the
-    # spec's backend axis in the serialized metadata too, so re-running
-    # the saved grid dict reproduces the run that made these points.
-    executed = spec.to_dict()
-    if backend is not None:
-        executed["grid"]["backends"] = [backend]
     return SweepResult.collect(
         profile,
-        executed,
+        spec.to_dict(),
         (_point_record(points[index], results[index]) for index in range(len(points))),
     )

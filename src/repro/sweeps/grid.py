@@ -1,7 +1,7 @@
 """Declarative sweep grids: what to run, validated before anything runs.
 
 A :class:`GridSpec` names the axes of a campaign — topology families ×
-sizes × noise rates × backends × seeds — plus per-family generator
+sizes × noise rates × seeds — plus per-family generator
 parameters and the per-point round budget.  Specs load from TOML
 (:meth:`GridSpec.from_toml`), from plain dicts, or are constructed
 directly; every form goes through the same **eager validation**: unknown
@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from ..beeping.noise import parse_noise_model
-from ..engine import available_backends
 from ..errors import ConfigurationError
 from ..graphs import build_family_graph, get_family
 from .workloads import get_workload
@@ -41,7 +40,6 @@ GRID_KEYS: tuple[str, ...] = (
     "noises",
     "noise_models",
     "churns",
-    "backends",
     "seeds",
     "rounds",
     "full_rounds",
@@ -71,7 +69,7 @@ class GridPoint:
     """One concrete cell of an expanded grid: a single simulation run.
 
     A point pins every axis — family (plus resolved generator
-    parameters), ``n``, noise rate, backend, seed — and the per-point
+    parameters), ``n``, noise rate, seed — and the per-point
     budget (Broadcast CONGEST ``rounds``, message-size factor
     ``gamma``).  Points are immutable, picklable (they cross the
     process-pool boundary), and carry their own cache identity via
@@ -82,7 +80,6 @@ class GridPoint:
     params: tuple[tuple[str, object], ...]
     n: int
     eps: float
-    backend: str
     seed: int
     rounds: int
     gamma: int
@@ -107,8 +104,8 @@ class GridPoint:
     def identity(self) -> str:
         """The full, unsanitised simulation identity of the point.
 
-        Everything that determines the *simulated numbers* except seed,
-        backend, and profile (those are separate cache-key components),
+        Everything that determines the *simulated numbers* except seed
+        and profile (those are separate cache-key components),
         rendered losslessly — floats at full ``repr`` precision, params
         through :meth:`params_label`.
         """
@@ -155,7 +152,7 @@ class GridPoint:
             scenario += f" churn={self.churn:g}"
         return (
             f"{self.family} {self.workload} n={self.n} eps={self.eps:g}"
-            f"{scenario} backend={self.backend} seed={self.seed}"
+            f"{scenario} seed={self.seed}"
         )
 
 
@@ -191,9 +188,6 @@ class GridSpec:
         churn wraps each point's graph in a
         :class:`~repro.beeping.noise.DynamicTopology` whose mask
         re-draws once per simulated Broadcast CONGEST round.
-    backends:
-        Simulation backends; results are bit-identical across them by
-        the engine invariant, so this axis measures *speed* only.
     seeds:
         Master seeds; graphs and channels re-randomise per seed, and
         aggregate cells summarise across this axis.
@@ -215,7 +209,6 @@ class GridSpec:
     workloads: tuple[str, ...] = ("broadcast",)
     noise_models: tuple[str, ...] = ("bernoulli",)
     churns: tuple[float, ...] = (0.0,)
-    backends: tuple[str, ...] = ("auto",)
     seeds: tuple[int, ...] = (0,)
     rounds: int = 2
     full_rounds: "int | None" = None
@@ -232,7 +225,6 @@ class GridSpec:
             "noises",
             "noise_models",
             "churns",
-            "backends",
             "seeds",
         )
         for name in sequence_fields:
@@ -282,13 +274,6 @@ class GridSpec:
                 raise _one_line(f"grid churn must be in [0, 1), got {churn}")
             churns.append(float(churn))
         coerce(self, "churns", tuple(churns))
-        known_backends = ("auto", *available_backends())
-        for backend in self.backends:
-            if backend not in known_backends:
-                raise _one_line(
-                    f"unknown backend {backend!r}; known: "
-                    f"{', '.join(known_backends)}"
-                )
         coerce(
             self,
             "seeds",
@@ -344,20 +329,13 @@ class GridSpec:
             )
         return self.rounds
 
-    def expand(
-        self,
-        profile: str = "quick",
-        backend: "str | None" = None,
-    ) -> tuple[GridPoint, ...]:
+    def expand(self, profile: str = "quick") -> tuple[GridPoint, ...]:
         """Multiply the axes into concrete :class:`GridPoint` objects.
 
         Order is deterministic: family, then workload, then size, then
-        noise, then noise model, then churn, then backend, then seed
-        (the long-form row order of the results).  ``backend`` overrides
-        the grid's backend axis wholesale — the CLI's ``--backend``
-        flag.
+        noise, then noise model, then churn, then seed (the long-form
+        row order of the results).
         """
-        backends = (backend,) if backend is not None else self.backends
         rounds = self.effective_rounds(profile)
         points = []
         for family in self.topologies:
@@ -370,23 +348,21 @@ class GridSpec:
                     for eps in self.noises:
                         for noise_model in self.noise_models:
                             for churn in self.churns:
-                                for chosen_backend in backends:
-                                    for seed in self.seeds:
-                                        points.append(
-                                            GridPoint(
-                                                family=family,
-                                                params=family_params,
-                                                n=n,
-                                                eps=eps,
-                                                backend=chosen_backend,
-                                                seed=seed,
-                                                rounds=rounds,
-                                                gamma=self.gamma,
-                                                workload=workload,
-                                                noise_model=noise_model,
-                                                churn=churn,
-                                            )
+                                for seed in self.seeds:
+                                    points.append(
+                                        GridPoint(
+                                            family=family,
+                                            params=family_params,
+                                            n=n,
+                                            eps=eps,
+                                            seed=seed,
+                                            rounds=rounds,
+                                            gamma=self.gamma,
+                                            workload=workload,
+                                            noise_model=noise_model,
+                                            churn=churn,
                                         )
+                                    )
         return tuple(points)
 
     def to_dict(self) -> dict:
@@ -398,7 +374,6 @@ class GridSpec:
             "noises": list(self.noises),
             "noise_models": list(self.noise_models),
             "churns": list(self.churns),
-            "backends": list(self.backends),
             "seeds": list(self.seeds),
             "rounds": self.rounds,
             "gamma": self.gamma,
@@ -420,7 +395,9 @@ class GridSpec:
         Accepts either ``{"grid": {...}, "params": {...}}`` (the TOML
         document shape) or a flat mapping of grid keys with an optional
         ``"params"`` entry.  Unknown keys raise a one-line
-        :class:`ConfigurationError` naming the known ones.
+        :class:`ConfigurationError` naming the known ones.  The retired
+        ``backends`` key is accepted only as ``["auto"]``, which changes
+        nothing; any other value raises.
         """
         if not isinstance(payload, Mapping):
             raise _one_line(f"grid spec must be a table, got {payload!r}")
@@ -439,6 +416,14 @@ class GridSpec:
             params = payload.get("params", {})
         if not isinstance(grid, Mapping):
             raise _one_line(f"grid table must be a mapping, got {grid!r}")
+        if "backends" in grid:
+            backends = grid["backends"]
+            if not isinstance(backends, (list, tuple)) or list(backends) != ["auto"]:
+                raise _one_line(
+                    f"grid key 'backends' is retired: the schedule kernel is "
+                    f"chosen by schedule size; drop the key (got {backends!r})"
+                )
+            grid = {key: value for key, value in grid.items() if key != "backends"}
         unknown = set(grid) - set(GRID_KEYS)
         if unknown:
             raise _one_line(

@@ -1,16 +1,15 @@
 """Long-form sweep results and per-cell aggregation.
 
 A sweep produces one record per :class:`~repro.sweeps.grid.GridPoint`
-(the **long form**: one row per family × n × eps × backend × seed), and
+(the **long form**: one row per family × n × eps × seed), and
 :class:`SweepResult` aggregates those into **cells** — per
-``(family, params, n, eps, backend)`` statistics (mean/std/min/max of
-the success rate, mean error counts) over the seed axis.
+``(family, params, n, eps)`` statistics (mean/std/min/max of the success
+rate, mean error counts) over the seed axis.
 
-Aggregate cells deliberately exclude wall-clock fields: by the engine
-invariant the simulated numbers are bit-identical across backends, so a
-``dense`` and a ``bitpacked`` run of the same grid must produce
-identical cell tables (the property the acceptance test pins down);
-only timing may differ, and timing lives in the per-point records.
+Aggregate cells deliberately exclude wall-clock fields: the simulated
+numbers are a pure function of the grid, so two runs of one grid must
+produce identical cell tables; only timing may differ, and timing lives
+in the per-point records.
 
 The whole result round-trips through JSON (:meth:`SweepResult.to_json`
 / :meth:`SweepResult.from_json`) and exports CSV for both granularities.
@@ -47,6 +46,11 @@ __all__ = ["SWEEP_SCHEMA_VERSION", "POINT_FIELDS", "CELL_KEY", "SweepResult"]
 #: ``zone:<frac>``) and the ``churn`` identity column (per-epoch node
 #: churn probability of the dynamic-topology wrapper; ``0.0`` = static).
 #: Both are simulation identity and join :data:`CELL_KEY`.
+#: The ``backend`` column is now always ``"auto"``: the schedule kernel
+#: is chosen by size inside :mod:`repro.engine`, so it is no longer an
+#: axis and has left :data:`CELL_KEY`.  Like ``shards``, it stays in the
+#: point records, at this version, because the pinned digests hash it,
+#: and leaves with the next re-pin.
 SWEEP_SCHEMA_VERSION = 5
 
 #: Column order of the long-form per-point records.
@@ -89,7 +93,6 @@ CELL_KEY: tuple[str, ...] = (
     "eps",
     "noise_model",
     "churn",
-    "backend",
 )
 
 #: Per-point quantities summarised into each cell (besides success_rate).

@@ -1,6 +1,7 @@
 """Tests for the vectorised schedule executor, including the bit-exact
-equivalence with the per-round engine (the contract docs/ARCHITECTURE.md
-promises in "The bit-identical-backends invariant")."""
+equivalence of its two kernels with each other and with the per-round
+engine (the contract docs/ARCHITECTURE.md promises in "Two kernels, one
+size rule")."""
 
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ from repro.beeping import (
     ScheduledProtocol,
     run_schedule,
 )
+from repro.engine.bitpacked import BitpackedBackend
+from repro.engine.dense import DenseBackend
 from repro.errors import ConfigurationError
 from repro.graphs import (
     Topology,
@@ -34,6 +37,9 @@ _NOISE_WINDOW = 4096
 _REGULAR = Topology(random_regular_graph(130, 8, seed=0))
 _STRADDLING_START = _NOISE_WINDOW - 12
 
+DENSE = DenseBackend()
+PACKED = BitpackedBackend()
+
 
 def _engine_heard(topology, schedule, channel=None, start_round=0):
     """The heard matrix of ``BeepingNetwork`` replaying ``schedule``."""
@@ -51,22 +57,18 @@ def _engine_heard(topology, schedule, channel=None, start_round=0):
 
 
 def _assert_regular_graph_matches(schedule_seed, noisy):
-    """On ``_REGULAR``, the per-round engine hears what both backends hear."""
+    """On ``_REGULAR``, the per-round engine hears what both kernels hear."""
     schedule = np.random.default_rng(schedule_seed).random((130, 24)) < 0.3
 
     def channel():
         return BernoulliNoise(0.2, seed=5) if noisy else None
 
     expected = _engine_heard(_REGULAR, schedule, channel(), _STRADDLING_START)
-    for backend in ("dense", "bitpacked"):
-        heard = run_schedule(
-            _REGULAR,
-            schedule,
-            channel(),
-            start_round=_STRADDLING_START,
-            backend=backend,
+    for kernel in (DENSE, PACKED):
+        heard = kernel.run_schedule(
+            _REGULAR, schedule, channel(), _STRADDLING_START
         )
-        assert np.array_equal(heard, expected), backend
+        assert np.array_equal(heard, expected), kernel
 
 
 class TestRunSchedule:
@@ -160,12 +162,8 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(graph_seed + 1)
         schedule = rng.random((9, rounds)) < 0.3
         channel = BernoulliNoise(0.2, seed=5)
-        heard_dense = run_schedule(
-            t, schedule, channel, start_round=start_round, backend="dense"
-        )
-        heard_packed = run_schedule(
-            t, schedule, channel, start_round=start_round, backend="bitpacked"
-        )
+        heard_dense = DENSE.run_schedule(t, schedule, channel, start_round)
+        heard_packed = PACKED.run_schedule(t, schedule, channel, start_round)
         assert np.array_equal(heard_dense, heard_packed)
 
     @settings(max_examples=15)
@@ -178,8 +176,8 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(graph_seed)
         schedule = rng.random((11, rounds)) < 0.25
         assert np.array_equal(
-            run_schedule(t, schedule, backend="dense"),
-            run_schedule(t, schedule, backend="bitpacked"),
+            DENSE.run_schedule(t, schedule),
+            PACKED.run_schedule(t, schedule),
         )
 
     @settings(max_examples=10)
@@ -191,19 +189,15 @@ class TestBackendEquivalence:
         self, start_round, phase_lengths
     ):
         """Phase chaining (as Algorithm 1 does between its two phases)
-        stays bit-identical when the backends differ per phase."""
+        stays bit-identical when the kernels differ per phase."""
         t = Topology(gnp_graph(8, 0.35, seed=2))
         rng = np.random.default_rng(7)
         channel = BernoulliNoise(0.15, seed=11)
         offset = start_round
         for length in phase_lengths:
             schedule = rng.random((8, length)) < 0.3
-            heard_dense = run_schedule(
-                t, schedule, channel, start_round=offset, backend="dense"
-            )
-            heard_packed = run_schedule(
-                t, schedule, channel, start_round=offset, backend="bitpacked"
-            )
+            heard_dense = DENSE.run_schedule(t, schedule, channel, offset)
+            heard_packed = PACKED.run_schedule(t, schedule, channel, offset)
             assert np.array_equal(heard_dense, heard_packed)
             offset += length
 
@@ -220,12 +214,8 @@ class TestBackendEquivalence:
         t = Topology(gnp_graph(8, 0.35, seed=graph_seed))
         rng = np.random.default_rng(graph_seed + 1)
         schedule = rng.random((8, rounds)) < 0.3
-        heard = run_schedule(
-            t,
-            schedule,
-            BernoulliNoise(0.2, seed=5),
-            start_round=start_round,
-            backend="bitpacked",
+        heard = PACKED.run_schedule(
+            t, schedule, BernoulliNoise(0.2, seed=5), start_round
         )
         assert np.array_equal(
             heard,

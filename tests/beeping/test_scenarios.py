@@ -1,7 +1,7 @@
 """Scenario-layer tests: heterogeneous, adversarial, and dynamic networks.
 
 Pins the window contract for every noise model — flips for round ``t``
-are a pure function of ``(seed, t, n)``, never of batching, backend, or
+are a pure function of ``(seed, t, n)``, never of batching, kernel, or
 replica grouping — plus the :class:`DynamicTopology` epoch-mask
 semantics and the grid-facing noise-model registry.
 """
@@ -25,12 +25,15 @@ from repro.beeping.noise import (
     unreliable_zone,
     zone_rates,
 )
-from repro.engine import get_backend
+from repro.engine.bitpacked import BitpackedBackend
+from repro.engine.dense import DenseBackend
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, gnp_graph, path_graph
 from repro.rng import derive_seed
 
 _WINDOW = 4096
+
+KERNELS = {"dense": DenseBackend(), "bitpacked": BitpackedBackend()}
 
 
 def _channels(n: int, seed: int = 7):
@@ -347,22 +350,22 @@ class TestDynamicExecution:
         channel = BernoulliNoise(0.1, 3)
         heard = run_schedule(dynamic, schedule, channel, 4)
         manual = np.empty_like(schedule)
-        backend = get_backend("dense")
         for start, stop in dynamic.segments(4, schedule.shape[1]):
             lo, hi = start - 4, stop - 4
-            manual[:, lo:hi] = backend.run_schedule(
+            manual[:, lo:hi] = KERNELS["dense"].run_schedule(
                 dynamic.topology_at(start), schedule[:, lo:hi], channel, start
             )
         assert np.array_equal(heard, manual)
 
     @pytest.mark.parametrize("which", [0, 1, 2])
-    def test_dense_and_bitpacked_identical(self, which):
+    def test_dense_and_bitpacked_identical(self, which, force_kernel):
+        # The 7-round epochs would otherwise always run dense.
         _, dynamic, schedule = self._setup()
         channel = _channels(dynamic.num_nodes)[which]
-        dense = run_schedule(dynamic, schedule, channel, 11, backend="dense")
-        packed = run_schedule(
-            dynamic, schedule, channel, 11, backend="bitpacked"
-        )
+        force_kernel("dense")
+        dense = run_schedule(dynamic, schedule, channel, 11)
+        force_kernel("bitpacked")
+        packed = run_schedule(dynamic, schedule, channel, 11)
         assert np.array_equal(dense, packed)
 
     def test_batch_equal_starts_matches_solo(self):
@@ -413,7 +416,7 @@ class TestDynamicExecution:
 
 
 class TestCrossBackendIdentity:
-    """Every scenario channel is bit-identical across static backends."""
+    """Every scenario channel is bit-identical across the two kernels."""
 
     @pytest.mark.parametrize("which", [0, 1, 2])
     @pytest.mark.parametrize("start", [0, 4090])
@@ -421,10 +424,8 @@ class TestCrossBackendIdentity:
         topology = Topology(path_graph(17))
         schedule = np.random.default_rng(1).random((17, 50)) < 0.3
         channel = _channels(17)[which]
-        dense = get_backend("dense").run_schedule(
-            topology, schedule, channel, start
-        )
-        packed = get_backend("bitpacked").run_schedule(
+        dense = KERNELS["dense"].run_schedule(topology, schedule, channel, start)
+        packed = KERNELS["bitpacked"].run_schedule(
             topology, schedule, channel, start
         )
         assert np.array_equal(dense, packed)
@@ -436,7 +437,7 @@ class TestCrossBackendIdentity:
         schedules = rng.random((3, 15, 30)) < 0.25
         channels = _channels(15)
         starts = [5, 4090, 0]
-        resolved = get_backend(backend)
+        resolved = KERNELS[backend]
         batched = resolved.run_schedule_batch(
             topology, schedules, channels, starts
         )

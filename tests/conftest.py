@@ -4,6 +4,10 @@ Two hypothesis profiles: ``dev`` (no per-example deadline, since
 simulated rounds vary widely in cost) is loaded by default; ``ci`` adds
 derandomised example generation and failure blobs, so a failing property
 reproduces exactly.  ``HYPOTHESIS_PROFILE=ci`` selects it.
+
+:func:`force_kernel` routes every schedule of one test through one of
+the executor's two kernels, so end-to-end suites can hold the dense and
+the bit-packed branch to each other.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import os
 import pytest
 from hypothesis import settings
 
+from repro import engine
 from repro.core import SimulationParameters
 from repro.graphs import (
     Topology,
@@ -70,3 +75,25 @@ def small_params() -> SimulationParameters:
 def noisy_params() -> SimulationParameters:
     """Compact noisy parameters (ε = 0.1) for simulation tests."""
     return SimulationParameters(message_bits=6, max_degree=3, eps=0.1, c=5)
+
+
+@pytest.fixture
+def force_kernel(monkeypatch):
+    """``force_kernel("dense" | "bitpacked")``: pin the executor's branch.
+
+    Moves the size thresholds of :func:`repro.engine.run_schedule_batch`
+    (undone after the test) so every schedule, whatever its size, runs
+    on the named kernel.  Only this process is affected: worker
+    processes start from a fresh import.
+    """
+
+    def force(kernel: str) -> None:
+        if kernel == "dense":
+            monkeypatch.setattr(engine, "_PACKED_MIN_ROUNDS", float("inf"))
+        elif kernel == "bitpacked":
+            monkeypatch.setattr(engine, "_PACKED_MIN_ROUNDS", 0)
+            monkeypatch.setattr(engine, "_PACKED_MIN_CELLS", 0)
+        else:
+            raise ValueError(f"unknown kernel {kernel!r}")
+
+    return force

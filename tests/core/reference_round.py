@@ -81,7 +81,6 @@ def reference_round(
     policy: CandidatePolicy = CandidatePolicy.ORACLE_WITH_DECOYS,
     num_decoys: int = 16,
     channel: "NoiseModel | None" = None,
-    backend=None,
 ) -> RoundOutcome:
     """One Broadcast CONGEST round, simulated through the reference pieces.
 
@@ -104,12 +103,8 @@ def reference_round(
     round_rng = derive_rng(seed, "round-randomness", round_offset)
     r_values = [random_bits(round_rng, params.r_bits) for _ in range(n)]
     phase1, phase2 = build_phase_schedules(codes, r_values, messages)
-    heard1 = run_schedule(
-        topology, phase1, channel, start_round=round_offset, backend=backend
-    )
-    heard2 = run_schedule(
-        topology, phase2, channel, start_round=round_offset + b, backend=backend
-    )
+    heard1 = run_schedule(topology, phase1, channel, start_round=round_offset)
+    heard2 = run_schedule(topology, phase2, channel, start_round=round_offset + b)
 
     # Step 4a: the phase-1 scan over the policy's candidates.
     in_flight = {r_values[v] for v in senders}

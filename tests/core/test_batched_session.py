@@ -3,7 +3,7 @@
 The contract: outcome ``r`` of a batched round is *bit-identical* —
 decoded multisets, accepted sets, error counters, collision flags — to
 what the ``r``-th standalone :class:`BroadcastSession` returns on the
-same messages, for every policy, channel, backend and round offset.
+same messages, for every policy, channel, kernel and round offset.
 Both run the same kernels, so the chaining and policy checks also hold
 them to the reference round of ``reference_round.py``.  The fast kernels
 (schedule building, phase-1 threshold decode, phase-2 nearest-codeword
@@ -45,17 +45,15 @@ def random_messages(rng, n, message_bits, hole_every=0):
 
 
 class TestBitIdentityWithPerSeedSessions:
-    @pytest.mark.parametrize("backend", ["dense", "bitpacked"])
+    @pytest.mark.parametrize("kernel", ["dense", "bitpacked"])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
-    def test_multi_round_chaining(self, backend, eps):
+    def test_multi_round_chaining(self, kernel, eps, force_kernel):
+        force_kernel(kernel)
         topology = Topology(random_regular_graph(12, 3, seed=7))
         params = SimulationParameters.for_network(12, 3, eps=eps)
         seeds = [11, 23, 37]
-        batched = BatchedSession(topology, params, seeds, backend=backend)
-        singles = [
-            BroadcastSession(topology, params, seed, backend=backend)
-            for seed in seeds
-        ]
+        batched = BatchedSession(topology, params, seeds)
+        singles = [BroadcastSession(topology, params, seed) for seed in seeds]
         rng = derive_rng(0, "messages")
         for round_index in range(3):
             batch = [
@@ -69,12 +67,7 @@ class TestBitIdentityWithPerSeedSessions:
                 assert_outcomes_equal(
                     outcomes[replica],
                     reference_round(
-                        topology,
-                        params,
-                        seeds[replica],
-                        messages,
-                        offset,
-                        backend=backend,
+                        topology, params, seeds[replica], messages, offset
                     ),
                 )
 
@@ -90,11 +83,9 @@ class TestBitIdentityWithPerSeedSessions:
         topology = Topology(star_graph(8))
         params = SimulationParameters.for_network(8, 7, eps=0.05)
         seeds = [1, 2]
-        batched = BatchedSession(
-            topology, params, seeds, policy=policy, backend="bitpacked"
-        )
+        batched = BatchedSession(topology, params, seeds, policy=policy)
         singles = [
-            BroadcastSession(topology, params, seed, policy=policy, backend="bitpacked")
+            BroadcastSession(topology, params, seed, policy=policy)
             for seed in seeds
         ]
         rng = derive_rng(3, "messages")

@@ -14,7 +14,6 @@ from repro.core import (
     SimulationParameters,
     simulate_broadcast_round,
 )
-from repro.engine import BitpackedBackend, DenseBackend
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, path_graph
 
@@ -63,14 +62,14 @@ class TestRunManyReproducesStandaloneCalls:
             offset += reference.beep_rounds_used
             _assert_outcomes_equal(outcome, reference)
 
-    def test_backends_agree_across_session_rounds(self, regular12, noisy_params):
+    def test_backends_agree_across_session_rounds(
+        self, regular12, noisy_params, force_kernel
+    ):
         rounds = _message_rounds(12, 1)
-        packed = BroadcastSession(
-            regular12, noisy_params, seed=8, backend=BitpackedBackend()
-        ).run_many(rounds)
-        dense = BroadcastSession(
-            regular12, noisy_params, seed=8, backend=DenseBackend()
-        ).run_many(rounds)
+        force_kernel("bitpacked")
+        packed = BroadcastSession(regular12, noisy_params, seed=8).run_many(rounds)
+        force_kernel("dense")
+        dense = BroadcastSession(regular12, noisy_params, seed=8).run_many(rounds)
         for a, b in zip(packed, dense):
             _assert_outcomes_equal(a, b)
 

@@ -46,7 +46,6 @@ def check_against_reference(
     start=0,
     policy=CandidatePolicy.ORACLE_WITH_DECOYS,
     channels=None,
-    backend=None,
 ):
     """Run ``rounds`` on standalone and batched sessions; compare each to
     the reference round at the same offset.  Returns the reference
@@ -64,18 +63,17 @@ def check_against_reference(
                 offset,
                 policy=policy,
                 channel=channel,
-                backend=backend,
             )
             offset += expected[seed, t].beep_rounds_used
     for seed, channel in zip(SEEDS, channels):
         session = BroadcastSession(
-            topology, params, seed, policy=policy, channel=channel, backend=backend
+            topology, params, seed, policy=policy, channel=channel
         )
         session.reset(start)
         for t, messages in enumerate(rounds):
             assert_outcomes_equal(session.run_round(messages), expected[seed, t])
     batched = BatchedSession(
-        topology, params, SEEDS, policy=policy, channels=channels, backend=backend
+        topology, params, SEEDS, policy=policy, channels=channels
     )
     batched.reset(start)
     for t, messages in enumerate(rounds):
@@ -121,8 +119,9 @@ def _scenario_params():
     return SimulationParameters(message_bits=6, max_degree=3, eps=0.1, c=5)
 
 
-@pytest.mark.parametrize("backend", ["dense", "bitpacked"])
-def test_heterogeneous_noise(backend):
+@pytest.mark.parametrize("kernel", ["dense", "bitpacked"])
+def test_heterogeneous_noise(kernel, force_kernel):
+    force_kernel(kernel)
     topology = Topology(random_regular_graph(12, 3, seed=7))
     channels = [
         HeterogeneousNoise(np.linspace(0.0, 0.3, 12), seed=seed) for seed in SEEDS
@@ -132,12 +131,12 @@ def test_heterogeneous_noise(backend):
         _scenario_params(),
         message_rounds(12, 6, rounds=2),
         channels=channels,
-        backend=backend,
     )
 
 
-@pytest.mark.parametrize("backend", ["dense", "bitpacked"])
-def test_adversarial_noise(backend):
+@pytest.mark.parametrize("kernel", ["dense", "bitpacked"])
+def test_adversarial_noise(kernel, force_kernel):
+    force_kernel(kernel)
     topology = Topology(random_regular_graph(12, 3, seed=7))
     channels = [AdversarialNoise(0.15, seed=seed) for seed in SEEDS]
     check_against_reference(
@@ -145,7 +144,6 @@ def test_adversarial_noise(backend):
         _scenario_params(),
         message_rounds(12, 6, rounds=2),
         channels=channels,
-        backend=backend,
     )
 
 

@@ -1,4 +1,4 @@
-"""Tests for the pluggable simulation backends (repro.engine)."""
+"""Tests for the schedule executor and its two kernels (repro.engine)."""
 
 from __future__ import annotations
 
@@ -7,18 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.beeping.noise import BernoulliNoise, NoiseModel, NoiselessChannel
-from repro.engine import (
-    BitpackedBackend,
-    DenseBackend,
-    available_backends,
-    get_backend,
-    get_default_backend,
-    pack_rows,
-    resolve_backend,
-    set_default_backend,
-    unpack_rows,
-    words_for,
-)
+from repro.engine import pack_rows, run_schedule_batch, unpack_rows, words_for
+from repro.engine.bitpacked import BitpackedBackend
+from repro.engine.dense import DenseBackend
 from repro.errors import ConfigurationError
 from repro.graphs import (
     Topology,
@@ -116,7 +107,7 @@ class TestNeighborOrEquivalence:
 
 
 class _InvertChannel(NoiseModel):
-    """A channel the bit-packed backend has no packed fast path for."""
+    """A channel the bit-packed kernel has no packed fast path for."""
 
     @property
     def eps(self) -> float:
@@ -165,46 +156,27 @@ class TestRunScheduleEquivalence:
                 backend.run_schedule(topology, np.zeros(3, dtype=bool))
 
 
-class TestResolution:
-    def test_registry(self):
-        assert available_backends() == ("dense", "bitpacked")
-        assert isinstance(get_backend("dense"), DenseBackend)
-        assert isinstance(get_backend("bitpacked"), BitpackedBackend)
-        assert get_backend("dense") is get_backend("dense")  # singleton
-        for unknown in ("quantum", "native"):
-            with pytest.raises(ConfigurationError):
-                get_backend(unknown)
+class TestSizeRule:
+    def test_kernel_by_size(self, monkeypatch):
+        ran: list[str] = []
+        for kernel in (DenseBackend, BitpackedBackend):
+            original = kernel.run_schedule_batch
 
-    def test_unknown_backend_message_lists_registry(self):
-        with pytest.raises(
-            ConfigurationError, match=r"known: \['bitpacked', 'dense'\] \(or 'auto'\)$"
-        ):
-            get_backend("natve")
+            def spy(self, *args, _original=original, _name=kernel.__name__):
+                ran.append(_name)
+                return _original(self, *args)
 
-    def test_instances_pass_through(self):
-        assert resolve_backend(PACKED) is PACKED
-        assert resolve_backend("bitpacked").name == "bitpacked"
-
-    def test_auto_small_schedules_stay_dense(self):
-        topology = Topology(path_graph(4))
-        assert resolve_backend("auto", topology=topology, rounds=10).name == "dense"
-
-    def test_auto_large_schedules_go_bitpacked(self):
-        topology = Topology(gnp_graph(512, 0.02, seed=0))
-        assert (
-            resolve_backend("auto", topology=topology, rounds=5000).name
-            == "bitpacked"
-        )
-
-    def test_default_backend_round_trip(self):
-        previous = get_default_backend()
-        try:
-            set_default_backend("bitpacked")
-            assert resolve_backend(None, topology=Topology(path_graph(3))).name == (
-                "bitpacked"
-            )
-            with pytest.raises(ConfigurationError):
-                set_default_backend("warp-drive")
-        finally:
-            set_default_backend(previous)
-        assert get_default_backend() == previous
+            monkeypatch.setattr(kernel, "run_schedule_batch", spy)
+        cases = [
+            (4, 10, "DenseBackend"),
+            (512, 63, "DenseBackend"),  # under one packed word of rounds
+            (63, 64, "DenseBackend"),  # 4032 cells, under the cell threshold
+            (64, 64, "BitpackedBackend"),
+            (512, 5000, "BitpackedBackend"),
+        ]
+        for n, rounds, expected in cases:
+            ran.clear()
+            schedules = np.zeros((1, n, rounds), dtype=bool)
+            heard = run_schedule_batch(Topology(path_graph(n)), schedules)
+            assert ran == [expected], (n, rounds)
+            assert heard.shape == schedules.shape

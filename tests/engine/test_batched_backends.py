@@ -1,15 +1,13 @@
-"""Tests for the replica-batched backend entry point (run_schedule_batch).
+"""Tests for the kernels' replica-batched entry point (run_schedule_batch).
 
-``run_schedule_batch`` is every backend's one schedule path, and
+``run_schedule_batch`` is each kernel's one schedule path, and
 ``run_schedule`` is the base class's batch of one.  The contract under
-test: for every backend, replica ``r`` of a batched execution is
+test: for both kernels, replica ``r`` of a batched execution is
 bit-identical to a standalone ``run_schedule`` call with replica ``r``'s
 schedule, channel and start round — for any mix of channels (``None``
 entries meaning noiseless, and channel subclasses that override
-``apply``), for per-replica start rounds (including offsets that
-straddle the Philox noise-window boundary), and for a third-party
-backend that defines only ``run_schedule_batch``, the one abstract
-method.
+``apply``) and for per-replica start rounds (including offsets that
+straddle the Philox noise-window boundary).
 """
 
 from __future__ import annotations
@@ -26,13 +24,9 @@ from repro.beeping.noise import (
     NoiselessChannel,
     unreliable_zone,
 )
-from repro.engine import (
-    BitpackedBackend,
-    DenseBackend,
-    SimulationBackend,
-    normalize_batch_args,
-    validate_schedule_batch,
-)
+from repro.engine import normalize_batch_args, validate_schedule_batch
+from repro.engine.bitpacked import BitpackedBackend
+from repro.engine.dense import DenseBackend
 from repro.errors import ConfigurationError
 from repro.graphs import (
     Topology,
@@ -82,19 +76,6 @@ class InvertingBernoulli(BernoulliNoise):
         heard = super().apply(received, round_index)
         heard[0] = ~heard[0]
         return heard
-
-
-class BatchOnlyBackend(SimulationBackend):
-    """A third-party backend implementing only the one abstract method."""
-
-    name = "batch-only"
-
-    def run_schedule_batch(
-        self, topology, schedules, channels=None, start_rounds=None
-    ):
-        return DENSE.run_schedule_batch(
-            topology, schedules, channels, start_rounds
-        )
 
 
 @pytest.mark.parametrize("backend", [DENSE, PACKED], ids=["dense", "bitpacked"])
@@ -170,9 +151,7 @@ class TestBatchMatchesLoop:
             backend.run_schedule_batch(topology, schedules, mixed), expected
         )
         assert np.array_equal(
-            run_schedule_batch(
-                topology, schedules, mixed, [0, 0, 0], backend=backend
-            ),
+            run_schedule_batch(topology, schedules, mixed, [0, 0, 0]),
             expected,
         )
 
@@ -225,26 +204,11 @@ class TestBackendsAgree:
             PACKED.run_schedule_batch(topology, schedules, channels, starts),
         )
 
-    def test_batch_of_one_inherited_by_third_party_backend(self):
-        backend = BatchOnlyBackend()
-        assert SimulationBackend.__abstractmethods__ == {"run_schedule_batch"}
-        topology = Topology(star_graph(7))
-        schedule = np.random.default_rng(6).random((7, 50)) < 0.5
-        for channel, start in (
-            (None, 0),
-            (BernoulliNoise(0.1, seed=40), 4070),
-            (InvertingChannel(), 8000),
-        ):
-            assert np.array_equal(
-                backend.run_schedule(topology, schedule, channel, start),
-                DENSE.run_schedule(topology, schedule, channel, start),
-            )
-
     @pytest.mark.parametrize("backend", [PACKED], ids=["bitpacked"])
     def test_windowed_subclass_takes_the_generic_path(self, backend):
         """A subclass of a packed-flip channel type must keep its ``apply``.
 
-        The bit-packed backend packs flips only for the exact library
+        The bit-packed kernel packs flips only for the exact library
         types; ``InvertingBernoulli`` overrides ``apply`` and must take
         the generic path, in a batch that mixes it with every other kind.
         """

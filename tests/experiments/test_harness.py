@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.engine import get_default_backend
 from repro.experiments.harness import _experiment_id_summary, main
 from repro.experiments.registry import all_specs
 from repro.sweeps.result import SWEEP_SCHEMA_VERSION
@@ -41,40 +40,17 @@ class TestHelpText:
         assert "e01..e15" not in out  # the stale hardcoded range
 
 
-class TestBackendFlag:
-    def test_backend_flag_accepted(self, capsys):
-        assert main(["e01", "--backend", "bitpacked"]) == 0
-        assert "[e01 completed" in capsys.readouterr().out
-
-    def test_backend_restored_after_run(self):
-        before = get_default_backend()
-        assert main(["e01", "--backend", "dense"]) == 0
-        assert get_default_backend() == before
-
-    def test_unknown_backend_rejected(self, capsys):
-        # Not an argparse SystemExit: unknown names flow through the
-        # registry so the one-line error lists every known backend.
-        assert main(["e01", "--backend", "quantum"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: unknown backend 'quantum'")
-        assert "['bitpacked', 'dense'] (or 'auto')" in err
-
-    def test_unknown_backend_rejected_on_sweep(self, tmp_path, capsys):
-        grid = tmp_path / "grid.toml"
-        grid.write_text(GRID_TOML)
-        assert main(["sweep", "--grid", str(grid), "--backend", "quantum"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: unknown backend 'quantum'")
-        assert "['bitpacked', 'dense'] (or 'auto')" in err
-
-
 #: Flags of retired settings, each with a value the old CLI accepted.
-RETIRED_FLAGS = (["--runtime", "reference"], ["--shards", "2"])
+RETIRED_FLAGS = (
+    ["--runtime", "reference"],
+    ["--shards", "2"],
+    ["--backend", "dense"],
+)
 
 
 class TestRuntimeFlag:
-    """Usage errors exit 2: the retired ``--runtime`` and ``--shards``
-    flags, unknown axes."""
+    """Usage errors exit 2: the retired ``--runtime``, ``--shards`` and
+    ``--backend`` flags, unknown axes."""
 
     def test_runtime_flag_is_retired(self, capsys):
         for flag in RETIRED_FLAGS:
@@ -139,7 +115,7 @@ class TestFormats:
         assert doc["experiment_id"] == "e01"
         assert doc["seed"] == 5
         assert doc["profile"] == "quick"
-        assert doc["backend"] == "auto"
+        assert "backend" not in doc
         assert doc["elapsed"] >= 0
         assert doc["tables"] and doc["tables"][0]["rows"]
 
@@ -206,7 +182,7 @@ class TestSelection:
     def test_cache_flag_round_trips(self, tmp_path, capsys):
         assert main(["e03", "--cache", str(tmp_path)]) == 0
         first = capsys.readouterr().out
-        assert list(tmp_path.glob("e03--quick--seed0--*.json"))
+        assert (tmp_path / "e03--quick--seed0.json").exists()
         assert main(["e03", "--cache", str(tmp_path)]) == 0
         second = capsys.readouterr().out
         assert first == second  # replayed result renders identically
@@ -292,22 +268,6 @@ class TestSweepSubcommand:
         assert table(first.out) == table(second.out)
         assert "(2 cached)" in second.out
         assert "cache hit" in second.err
-
-    def test_backend_flag_is_speed_only(self, tmp_path, capsys):
-        grid = self.write_grid(tmp_path)
-        outputs = []
-        for backend in ("dense", "bitpacked"):
-            assert main(["sweep", "--grid", grid, "--backend", backend]) == 0
-            normalised = capsys.readouterr().out.replace(backend, "BACKEND")
-            outputs.append(
-                [
-                    line.split()
-                    for line in normalised.splitlines()[:-1]
-                    # rulers and the blank line vary with column widths
-                    if line.strip("-=" )
-                ]
-            )
-        assert outputs[0] == outputs[1]
 
     def test_unknown_family_exits_2_one_line(self, tmp_path, capsys):
         grid = self.write_grid(

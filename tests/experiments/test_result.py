@@ -39,7 +39,6 @@ def _synthetic_result(spec) -> ExperimentResult:
         tags=spec.tags,
         profile="quick",
         seed=7,
-        backend="dense",
         elapsed=0.125,
         tables=[table],
     )
@@ -55,7 +54,6 @@ def test_json_round_trip_every_spec(spec):
     assert restored.tags == result.tags
     assert restored.profile == result.profile
     assert restored.seed == result.seed
-    assert restored.backend == result.backend
     assert restored.elapsed == result.elapsed
     for before, after in zip(result.tables, restored.tables):
         assert after.title == before.title
@@ -106,7 +104,6 @@ class TestExperimentResult:
             title="t",
             profile="quick",
             seed=0,
-            backend="auto",
             elapsed=0.0,
             tables=[
                 TableData(title="first", headers=["a"], rows=[[1]]),
@@ -126,7 +123,6 @@ class TestExperimentResult:
             title="t",
             profile="quick",
             seed=0,
-            backend="auto",
             elapsed=0.0,
             tables=[table],
         )
@@ -140,7 +136,6 @@ class TestExperimentResult:
             title="t",
             profile="quick",
             seed=0,
-            backend="auto",
             elapsed=1.26,
             tables=[table],
         )
@@ -159,9 +154,19 @@ class TestExperimentResult:
             title="t",
             profile="quick",
             seed=0,
-            backend="auto",
             elapsed=0.0,
             tables=[],
             cached=True,
         )
         assert ExperimentResult.from_json(result.to_json()).cached is False
+
+    def test_stored_backend_label_is_ignored(self):
+        # Documents written while the kernel was a user choice carry a
+        # backend label; they still load, and the label is dropped.
+        table = TableData(title="T", headers=["a"], rows=[[1]])
+        result = ExperimentResult(
+            experiment_id="eXX", title="t", profile="quick", seed=0,
+            elapsed=0.0, tables=[table],
+        )
+        stored = {**result.to_dict(), "backend": "dense"}
+        assert ExperimentResult.from_dict(stored).to_dict() == result.to_dict()

@@ -1,9 +1,9 @@
-"""The mypy gate over the backend-protocol seams (skipped without mypy).
+"""The mypy gate over the executor and sweep engine (skipped without mypy).
 
 ``mypy.ini`` scopes basic-strictness checking (``check_untyped_defs``,
 ``no_implicit_optional``) to ``src/repro/engine/`` and
-``src/repro/sweeps/`` — the ``SimulationBackend`` protocol and the sweep
-engine that fans work across it.  mypy is not a runtime dependency of
+``src/repro/sweeps/`` — the schedule executor with its two kernels and
+the sweep engine that fans work across it.  mypy is not a runtime dependency of
 the library; when it is absent (the pinned dev container ships without
 it) the gate is skipped here and runs in CI's lint job instead.
 """

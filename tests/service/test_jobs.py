@@ -21,12 +21,7 @@ class TestNormalizeExperiment:
     def test_defaults_made_explicit(self):
         spec = normalize(kind="experiment", ids=["e01"])
         assert spec.kind == "experiment"
-        assert spec.payload == {
-            "ids": ["e01"],
-            "profile": "quick",
-            "seed": 0,
-            "backend": None,
-        }
+        assert spec.payload == {"ids": ["e01"], "profile": "quick", "seed": 0}
 
     def test_ids_resolved_through_registry(self):
         spec = normalize(kind="experiment", ids=["E03", "e03", "e01"])
@@ -64,24 +59,23 @@ class TestNormalizeExperiment:
         with pytest.raises(ConfigurationError):
             normalize(kind="experiment", ids=["e01"], **{field: value})
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            normalize(kind="experiment", ids=["e01"], backend="quantum")
-
     def test_retired_runtime_key_rejected(self):
-        # runtime and shards are both retired: each is an unknown key
-        for retired, value in (("runtime", "reference"), ("shards", 2)):
+        # runtime, shards and backend are retired: each is an unknown key
+        for retired, value in (
+            ("runtime", "reference"),
+            ("shards", 2),
+            ("backend", "dense"),
+        ):
             with pytest.raises(ConfigurationError) as excinfo:
                 normalize(kind="experiment", ids=["e01"], **{retired: value})
             assert str(excinfo.value) == (
                 f"unknown experiment-job key(s) '{retired}'; "
-                "known: ids, tags, profile, seed, backend"
+                "known: ids, tags, profile, seed"
             )
             with pytest.raises(ConfigurationError) as excinfo:
                 normalize(kind="sweep", grid=GRID, **{retired: value})
             assert str(excinfo.value) == (
-                f"unknown sweep-job key(s) '{retired}'; "
-                "known: grid, profile, backend"
+                f"unknown sweep-job key(s) '{retired}'; known: grid, profile"
             )
 
     def test_empty_profile_rejected(self):
@@ -106,11 +100,6 @@ class TestNormalizeSweep:
         assert spec.payload["grid"]["grid"]["topologies"] == ["expander"]
         assert spec.payload["profile"] == "quick"
 
-    def test_backend_override_folds_into_axis(self):
-        spec = normalize(kind="sweep", grid=GRID, backend="auto")
-        assert spec.payload["grid"]["grid"]["backends"] == ["auto"]
-        assert "backend" not in spec.payload  # folded, not carried
-
     def test_missing_grid_rejected(self):
         with pytest.raises(ConfigurationError, match="'grid' table"):
             normalize(kind="sweep")
@@ -122,8 +111,8 @@ class TestNormalizeSweep:
             normalize(kind="sweep", grid=bad)
 
 
-#: Submissions whose identity keys were pinned while ``runtime`` and
-#: ``shards`` were still job keys.
+#: Submissions whose identity keys were pinned while ``runtime``,
+#: ``shards`` and ``backend`` were still job keys.
 STORED_EXPERIMENT = {"kind": "experiment", "ids": ["e14"]}
 STORED_SWEEP = {
     "kind": "sweep",
@@ -135,6 +124,15 @@ STORED_SWEEP = {
         "rounds": 1,
     },
 }
+
+
+def _merge(payload: dict, fields: dict) -> None:
+    """Write ``fields`` into ``payload``, descending into nested tables."""
+    for name, value in fields.items():
+        if isinstance(value, dict):
+            _merge(payload[name], value)
+        else:
+            payload[name] = value
 
 
 class TestIdentity:
@@ -166,20 +164,38 @@ class TestIdentity:
                 {"shards": 2},
                 "6bc0ec23688e1e96fc459437fbfb6f9ebf6e7d87f06b1f834f195c78e7170dcc",
             ),
+            (
+                STORED_EXPERIMENT,
+                {"backend": None},
+                "db6d490f9490b64a3ff7eeab763e3dc2d9eda0269c7520f2d5d691b4360fe533",
+            ),
+            (
+                STORED_SWEEP,
+                {"grid": {"grid": {"backends": ["auto"]}}},
+                "6bc0ec23688e1e96fc459437fbfb6f9ebf6e7d87f06b1f834f195c78e7170dcc",
+            ),
         ],
-        ids=["experiment", "sweep", "experiment-shards1", "sweep-shards2"],
+        ids=[
+            "experiment",
+            "sweep",
+            "experiment-shards1",
+            "sweep-shards2",
+            "experiment-backend",
+            "sweep-backends",
+        ],
     )
     def test_stored_specs_with_runtime_keep_key_and_run(
         self, submission, retired, key, tmp_path
     ):
-        # spec.json as stored before the runtime and shards keys were
-        # retired; the keys were computed then, so no payload edit can
-        # split the dedupe index.  Nothing reads either field: a spec
-        # stored with shards 2 runs in one process under the key of the
-        # single-process spec.
+        # spec.json as stored before the runtime, shards and backend keys
+        # were retired; the keys were computed then, so no payload edit
+        # can split the dedupe index.  A spec stored with shards 2 runs in
+        # one process under the key of the single-process spec, and the
+        # stored backend defaults ("backend": null, "backends": ["auto"]
+        # inside the grid) keep the key of a spec that omits them.
         fresh = JobSpec.normalize(submission)
         document = fresh.to_dict()
-        document["payload"].update(retired)
+        _merge(document["payload"], retired)
         stored = JobSpec.from_dict(document)
         assert stored.identity_key() == fresh.identity_key() == key
         cache = str(tmp_path)
@@ -193,7 +209,7 @@ class TestIdentity:
         [
             {"seed": 1},
             {"profile": "full"},
-            {"backend": "dense"},
+            {"ids": ["e03", "e01"]},
             {"ids": ["e03"]},
         ],
     )

@@ -297,14 +297,18 @@ class TestFailures:
         assert "zz99" in body["error"]["message"]
         status, body = live_service.post_json("/v1/jobs", "not an object")
         assert status == 400
-        for retired, value in (("runtime", "reference"), ("shards", 2)):
+        for retired, value in (
+            ("runtime", "reference"),
+            ("shards", 2),
+            ("backend", "dense"),
+        ):
             status, body = live_service.post_json(
                 "/v1/jobs", {**EXPERIMENT_JOB, retired: value}
             )
             assert status == 400
             assert body["error"]["message"] == (
                 f"unknown experiment-job key(s) '{retired}'; "
-                "known: ids, tags, profile, seed, backend"
+                "known: ids, tags, profile, seed"
             )
 
     def test_unknown_routes_and_jobs_are_404(self, live_service):

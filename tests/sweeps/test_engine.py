@@ -1,8 +1,9 @@
-"""End-to-end sweep engine tests: backends agree, cache replays, math holds."""
+"""End-to-end sweep engine tests: kernels agree, cache replays, math holds."""
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -23,38 +24,26 @@ ACCEPTANCE_GRID = {
 }
 
 
-def _without_backend(cells: list[dict]) -> list[dict]:
-    return [
-        {key: value for key, value in cell.items() if key != "backend"}
-        for cell in cells
-    ]
-
-
 class TestEndToEnd:
-    def test_dense_and_bitpacked_identical_aggregates_and_cache(self, tmp_path):
+    def test_dense_and_bitpacked_identical_aggregates_and_cache(
+        self, tmp_path, force_kernel
+    ):
         cache = tmp_path / "cache"
-        dense = sweeps.run(ACCEPTANCE_GRID, backend="dense", cache_dir=cache)
-        packed = sweeps.run(ACCEPTANCE_GRID, backend="bitpacked", cache_dir=cache)
+        force_kernel("dense")
+        dense = sweeps.run(ACCEPTANCE_GRID, cache_dir=cache)
+        force_kernel("bitpacked")
+        packed = sweeps.run(ACCEPTANCE_GRID)
         assert len(dense.points) == 3 * 2 * 2 * 2
         assert not any(point["cached"] for point in dense.points)
-        # the engine invariant, surfaced at campaign scale: identical
+        # the kernel invariant, surfaced at campaign scale: identical
         # aggregate tables (and identical simulated numbers point by
-        # point), with only the backend label and timing differing
-        assert _without_backend(dense.cells()) == _without_backend(packed.cells())
-        timing_free = ("backend", "elapsed", "cached")
-        assert [
-            {k: v for k, v in point.items() if k not in timing_free}
-            for point in dense.points
-        ] == [
-            {k: v for k, v in point.items() if k not in timing_free}
-            for point in packed.points
-        ]
-        # second runs replay entirely from the on-disk cache
-        dense_again = sweeps.run(ACCEPTANCE_GRID, backend="dense", cache_dir=cache)
+        # point), with only timing differing
+        assert dense.cells() == packed.cells()
+        assert _timing_free(dense) == _timing_free(packed)
+        # a second run replays entirely from the on-disk cache
+        dense_again = sweeps.run(ACCEPTANCE_GRID, cache_dir=cache)
         assert all(point["cached"] for point in dense_again.points)
-        assert _without_backend(dense_again.cells()) == _without_backend(
-            dense.cells()
-        )
+        assert dense_again.cells() == dense.cells()
 
     def test_parallel_matches_serial(self):
         grid = {
@@ -81,20 +70,6 @@ class TestEndToEnd:
         with pytest.raises(ConfigurationError):
             sweeps.run(ACCEPTANCE_GRID, jobs=0)
 
-    def test_invalid_backend_override_rejected_eagerly(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            sweeps.run(ACCEPTANCE_GRID, backend="densse")
-        assert "unknown backend 'densse'" in str(excinfo.value)
-
-    def test_backend_override_recorded_in_grid_metadata(self):
-        result = sweeps.run(
-            {"topologies": ["cycle"], "sizes": [8], "noises": [0.0], "rounds": 1},
-            backend="bitpacked",
-        )
-        # the serialized grid must describe the run that made the points
-        assert result.grid["grid"]["backends"] == ["bitpacked"]
-        assert sweeps.load_grid(result.grid).backends == ("bitpacked",)
-
     def test_records_have_exact_schema(self):
         result = sweeps.run(
             {"topologies": ["cycle"], "sizes": [8], "noises": [0.0], "rounds": 1}
@@ -108,26 +83,21 @@ class TestEndToEnd:
 
 
 class TestExecutePoint:
-    def test_deterministic_and_backend_independent(self):
+    def test_deterministic_and_backend_independent(self, force_kernel):
         grid = GridSpec.from_dict(
             {"topologies": ["expander"], "sizes": [8], "noises": [0.05], "rounds": 2}
         )
-        [dense_point] = grid.expand(backend="dense")
-        [packed_point] = grid.expand(backend="bitpacked")
-        first = execute_point(dense_point)
-        second = execute_point(dense_point)
-        packed = execute_point(packed_point)
+        [point] = grid.expand()
+        force_kernel("dense")
+        first = execute_point(point)
+        second = execute_point(point)
+        force_kernel("bitpacked")
+        packed = execute_point(point)
 
         def rows(result):
             return result.tables[0].rows
 
-        assert rows(first) == rows(second)
-        # identical except the backend label column
-        patched = [
-            "dense" if value == "bitpacked" else value
-            for value in rows(packed)[0]
-        ]
-        assert patched == list(rows(first)[0])
+        assert rows(first) == rows(second) == rows(packed)
 
     def test_result_metadata(self):
         grid = GridSpec.from_dict(
@@ -154,7 +124,6 @@ class TestSweepResult:
                 params="",
                 n=8,
                 eps=0.0,
-                backend="auto",
                 seed=seed,
                 success_rate=rate,
                 delta=2,
@@ -176,11 +145,11 @@ class TestSweepResult:
         template = {field: 0 for field in POINT_FIELDS}
         points = [
             dict(template, family="cycle", params="", n=8, eps=0.0,
-                 backend="auto", seed=seed, success_rate=1.0, cached=False)
+                 seed=seed, success_rate=1.0, cached=False)
             for seed in (0, 1)
         ] + [
             dict(template, family="cycle", params="", n=12, eps=0.0,
-                 backend="auto", seed=0, success_rate=1.0, cached=False)
+                 seed=0, success_rate=1.0, cached=False)
         ]
         result = SweepResult(profile="quick", grid={}, points=points)
         cells = result.cells()
@@ -223,13 +192,24 @@ def _timing_free(result: SweepResult) -> list[dict]:
     ]
 
 
-def _per_seed(grid: dict, backend: "str | None" = None) -> list[dict]:
+def _per_seed(grid: dict) -> list[dict]:
     """Every point of ``grid`` run alone through :func:`execute_point`."""
     records = []
-    for point in sweeps.load_grid(grid).expand(backend=backend):
+    for point in sweeps.load_grid(grid).expand():
         [record] = execute_point(point).tables[0].records()
         records.append(record)
     return records
+
+
+#: Deterministic and randomised families, noiseless and noisy; the size
+#: rule runs every phase of this grid packed.
+EQUIVALENCE_GRID = {
+    "topologies": ["cycle", "expander", "powerlaw"],
+    "sizes": [16, 32],
+    "noises": [0.0, 0.05],
+    "seeds": [0, 1],
+    "rounds": 2,
+}
 
 
 class TestReplicaBatching:
@@ -239,11 +219,14 @@ class TestReplicaBatching:
         batched = sweeps.run(ACCEPTANCE_GRID)
         assert _timing_free(batched) == _per_seed(ACCEPTANCE_GRID)
 
-    @pytest.mark.parametrize("backend", ["dense", "bitpacked"])
-    def test_batched_equals_per_seed_both_backends(self, backend):
-        grid = {**ACCEPTANCE_GRID, "sizes": [8]}
-        batched = sweeps.run(grid, backend=backend)
-        assert _timing_free(batched) == _per_seed(grid, backend=backend)
+    @pytest.mark.parametrize("kernel", ["dense", "bitpacked"])
+    def test_batched_equals_per_seed_both_backends(self, kernel, force_kernel):
+        by_size = sweeps.run(EQUIVALENCE_GRID)
+        force_kernel(kernel)
+        batched = sweeps.run(EQUIVALENCE_GRID)
+        assert _timing_free(batched) == _per_seed(EQUIVALENCE_GRID)
+        # one forced kernel's cells equal those of the size rule
+        assert batched.cells() == by_size.cells()
 
     def test_randomised_families_fall_back_to_singletons(self):
         # expander graphs re-randomise per seed, so replica groups within
@@ -281,7 +264,7 @@ class TestReplicaBatching:
         assert single.tables[0].rows == batched.tables[0].rows
 
 
-#: A scenario grid crossing every noise model with churn on both backends.
+#: A scenario grid crossing every noise model with churn.
 SCENARIO_GRID = {
     "topologies": ["cycle"],
     "sizes": [8],
@@ -291,6 +274,12 @@ SCENARIO_GRID = {
     "seeds": [0, 1],
     "rounds": 1,
 }
+
+#: The example scenario-degradation campaign: three noise models crossed
+#: with three churn rates on a 3-regular graph.
+DEGRADATION_GRID = (
+    Path(__file__).resolve().parents[2] / "examples" / "degradation_grid.toml"
+)
 
 
 class TestScenarioSweeps:
@@ -313,10 +302,16 @@ class TestScenarioSweeps:
         assert restored.points == result.points
         assert restored.cells_csv() == result.cells_csv()
 
-    def test_dense_and_bitpacked_identical(self):
-        dense = sweeps.run(SCENARIO_GRID, backend="dense")
-        packed = sweeps.run(SCENARIO_GRID, backend="bitpacked")
-        assert _without_backend(dense.cells()) == _without_backend(packed.cells())
+    def test_dense_and_bitpacked_identical(self, force_kernel):
+        results = {}
+        for kernel in ("dense", "bitpacked"):
+            force_kernel(kernel)
+            results[kernel] = [
+                sweeps.run(grid) for grid in (SCENARIO_GRID, DEGRADATION_GRID)
+            ]
+        for dense, packed in zip(results["dense"], results["bitpacked"]):
+            assert dense.cells() == packed.cells()
+            assert _timing_free(dense) == _timing_free(packed)
 
     def test_default_axes_reproduce_legacy_numbers(self):
         # schema 5 must not perturb a schema-4-shaped campaign's numbers:
@@ -421,10 +416,10 @@ class TestCacheIdentity:
         point = sweeps.load_grid(base).expand()[0]
         other_point = sweeps.load_grid(other).expand()[0]
         source = api.cache_path(
-            cache, point.slug(), profile="quick", seed=0, backend="auto"
+            cache, point.slug(), profile="quick", seed=0
         )
         target = api.cache_path(
-            cache, other_point.slug(), profile="quick", seed=0, backend="auto"
+            cache, other_point.slug(), profile="quick", seed=0
         )
         target.write_text(
             source.read_text().replace(point.slug(), other_point.slug())
@@ -442,10 +437,10 @@ class TestCacheIdentity:
         point = sweeps.load_grid(self.BASE).expand()[0]
         other_point = sweeps.load_grid(other).expand()[0]
         source = api.cache_path(
-            cache, point.slug(), profile="quick", seed=0, backend="auto"
+            cache, point.slug(), profile="quick", seed=0
         )
         target = api.cache_path(
-            cache, other_point.slug(), profile="quick", seed=0, backend="auto"
+            cache, other_point.slug(), profile="quick", seed=0
         )
         # Forge: the gamma=1 result planted under the gamma=2 name, with
         # the stored experiment_id rewritten to match the file name (what

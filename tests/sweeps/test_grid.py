@@ -19,8 +19,8 @@ class TestValidation:
     def test_minimal_flat_dict(self):
         grid = spec()
         assert grid.topologies == ("cycle",)
-        assert grid.backends == ("auto",)
         assert grid.seeds == (0,)
+        assert "backends" not in grid.to_dict()["grid"]
 
     def test_toml_shaped_dict(self):
         grid = GridSpec.from_dict(
@@ -121,11 +121,16 @@ class TestExpansion:
         assert [p.family for p in points[:8]] == ["cycle"] * 8
         assert [p.seed for p in points[:2]] == [0, 1]
 
-    def test_backend_override_replaces_axis(self):
-        grid = spec(backends=["dense", "bitpacked"])
-        assert len(grid.expand()) == 2
-        points = grid.expand(backend="dense")
-        assert len(points) == 1 and points[0].backend == "dense"
+    def test_retired_backend_axis(self):
+        # ["auto"], the only value that changed nothing, is still accepted
+        assert spec(backends=["auto"]) == spec()
+        assert spec(backends=["auto"]).expand() == spec().expand()
+        for value in (["dense"], ["dense", "bitpacked"], ["quantum"]):
+            with pytest.raises(ConfigurationError) as excinfo:
+                spec(backends=value)
+            message = str(excinfo.value)
+            assert message.startswith("grid key 'backends' is retired: ")
+            assert "\n" not in message
 
     def test_profile_scales_rounds(self):
         grid = spec(rounds=2)
