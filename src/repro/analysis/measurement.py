@@ -11,7 +11,7 @@ from ..core.parameters import CandidatePolicy, SimulationParameters
 from ..core.round_simulator import BroadcastSession
 from ..errors import ConfigurationError
 from ..graphs import Topology
-from ..rng import derive_rng, random_bits
+from ..rng import derive_rng, random_bits_many
 
 __all__ = ["SuccessStats", "measure_round_success", "fit_linear_factor"]
 
@@ -68,9 +68,7 @@ def measure_round_success(
         codes=params.combined_code(seed),
     )
     for trial in range(trials):
-        messages = [
-            random_bits(message_rng, params.message_bits) for _ in range(n)
-        ]
+        messages = random_bits_many(message_rng, n, params.message_bits)
         outcome = session.run_round(
             messages, round_offset=trial * params.rounds_per_simulated_round
         )

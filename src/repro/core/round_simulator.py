@@ -18,9 +18,13 @@ same :class:`RoundOutcome`\\ s).  :func:`simulate_broadcast_round` remains
 as the one-shot compatibility wrapper.
 
 Every session has one plan/decode path: schedules come from
-:func:`_build_phase_schedules_fast` and decoding from
-:func:`_phase1_decode_fast` / :func:`_phase2_decode_fast`, vectorised
-kernels that are *exactly* equal (not just statistically) to the
+:func:`_build_phase_schedules_fast`, and decoding works on one array
+representation, the round's accepted ``(node, candidate index)`` pairs
+in node-major order.  :func:`_phase1_pairs` finds them with the Lemma 9
+count (a gather over each codeword's one-positions, or a float32
+product on small rounds), :func:`_phase2_nearest` gives each pair its
+nearest message index, and the ground truth comes from the topology's
+CSR.  The results are *exactly* equal (not just statistically) to the
 reference implementations in :mod:`repro.core.encoder` and
 :mod:`repro.core.decoder`.  Those stay public as the oracle the tests
 compare against (``tests/core/test_session_oracle.py`` replays whole
@@ -54,8 +58,7 @@ from ..codes import CombinedCode
 from ..errors import ConfigurationError
 from ..graphs import Topology
 from ..lru import LRUDict
-from ..rng import derive_rng, derive_seed
-from .decoder import DecodedMessage
+from ..rng import derive_rng, derive_seed, random_bits_many
 from .parameters import CandidatePolicy, SimulationParameters
 
 __all__ = [
@@ -65,11 +68,16 @@ __all__ = [
     "simulate_broadcast_round",
 ]
 
-#: Largest code length at which 0/1 dot products are exactly representable
-#: in float32 (every partial sum is an integer below 2^24), letting the
-#: vectorised decoders ride the BLAS sgemm path without changing a single
-#: count.
+#: Integers below 2^24 are exact in float32: phase 1's float32 product
+#: is exact below this code length, and phase 2's float32 scores while
+#: twice the codeword weight stays below it.  Past either bound an
+#: integer path runs instead.
 _EXACT_FLOAT32_LIMIT = 1 << 24
+
+#: Phase 1 counts by gathering rows of ¬heard once ``candidates · n``
+#: reaches this size; below it the per-step numpy overhead of the gather
+#: loop loses to one float32 product.
+_GATHER_MIN_CELLS = 1 << 14
 
 #: Exhaustive candidate scans are exponential; refuse beyond this size.
 _EXHAUSTIVE_LIMIT_BITS = 22
@@ -195,9 +203,10 @@ class BroadcastSession:
         )
         self._round_offset = 0
         # Candidate-policy decoder state, built lazily once per session:
-        # the full phase-1/phase-2 matrices for EXHAUSTIVE, and a bounded
-        # distance-row LRU cache for the message-decoy policies.
-        self._exhaustive_phase1: np.ndarray | None = None
+        # the full domain's one-positions and phase-2 matrix for
+        # EXHAUSTIVE, and a bounded distance-row LRU cache for the
+        # message-decoy policies.
+        self._exhaustive_positions: np.ndarray | None = None
         self._exhaustive_phase2: np.ndarray | None = None
         self._distance_rows: LRUDict[int, np.ndarray] = LRUDict(
             _DISTANCE_ROW_CACHE_SIZE
@@ -297,8 +306,7 @@ class BroadcastSession:
 
         # Step 1: every participating node draws r_v uniformly at random.
         round_rng = derive_rng(self._seed, "round-randomness", round_offset)
-        r_space = 1 << params.r_bits
-        r_values = _draw_r_values(round_rng, n, r_space)
+        r_values = random_bits_many(round_rng, n, params.r_bits)
         participating = [messages[v] is not None for v in range(n)]
 
         # Candidate enumeration per the chosen policy.
@@ -306,14 +314,14 @@ class BroadcastSession:
         candidates = _candidate_set(
             self._policy,
             in_flight,
-            r_space,
+            1 << params.r_bits,
             params.r_bits,
             self._num_decoys,
             round_rng,
         )
 
         # Steps 2-3: the two oblivious beeping phase schedules.  The
-        # exhaustive domain has its own once-per-session matrix, so only
+        # exhaustive domain has its own once-per-session positions, so only
         # the other policies' candidates join the round's encode call.
         (
             phase1_schedule,
@@ -348,48 +356,43 @@ class BroadcastSession:
         heard1: np.ndarray,
         heard2: np.ndarray,
     ) -> RoundOutcome:
-        """Everything after the beeping phases: candidate scans and decoding.
+        """Everything after the beeping phases: both decode steps and the truth.
 
-        Consumes the plan's round RNG where the plan left it (message
-        decoys) and advances the session offset, so splitting a round
-        around the beeping phases cannot perturb any stream.
+        Works on candidate *indices*, never values (``r_v`` and messages
+        can exceed 64 bits); Python ints are rebuilt only for the public
+        fields.  Consumes the plan's round RNG where the plan left it
+        (message decoys) and advances the session offset, so splitting a
+        round around the beeping phases cannot perturb any stream.
         """
         topology = self._round_topology(plan.round_offset)
         params = self._params
-        codes = self._codes
-        n = topology.num_nodes
         messages = plan.messages
-        r_values = plan.r_values
-        participating = plan.participating
-        candidates = plan.candidates
-        b = codes.length
+        n = topology.num_nodes
+        b = self._codes.length
+        exhaustive = self._policy is CandidatePolicy.EXHAUSTIVE
+        senders = np.flatnonzero(plan.participating)
 
-        # Step 4a: phase-1 decoding (Lemma 9 threshold test).
-        accepted_raw = _phase1_decode_fast(
-            codes.beep_code,
-            heard1,
-            candidates,
-            params.eps,
-            codeword_matrix=self._phase1_matrix(plan, candidates),
+        # Candidate one-positions, and each sender's own candidate index.
+        # Outside EXHAUSTIVE the plan's slot rows are exactly the sorted
+        # candidates; the exhaustive domain is its own index.
+        if exhaustive:
+            positions = self._exhaustive_domain_positions()
+            row_of: "Sequence[int] | dict[int, int]" = range(len(plan.candidates))
+        else:
+            positions = plan.slot_positions
+            row_of = plan.slot_rows
+        own = np.full(n, -1, dtype=np.int64)
+        own[senders] = [row_of[plan.r_values[v]] for v in senders]
+
+        # Step 4a: phase-1 decoding (Lemma 9), own value removed.
+        pair_node, pair_cand = _phase1_pairs(
+            heard1, positions, self._codes.beep_code.decoding_threshold(params.eps)
         )
-        accepted: list[set[int]] = []
-        for v in range(n):
-            own = {r_values[v]} if participating[v] else set()
-            accepted.append(accepted_raw[v] - own)
-
-        # Ground truth for diagnostics.
-        true_sets = [
-            {r_values[int(u)] for u in topology.neighbors[v] if participating[int(u)]}
-            for v in range(n)
-        ]
-        phase1_errors = sum(accepted[v] != true_sets[v] for v in range(n))
-        transmitted = [r_values[v] for v in range(n) if participating[v]]
-        r_collision = len(set(transmitted)) != len(transmitted)
+        keep = pair_cand != own[pair_node]
+        pair_node, pair_cand = pair_node[keep], pair_cand[keep]
 
         # Step 4b: phase-2 decoding (nearest distance codeword).
-        message_candidates = sorted(
-            {messages[v] for v in range(n) if participating[v]}  # type: ignore[arg-type]
-        )
+        message_candidates = sorted({messages[v] for v in senders})  # type: ignore[type-var]
         if (
             self._policy is CandidatePolicy.ORACLE_WITH_DECOYS
             and message_candidates
@@ -400,42 +403,64 @@ class BroadcastSession:
                 self._num_decoys,
                 plan.round_rng,
             )
-        if self._policy is CandidatePolicy.EXHAUSTIVE:
+        if exhaustive:
             message_candidates = list(range(1 << params.message_bits))
-        if not message_candidates:
-            decoded_maps = [dict() for _ in range(n)]
-        else:
-            # Accepted values reuse the plan's slot table; only values
-            # outside it (the exhaustive domain's) pay an encode.
-            decoded_maps = _phase2_decode_fast(
-                codes,
+        if message_candidates:
+            decoded_node = pair_node
+            best = _phase2_nearest(
                 heard2,
-                accepted,
-                message_candidates,
-                codeword_matrix=self._phase2_matrix(message_candidates),
-                slot_positions=plan.slot_positions,
-                slot_index=plan.slot_rows,
+                pair_node,
+                positions[pair_cand],
+                self._phase2_matrix(message_candidates),
             )
+        else:
+            decoded_node = best = pair_node[:0]
 
-        decoded = [
-            sorted(entry.message for entry in decoded_maps[v].values())
-            for v in range(n)
-        ]
-        truth = [
-            sorted(
-                messages[int(u)]  # type: ignore[arg-type]
-                for u in topology.neighbors[v]
-                if participating[int(u)]
+        # Ground truth: each node's sending neighbours, from the CSR.
+        adjacency = topology.adjacency
+        edge_node = np.repeat(np.arange(n), np.diff(adjacency.indptr))
+        edge_sender = adjacency.indices.astype(np.int64)
+        sending = own[edge_sender] >= 0
+        edge_node, edge_sender = edge_node[sending], edge_sender[sending]
+
+        # Phase 1 was right where the accepted and the true (node, index)
+        # key sets agree; np.unique keeps set semantics under r-collisions.
+        k1 = max(1, len(plan.candidates))
+        phase1_wrong = np.zeros(n, dtype=bool)
+        phase1_wrong[
+            np.setxor1d(
+                pair_node * k1 + pair_cand,
+                np.unique(edge_node * k1 + own[edge_sender]),
+                assume_unique=True,
             )
-            for v in range(n)
-        ]
-        per_node_success = np.asarray(
-            [decoded[v] == truth[v] for v in range(n)], dtype=bool
+            // k1
+        ] = True
+
+        # A node succeeded where its sorted decoded and true message
+        # indices agree segment by segment (candidates sort like values).
+        k2 = max(1, len(message_candidates))
+        message_row = (
+            range(k2)
+            if exhaustive
+            else {message: row for row, message in enumerate(message_candidates)}
         )
-        phase2_errors = sum(
-            1
-            for v in range(n)
-            if accepted[v] == true_sets[v] and not per_node_success[v]
+        sender_message = np.zeros(n, dtype=np.int64)
+        sender_message[senders] = [message_row[messages[v]] for v in senders]
+        decoded_keys = np.sort(decoded_node * k2 + best)
+        true_keys = np.sort(edge_node * k2 + sender_message[edge_sender])
+        decoded_counts = np.bincount(decoded_node, minlength=n)
+        per_node_success = decoded_counts == np.bincount(edge_node, minlength=n)
+        aligned = decoded_keys[per_node_success[decoded_keys // k2]]
+        differ = aligned != true_keys[per_node_success[true_keys // k2]]
+        per_node_success[aligned[differ] // k2] = False
+
+        decoded = _segments(
+            np.array(message_candidates, dtype=object)[decoded_keys % k2].tolist(),
+            decoded_counts,
+        )
+        accepted = _segments(
+            np.array(plan.candidates, dtype=object)[pair_cand].tolist(),
+            np.bincount(pair_node, minlength=n),
         )
         self._round_offset = plan.round_offset + 2 * b
         return RoundOutcome(
@@ -443,10 +468,10 @@ class BroadcastSession:
             per_node_success=per_node_success,
             success=bool(per_node_success.all()),
             beep_rounds_used=2 * b,
-            phase1_errors=phase1_errors,
-            phase2_errors=phase2_errors,
-            r_collision=r_collision,
-            accepted_sets=accepted,
+            phase1_errors=int(phase1_wrong.sum()),
+            phase2_errors=int((~phase1_wrong & ~per_node_success).sum()),
+            r_collision=bool(np.unique(own[senders]).size != senders.size),
+            accepted_sets=[set(values) for values in accepted],
         )
 
     def run_many(
@@ -465,44 +490,27 @@ class BroadcastSession:
             self.reset(round_offset)
         return [self.run_round(messages) for messages in message_rounds]
 
-    def _phase1_matrix(
-        self, plan: "_RoundPlan", candidates: Sequence[int]
-    ) -> np.ndarray:
-        """The phase-1 decoder's ``float32`` candidate codeword matrix.
+    def _exhaustive_domain_positions(self) -> np.ndarray:
+        """The one-positions of every codeword of the exhaustive domain.
 
         Under :attr:`CandidatePolicy.EXHAUSTIVE` the candidate list is the
-        full domain every round, so the matrix is built once and reused.
-        The other policies draw fresh random decoys each round; their
-        matrix is scattered from the plan's slot table, which holds every
-        candidate's one-positions.
+        full domain every round, so its rows (row ``r`` for value ``r``)
+        come from one :meth:`~repro.codes.BeepCode.encode_positions` call
+        per session.
         """
-        if self._policy is not CandidatePolicy.EXHAUSTIVE:
-            # float32 from the start: the phase-1 count product consumes
-            # this matrix on the BLAS sgemm path (values stay exactly 0/1).
-            matrix = np.zeros(
-                (len(candidates), self._codes.length), dtype=np.float32
+        if self._exhaustive_positions is None:
+            self._exhaustive_positions = self._codes.beep_code.encode_positions(
+                range(1 << self._params.r_bits)
             )
-            if candidates:
-                rows = [plan.slot_rows[value] for value in candidates]
-                matrix[
-                    np.arange(len(candidates))[:, None], plan.slot_positions[rows]
-                ] = 1.0
-            return matrix
-        if self._exhaustive_phase1 is None:
-            self._exhaustive_phase1 = self._codes.beep_code.encode_many(
-                list(candidates)
-            ).astype(np.float32)
-        return self._exhaustive_phase1
+        return self._exhaustive_positions
 
-    def _phase2_matrix(self, message_candidates: Sequence[int]) -> np.ndarray | None:
+    def _phase2_matrix(self, message_candidates: Sequence[int]) -> np.ndarray:
         """The phase-2 boolean codeword matrix for ``message_candidates``.
 
         Built from a bounded per-session row cache (messages recur across
         rounds far more than the phase-1 random strings do); the full
         message space is cached wholesale under EXHAUSTIVE.
         """
-        if not message_candidates:
-            return None
         distance_code = self._codes.distance_code
         if self._policy is CandidatePolicy.EXHAUSTIVE:
             if self._exhaustive_phase2 is None:
@@ -548,7 +556,8 @@ class _RoundPlan:
     #: The ascending one-positions of every in-flight value's and every
     #: non-exhaustive candidate's beep codeword (row ``slot_rows[r]``;
     #: ``None`` when there is nothing to encode), from the round's one
-    #: encode call and reused by the schedules and both decoders.
+    #: encode call and reused by the schedules and both decode steps.
+    #: Outside EXHAUSTIVE its rows are exactly ``candidates``, in order.
     slot_positions: "np.ndarray | None"
     slot_rows: "dict[int, int]"
 
@@ -606,7 +615,7 @@ def _build_phase_schedules_fast(
     candidates) are encoded together in one
     :meth:`~repro.codes.BeepCode.encode_positions` call.  Besides the two
     schedules, returns that slot-position matrix (``None`` when it is
-    empty) and a ``value → row`` map, so the decoders can reuse the
+    empty) and a ``value → row`` map, so both decode steps can reuse the
     one-positions without encoding or scanning any codeword again.
     """
     n = len(r_values)
@@ -641,153 +650,91 @@ def _build_phase_schedules_fast(
     return phase1, phase2, positions, slot_rows
 
 
-def _phase1_decode_fast(
-    beep_code,
-    heard: np.ndarray,
-    candidates: Sequence[int],
-    eps: float,
-    codeword_matrix: "np.ndarray | None" = None,
-) -> list[set[int]]:
-    """Exact fast twin of :func:`~repro.core.decoder.phase1_decode`.
+def _phase1_pairs(
+    heard: np.ndarray, positions: "np.ndarray | None", threshold: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Every accepted ``(node, candidate index)`` pair of the Lemma 9 test.
 
-    Same Lemma 9 statistics and threshold, same accepted sets — the only
-    difference is that the candidate × node count matrix rides the BLAS
-    ``sgemm`` path: with the code length below 2^24 every partial sum is
-    an integer exactly representable in float32, so the counts (and the
-    threshold compare) cannot differ from the int32 product.
+    Row ``c`` of ``positions`` holds the one-positions of candidate
+    ``c``'s codeword.  A candidate passes at node ``v`` when fewer than
+    ``threshold`` of them are silent in ``heard[v]``.  The pairs come
+    back node-major, candidates ascending, and are the reference
+    decoder's accepted sets exactly: the counts are the same integers,
+    whichever kernel the size rule picks.
     """
-    heard = np.asarray(heard, dtype=bool)
-    if not candidates:
-        return [set() for _ in range(heard.shape[0])]
-    if codeword_matrix is None:
-        codeword_matrix = beep_code.encode_many(list(candidates))
-    if beep_code.length < _EXACT_FLOAT32_LIMIT:
-        # Single-pass bool → float32 conversions (¬heard fused into the
-        # subtraction, and the candidate matrix converted only when not
-        # already float32), then the exact BLAS sgemm count product; the
-        # threshold compare happens in float32, which is exact because
-        # every count is an integral float below 2^24.
-        not_heard = np.subtract(1.0, heard.T, dtype=np.float32)
-        statistics = np.asarray(codeword_matrix, dtype=np.float32) @ not_heard
-    else:  # pragma: no cover - paper-strict code lengths only
-        statistics = codeword_matrix.astype(np.int64) @ (~heard).T.astype(np.int64)
-    accepted_mask = statistics < beep_code.decoding_threshold(eps)
-    accepted: list[set[int]] = [set() for _ in range(heard.shape[0])]
-    for i, v in zip(*np.nonzero(accepted_mask)):
-        accepted[v].add(candidates[i])
-    return accepted
-
-
-def _phase2_decode_fast(
-    combined_code: CombinedCode,
-    heard: np.ndarray,
-    accepted: "Sequence[set[int]]",
-    message_candidates: Sequence[int],
-    codeword_matrix: "np.ndarray | None" = None,
-    slot_positions: "np.ndarray | None" = None,
-    slot_index: "dict[int, int] | None" = None,
-) -> "list[dict[int, DecodedMessage]]":
-    """Exact fast twin of :func:`~repro.core.decoder.phase2_decode`.
-
-    Gathers every accepted ``(node, r)`` pair's heard subsequence into one
-    rectangular matrix (beep codewords have constant weight) and computes
-    all Hamming distances as a single exact count product —
-    ``d(s, D(m)) = |D(m)| + |s| - 2 s·D(m)`` — so the per-pair winner,
-    distance and margin (including the smallest-message tie-break, which
-    ``argmin`` over the sorted candidate order preserves) match the
-    reference decoder value for value.
-
-    ``slot_positions``/``slot_index`` optionally supply precomputed slot
-    patterns (row ``slot_index[r]`` holds the ascending one-positions of
-    ``C(r)``, as the schedule builder returns them) so accepted values
-    need no re-encoding; values missing from the index (the exhaustive
-    domain's) are encoded in one ``encode_positions`` call.
-    """
-    heard = np.asarray(heard, dtype=bool)
-    n = heard.shape[0]
-    if len(accepted) != n:
-        raise ConfigurationError(
-            f"accepted sets ({len(accepted)}) must match heard rows ({n})"
-        )
-    if not message_candidates:
-        raise ConfigurationError("phase 2 needs at least one message candidate")
-    distance_code = combined_code.distance_code
-    if codeword_matrix is None:
-        codeword_matrix = np.stack(
-            [distance_code.encode_int(m) for m in message_candidates]
-        )
-    # Every session call site passes candidates pre-sorted (the
-    # reference decoder's argsort is then the identity), so skip the
-    # permutation copy unless the order actually needs fixing, and avoid
-    # re-copying an already-boolean matrix.
-    messages_arr = np.asarray(message_candidates, dtype=np.int64)
-    if messages_arr.size > 1 and np.any(messages_arr[1:] < messages_arr[:-1]):
-        order = np.argsort(messages_arr, kind="stable")
-        ordered_messages = [message_candidates[i] for i in order]
-        ordered_matrix = np.asarray(codeword_matrix)[order]
+    n, b = heard.shape
+    if positions is None:  # the round had no candidates
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    if len(positions) * n < _GATHER_MIN_CELLS and b < _EXACT_FLOAT32_LIMIT:
+        counts = _phase1_counts_sgemm(heard, positions)
     else:
-        ordered_messages = list(message_candidates)
-        ordered_matrix = codeword_matrix
-    ordered_matrix = np.asarray(ordered_matrix, dtype=bool)
+        counts = _phase1_counts_gather(heard, positions)
+    return np.nonzero(counts.T < threshold)
 
-    pair_nodes: list[int] = []
-    pair_rs: list[int] = []
-    for node in range(n):
-        for r in sorted(accepted[node]):
-            pair_nodes.append(node)
-            pair_rs.append(r)
-    results: list[dict[int, DecodedMessage]] = [dict() for _ in range(n)]
-    if not pair_nodes:
-        return results
 
-    beep_code = combined_code.beep_code
-    weight = beep_code.weight
-    if slot_positions is None or slot_index is None:
-        slot_positions, slot_index = np.empty((0, weight), dtype=np.int64), {}
-    missing = sorted({r for r in pair_rs if r not in slot_index})
-    if missing:
-        slot_index = {
-            **slot_index,
-            **{r: len(slot_positions) + row for row, r in enumerate(missing)},
-        }
-        slot_positions = np.concatenate(
-            (slot_positions, beep_code.encode_positions(missing))
-        )
-    positions = slot_positions[[slot_index[r] for r in pair_rs]]
-    # One flat gather for every pair's subsequence beats row-wise
-    # advanced indexing on the heard matrix.
-    flat = heard.reshape(-1)
-    subsequences = flat[
-        np.asarray(pair_nodes, dtype=np.int64)[:, None] * heard.shape[1]
-        + positions
-    ]
-    # distances[p, m] = |D(m)| + |s_p| - 2 s_p · D(m).  The intermediate
-    # |D(m)| + |s_p| can reach 2 * weight, so float32 stays exact only
-    # while that bound is representable (weight <= 2^23); beyond it fall
-    # back to an integer computation.
-    count_dtype = (
-        np.float32 if weight <= _EXACT_FLOAT32_LIMIT // 2 else np.int64
+def _phase1_counts_gather(heard: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``counts[c, v]``: how many of candidate ``c``'s positions ``v`` missed.
+
+    One step per codeword position gathers a row of the transposed
+    ``¬heard`` for every candidate, so the work is ``K · w · n`` byte
+    adds instead of the ``K · b · n`` of a dense product (a codeword has
+    ``w`` ones in ``b`` bits).  The accumulator is the narrowest unsigned
+    type that holds ``w``.
+    """
+    not_heard = np.empty(heard.shape[::-1], dtype=bool)
+    np.logical_not(heard.T, out=not_heard)
+    not_heard = not_heard.view(np.uint8)
+    counts = np.zeros(
+        (len(positions), heard.shape[0]), dtype=np.min_scalar_type(positions.shape[1])
     )
-    code_weights = np.count_nonzero(ordered_matrix, axis=1).astype(count_dtype)
-    sub_weights = np.count_nonzero(subsequences, axis=1).astype(count_dtype)
-    dots = subsequences.astype(count_dtype) @ ordered_matrix.T.astype(count_dtype)
-    distances = code_weights[np.newaxis, :] + sub_weights[:, np.newaxis] - 2 * dots
-    best = np.argmin(distances, axis=1)
-    best_distance = np.take_along_axis(
-        distances, best[:, np.newaxis], axis=1
-    )[:, 0]
-    if distances.shape[1] > 1:
-        runner_up = np.partition(distances, 1, axis=1)[:, 1]
-        margins = runner_up - best_distance
-    else:
-        margins = weight - best_distance
-    for pair, (node, r) in enumerate(zip(pair_nodes, pair_rs)):
-        results[node][r] = DecodedMessage(
-            message=ordered_messages[int(best[pair])],
-            distance=int(best_distance[pair]),
-            margin=int(margins[pair]),
-        )
-    return results
+    for column in np.ascontiguousarray(positions.T):
+        counts += not_heard[column]
+    return counts
+
+
+def _phase1_counts_sgemm(heard: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The same counts as one float32 ``sgemm`` over 0/1 codeword rows.
+
+    Exact below :data:`_EXACT_FLOAT32_LIMIT` code bits: every partial sum
+    is an integer float32 represents exactly.
+    """
+    codewords = np.zeros((len(positions), heard.shape[1]), dtype=np.float32)
+    codewords[np.arange(len(positions))[:, np.newaxis], positions] = 1.0
+    return codewords @ np.subtract(1.0, heard.T, dtype=np.float32)
+
+
+def _phase2_nearest(
+    heard: np.ndarray,
+    pair_node: np.ndarray,
+    pair_positions: np.ndarray,
+    codewords: np.ndarray,
+) -> np.ndarray:
+    """Each pair's nearest distance codeword (Lemma 10), as a row index.
+
+    Pair ``p`` reads ``heard[pair_node[p]]`` at ``pair_positions[p]``,
+    giving the subsequence ``s``.  With ``codewords`` in ascending
+    message order, the first argmin of ``d(s, D(m)) = |s| + |D(m)| −
+    2·s·D(m)`` is the reference decoder's winner, smallest-message
+    tie-break included.  ``|s|`` is constant along a row, so the argmin
+    runs over ``|D(m)| − 2·s·D(m)`` alone.  Those scores lie in
+    ``[−2w, w]``: float32 is exact while ``2w`` stays below
+    :data:`_EXACT_FLOAT32_LIMIT`, and int64 takes over past it.
+    """
+    weight = pair_positions.shape[1]
+    dtype = np.float32 if weight <= _EXACT_FLOAT32_LIMIT // 2 else np.int64
+    subsequences = heard.reshape(-1)[
+        pair_node[:, np.newaxis] * heard.shape[1] + pair_positions
+    ]
+    scores = subsequences.astype(dtype) @ (-2 * codewords.T.astype(dtype))
+    scores += np.count_nonzero(codewords, axis=1).astype(dtype)
+    return np.argmin(scores, axis=1)
+
+
+def _segments(flat: list, counts: np.ndarray) -> "list[list]":
+    """Split ``flat`` into consecutive runs of ``counts[v]`` items."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[start:end] for start, end in zip([0, *ends[:-1]], ends)]
 
 
 class BatchedSession:
@@ -980,31 +927,6 @@ def simulate_broadcast_round(
     return session.run_round(messages, round_offset=round_offset)
 
 
-def _draw_r_values(
-    rng: np.random.Generator, count: int, r_space: int
-) -> list[int]:
-    """Draw each node's random string as an integer in ``[0, 2^a)``.
-
-    Equal, value for value, to ``count`` calls of
-    :func:`repro.rng.random_bits` (``a`` routinely exceeds 63 bits, so
-    ``Generator.integers`` cannot draw them), from one
-    ``Generator.bytes`` call: each of those calls consumes whole 32-bit
-    words, so node ``v``'s bytes start at ``v`` times the rounded-up
-    stride, and the stream is left exactly where the calls would leave it.
-    """
-    if not count:
-        return []  # numpy's bytes(0) still consumes a word
-    bits = (r_space - 1).bit_length() if r_space > 1 else 1
-    nbytes = (bits + 7) // 8
-    stride = 4 * ((nbytes + 3) // 4)
-    data = rng.bytes(count * stride)
-    mask = (1 << bits) - 1
-    return [
-        int.from_bytes(data[start : start + nbytes], "little") & mask
-        for start in range(0, count * stride, stride)
-    ]
-
-
 def _candidate_set(
     policy: CandidatePolicy,
     in_flight: list[int],
@@ -1014,12 +936,7 @@ def _candidate_set(
     rng: np.random.Generator,
 ) -> list[int]:
     if policy is CandidatePolicy.EXHAUSTIVE:
-        if r_bits > _EXHAUSTIVE_LIMIT_BITS:
-            raise ConfigurationError(
-                f"exhaustive policy limited to r_bits <= {_EXHAUSTIVE_LIMIT_BITS}, "
-                f"got {r_bits}"
-            )
-        return list(range(r_space))
+        return list(range(r_space))  # the session checked r_bits
     if policy is CandidatePolicy.IN_FLIGHT:
         return list(in_flight)
     in_flight_set = set(in_flight)

@@ -19,6 +19,7 @@ cache keyed by ``(id, profile, seed)``.
 from __future__ import annotations
 
 import contextlib
+import glob
 import re
 import threading
 import time
@@ -120,20 +121,32 @@ def load_cached(
     return result
 
 
+#: The name tail of a cache entry written while names still carried the
+#: backend label: ``{stem}--{label}.json``, with a ``-shards<P>`` suffix
+#: for sharded runs.  A current name ends in ``--seed<int>.json``, so no
+#: current entry matches it.
+_LEGACY_SUFFIX = re.compile(r"--(auto|dense|bitpacked)(-shards\d+)?\.json")
+
+
 def write_cache(path: Path, result: ExperimentResult) -> None:
     """Atomically persist a result (tmp file + rename within the dir).
 
-    An unusable cache destination — the directory path is an existing
-    file, the filesystem is read-only, permissions are missing — raises a
-    one-line :class:`ConfigurationError`, so the CLI's exit-2 formatter
-    handles it like every other bad ``--cache`` argument instead of
-    surfacing a raw traceback.
+    The same key's entries under the old backend-labelled names are then
+    deleted: nothing reads them any more.  An unusable cache destination
+    — the directory path is an existing file, the filesystem is
+    read-only, permissions are missing — raises a one-line
+    :class:`ConfigurationError`, so the CLI's exit-2 formatter handles
+    it like every other bad ``--cache`` argument instead of surfacing a
+    raw traceback.
     """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(result.to_json())
         tmp.replace(path)
+        for sibling in path.parent.glob(glob.escape(path.stem) + "--*.json"):
+            if _LEGACY_SUFFIX.fullmatch(sibling.name[len(path.stem) :]):
+                sibling.unlink(missing_ok=True)
     except OSError as error:
         raise ConfigurationError(
             f"cannot write cache entry {path}: {error}"

@@ -23,7 +23,7 @@ from ..beeping.noise import DynamicTopology, make_noise_model
 from ..core.parameters import SimulationParameters
 from ..core.round_simulator import BroadcastSession
 from ..graphs import Topology, random_regular_graph
-from ..rng import derive_rng, derive_seed, random_bits
+from ..rng import derive_rng, derive_seed, random_bits_many
 from .context import RunContext
 from .spec import experiment
 from .table import Table
@@ -111,10 +111,9 @@ def run(ctx: RunContext) -> list[Table]:
                 )
                 message_rng = derive_rng(session_seed, "e17-messages")
                 for _round in range(rounds):
-                    messages = [
-                        random_bits(message_rng, params.message_bits)
-                        for _ in range(n)
-                    ]
+                    messages = random_bits_many(
+                        message_rng, n, params.message_bits
+                    )
                     outcome = session.run_round(messages)
                     successes += 1 if outcome.success else 0
             total = rounds * len(seeds)

@@ -24,7 +24,9 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["derive_rng", "derive_seed", "spawn_rngs", "random_bits"]
+__all__ = [
+    "derive_rng", "derive_seed", "spawn_rngs", "random_bits", "random_bits_many"
+]
 
 
 def random_bits(rng: np.random.Generator, bits: int) -> int:
@@ -39,6 +41,30 @@ def random_bits(rng: np.random.Generator, bits: int) -> int:
         raise ValueError(f"bits must be >= 1, got {bits}")
     raw = int.from_bytes(rng.bytes((bits + 7) // 8), "little")
     return raw & ((1 << bits) - 1)
+
+
+def random_bits_many(
+    rng: np.random.Generator, count: int, bits: int
+) -> list[int]:
+    """``count`` calls of :func:`random_bits`, from one ``Generator.bytes`` call.
+
+    Equal, value for value, to ``[random_bits(rng, bits) for _ in
+    range(count)]``: each of those calls consumes whole 32-bit words, so
+    draw ``i``'s bytes start at ``i`` times the rounded-up stride, and
+    the stream is left exactly where the calls would leave it.
+    """
+    if bits < 1:
+        raise ValueError(f"bits must be >= 1, got {bits}")
+    if not count:
+        return []  # numpy's bytes(0) still consumes a word
+    nbytes = (bits + 7) // 8
+    stride = 4 * ((nbytes + 3) // 4)
+    data = rng.bytes(count * stride)
+    mask = (1 << bits) - 1
+    return [
+        int.from_bytes(data[start : start + nbytes], "little") & mask
+        for start in range(0, count * stride, stride)
+    ]
 
 
 def _hash_parts(

@@ -54,7 +54,7 @@ from ..experiments import api
 from ..experiments.result import ExperimentResult
 from ..experiments.table import Table
 from ..graphs import Topology, build_family_graph
-from ..rng import derive_rng, derive_seed, random_bits
+from ..rng import derive_rng, derive_seed, random_bits_many
 from .grid import GridPoint, GridSpec, load_grid
 from .result import POINT_FIELDS, SweepResult
 from .workloads import run_workload
@@ -298,10 +298,7 @@ def execute_batch(
         r_collisions = [0] * len(indices)
         for _round in range(first.rounds):
             batch_messages = [
-                [
-                    random_bits(rng, params.message_bits)
-                    for _ in range(first.n)
-                ]
+                random_bits_many(rng, first.n, params.message_bits)
                 for rng in message_rngs
             ]
             outcomes = session.run_round(batch_messages)

@@ -7,7 +7,8 @@ reproduces exactly.  ``HYPOTHESIS_PROFILE=ci`` selects it.
 
 :func:`force_kernel` routes every schedule of one test through one of
 the executor's two kernels, so end-to-end suites can hold the dense and
-the bit-packed branch to each other.
+the bit-packed branch to each other; :func:`force_phase1` does the same
+for the two counting kernels of the sessions' phase-1 decode.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import settings
 
 from repro import engine
+from repro.core import round_simulator
 from repro.core import SimulationParameters
 from repro.graphs import (
     Topology,
@@ -95,5 +97,26 @@ def force_kernel(monkeypatch):
             monkeypatch.setattr(engine, "_PACKED_MIN_CELLS", 0)
         else:
             raise ValueError(f"unknown kernel {kernel!r}")
+
+    return force
+
+
+@pytest.fixture
+def force_phase1(monkeypatch):
+    """``force_phase1("gather" | "sgemm")``: pin phase 1's counting kernel.
+
+    Moves the size threshold of the sessions' phase-1 decode (undone
+    after the test) so every round, whatever its candidate count and
+    network size, counts with the named kernel.  Only this process is
+    affected: worker processes start from a fresh import.
+    """
+
+    def force(kernel: str) -> None:
+        if kernel == "gather":
+            monkeypatch.setattr(round_simulator, "_GATHER_MIN_CELLS", 0)
+        elif kernel == "sgemm":
+            monkeypatch.setattr(round_simulator, "_GATHER_MIN_CELLS", float("inf"))
+        else:
+            raise ValueError(f"unknown phase-1 kernel {kernel!r}")
 
     return force

@@ -6,9 +6,10 @@ what the ``r``-th standalone :class:`BroadcastSession` returns on the
 same messages, for every policy, channel, kernel and round offset.
 Both run the same kernels, so the chaining and policy checks also hold
 them to the reference round of ``reference_round.py``.  The fast kernels
-(schedule building, phase-1 threshold decode, phase-2 nearest-codeword
-decode) are additionally tested value-for-value against their reference
-implementations.
+(schedule building, both phase-1 counting kernels, phase-2
+nearest-codeword decode) are additionally tested value-for-value against
+their reference implementations, along with the strict Lemma 9
+threshold and the size rule that picks the phase-1 kernel.
 """
 
 from __future__ import annotations
@@ -20,18 +21,29 @@ from reference_round import assert_outcomes_equal, reference_round
 from repro.core.encoder import build_phase_schedules
 from repro.core.decoder import phase1_decode, phase2_decode
 from repro.core.parameters import CandidatePolicy, SimulationParameters
+from repro.core import round_simulator
 from repro.core.round_simulator import (
     BatchedSession,
     BroadcastSession,
     _DISTANCE_ROW_CACHE_SIZE,
     _build_phase_schedules_fast,
-    _phase1_decode_fast,
-    _phase2_decode_fast,
+    _phase1_pairs,
+    _phase2_nearest,
 )
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, path_graph, random_regular_graph, star_graph
 from repro.lru import LRUDict
 from repro.rng import derive_rng, random_bits
+
+
+PHASE1_KERNELS = ("gather", "sgemm")
+
+
+def distance_matrix(codes, messages):
+    """The boolean ``D(m)`` rows of ``messages``, in order."""
+    return np.stack(
+        [np.asarray(codes.distance_code.encode_int(m), dtype=bool) for m in messages]
+    )
 
 
 def random_messages(rng, n, message_bits, hole_every=0):
@@ -192,20 +204,33 @@ class TestFastKernels:
         fast = _build_phase_schedules_fast(codes, [0, 1, 2, 3], [None] * 4, LRUDict(8))
         assert not fast[0].any() and not fast[1].any()
 
-    def test_phase1_fast_matches_reference(self):
+    def test_phase1_fast_matches_reference(self, force_phase1):
         params = SimulationParameters.for_network(12, 3, eps=0.1)
         codes = params.combined_code(seed=3)
         rng = derive_rng(9, "heard")
+        candidates = sorted({random_bits(rng, params.r_bits) for _ in range(20)})
+        positions = codes.beep_code.encode_positions(candidates)
+        # Noise plus two superimposed candidates per node, so the test
+        # sees acceptances as well as rejections.
         heard = rng.random((12, codes.length)) < 0.4
-        candidates = [random_bits(rng, params.r_bits) for _ in range(20)]
+        for v in range(12):
+            heard[v, positions[[v, v + 5]].ravel()] = True
         reference = phase1_decode(codes.beep_code, heard, candidates, params.eps)
-        fast = _phase1_decode_fast(codes.beep_code, heard, candidates, params.eps)
-        assert reference == fast
-        assert _phase1_decode_fast(codes.beep_code, heard, [], params.eps) == [
-            set() for _ in range(12)
-        ]
+        assert any(reference)
+        threshold = codes.beep_code.decoding_threshold(params.eps)
+        for kernel in PHASE1_KERNELS:
+            force_phase1(kernel)
+            nodes, rows = _phase1_pairs(heard, positions, threshold)
+            # Node-major, candidates ascending within a node.
+            assert np.array_equal(np.lexsort((rows, nodes)), np.arange(len(nodes)))
+            fast = [set() for _ in range(12)]
+            for v, row in zip(nodes.tolist(), rows.tolist()):
+                fast[v].add(candidates[row])
+            assert fast == reference
+        for empty in _phase1_pairs(heard, None, threshold):
+            assert empty.size == 0
 
-    def test_phase2_fast_matches_reference(self):
+    def test_phase2_fast_matches_reference(self, monkeypatch):
         params = SimulationParameters.for_network(12, 3, eps=0.1)
         codes = params.combined_code(seed=5)
         rng = derive_rng(11, "heard2")
@@ -219,18 +244,82 @@ class TestFastKernels:
             {random_bits(rng, params.message_bits) for _ in range(10)}
         )
         reference = phase2_decode(codes, heard, accepted, message_candidates)
-        fast = _phase2_decode_fast(codes, heard, accepted, message_candidates)
-        assert reference == fast
+        pairs = [(v, r) for v in range(12) for r in sorted(accepted[v])]
+        expected = [reference[v][r].message for v, r in pairs]
+        codewords = distance_matrix(codes, message_candidates)
+        # The real limit runs float32 scores; 2 forces the int64 path.
+        for limit in (round_simulator._EXACT_FLOAT32_LIMIT, 2):
+            monkeypatch.setattr(round_simulator, "_EXACT_FLOAT32_LIMIT", limit)
+            best = _phase2_nearest(
+                heard,
+                np.asarray([v for v, _ in pairs]),
+                codes.beep_code.encode_positions([r for _, r in pairs]),
+                codewords,
+            )
+            assert [message_candidates[i] for i in best] == expected
 
-    def test_phase2_fast_single_candidate_margin(self):
+    def test_phase2_fast_single_candidate(self):
         params = SimulationParameters.for_network(6, 2, eps=0.0)
         codes = params.combined_code(seed=2)
         rng = derive_rng(13, "heard3")
         heard = rng.random((6, codes.length)) < 0.5
         accepted = [{random_bits(rng, params.r_bits)} for _ in range(6)]
         reference = phase2_decode(codes, heard, accepted, [3])
-        fast = _phase2_decode_fast(codes, heard, accepted, [3])
-        assert reference == fast
+        assert all(entry.message == 3 for node in reference for entry in node.values())
+        best = _phase2_nearest(
+            heard,
+            np.arange(6),
+            codes.beep_code.encode_positions([min(r) for r in accepted]),
+            distance_matrix(codes, [3]),
+        )
+        assert best.tolist() == [0] * 6
+
+
+class TestPhase1Threshold:
+    def test_acceptance_is_strictly_below_threshold(self, force_phase1):
+        """Lemma 9 accepts a candidate when *fewer than* ``threshold`` of
+        its positions are silent: a node missing exactly ``threshold``
+        rejects it and a node missing ``threshold − 1`` accepts it."""
+        params = SimulationParameters.for_network(6, 2, eps=0.1)
+        codes = params.combined_code(seed=4)
+        threshold = codes.beep_code.decoding_threshold(params.eps)
+        assert threshold > 1
+        positions = codes.beep_code.encode_positions([5])
+        heard = np.ones((2, codes.length), dtype=bool)
+        heard[0, positions[0, :threshold]] = False
+        heard[1, positions[0, : threshold - 1]] = False
+        reference = phase1_decode(codes.beep_code, heard, [5], params.eps)
+        assert reference == [set(), {5}]
+        for kernel in PHASE1_KERNELS:
+            force_phase1(kernel)
+            nodes, rows = _phase1_pairs(heard, positions, threshold)
+            assert (nodes.tolist(), rows.tolist()) == ([1], [0])
+
+
+class TestPhase1SizeRule:
+    def test_kernel_by_size(self, monkeypatch):
+        ran: list[str] = []
+        for name in ("_phase1_counts_gather", "_phase1_counts_sgemm"):
+            original = getattr(round_simulator, name)
+
+            def spy(*args, _original=original, _name=name):
+                ran.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(round_simulator, name, spy)
+        cases = [
+            (127, 129, "_phase1_counts_sgemm"),  # K·n = 2^14 − 1
+            (128, 128, "_phase1_counts_gather"),  # K·n = 2^14
+        ]
+        for candidates, n, expected in cases:
+            ran.clear()
+            positions = np.tile(np.arange(4), (candidates, 1))
+            heard = np.zeros((n, 8), dtype=bool)
+            heard[:, :3] = True
+            nodes, rows = round_simulator._phase1_pairs(heard, positions, 2)
+            assert ran == [expected], (candidates, n)
+            # One of four positions silent everywhere: every pair passes.
+            assert len(nodes) == candidates * n
 
 
 class TestDistanceRowCacheBound:

@@ -11,14 +11,10 @@ from repro.core import (
     SimulationParameters,
     simulate_broadcast_round,
 )
-from repro.core.round_simulator import (
-    _candidate_set,
-    _draw_r_values,
-    _with_message_decoys,
-)
+from repro.core.round_simulator import _candidate_set, _with_message_decoys
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, path_graph, random_regular_graph, star_graph
-from repro.rng import derive_rng, random_bits
+from repro.rng import derive_rng, random_bits, random_bits_many
 
 
 class TestNoiselessRound:
@@ -231,20 +227,25 @@ class TestMessageDecoys:
 class TestRandomStrings:
     @pytest.mark.parametrize("bits", [1, 7, 8, 9, 31, 32, 33, 36, 64, 65, 127])
     def test_one_bytes_call_equals_per_node_draws(self, bits):
-        """``_draw_r_values`` reads all nodes from one ``Generator.bytes``
-        call: the same values as one ``random_bits`` call per node, and
-        the stream left where those calls leave it."""
+        """``random_bits_many`` (the plan's ``r_v`` draw) reads all nodes
+        from one ``Generator.bytes`` call: the same values as one
+        ``random_bits`` call per node, and the stream left where those
+        calls leave it."""
         batched = derive_rng(bits, "r-values")
         reference = derive_rng(bits, "r-values")
-        values = _draw_r_values(batched, 13, 1 << bits)
+        values = random_bits_many(batched, 13, bits)
         assert values == [random_bits(reference, bits) for _ in range(13)]
         assert batched.bytes(7) == reference.bytes(7)
         assert batched.random() == reference.random()
 
     def test_no_nodes_draws_nothing(self):
         batched = derive_rng(0, "r-values")
-        assert _draw_r_values(batched, 0, 1 << 20) == []
+        assert random_bits_many(batched, 0, 20) == []
         assert batched.bytes(4) == derive_rng(0, "r-values").bytes(4)
+
+    def test_width_must_be_positive(self):
+        with pytest.raises(ValueError):
+            random_bits_many(derive_rng(0, "r-values"), 3, 0)
 
 
 class TestCandidateDecoys:

@@ -5,8 +5,9 @@ return exactly what :func:`reference_round.reference_round` computes from
 the reference encoder and decoders — across all three candidate
 policies, noiseless and noisy channels, the scenario channels, a churning
 topology, a noise-window-straddling offset, silent nodes and a forced
-``r_v`` collision.  The kernel-level comparisons stay in
-``tests/core/test_batched_session.py``.
+``r_v`` collision, with the policy and heterogeneous-noise cases run
+under both phase-1 counting kernels.  The kernel-level comparisons stay
+in ``tests/core/test_batched_session.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from repro.graphs import Topology, path_graph, random_regular_graph
 from repro.rng import derive_rng, random_bits
 
 SEEDS = (3, 8)
+
+#: Phase 1's two counting kernels; the size rule picks one per round, so
+#: the suites that force each hold both to the reference decoder.
+PHASE1_KERNELS = ("gather", "sgemm")
 
 
 def message_rounds(n, message_bits, rounds, *, silent_every=4, seed=0):
@@ -85,17 +90,19 @@ def check_against_reference(
 
 @pytest.mark.parametrize("eps", [0.0, 0.1, 0.2])
 @pytest.mark.parametrize("policy", list(CandidatePolicy), ids=lambda p: p.value)
-def test_policies_and_noise_rates(policy, eps):
+def test_policies_and_noise_rates(policy, eps, force_phase1):
     # c = 3 keeps EXHAUSTIVE's 2^12-candidate scan small; under noise it is
     # undersized on purpose, so decoding errors are compared too (at
     # eps = 0.2 some nodes decode messages nobody sent).
     topology = Topology(random_regular_graph(12, 3, seed=7))
     params = SimulationParameters(message_bits=4, max_degree=3, eps=eps, c=3)
-    expected = check_against_reference(
-        topology, params, message_rounds(12, 4, rounds=2), policy=policy
-    )
-    if eps:
-        assert not all(outcome.success for outcome in expected.values())
+    for kernel in PHASE1_KERNELS:
+        force_phase1(kernel)
+        expected = check_against_reference(
+            topology, params, message_rounds(12, 4, rounds=2), policy=policy
+        )
+        if eps:
+            assert not all(outcome.success for outcome in expected.values())
 
 
 def test_decoys_decoded_under_heavy_noise():
@@ -120,18 +127,20 @@ def _scenario_params():
 
 
 @pytest.mark.parametrize("kernel", ["dense", "bitpacked"])
-def test_heterogeneous_noise(kernel, force_kernel):
+def test_heterogeneous_noise(kernel, force_kernel, force_phase1):
     force_kernel(kernel)
     topology = Topology(random_regular_graph(12, 3, seed=7))
     channels = [
         HeterogeneousNoise(np.linspace(0.0, 0.3, 12), seed=seed) for seed in SEEDS
     ]
-    check_against_reference(
-        topology,
-        _scenario_params(),
-        message_rounds(12, 6, rounds=2),
-        channels=channels,
-    )
+    for phase1_kernel in PHASE1_KERNELS:
+        force_phase1(phase1_kernel)
+        check_against_reference(
+            topology,
+            _scenario_params(),
+            message_rounds(12, 6, rounds=2),
+            channels=channels,
+        )
 
 
 @pytest.mark.parametrize("kernel", ["dense", "bitpacked"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import sweeps
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentResult, RunContext, all_specs, api, get_spec
 
@@ -141,6 +142,34 @@ class TestCache:
         [second] = api.run(["e01"], profile="a-b", cache_dir=tmp_path)
         assert not second.cached
         assert second.profile == "a-b"
+
+
+    def test_write_deletes_legacy_backend_names(self, tmp_path):
+        # Names carried a backend label (and a shard suffix) before the
+        # schedule kernel became a size rule; a write deletes the same
+        # key's old entries, for experiments and sweep points alike.
+        grid = {
+            "topologies": ["cycle"],
+            "sizes": [8],
+            "noises": [0.0],
+            "seeds": [0],
+            "rounds": 1,
+        }
+        sweeps.run(grid, cache_dir=tmp_path)
+        [point_entry] = tmp_path.iterdir()
+        point_entry.unlink()
+        kept = [point_entry.name, "e01--quick--seed0.json"]
+        other_key = "e01--quick--seed1--auto.json"
+        for stem in (point_entry.stem, "e01--quick--seed0"):
+            for label in ("auto", "dense", "bitpacked", "auto-shards4"):
+                (tmp_path / f"{stem}--{label}.json").write_text("{}")
+        (tmp_path / other_key).write_text("{}")
+        api.run(["e01"], cache_dir=tmp_path)
+        [point] = sweeps.run(grid, cache_dir=tmp_path).points
+        assert not point["cached"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            [*kept, other_key]
+        )
 
 
 class TestOnResult:
