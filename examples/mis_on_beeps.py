@@ -12,7 +12,13 @@ Run:  python examples/mis_on_beeps.py
 from __future__ import annotations
 
 from repro import SimulationParameters, Topology, random_regular_graph
-from repro.algorithms import check_matching, check_mis, make_matching_algorithms
+from repro.algorithms import (
+    VectorizedMaximalMatching,
+    check_matching,
+    check_mis,
+    matching_field_widths,
+    matching_message_bits,
+)
 from repro.beeping import beeping_mis
 from repro.core import BeepSimulator
 from repro.lower_bounds import matching_round_bound
@@ -30,14 +36,17 @@ def main() -> None:
         mis_ok, _ = check_mis(topology, mis.in_mis)
 
         ids = list(range(n))
-        algorithms, budget = make_matching_algorithms(
-            topology, ids, value_exponent=3
-        )
+        id_bits, value_bits = matching_field_widths(n, ids, value_exponent=3)
         params = SimulationParameters(
-            message_bits=budget, max_degree=delta, eps=0.0, c=3
+            message_bits=matching_message_bits(n, ids, value_exponent=3),
+            max_degree=delta,
+            eps=0.0,
+            c=3,
         )
         result = BeepSimulator(topology, params=params, seed=1) \
-            .run_broadcast_congest(algorithms, max_rounds=80)
+            .run_broadcast_congest(
+                VectorizedMaximalMatching(id_bits, value_bits), max_rounds=80
+            )
         match_ok, _ = check_matching(topology, ids, result.outputs)
 
         print(f"{delta:>6}  {mis.rounds_used:>11}  "

@@ -15,7 +15,12 @@ Run:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro import BeepSimulator, SimulationParameters, Topology, gnp_graph
-from repro.algorithms import check_matching, make_matching_algorithms
+from repro.algorithms import (
+    VectorizedMaximalMatching,
+    check_matching,
+    matching_field_widths,
+    matching_message_bits,
+)
 from repro.core import simulate_broadcast_round
 
 
@@ -61,15 +66,21 @@ def step_full_algorithm() -> None:
     print("=" * 70)
 
     topology = Topology(gnp_graph(16, 0.2, seed=1))
-    ids = list(range(topology.num_nodes))
-    algorithms, budget = make_matching_algorithms(
-        topology, ids, value_exponent=3
-    )
+    n = topology.num_nodes
+    ids = list(range(n))
+    # The whole network's Algorithm 3 state in numpy columns, with the
+    # message budget its fields need.
+    id_bits, value_bits = matching_field_widths(n, ids, value_exponent=3)
     params = SimulationParameters(
-        message_bits=budget, max_degree=topology.max_degree, eps=0.1, c=5
+        message_bits=matching_message_bits(n, ids, value_exponent=3),
+        max_degree=topology.max_degree,
+        eps=0.1,
+        c=5,
     )
     simulator = BeepSimulator(topology, params=params, seed=7)
-    result = simulator.run_broadcast_congest(algorithms, max_rounds=80)
+    result = simulator.run_broadcast_congest(
+        VectorizedMaximalMatching(id_bits, value_bits), max_rounds=80
+    )
 
     ok, reason = check_matching(topology, ids, result.outputs)
     print(f"valid maximal matching: {ok} ({reason})")

@@ -16,7 +16,12 @@ Run:  python examples/sensor_field_pairing.py
 from __future__ import annotations
 
 from repro import SimulationParameters, Topology, disk_graph
-from repro.algorithms import check_matching, make_matching_algorithms
+from repro.algorithms import (
+    VectorizedMaximalMatching,
+    check_matching,
+    matching_field_widths,
+    matching_message_bits,
+)
 from repro.baselines import TDMABroadcastSimulator
 from repro.core import BeepSimulator
 
@@ -33,13 +38,16 @@ def main() -> None:
     print(f"links: {topology.num_edges}, max degree {topology.max_degree}, "
           f"channel noise eps={eps}\n")
 
+    # Algorithm 3 for the whole field, and the message budget it needs.
+    id_bits, value_bits = matching_field_widths(num_sensors, ids, value_exponent=3)
+    budget = matching_message_bits(num_sensors, ids, value_exponent=3)
+
     # --- this paper's simulation -----------------------------------------
-    algorithms, budget = make_matching_algorithms(topology, ids, value_exponent=3)
     params = SimulationParameters(
         message_bits=budget, max_degree=topology.max_degree, eps=eps, c=4
     )
     ours = BeepSimulator(topology, params=params, seed=3).run_broadcast_congest(
-        algorithms, max_rounds=80
+        VectorizedMaximalMatching(id_bits, value_bits), max_rounds=80
     )
     ok, reason = check_matching(topology, ids, ours.outputs)
     print("[Davies 2023 simulation]")
@@ -50,11 +58,12 @@ def main() -> None:
     print(f"  failed rounds: {ours.stats.failed_rounds}")
 
     # --- the AGL-style TDMA baseline --------------------------------------
-    algorithms, budget = make_matching_algorithms(topology, ids, value_exponent=3)
     baseline = TDMABroadcastSimulator(
         topology, message_bits=budget, eps=eps, seed=3
     )
-    theirs = baseline.run_broadcast_congest(algorithms, max_rounds=80)
+    theirs = baseline.run_broadcast_congest(
+        VectorizedMaximalMatching(id_bits, value_bits), max_rounds=80
+    )
     ok_b, reason_b = check_matching(topology, ids, theirs.outputs)
     print("\n[AGL-style TDMA baseline]")
     print(f"  valid pairing: {ok_b} ({reason_b})")

@@ -21,7 +21,6 @@ See ``examples/quickstart.py`` for a guided tour.
 
 from .errors import (
     ConfigurationError,
-    DecodingError,
     MessageSizeError,
     ProtocolViolationError,
     ReproError,
@@ -50,7 +49,6 @@ from .beeping import (
 )
 from .congest import (
     BroadcastCongestAlgorithm,
-    BroadcastCongestNetwork,
     CongestAlgorithm,
     CongestNetwork,
     MessageCodec,
@@ -72,7 +70,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ReproError",
     "ConfigurationError",
-    "DecodingError",
     "MessageSizeError",
     "ProtocolViolationError",
     "Topology",
@@ -94,7 +91,6 @@ __all__ = [
     "beep_wave_broadcast",
     "run_schedule",
     "BroadcastCongestAlgorithm",
-    "BroadcastCongestNetwork",
     "CongestAlgorithm",
     "CongestNetwork",
     "MessageCodec",

@@ -1,35 +1,30 @@
 """Message-passing algorithms that run over the simulation (Section 6).
 
-The centrepiece is :class:`MaximalMatchingBC` — the paper's Algorithm 3, an
-``O(log n)``-round Broadcast CONGEST maximal matching, which Theorem 21
-turns into an ``O(Δ log² n)``-round noisy-beeping algorithm via the
-simulation.  The package also provides Luby's MIS, (Δ+1)-colouring, BFS
-trees and leader election written against the same interface, plus output
-validity checkers.
+The centrepiece is :class:`VectorizedMaximalMatching` — the paper's
+Algorithm 3, an ``O(log n)``-round Broadcast CONGEST maximal matching,
+which Theorem 21 turns into an ``O(Δ log² n)``-round noisy-beeping
+algorithm via the simulation.  The package also provides Luby's MIS,
+BFS trees and leader election, each as one columnar algorithm for the
+array-native engine, the (Δ+1)-colouring as per-node objects, and
+output validity checkers.
 """
 
 from .maximal_matching import (
-    MaximalMatchingBC,
     UNMATCHED,
-    make_matching_algorithms,
+    VectorizedMaximalMatching,
     matching_field_widths,
     matching_message_bits,
     run_matching_bc,
 )
 from .luby_mis import (
-    LubyMISBC,
-    make_mis_algorithms,
+    VectorizedLubyMIS,
     mis_field_widths,
     mis_message_bits,
     run_mis_bc,
 )
 from .coloring import ColoringBC, make_coloring_algorithms, run_coloring_bc
-from .bfs import BFSTreeBC, bfs_field_widths, make_bfs_algorithms, run_bfs_bc
-from .leader_election import (
-    LeaderElectionBC,
-    make_leader_algorithms,
-    run_leader_election_bc,
-)
+from .bfs import VectorizedBFSTree, bfs_field_widths, run_bfs_bc
+from .leader_election import VectorizedLeaderElection, run_leader_election_bc
 from .verification import (
     check_coloring,
     check_matching,
@@ -37,39 +32,28 @@ from .verification import (
     check_bfs_tree,
     check_leader_election,
 )
-from .vectorized_matching import VectorizedMaximalMatching
-from .vectorized_mis import VectorizedLubyMIS
-from .vectorized_basic import VectorizedBFSTree, VectorizedLeaderElection
 
 __all__ = [
-    "MaximalMatchingBC",
     "UNMATCHED",
-    "make_matching_algorithms",
+    "VectorizedMaximalMatching",
     "matching_field_widths",
     "matching_message_bits",
     "run_matching_bc",
-    "LubyMISBC",
-    "make_mis_algorithms",
+    "VectorizedLubyMIS",
     "mis_field_widths",
     "mis_message_bits",
     "run_mis_bc",
-    "bfs_field_widths",
     "ColoringBC",
     "make_coloring_algorithms",
     "run_coloring_bc",
-    "BFSTreeBC",
-    "make_bfs_algorithms",
+    "VectorizedBFSTree",
+    "bfs_field_widths",
     "run_bfs_bc",
-    "LeaderElectionBC",
-    "make_leader_algorithms",
+    "VectorizedLeaderElection",
     "run_leader_election_bc",
     "check_coloring",
     "check_matching",
     "check_mis",
     "check_bfs_tree",
     "check_leader_election",
-    "VectorizedMaximalMatching",
-    "VectorizedLubyMIS",
-    "VectorizedBFSTree",
-    "VectorizedLeaderElection",
 ]

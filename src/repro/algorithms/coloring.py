@@ -32,15 +32,22 @@ _TAG_FIX = 1
 _PHASES = 2
 
 
-class ColoringBC(BroadcastCongestAlgorithm):
-    """One node of the trial-and-fix (Δ+1)-colouring algorithm."""
+def _iteration_cap(num_nodes: int) -> int:
+    """The ``O(log n)`` iteration bound: ``8 log₂ n`` plus slack."""
+    return 8 * max(1, math.ceil(math.log2(max(2, num_nodes)))) + 8
 
-    def __init__(
-        self, id_bits: int, color_bits: int, max_iterations: int | None = None
-    ) -> None:
+
+class ColoringBC(BroadcastCongestAlgorithm):
+    """One node of the trial-and-fix (Δ+1)-colouring algorithm.
+
+    ``id_bits`` and ``color_bits`` are the ``⟨tag, ID, colour⟩`` codec's
+    field widths; the iteration cap is ``8 log₂ n + 8``, derived from
+    the context.
+    """
+
+    def __init__(self, id_bits: int, color_bits: int) -> None:
         self._id_bits = id_bits
         self._color_bits = color_bits
-        self._max_iterations = max_iterations
         self._color: int | None = None
         self._ceased = False
         self._candidate: int | None = None
@@ -58,10 +65,7 @@ class ColoringBC(BroadcastCongestAlgorithm):
                 f"{ctx.message_bits}"
             )
         self._palette = list(range(ctx.max_degree + 1))
-        if self._max_iterations is None:
-            self._max_iterations = 8 * max(
-                1, math.ceil(math.log2(max(2, ctx.num_nodes)))
-            ) + 8
+        self._max_iterations = _iteration_cap(ctx.num_nodes)
 
     def broadcast(self, round_index: int) -> int | None:
         """Try a palette colour, then fix it if no neighbour conflicted."""
@@ -88,7 +92,6 @@ class ColoringBC(BroadcastCongestAlgorithm):
         if self._ceased:
             return
         iteration, phase = divmod(round_index, _PHASES)
-        assert self._max_iterations is not None
         if iteration >= self._max_iterations:
             self._ceased = True
             return
@@ -135,8 +138,7 @@ def make_coloring_algorithms(
 
 def _round_budget(num_nodes: int) -> int:
     """The rounds :func:`run_coloring_bc` allows: ``O(log n)`` iterations."""
-    iterations = 8 * max(1, math.ceil(math.log2(max(2, num_nodes)))) + 8
-    return _PHASES * iterations
+    return _PHASES * _iteration_cap(num_nodes)
 
 
 def run_coloring_bc(
@@ -149,7 +151,7 @@ def run_coloring_bc(
     Colouring has no columnar implementation yet, so the array-native
     engine executes the per-node objects through the
     :class:`~repro.congest.vectorized.ObjectAlgorithmsAdapter` — results
-    are bit-identical to the per-node engine.
+    are bit-identical to the per-node oracle the tests keep.
     """
     n = topology.num_nodes
     if ids is None:

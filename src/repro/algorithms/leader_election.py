@@ -5,26 +5,37 @@ change.  After ``max_rounds ≥ diameter`` rounds the network agrees on the
 maximum ID (Section 1.2 surveys far more efficient native-beeping leader
 election; this is the simple message-passing counterpart used to exercise
 the simulation).
+
+:class:`VectorizedLeaderElection` holds every node's best-known ID in one
+numpy column; per-seed runs are bit-identical to the per-node oracle the
+tests keep in ``tests/algorithms/per_node_oracle.py``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..congest.algorithm import BroadcastCongestAlgorithm
-from ..congest.context import NodeContext
+import numpy as np
+
 from ..congest.model import required_bits
 from ..congest.network import RunResult
-from ..congest.vectorized import VectorizedBroadcastNetwork
+from ..congest.vectorized import (
+    VectorContext,
+    VectorizedBroadcastAlgorithm,
+    VectorizedBroadcastNetwork,
+    inbox_receivers,
+)
 from ..errors import ConfigurationError
 from ..graphs import Topology
-from .vectorized_basic import VectorizedLeaderElection
 
-__all__ = ["LeaderElectionBC", "make_leader_algorithms", "run_leader_election_bc"]
+__all__ = ["VectorizedLeaderElection", "run_leader_election_bc"]
 
 
-class LeaderElectionBC(BroadcastCongestAlgorithm):
-    """One node of max-ID flooding leader election.
+class VectorizedLeaderElection(VectorizedBroadcastAlgorithm):
+    """Max-ID flooding leader election with columnar state.
+
+    Every node re-broadcasts the best ID it knows whenever it improved,
+    and terminates after ``horizon`` rounds.
 
     Parameters
     ----------
@@ -37,50 +48,44 @@ class LeaderElectionBC(BroadcastCongestAlgorithm):
         if horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
         self._horizon = horizon
-        self._best: int | None = None
-        self._changed = True
+
+    def setup(self, net: VectorContext) -> None:
+        """Initialise the best-known-ID and changed columns."""
+        super().setup(net)
+        if required_bits(int(net.ids.max()) + 1) > net.message_bits:
+            raise ConfigurationError("node ID does not fit the message budget")
+        self._best = net.ids.copy()
+        self._changed = np.ones(net.num_nodes, dtype=bool)
         self._rounds_seen = 0
 
-    def setup(self, ctx: NodeContext) -> None:
-        super().setup(ctx)
-        if required_bits(ctx.node_id + 1) > ctx.message_bits:
-            raise ConfigurationError("node ID does not fit the message budget")
-        self._best = ctx.node_id
+    def broadcast_step(self, round_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Broadcast the best-known ID wherever it changed last round."""
+        active = self._changed & ~self.finished_mask()
+        self._changed = self._changed & ~active
+        return self._best, active
 
-    def broadcast(self, round_index: int) -> int | None:
-        """Re-broadcast the best-known ID whenever it improved."""
-        if self._changed:
-            self._changed = False
-            return self._best
-        return None
-
-    def receive(self, round_index: int, messages: list[int]) -> None:
-        """Fold the neighbours' broadcasts into the best-known ID."""
-        assert self._best is not None
-        incoming = max(messages, default=self._best)
-        if incoming > self._best:
-            self._best = incoming
-            self._changed = True
+    def receive_step(
+        self, round_index: int, inbox_indptr: np.ndarray, inbox: np.ndarray
+    ) -> None:
+        """Fold the neighbour maxima into the best-known-ID column."""
+        incoming = np.full(self.net.num_nodes, -1, dtype=np.int64)
+        np.maximum.at(
+            incoming, inbox_receivers(inbox_indptr), inbox[:, 0].astype(np.int64)
+        )
+        improved = incoming > self._best
+        self._best = np.where(improved, incoming, self._best)
+        self._changed |= improved
         self._rounds_seen += 1
 
-    @property
-    def finished(self) -> bool:
-        return self._rounds_seen >= self._horizon
+    def finished_mask(self) -> np.ndarray:
+        """Every node terminates in lock-step after ``horizon`` rounds."""
+        return np.full(
+            self.net.num_nodes, self._rounds_seen >= self._horizon, dtype=bool
+        )
 
-    def output(self) -> int | None:
-        """The elected leader's ID."""
-        return self._best
-
-
-def make_leader_algorithms(
-    topology: Topology, horizon: int | None = None
-) -> tuple[list[LeaderElectionBC], int]:
-    """Build per-node leader-election algorithms plus the budget needed."""
-    n = topology.num_nodes
-    if horizon is None:
-        horizon = n
-    budget = required_bits(max(2, n))
-    return [LeaderElectionBC(horizon) for _ in range(n)], budget
+    def outputs(self) -> list[object]:
+        """The elected leader's ID per node."""
+        return [int(best) for best in self._best]
 
 
 def _round_budget(num_nodes: int) -> int:
@@ -95,9 +100,7 @@ def run_leader_election_bc(
 ) -> RunResult:
     """Run leader election on a native Broadcast CONGEST network.
 
-    Executes the columnar :class:`~repro.algorithms.vectorized_basic.
-    VectorizedLeaderElection`, which is bit-identical per seed to
-    :func:`make_leader_algorithms` on the per-node engine.
+    Executes :class:`VectorizedLeaderElection` over the perfect channel.
     """
     n = topology.num_nodes
     if ids is None:

@@ -73,6 +73,8 @@ class BeepingNetwork:
             )
         if max_rounds < 0:
             raise ConfigurationError(f"max_rounds must be >= 0, got {max_rounds}")
+        if start_round < 0:
+            raise ConfigurationError(f"start_round must be >= 0, got {start_round}")
         beeps = np.zeros(n, dtype=bool)
         rounds_used = 0
         for local_round in range(max_rounds):

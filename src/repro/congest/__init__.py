@@ -15,11 +15,7 @@ paper's Algorithm 3 does.
 from .model import MessageCodec, check_message, required_bits
 from .context import NodeContext
 from .algorithm import BroadcastCongestAlgorithm, CongestAlgorithm
-from .network import (
-    BroadcastCongestNetwork,
-    CongestNetwork,
-    RunResult,
-)
+from .network import CongestNetwork, RunResult
 from .vectorized import (
     ObjectAlgorithmsAdapter,
     VectorContext,
@@ -35,7 +31,6 @@ __all__ = [
     "NodeContext",
     "BroadcastCongestAlgorithm",
     "CongestAlgorithm",
-    "BroadcastCongestNetwork",
     "CongestNetwork",
     "RunResult",
     "ObjectAlgorithmsAdapter",

@@ -1,9 +1,12 @@
-"""Native execution engines for CONGEST and Broadcast CONGEST.
+"""The per-node CONGEST engine and the run contract both models share.
 
-These run message-passing algorithms directly (perfect channels), providing
-the ground truth that the beeping simulation of Algorithm 1 is tested
-against: the paper's Theorem 11 promises the simulated run "runs identically
-as it does in Broadcast CONGEST".
+:class:`CongestNetwork` runs CONGEST algorithms directly (perfect
+channels, one Python object per node, per-neighbour addressing by ID).
+Broadcast CONGEST runs on the array-native engine of
+:mod:`repro.congest.vectorized`, which shares this module's
+:class:`RunResult` and construction-time checks; its ground truth is what
+the paper's Theorem 11 promises the beeping simulation reproduces — the
+run "runs identically as it does in Broadcast CONGEST".
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from typing import Sequence
 from ..errors import ConfigurationError, ProtocolViolationError
 from ..graphs import Topology
 from ..rng import derive_rng
-from .algorithm import BroadcastCongestAlgorithm, CongestAlgorithm
+from .algorithm import CongestAlgorithm
 from .context import NodeContext
 from .model import check_message
 
-__all__ = ["RunResult", "BroadcastCongestNetwork", "CongestNetwork"]
+__all__ = ["RunResult", "CongestNetwork"]
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ def default_message_bits(num_nodes: int, gamma: int = 4) -> int:
 
 
 class _EngineBase:
-    """Shared context plumbing for both engines."""
+    """Construction-time checks and node contexts shared by the engines."""
 
     def __init__(
         self,
@@ -114,73 +117,6 @@ class _EngineBase:
         )
 
 
-class BroadcastCongestNetwork(_EngineBase):
-    """Synchronous Broadcast CONGEST engine.
-
-    Each round, every unfinished node's broadcast (if any) is delivered to
-    all of its neighbours as part of an unattributed message list.
-    """
-
-    def run(
-        self,
-        algorithms: Sequence[BroadcastCongestAlgorithm],
-        max_rounds: int,
-    ) -> RunResult:
-        """Drive the per-node algorithms for up to ``max_rounds`` rounds."""
-        n = self._topology.num_nodes
-        if len(algorithms) != n:
-            raise ConfigurationError(f"got {len(algorithms)} algorithms for {n} nodes")
-        for index, algorithm in enumerate(algorithms):
-            algorithm.setup(self._context(index, with_neighbor_ids=False))
-        # Live-node accounting: ``done`` caches each node's last observed
-        # ``finished`` state and ``live`` counts the rest, updated at the
-        # points the engine queries ``finished`` anyway — so the round
-        # loop never rescans all n nodes just to decide whether to stop.
-        done = [algorithm.finished for algorithm in algorithms]
-        live = done.count(False)
-        rounds_used = 0
-        messages_sent = 0
-        for round_index in range(max_rounds):
-            if live == 0:
-                break
-            broadcasts: list[int | None] = []
-            for index, algorithm in enumerate(algorithms):
-                message = None
-                if not done[index]:
-                    if algorithm.finished:
-                        done[index] = True
-                        live -= 1
-                    else:
-                        message = algorithm.broadcast(round_index)
-                if message is not None:
-                    check_message(message, self._message_bits)
-                    messages_sent += 1
-                broadcasts.append(message)
-            for index, algorithm in enumerate(algorithms):
-                if done[index]:
-                    continue
-                if algorithm.finished:
-                    done[index] = True
-                    live -= 1
-                    continue
-                inbox = [
-                    broadcasts[int(u)]
-                    for u in self._topology.neighbors[index]
-                    if broadcasts[int(u)] is not None
-                ]
-                algorithm.receive(round_index, inbox)  # type: ignore[arg-type]
-                if algorithm.finished:
-                    done[index] = True
-                    live -= 1
-            rounds_used += 1
-        return RunResult(
-            outputs=[a.output() for a in algorithms],
-            rounds_used=rounds_used,
-            messages_sent=messages_sent,
-            finished=live == 0,
-        )
-
-
 class CongestNetwork(_EngineBase):
     """Synchronous CONGEST engine with per-neighbour addressing by ID."""
 
@@ -199,9 +135,9 @@ class CongestNetwork(_EngineBase):
             {self._ids[int(u)] for u in self._topology.neighbors[index]}
             for index in range(n)
         ]
-        # Same live-node accounting as the Broadcast CONGEST engine: a
-        # counter updated on observed finish transitions replaces the
-        # per-round all-nodes rescan.
+        # Live-node accounting: ``done`` caches each node's last observed
+        # ``finished`` state and ``live`` counts the rest, updated on
+        # observed finish transitions instead of a per-round rescan.
         done = [algorithm.finished for algorithm in algorithms]
         live = done.count(False)
         rounds_used = 0

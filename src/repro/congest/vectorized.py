@@ -1,10 +1,9 @@
 """Array-native Broadcast CONGEST engine: the one every algorithm runs on.
 
-The per-node engine (:class:`~repro.congest.network.
-BroadcastCongestNetwork`), kept as the executable specification the
-tests compare against, drives one Python object per node; this module
-drives one :class:`VectorizedBroadcastAlgorithm` object per *network*,
-whose state lives in numpy arrays.  Each round :func:`drive`
+The per-node reference engine, kept as the executable specification in
+``tests/algorithms/per_node_oracle.py``, drives one Python object per
+node; this module drives one :class:`VectorizedBroadcastAlgorithm` object
+per *network*, whose state lives in numpy arrays.  Each round :func:`drive`
 
 1. asks the algorithm for the whole network's broadcasts at once —
    a message plane plus an *active* mask (``active[v]`` iff node ``v``

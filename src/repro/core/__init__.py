@@ -21,7 +21,6 @@ from .parameters import (
     paper_strict_c,
     practical_c,
 )
-from .encoder import build_phase_schedules
 from .decoder import phase1_decode, phase2_decode
 from .round_simulator import (
     BatchedSession,
@@ -44,7 +43,6 @@ __all__ = [
     "SimulationParameters",
     "paper_strict_c",
     "practical_c",
-    "build_phase_schedules",
     "phase1_decode",
     "phase2_decode",
     "BatchedSession",

@@ -25,10 +25,11 @@ count (a gather over each codeword's one-positions, or a float32
 product on small rounds), :func:`_phase2_nearest` gives each pair its
 nearest message index, and the ground truth comes from the topology's
 CSR.  The results are *exactly* equal (not just statistically) to the
-reference implementations in :mod:`repro.core.encoder` and
-:mod:`repro.core.decoder`.  Those stay public as the oracle the tests
-compare against (``tests/core/test_session_oracle.py`` replays whole
-rounds through them); no module here calls them.
+reference implementations: the row-by-row encoder of
+``tests/core/reference_round.py`` and the decoders of
+:mod:`repro.core.decoder`, which stay public.  Together they are the
+oracle the tests compare against (``tests/core/test_session_oracle.py``
+replays whole rounds through them); no module here calls them.
 
 Every round's beeping phases run through one driver, :func:`_run_round`,
 as 3-D :func:`~repro.beeping.batch.run_schedule_batch` calls: a
@@ -239,11 +240,7 @@ class BroadcastSession:
 
     def reset(self, round_offset: int = 0) -> None:
         """Rewind the session's global beeping-round offset."""
-        if round_offset < 0:
-            raise ConfigurationError(
-                f"round_offset must be >= 0, got {round_offset}"
-            )
-        self._round_offset = round_offset
+        self._round_offset = _checked_offset(round_offset)
 
     def run_round(
         self,
@@ -255,8 +252,9 @@ class BroadcastSession:
         ``messages`` holds, per node, the ``B``-bit message to broadcast or
         ``None`` to stay silent this round.  ``round_offset`` overrides the
         session's running offset (it keys both the noise stream and the
-        per-round random strings); either way the session's offset advances
-        to just past this round, so back-to-back calls chain contiguously.
+        per-round random strings) and, as in :meth:`reset`, must be
+        ``>= 0``; either way the session's offset advances to just past
+        this round, so back-to-back calls chain contiguously.
         """
         return _run_round([self], [self._plan_round(messages, round_offset)])[0]
 
@@ -303,6 +301,8 @@ class BroadcastSession:
                 )
         if round_offset is None:
             round_offset = self._round_offset
+        else:
+            _checked_offset(round_offset)
 
         # Step 1: every participating node draws r_v uniformly at random.
         round_rng = derive_rng(self._seed, "round-randomness", round_offset)
@@ -595,6 +595,13 @@ def _run_round(
     ]
 
 
+def _checked_offset(round_offset: int) -> int:
+    """``round_offset``, once it is known to be a global round (``>= 0``)."""
+    if round_offset < 0:
+        raise ConfigurationError(f"round_offset must be >= 0, got {round_offset}")
+    return round_offset
+
+
 def _build_phase_schedules_fast(
     codes: CombinedCode,
     r_values: Sequence[int],
@@ -602,14 +609,15 @@ def _build_phase_schedules_fast(
     distance_rows: "LRUDict[int, np.ndarray]",
     extra_values: Sequence[int] = (),
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray | None, dict[int, int]]":
-    """Vectorised twin of :func:`~repro.core.encoder.build_phase_schedules`.
+    """Both phase schedules of Algorithm 1, built for all nodes at once.
 
-    Produces element-identical schedules: phase 1 sets the one-positions
-    of each active node's ``C(r_v)``, and phase 2 scatters each ``D(m_v)``
-    into those positions in ascending order — exactly Notation 7's ``CD``
-    layout — instead of looping :meth:`~repro.codes.CombinedCode.encode`
-    per node.  ``distance_rows`` is the owning session's bounded row
-    cache.
+    Node ``v`` beeps ``C(r_v)`` in phase 1 and ``CD(r_v, m_v)`` in
+    phase 2; a node with no message (``None``) abstains from both.
+    Phase 1 sets the one-positions of each active node's ``C(r_v)``, and
+    phase 2 scatters each ``D(m_v)`` into those positions in ascending
+    order — exactly Notation 7's ``CD`` layout — instead of looping
+    :meth:`~repro.codes.CombinedCode.encode` per node.  ``distance_rows``
+    is the owning session's bounded row cache.
 
     The active nodes' r-values and ``extra_values`` (the round's decoy
     candidates) are encoded together in one

@@ -84,7 +84,8 @@ def normalize_batch_args(
     sequence of exactly ``replicas`` models, in which a ``None`` entry
     means noiseless for that replica.  ``start_rounds`` likewise accepts
     ``None`` (all zero), a single offset, or one offset per replica.
-    Length mismatches raise :class:`ConfigurationError`.
+    Length mismatches and negative offsets raise
+    :class:`ConfigurationError`.
     """
     from ..beeping.noise import NoiseModel, NoiselessChannel
 
@@ -111,6 +112,9 @@ def normalize_batch_args(
             raise ConfigurationError(
                 f"got {len(start_list)} start rounds for {replicas} replicas"
             )
+    for offset in start_list:
+        if offset < 0:
+            raise ConfigurationError(f"start rounds must be >= 0, got {offset}")
     return channel_list, start_list
 
 

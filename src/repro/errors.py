@@ -30,13 +30,3 @@ class ProtocolViolationError(ReproError):
     Examples: sending to a non-neighbour in CONGEST, or a beeping protocol
     returning an action other than ``BEEP``/``LISTEN``.
     """
-
-
-class DecodingError(ReproError):
-    """A codeword or superimposition could not be decoded.
-
-    The simulation protocols generally *detect and record* decoding failures
-    rather than raising (failures are an expected low-probability event in
-    the noisy model); this error is reserved for unrecoverable misuse, such
-    as decoding a word of the wrong length.
-    """

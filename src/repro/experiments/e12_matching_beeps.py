@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import math
 
-from ..algorithms import check_matching, make_matching_algorithms
+from ..algorithms import (
+    VectorizedMaximalMatching,
+    check_matching,
+    matching_field_widths,
+    matching_message_bits,
+)
 from ..core.parameters import SimulationParameters
 from ..core.transpiler import BeepSimulator
 from ..graphs import Topology, random_regular_graph
@@ -50,16 +55,18 @@ def run(ctx: RunContext) -> list[Table]:
     for n, delta in configs:
         topology = Topology(random_regular_graph(n, delta, seed=ctx.seed))
         ids = list(range(n))
+        id_bits, value_bits = matching_field_widths(n, ids, value_exponent=3)
         for eps in eps_values:
-            algorithms, budget = make_matching_algorithms(
-                topology, ids, value_exponent=3
-            )
             params = SimulationParameters(
-                message_bits=budget, max_degree=delta, eps=eps,
+                message_bits=matching_message_bits(n, ids, value_exponent=3),
+                max_degree=delta,
+                eps=eps,
                 c=SimulationParameters.for_network(n, delta, eps=eps).c,
             )
             simulator = BeepSimulator(topology, params=params, seed=ctx.seed)
-            result = simulator.run_broadcast_congest(algorithms, max_rounds=80)
+            result = simulator.run_broadcast_congest(
+                VectorizedMaximalMatching(id_bits, value_bits), max_rounds=80
+            )
             ok, _ = check_matching(topology, ids, result.outputs)
             log_n = math.log2(n)
             predictor = delta * log_n * log_n

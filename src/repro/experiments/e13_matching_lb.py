@@ -10,7 +10,12 @@ notes ("almost optimal").
 
 from __future__ import annotations
 
-from ..algorithms import check_matching, make_matching_algorithms
+from ..algorithms import (
+    VectorizedMaximalMatching,
+    check_matching,
+    matching_field_widths,
+    matching_message_bits,
+)
 from ..core.parameters import SimulationParameters
 from ..core.transpiler import BeepSimulator
 from ..graphs import Topology
@@ -62,14 +67,20 @@ def run(ctx: RunContext) -> list[Table]:
         graph, ids_map = matching_hard_instance(delta, n, seed=ctx.seed)
         topology = Topology(graph)
         ids = [ids_map[v] for v in range(topology.num_nodes)]
-        algorithms, budget = make_matching_algorithms(
-            topology, ids, value_exponent=3
+        num_nodes = topology.num_nodes
+        id_bits, value_bits = matching_field_widths(
+            num_nodes, ids, value_exponent=3
         )
         params = SimulationParameters(
-            message_bits=budget, max_degree=delta, eps=0.05, c=4
+            message_bits=matching_message_bits(num_nodes, ids, value_exponent=3),
+            max_degree=delta,
+            eps=0.05,
+            c=4,
         )
         simulator = BeepSimulator(topology, params=params, seed=ctx.seed, ids=ids)
-        result = simulator.run_broadcast_congest(algorithms, max_rounds=60)
+        result = simulator.run_broadcast_congest(
+            VectorizedMaximalMatching(id_bits, value_bits), max_rounds=60
+        )
         ok, _ = check_matching(topology, ids, result.outputs)
         bound = matching_round_bound(delta, n)
         hard.add_row(

@@ -10,7 +10,13 @@ optimal simulation, i.e. essentially the best known) scales linearly in Δ.
 
 from __future__ import annotations
 
-from ..algorithms import check_matching, check_mis, make_matching_algorithms
+from ..algorithms import (
+    VectorizedMaximalMatching,
+    check_matching,
+    check_mis,
+    matching_field_widths,
+    matching_message_bits,
+)
 from ..beeping.mis import beeping_mis
 from ..core.parameters import SimulationParameters
 from ..core.transpiler import BeepSimulator
@@ -56,15 +62,18 @@ def run(ctx: RunContext) -> list[Table]:
         mis_ok, _ = check_mis(topology, mis.in_mis)
 
         ids = list(range(n))
-        algorithms, budget = make_matching_algorithms(
-            topology, ids, value_exponent=3
-        )
+        id_bits, value_bits = matching_field_widths(n, ids, value_exponent=3)
         params = SimulationParameters(
-            message_bits=budget, max_degree=delta, eps=0.0, c=3
+            message_bits=matching_message_bits(n, ids, value_exponent=3),
+            max_degree=delta,
+            eps=0.0,
+            c=3,
         )
         result = BeepSimulator(
             topology, params=params, seed=ctx.seed
-        ).run_broadcast_congest(algorithms, max_rounds=80)
+        ).run_broadcast_congest(
+            VectorizedMaximalMatching(id_bits, value_bits), max_rounds=80
+        )
         match_ok, _ = check_matching(topology, ids, result.outputs)
 
         table.add_row(

@@ -9,11 +9,9 @@ import pytest
 from repro.algorithms import (
     UNMATCHED,
     check_matching,
-    make_matching_algorithms,
     matching_message_bits,
     run_matching_bc,
 )
-from repro.congest import BroadcastCongestNetwork
 from repro.graphs import (
     Topology,
     complete_graph,
@@ -23,6 +21,8 @@ from repro.graphs import (
     random_regular_graph,
     star_graph,
 )
+
+from per_node_oracle import BroadcastCongestNetwork, make_matching_algorithms
 
 
 class TestValidityAcrossGraphs:

@@ -6,11 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.algorithms import (
-    VectorizedMaximalMatching,
-    make_matching_algorithms,
-    matching_field_widths,
-)
+from repro.algorithms import VectorizedMaximalMatching, matching_field_widths
 from repro.baselines import (
     TDMABroadcastSimulator,
     agl_overhead,
@@ -27,6 +23,10 @@ from repro.beeping import BernoulliNoise
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, random_regular_graph
 from repro.rng import derive_seed
+from tests.algorithms.per_node_oracle import (
+    BroadcastCongestNetwork,
+    make_matching_algorithms,
+)
 from tests.core.reference_host import reference_run
 from tests.core.test_transpiler import GossipSum
 
@@ -44,8 +44,6 @@ class TestRepetitions:
 
 class TestSimulator:
     def test_matches_native_execution(self, regular12):
-        from repro.congest import BroadcastCongestNetwork
-
         native = BroadcastCongestNetwork(regular12, message_bits=6).run(
             [GossipSum() for _ in range(12)], max_rounds=10
         )

@@ -1,21 +1,17 @@
-"""Tests for the native Broadcast CONGEST and CONGEST engines."""
+"""Tests for the per-node Broadcast CONGEST oracle and the CONGEST engine."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.congest import (
-    BroadcastCongestAlgorithm,
-    BroadcastCongestNetwork,
-    CongestAlgorithm,
-    CongestNetwork,
-)
+from repro.congest import BroadcastCongestAlgorithm, CongestAlgorithm, CongestNetwork
 from repro.errors import (
     ConfigurationError,
     MessageSizeError,
     ProtocolViolationError,
 )
 from repro.graphs import Topology, path_graph, star_graph
+from tests.algorithms.per_node_oracle import BroadcastCongestNetwork
 
 
 class _BroadcastOnce(BroadcastCongestAlgorithm):

@@ -7,7 +7,6 @@ import pytest
 
 from repro.congest import (
     BroadcastCongestAlgorithm,
-    BroadcastCongestNetwork,
     MessageCodec,
     ObjectAlgorithmsAdapter,
     VectorizedBroadcastAlgorithm,
@@ -23,6 +22,7 @@ from repro.congest.vectorized import (
 )
 from repro.errors import ConfigurationError, MessageSizeError
 from repro.graphs import Topology, path_graph, star_graph
+from tests.algorithms.per_node_oracle import BroadcastCongestNetwork
 from tests.core.test_transpiler import GossipSum
 
 

@@ -20,10 +20,10 @@ from repro.errors import ConfigurationError
 from repro.rng import derive_rng
 
 
-def _context(topology, message_bits, seed, index):
+def _context(topology, message_bits, seed, index, node_id):
     return NodeContext(
         index=index,
-        node_id=index,
+        node_id=node_id,
         num_nodes=topology.num_nodes,
         max_degree=topology.max_degree,
         degree=int(topology.degrees[index]),
@@ -34,7 +34,7 @@ def _context(topology, message_bits, seed, index):
 
 
 def reference_run(
-    simulated_round, topology, message_bits, seed, algorithms, max_rounds
+    simulated_round, topology, message_bits, seed, algorithms, max_rounds, ids=None
 ) -> TranspiledRunResult:
     """Run per-node ``algorithms`` node by node over ``simulated_round``.
 
@@ -42,13 +42,16 @@ def reference_run(
     Broadcast CONGEST round and returns an outcome shaped like
     :class:`~repro.core.round_simulator.RoundOutcome` (``decoded``,
     ``beep_rounds_used``, ``success``, ``phase1_errors``,
-    ``phase2_errors``, ``r_collision``).  Node ``v`` has ID ``v``.
+    ``phase2_errors``, ``r_collision``).  Node ``v`` has ID ``ids[v]``,
+    or ``v`` when ``ids`` is ``None``.
     """
     n = topology.num_nodes
     if len(algorithms) != n:
         raise ConfigurationError(f"got {len(algorithms)} algorithms for {n} nodes")
+    if ids is None:
+        ids = range(n)
     for index, algorithm in enumerate(algorithms):
-        algorithm.setup(_context(topology, message_bits, seed, index))
+        algorithm.setup(_context(topology, message_bits, seed, index, ids[index]))
     stats = SimulationStats()
     round_offset = 0
     for round_index in range(max_rounds):

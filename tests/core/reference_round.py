@@ -2,9 +2,9 @@
 
 The sessions in :mod:`repro.core.round_simulator` plan and decode
 through exact vectorised kernels.  :func:`reference_round` simulates the
-same round through the public reference implementations instead —
-:func:`~repro.core.encoder.build_phase_schedules` →
-:func:`repro.beeping.run_schedule` →
+same round through the reference implementations instead —
+:func:`build_phase_schedules` (the transmission side, row by row, kept
+here) → :func:`repro.beeping.run_schedule` →
 :func:`~repro.core.decoder.phase1_decode` →
 :func:`~repro.core.decoder.phase2_decode` — so the oracle tests can
 require every session round to equal it field by field.
@@ -29,13 +29,53 @@ from repro.beeping.noise import (
     NoiseModel,
     NoiselessChannel,
 )
+from repro.codes import CombinedCode
 from repro.core.decoder import phase1_decode, phase2_decode
-from repro.core.encoder import build_phase_schedules
 from repro.core.parameters import CandidatePolicy, SimulationParameters
 from repro.core.round_simulator import RoundOutcome
+from repro.errors import ConfigurationError
 from repro.rng import derive_rng, derive_seed, random_bits
 
-__all__ = ["reference_round", "assert_outcomes_equal"]
+__all__ = ["build_phase_schedules", "reference_round", "assert_outcomes_equal"]
+
+
+def build_phase_schedules(
+    combined_code: CombinedCode,
+    r_values: Sequence[int],
+    messages: Sequence[int | None],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Build the ``(n, b)`` beep schedules for both phases of Algorithm 1.
+
+    Parameters
+    ----------
+    combined_code:
+        The shared codes ``C`` and ``D``.
+    r_values:
+        Each node's random string ``r_v`` (as integers).
+    messages:
+        Each node's message ``m_v`` for this simulated round, or ``None``
+        for nodes that stay silent.
+
+    Returns
+    -------
+    (phase1, phase2):
+        Boolean schedule matrices; row ``v`` is node ``v``'s beep pattern.
+    """
+    if len(r_values) != len(messages):
+        raise ConfigurationError(
+            f"{len(r_values)} r-values but {len(messages)} messages"
+        )
+    n = len(r_values)
+    b = combined_code.length
+    phase1 = np.zeros((n, b), dtype=bool)
+    phase2 = np.zeros((n, b), dtype=bool)
+    for node in range(n):
+        message = messages[node]
+        if message is None:
+            continue
+        phase1[node] = combined_code.beep_code.encode_int(r_values[node])
+        phase2[node] = combined_code.encode(r_values[node], message)
+    return phase1, phase2
 
 
 def assert_outcomes_equal(actual: RoundOutcome, expected: RoundOutcome) -> None:

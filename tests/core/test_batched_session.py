@@ -17,8 +17,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reference_round import assert_outcomes_equal, reference_round
-from repro.core.encoder import build_phase_schedules
+from reference_round import (
+    assert_outcomes_equal,
+    build_phase_schedules,
+    reference_round,
+)
 from repro.core.decoder import phase1_decode, phase2_decode
 from repro.core.parameters import CandidatePolicy, SimulationParameters
 from repro.core import round_simulator

@@ -6,14 +6,11 @@ from typing import Mapping
 
 import pytest
 
-from repro.congest import (
-    BroadcastCongestNetwork,
-    CongestAlgorithm,
-    CongestNetwork,
-)
+from repro.congest import CongestAlgorithm, CongestNetwork
 from repro.core import CongestViaBroadcast, congest_payload_bits
 from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.graphs import Topology, path_graph, random_regular_graph, star_graph
+from tests.algorithms.per_node_oracle import BroadcastCongestNetwork
 
 
 class PerNeighborValues(CongestAlgorithm):

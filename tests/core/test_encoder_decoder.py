@@ -1,13 +1,19 @@
-"""Tests for the Algorithm 1 encoder and the Section 4 decoders."""
+"""Tests for the Algorithm 1 reference encoder and the Section 4 decoders.
+
+The encoder is the row-by-row reference the session oracle of
+``reference_round.py`` runs; the decoders are public in
+:mod:`repro.core.decoder`.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from reference_round import build_phase_schedules
 from repro import bitstrings as bs
 from repro.codes import BeepCode, CombinedCode, DistanceCode
-from repro.core import build_phase_schedules, phase1_decode, phase2_decode
+from repro.core import phase1_decode, phase2_decode
 from repro.core.decoder import DecodedMessage
 from repro.errors import ConfigurationError
 

@@ -11,6 +11,7 @@ from repro.core import (
     run_local_broadcast_congest,
 )
 from repro.graphs import local_broadcast_hard_instance
+from tests.algorithms.per_node_oracle import BroadcastCongestNetwork
 
 
 class TestBroadcastCongestSolution:
@@ -42,9 +43,7 @@ class TestBroadcastCongestSolution:
         def refuse(*args, **kwargs):
             raise AssertionError("per-node Broadcast CONGEST engine used")
 
-        monkeypatch.setattr(
-            "repro.congest.network.BroadcastCongestNetwork.run", refuse
-        )
+        monkeypatch.setattr(BroadcastCongestNetwork, "run", refuse)
         instance = local_broadcast_hard_instance(3, 8, 10, seed=1)
         report = run_local_broadcast_bc(instance, budget_bits=2 * 3 + 4)
         assert report.correct

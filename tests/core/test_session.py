@@ -6,9 +6,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import engine
+from repro.beeping import (
+    BeepingNetwork,
+    BernoulliNoise,
+    NoiselessChannel,
+    ScheduledProtocol,
+    run_schedule,
+    run_schedule_batch,
+)
 from repro.codes.beep import BeepCode
 from repro.codes.distance import DistanceCode
 from repro.core import (
+    BatchedSession,
     BroadcastSession,
     CandidatePolicy,
     SimulationParameters,
@@ -193,3 +203,49 @@ class TestSessionValidation:
         session = BroadcastSession(path6, small_params, seed=0)
         with pytest.raises(ConfigurationError):
             session.run_round([1 << 20] + [1] * 5)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1], ids=["noiseless", "bernoulli"])
+class TestNegativeOffsetsRejected:
+    """A negative global round is the one-line error on every channel.
+
+    Each entry point checks the offset where it enters, before anything
+    runs: no noise window is keyed and no session offset moves.
+    """
+
+    def _params(self, eps):
+        return SimulationParameters(
+            message_bits=6, max_degree=3, eps=eps, c=5 if eps else 3
+        )
+
+    def _channel(self, eps):
+        return BernoulliNoise(eps, seed=3) if eps else NoiselessChannel()
+
+    def test_session_round_offset(self, regular12, eps):
+        session = BroadcastSession(regular12, self._params(eps), seed=1)
+        with pytest.raises(ConfigurationError, match="round_offset must be >= 0"):
+            session.run_round([v % 64 for v in range(12)], round_offset=-1)
+        assert session.next_round_offset == 0
+
+    def test_batched_session_round_offset(self, regular12, eps):
+        batched = BatchedSession(regular12, self._params(eps), seeds=[1, 2])
+        messages = [[v % 64 for v in range(12)]] * 2
+        with pytest.raises(ConfigurationError, match="round_offset must be >= 0"):
+            batched.run_round(messages, round_offset=-1)
+        assert [s.next_round_offset for s in batched.sessions] == [0, 0]
+
+    def test_schedule_start_round(self, regular12, eps):
+        channel = self._channel(eps)
+        schedule = np.zeros((12, 8), dtype=bool)
+        schedule[0, ::2] = True
+        with pytest.raises(ConfigurationError, match="start rounds must be >= 0"):
+            run_schedule(regular12, schedule, channel, start_round=-1)
+        for executor in (run_schedule_batch, engine.run_schedule_batch):
+            with pytest.raises(ConfigurationError, match="start rounds must be >= 0"):
+                executor(regular12, schedule[np.newaxis], [channel], [-1])
+
+    def test_beeping_network_start_round(self, regular12, eps):
+        network = BeepingNetwork(regular12, self._channel(eps))
+        protocols = [ScheduledProtocol(np.ones(4, dtype=bool)) for _ in range(12)]
+        with pytest.raises(ConfigurationError, match="start_round must be >= 0"):
+            network.run(protocols, max_rounds=4, start_round=-2)

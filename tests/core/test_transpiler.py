@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.congest import BroadcastCongestAlgorithm, BroadcastCongestNetwork
+from repro.congest import BroadcastCongestAlgorithm
 from repro.core import BeepSimulator, SimulationParameters
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, path_graph, random_regular_graph
+from tests.algorithms.per_node_oracle import BroadcastCongestNetwork
 
 
 class GossipSum(BroadcastCongestAlgorithm):

@@ -11,10 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import (
+    VectorizedLubyMIS,
+    VectorizedMaximalMatching,
     check_matching,
     check_mis,
-    make_matching_algorithms,
-    make_mis_algorithms,
+    matching_field_widths,
+    matching_message_bits,
+    mis_field_widths,
+    mis_message_bits,
 )
 from repro.core import BeepSimulator, SimulationParameters
 from repro.graphs import (
@@ -26,6 +30,20 @@ from repro.graphs import (
 from repro.graphs.hard_instances import matching_hard_instance
 
 
+def _matching(topology, ids):
+    """Algorithm 3 with compact samples, and the message budget it needs."""
+    n = topology.num_nodes
+    id_bits, value_bits = matching_field_widths(n, ids, value_exponent=3)
+    budget = matching_message_bits(n, ids, value_exponent=3)
+    return VectorizedMaximalMatching(id_bits, value_bits), budget
+
+
+def _mis(topology):
+    """Luby's MIS, and the message budget it needs."""
+    n = topology.num_nodes
+    return VectorizedLubyMIS(*mis_field_widths(n)), mis_message_bits(n)
+
+
 class TestMatchingOverBeeps:
     """Theorem 21: maximal matching in the noisy beeping model."""
 
@@ -33,15 +51,13 @@ class TestMatchingOverBeeps:
     def test_regular_graph(self, eps):
         topology = Topology(random_regular_graph(12, 3, seed=2))
         ids = list(range(12))
-        algorithms, budget = make_matching_algorithms(
-            topology, ids, value_exponent=3
-        )
+        algorithm, budget = _matching(topology, ids)
         params = SimulationParameters(
             message_bits=budget, max_degree=3, eps=eps, c=5 if eps else 3
         )
         result = BeepSimulator(
             topology, params=params, seed=11
-        ).run_broadcast_congest(algorithms, max_rounds=80)
+        ).run_broadcast_congest(algorithm, max_rounds=80)
         assert result.finished
         assert result.stats.failed_rounds == 0
         ok, reason = check_matching(topology, ids, result.outputs)
@@ -50,15 +66,13 @@ class TestMatchingOverBeeps:
     def test_grid_network(self):
         topology = Topology(grid_graph(3, 4))
         ids = list(range(12))
-        algorithms, budget = make_matching_algorithms(
-            topology, ids, value_exponent=3
-        )
+        algorithm, budget = _matching(topology, ids)
         params = SimulationParameters(
             message_bits=budget, max_degree=4, eps=0.05, c=4
         )
         result = BeepSimulator(
             topology, params=params, seed=3
-        ).run_broadcast_congest(algorithms, max_rounds=80)
+        ).run_broadcast_congest(algorithm, max_rounds=80)
         ok, reason = check_matching(topology, ids, result.outputs)
         assert ok, reason
 
@@ -66,15 +80,13 @@ class TestMatchingOverBeeps:
         graph, ids_map = matching_hard_instance(2, 16, seed=5)
         topology = Topology(graph)
         ids = [ids_map[v] for v in range(4)]
-        algorithms, budget = make_matching_algorithms(
-            topology, ids, value_exponent=3
-        )
+        algorithm, budget = _matching(topology, ids)
         params = SimulationParameters(
             message_bits=budget, max_degree=2, eps=0.05, c=4
         )
         result = BeepSimulator(
             topology, params=params, seed=7, ids=ids
-        ).run_broadcast_congest(algorithms, max_rounds=60)
+        ).run_broadcast_congest(algorithm, max_rounds=60)
         ok, reason = check_matching(topology, ids, result.outputs)
         assert ok, reason
 
@@ -82,26 +94,26 @@ class TestMatchingOverBeeps:
 class TestMISOverBeeps:
     def test_cycle(self):
         topology = Topology(cycle_graph(9))
-        algorithms, budget = make_mis_algorithms(topology)
+        algorithm, budget = _mis(topology)
         params = SimulationParameters(
             message_bits=budget, max_degree=2, eps=0.05, c=4
         )
         result = BeepSimulator(
             topology, params=params, seed=2
-        ).run_broadcast_congest(algorithms, max_rounds=90)
+        ).run_broadcast_congest(algorithm, max_rounds=90)
         assert result.finished
         ok, reason = check_mis(topology, result.outputs)
         assert ok, reason
 
     def test_regular_noisy(self):
         topology = Topology(random_regular_graph(10, 3, seed=4))
-        algorithms, budget = make_mis_algorithms(topology)
+        algorithm, budget = _mis(topology)
         params = SimulationParameters(
             message_bits=budget, max_degree=3, eps=0.1, c=5
         )
         result = BeepSimulator(
             topology, params=params, seed=2
-        ).run_broadcast_congest(algorithms, max_rounds=90)
+        ).run_broadcast_congest(algorithm, max_rounds=90)
         assert result.finished
         ok, reason = check_mis(topology, result.outputs)
         assert ok, reason

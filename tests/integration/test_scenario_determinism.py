@@ -22,10 +22,8 @@ from pathlib import Path
 MATRIX_SCRIPT = r"""
 import hashlib
 
-from repro.algorithms import make_mis_algorithms
-from repro.algorithms.luby_mis import _round_budget
+from per_node_oracle import mis as mis_oracle
 from repro.beeping.noise import DynamicTopology, make_noise_model
-from repro.congest import BroadcastCongestNetwork
 from repro.graphs import Topology
 from repro.graphs.generators import build_family_graph
 from repro.sweeps.workloads import run_workload
@@ -61,10 +59,8 @@ for family in FAMILIES:
     emit(f"{family}/churn", repr(masks).encode())
     outcome = run_workload("mis", topology, seed=5)
     emit(f"{family}/mis/entry", repr(outcome).encode())
-    # The same run's per-node oracle, inline: the script sees only src/.
-    algorithms, budget = make_mis_algorithms(topology)
-    network = BroadcastCongestNetwork(topology, message_bits=budget, seed=5)
-    oracle = network.run(algorithms, max_rounds=_round_budget(N))
+    # The same run's per-node oracle, with the entry point's budgets.
+    oracle = mis_oracle(topology, seed=5)
     emit(f"{family}/mis/oracle", repr(oracle).encode())
 
 print(f"combined {combined.hexdigest()}")
@@ -73,7 +69,9 @@ print(f"combined {combined.hexdigest()}")
 
 def _run_matrix() -> str:
     repo = Path(__file__).resolve().parents[2]
-    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    # src/ for the library, tests/algorithms/ for the per-node oracle.
+    paths = (repo / "src", repo / "tests" / "algorithms")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
     # Force fresh, differently-salted interpreters: equal output then
     # proves the digests don't lean on Python's hash randomisation.
     env.pop("PYTHONHASHSEED", None)

@@ -58,9 +58,6 @@ MODULES: "tuple[str, ...]" = (
     "repro.algorithms.bfs",
     "repro.algorithms.leader_election",
     "repro.algorithms.verification",
-    "repro.algorithms.vectorized_matching",
-    "repro.algorithms.vectorized_mis",
-    "repro.algorithms.vectorized_basic",
     "repro.rng_philox",
     "repro.service",
     "repro.service.app",
