@@ -4,7 +4,8 @@ Times ``repro.experiments.api.run`` over a fixed 4-experiment quick-profile
 subset, once with ``jobs=1`` (in-process, the old harness behaviour) and
 once with ``jobs=4`` (one worker process per experiment).  The parallel
 run pays a pool spawn + result pickling tax, so the speedup is well below
-4x on the quick profile — the gap widens with ``--full``-sized sweeps.
+4x on the quick profile — the gap widens with ``--profile full``-sized
+sweeps.
 
 Run with ``-s`` to see the wall-clock comparison inline::
 

@@ -29,8 +29,8 @@ import time
 import numpy as np
 
 from conftest import host_metadata
-from repro.beeping.batch import run_schedule
 from repro.beeping.noise import DynamicTopology, make_noise_model
+from repro.engine import run_schedule
 from repro.engine.bitpacked import BitpackedBackend
 from repro.engine.dense import DenseBackend
 from repro.graphs import Topology

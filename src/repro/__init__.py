@@ -45,7 +45,6 @@ from .beeping import (
     BernoulliNoise,
     NoiselessChannel,
     beep_wave_broadcast,
-    run_schedule,
 )
 from .congest import (
     BroadcastCongestAlgorithm,
@@ -54,6 +53,7 @@ from .congest import (
     MessageCodec,
 )
 from .codes import BeepCode, CombinedCode, DistanceCode, KautzSingletonCode
+from .engine import run_schedule
 from .core import (
     BatchedSession,
     BeepSimulator,

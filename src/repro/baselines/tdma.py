@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..beeping.batch import run_schedule
 from ..beeping.noise import NoiseModel
+from ..engine import run_schedule
 from ..errors import ConfigurationError
 from ..graphs import Topology
 

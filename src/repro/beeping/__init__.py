@@ -5,14 +5,14 @@ Discrete synchronous rounds; in each round every device either **beeps** or
 the noisy model the heard bit is flipped independently with probability
 ``ε ∈ (0, 1/2)``.
 
-Two execution paths with identical semantics (property-tested against each
-other):
-
-* :class:`BeepingNetwork` — a general round-by-round engine driving
-  arbitrary :class:`BeepingProtocol` objects;
-* :func:`run_schedule` — a vectorised executor for *schedule-driven* phases
-  (an ``(n, rounds)`` beep matrix in, heard matrix out), which is how the
-  code phases of Algorithm 1 run at speed.
+This package holds the model itself: the channels and churn schedules
+of the scenario layer (:mod:`repro.beeping.noise`) and
+:class:`BeepingNetwork`, a general round-by-round engine driving
+arbitrary :class:`BeepingProtocol` objects.  Schedule-driven phases (an
+``(n, rounds)`` beep matrix in, heard matrix out), which is how the code
+phases of Algorithm 1 run at speed, go to the schedule executor above
+it, :func:`repro.engine.run_schedule_batch`; the two paths have
+identical semantics (property-tested against each other).
 """
 
 from .model import Action, BEEP, LISTEN
@@ -31,7 +31,6 @@ from .noise import (
 )
 from .node import BeepingProtocol, ScheduledProtocol
 from .network import BeepingNetwork
-from .batch import run_schedule, run_schedule_batch
 from .primitives import BeepWaveResult, beep_wave_broadcast
 from .mis import BeepingMISProtocol, BeepingMISResult, beeping_mis
 
@@ -53,8 +52,6 @@ __all__ = [
     "BeepingProtocol",
     "ScheduledProtocol",
     "BeepingNetwork",
-    "run_schedule",
-    "run_schedule_batch",
     "BeepWaveResult",
     "beep_wave_broadcast",
     "BeepingMISProtocol",

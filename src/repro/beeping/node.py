@@ -44,8 +44,11 @@ class ScheduledProtocol(BeepingProtocol):
     """A device that beeps according to a fixed boolean schedule and records
     everything it hears.
 
-    The workhorse for code-transmission phases: construct with the device's
-    beep schedule; after the run, :attr:`heard` holds the observation string.
+    Construct with the device's beep schedule; after a
+    :class:`~repro.beeping.network.BeepingNetwork` run, :attr:`heard` holds
+    the observation string.  It is the per-round replay of a code phase
+    that the tests hold the schedule executor
+    (:func:`repro.engine.run_schedule_batch`) to, bit for bit.
 
     ``start_round`` anchors the schedule: global round ``start_round + i``
     executes schedule position ``i`` (the engine passes global round

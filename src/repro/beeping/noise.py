@@ -133,7 +133,7 @@ class WindowedNoise(NoiseModel):
         received = np.asarray(received, dtype=bool)
         if received.ndim == 1:
             n = received.shape[0]
-            window, offset = divmod(round_index, _WINDOW)
+            window, offset = self._window_of(round_index)
             return received ^ self._window_block(window, n)[offset]
         if received.ndim != 2:
             raise ConfigurationError("received array must be 1-D or 2-D")
@@ -148,17 +148,27 @@ class WindowedNoise(NoiseModel):
         — the ``(seed, round)`` keying and window semantics are shared,
         which is what makes the kernels bit-identical under noise.
         """
+        window, offset = self._window_of(round_index)
         flips = np.empty((n, rounds), dtype=bool)
         position = 0
         while position < rounds:
-            window, offset = divmod(round_index + position, _WINDOW)
             take = min(_WINDOW - offset, rounds - position)
             block = self._window_block(window, n)
             flips[:, position : position + take] = block[
                 offset : offset + take
             ].T
             position += take
+            window, offset = window + 1, 0
         return flips
+
+    @staticmethod
+    def _window_of(round_index: int) -> tuple[int, int]:
+        """``(window, offset)`` of a global round, which must be ``>= 0``."""
+        if round_index < 0:
+            raise ConfigurationError(
+                f"round_index must be >= 0, got {round_index}"
+            )
+        return divmod(round_index, _WINDOW)
 
     def _window_rng(self, window: int) -> np.random.Generator:
         """The Philox generator for one window, counter-keyed by its index."""

@@ -32,14 +32,14 @@ oracle the tests compare against (``tests/core/test_session_oracle.py``
 replays whole rounds through them); no module here calls them.
 
 Every round's beeping phases run through one driver, :func:`_run_round`,
-as 3-D :func:`~repro.beeping.batch.run_schedule_batch` calls: a
-standalone :class:`BroadcastSession` is a batch of one, and
-:class:`BatchedSession` stacks ``R`` seed-replicas of the same
-``(topology, params)`` pair — one :class:`BroadcastSession` per seed —
-into one batch.  ``BatchedSession(...).run_round(batch)[r]`` is
-bit-identical to what the ``r``-th standalone :class:`BroadcastSession`
-would return, a property enforced by
-``tests/core/test_batched_session.py``.
+as 3-D calls to the schedule executor,
+:func:`repro.engine.run_schedule_batch`: a standalone
+:class:`BroadcastSession` is a batch of one, and :class:`BatchedSession`
+stacks ``R`` seed-replicas of the same ``(topology, params)`` pair —
+one :class:`BroadcastSession` per seed — into one batch.
+``BatchedSession(...).run_round(batch)[r]`` is bit-identical to what the
+``r``-th standalone :class:`BroadcastSession` would return, a property
+enforced by ``tests/core/test_batched_session.py``.
 
 The returned :class:`RoundOutcome` carries both the decoded messages (which
 downstream algorithms consume, right or wrong — simulation fidelity is part
@@ -53,9 +53,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..beeping.batch import run_schedule_batch
 from ..beeping.noise import DynamicTopology, NoiseModel, make_noise_model
 from ..codes import CombinedCode
+from ..engine import run_schedule_batch
 from ..errors import ConfigurationError
 from ..graphs import Topology
 from ..lru import LRUDict
@@ -569,9 +569,9 @@ def _run_round(
 
     The one round driver: a standalone session passes itself as a batch of
     one, a :class:`BatchedSession` passes all its replicas (same topology).
-    Each phase is one replica-batched schedule execution, routed through
-    :func:`~repro.beeping.batch.run_schedule_batch` (not the executor
-    directly) so dynamic topologies get their epoch segmentation.
+    Each phase is one replica-batched
+    :func:`~repro.engine.run_schedule_batch` call, which checks the
+    stacked schedules once and splits a dynamic topology at its epochs.
     """
     first = sessions[0]
     b = first.codes.length

@@ -17,59 +17,55 @@ CSR (the neighbour arrays shifted by ``r * n`` per replica), and one loop
 over the replicas packs each windowed replica's
 :meth:`~repro.beeping.noise.WindowedNoise.flip_block` and XORs it into
 that replica's rows — the very flips that channel's own ``apply`` XORs
-in, so every replica slice is bit-identical to the dense path.
+in, so every replica slice is bit-identical to the dense path.  Like the
+dense kernel, it takes the executor's checked arguments, one channel and
+one start round per replica, and checks nothing again.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .base import (
-    SimulationBackend,
-    normalize_batch_args,
-    validate_schedule_batch,
+from ..beeping.noise import (
+    AdversarialNoise,
+    BernoulliNoise,
+    HeterogeneousNoise,
+    NoiseModel,
+    NoiselessChannel,
 )
+from ..graphs import Topology
 from .packing import pack_rows, unpack_rows
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..beeping.noise import NoiseModel
-    from ..graphs import Topology
 
 __all__ = ["BitpackedBackend"]
 
-
-def _flip_block_types() -> tuple[type, ...]:
-    """The exact channel types whose flips can be packed-XORed directly.
-
-    These are the windowed channels whose ``apply`` is exactly
-    ``received ^ flip_block(...)`` — for them the kernel packs the
-    Philox flip matrix into words instead of unpacking the heard bits.
-    Exact types only: a subclass may override ``apply``, and then only
-    the generic boolean fallback honours it.
-    """
-    from ..beeping.noise import (
-        AdversarialNoise,
-        BernoulliNoise,
-        HeterogeneousNoise,
-    )
-
-    return (BernoulliNoise, HeterogeneousNoise, AdversarialNoise)
+#: The exact channel types whose flips can be packed-XORed directly: the
+#: windowed channels whose ``apply`` is exactly ``received ^
+#: flip_block(...)``, so the kernel packs the Philox flip matrix into
+#: words instead of unpacking the heard bits.  Exact types only: a
+#: subclass may override ``apply``, and then only the generic boolean
+#: fallback honours it.
+_FLIP_BLOCK_TYPES = (BernoulliNoise, HeterogeneousNoise, AdversarialNoise)
 
 
-class BitpackedBackend(SimulationBackend):
+class BitpackedBackend:
     """Packed-word execution: OR/XOR on ``uint64`` words, 64 rounds at a time."""
 
     # perfbench/seams.py wraps this name from the class __dict__.
     def run_schedule(
         self,
-        topology: "Topology",
+        topology: Topology,
         schedule: np.ndarray,
-        channel: "NoiseModel | None" = None,
+        channel: NoiseModel | None = None,
         start_round: int = 0,
     ) -> np.ndarray:
-        return super().run_schedule(topology, schedule, channel, start_round)
+        """One ``(n, rounds)`` schedule, as a batch of one."""
+        channels = [NoiselessChannel() if channel is None else channel]
+        schedules = np.asarray(schedule, dtype=bool)[np.newaxis]
+        return self.run_schedule_batch(
+            topology, schedules, channels, [start_round]
+        )[0]
 
     #: Packed working-set budget per batched sub-chunk, in uint64 words.
     #: Gathers over a packed matrix larger than the cache hierarchy cost
@@ -81,33 +77,29 @@ class BitpackedBackend(SimulationBackend):
 
     def run_schedule_batch(
         self,
-        topology: "Topology",
+        topology: Topology,
         schedules: np.ndarray,
-        channels: "NoiseModel | Sequence[NoiseModel | None] | None" = None,
-        start_rounds: "int | Sequence[int] | None" = None,
+        channels: Sequence[NoiseModel],
+        start_rounds: Sequence[int],
     ) -> np.ndarray:
-        """Replica-axis packed execution: one segmented OR, per-replica flips."""
-        schedules = validate_schedule_batch(topology, schedules)
+        """Replica-axis packed execution: one segmented OR, per-replica flips.
+
+        ``schedules`` is a boolean ``(R, n, rounds)`` array whose replica
+        ``r`` runs through ``channels[r]`` from ``start_rounds[r]``; the
+        executor has checked all three.
+        """
         replicas, n, rounds = schedules.shape
-        channel_list, start_list = normalize_batch_args(
-            replicas, channels, start_rounds
-        )
         if replicas == 0:
             return np.zeros_like(schedules)
-        from ..beeping.noise import NoiselessChannel
-
-        flip_types = _flip_block_types()
         packed = pack_rows(schedules.reshape(replicas * n, rounds))
         received = self._segmented_or(topology, packed, replicas)
         np.bitwise_or(received, packed, out=received)
-        # Exact-type checks: a subclass may override apply(), in which case
-        # only the generic path below is guaranteed to honour it.
         generic: list[int] = []
-        for r, channel in enumerate(channel_list):
-            if type(channel) in flip_types:
+        for r, channel in enumerate(channels):
+            if type(channel) in _FLIP_BLOCK_TYPES:
                 if rounds:
                     rows = received[r * n : (r + 1) * n]
-                    flips = channel.flip_block(start_list[r], rounds, n)
+                    flips = channel.flip_block(start_rounds[r], rounds, n)
                     np.bitwise_xor(rows, pack_rows(flips), out=rows)
             elif type(channel) is not NoiselessChannel:
                 generic.append(r)
@@ -115,12 +107,12 @@ class BitpackedBackend(SimulationBackend):
         for r in generic:
             # Unknown channel: it only understands boolean matrices, so it
             # applies itself to the unpacked replica slice as usual.
-            heard[r] = channel_list[r].apply(heard[r], start_list[r])
+            heard[r] = channels[r].apply(heard[r], start_rounds[r])
         return heard
 
     @staticmethod
     def _segmented_or(
-        topology: "Topology", packed: np.ndarray, replicas: int
+        topology: Topology, packed: np.ndarray, replicas: int
     ) -> np.ndarray:
         """Per-node OR of neighbours' packed rows, via segmented reduction.
 

@@ -11,54 +11,55 @@ axis — ``(R, n, rounds)`` becomes ``(n, R * rounds)`` — so the
 OR-of-neighbours for the whole batch is *one* CSR matrix product (each
 column is independent, so the stacking is exact); only the channel is
 applied per replica, because each replica carries its own noise stream
-and start round.  A single schedule is a batch of one.
+and start round.  A single schedule is a batch of one.  The kernel
+takes the executor's checked arguments, one channel and one start round
+per replica, and checks nothing again.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .base import (
-    SimulationBackend,
-    normalize_batch_args,
-    validate_schedule_batch,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..beeping.noise import NoiseModel
-    from ..graphs import Topology
+from ..beeping.noise import NoiseModel, NoiselessChannel
+from ..graphs import Topology
 
 __all__ = ["DenseBackend"]
 
 
-class DenseBackend(SimulationBackend):
+class DenseBackend:
     """Dense boolean execution over the CSR adjacency matrix."""
 
     # perfbench/seams.py wraps this name from the class __dict__.
     def run_schedule(
         self,
-        topology: "Topology",
+        topology: Topology,
         schedule: np.ndarray,
-        channel: "NoiseModel | None" = None,
+        channel: NoiseModel | None = None,
         start_round: int = 0,
     ) -> np.ndarray:
-        return super().run_schedule(topology, schedule, channel, start_round)
+        """One ``(n, rounds)`` schedule, as a batch of one."""
+        channels = [NoiselessChannel() if channel is None else channel]
+        schedules = np.asarray(schedule, dtype=bool)[np.newaxis]
+        return self.run_schedule_batch(
+            topology, schedules, channels, [start_round]
+        )[0]
 
     def run_schedule_batch(
         self,
-        topology: "Topology",
+        topology: Topology,
         schedules: np.ndarray,
-        channels: "NoiseModel | Sequence[NoiseModel | None] | None" = None,
-        start_rounds: "int | Sequence[int] | None" = None,
+        channels: Sequence[NoiseModel],
+        start_rounds: Sequence[int],
     ) -> np.ndarray:
-        """One stacked CSR matvec for all replicas, channels applied per replica."""
-        schedules = validate_schedule_batch(topology, schedules)
+        """One stacked CSR matvec for all replicas, channels applied per replica.
+
+        ``schedules`` is a boolean ``(R, n, rounds)`` array whose replica
+        ``r`` runs through ``channels[r]`` from ``start_rounds[r]``; the
+        executor has checked all three.
+        """
         replicas, n, rounds = schedules.shape
-        channel_list, start_list = normalize_batch_args(
-            replicas, channels, start_rounds
-        )
         if replicas == 0 or n == 0:
             return np.zeros_like(schedules)
         stacked = schedules.transpose(1, 0, 2).reshape(n, replicas * rounds)
@@ -67,7 +68,7 @@ class DenseBackend(SimulationBackend):
         )
         return np.stack(
             [
-                channel_list[r].apply(received[:, r, :], start_list[r])
+                channels[r].apply(received[:, r, :], start_rounds[r])
                 for r in range(replicas)
             ]
         )

@@ -367,15 +367,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--profile",
-        default=None,
+        default="quick",
         metavar="NAME",
         help="execution profile: quick (default), full, or a custom label "
         "recorded in result metadata",
-    )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="shorthand for --profile full (the v1 flag)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="master seed (default 0)"
@@ -415,11 +410,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # --full is shorthand for --profile full; the pair only conflicts
-    # when an explicit --profile disagrees with it.
-    if args.full and args.profile not in (None, "full"):
-        parser.error(f"--full conflicts with --profile {args.profile}")
-    profile = "full" if args.full else (args.profile or "quick")
     tags = (
         [tag for raw in args.tags for tag in raw.split(",") if tag]
         if args.tags
@@ -450,7 +440,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         results = api.run(
             args.experiments or None,
-            profile=profile,
+            profile=args.profile,
             seed=args.seed,
             jobs=args.jobs,
             tags=tags,

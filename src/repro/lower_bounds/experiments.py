@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..beeping.batch import run_schedule
+from ..engine import run_schedule
 from ..errors import ConfigurationError
 from ..graphs import Topology
 from ..graphs.hard_instances import local_broadcast_hard_instance

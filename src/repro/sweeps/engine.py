@@ -202,7 +202,8 @@ def execute_batch(
 ) -> list[ExperimentResult]:
     """Simulate a group of same-cell points (differing only by seed) at once.
 
-    All points must share every axis except ``seed``.  For the
+    All points must share every axis except ``seed``, that is one
+    :meth:`~repro.sweeps.grid.GridPoint.identity`.  For the
     ``broadcast`` workload, seeds whose derived graphs realise the same
     topology run as one :class:`~repro.core.round_simulator.
     BatchedSession` (replica-batched schedule calls); seeds with distinct
@@ -215,18 +216,9 @@ def execute_batch(
     if not points:
         return []
     first = points[0]
+    cell = first.identity()
     for point in points[1:]:
-        if (
-            point.family != first.family
-            or point.params != first.params
-            or point.workload != first.workload
-            or point.n != first.n
-            or point.eps != first.eps
-            or point.noise_model != first.noise_model
-            or point.churn != first.churn
-            or point.rounds != first.rounds
-            or point.gamma != first.gamma
-        ):
+        if point.identity() != cell:
             raise ConfigurationError(
                 "execute_batch points must differ only by seed; got "
                 f"{point.label()} next to {first.label()}"
@@ -413,28 +405,17 @@ def _batch_groups(
 ) -> list[list[int]]:
     """Partition pending point indices into executable batch groups.
 
-    Points sharing every axis but seed (one grid cell) form one group,
-    in first-seen order.  When fewer groups than ``jobs`` come out, the
+    Points sharing every axis but seed (one grid cell, keyed by its
+    :meth:`~repro.sweeps.grid.GridPoint.identity`) form one group, in
+    first-seen order.  When fewer groups than ``jobs`` come out, the
     largest groups are halved until the worker pool can be saturated —
     sub-groups of a cell still batch internally, so this trades some
     batching width for fan-out instead of leaving workers idle on
     few-cell grids.
     """
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[str, list[int]] = {}
     for index in pending:
-        point = points[index]
-        key = (
-            point.family,
-            point.params,
-            point.workload,
-            point.n,
-            point.eps,
-            point.noise_model,
-            point.churn,
-            point.rounds,
-            point.gamma,
-        )
-        groups.setdefault(key, []).append(index)
+        groups.setdefault(points[index].identity(), []).append(index)
     split = list(groups.values())
     while len(split) < min(jobs, len(pending)):
         largest = max(range(len(split)), key=lambda i: len(split[i]))

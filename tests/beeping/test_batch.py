@@ -9,12 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.beeping import (
-    BeepingNetwork,
-    BernoulliNoise,
-    ScheduledProtocol,
-    run_schedule,
-)
+from repro.beeping import BeepingNetwork, BernoulliNoise, ScheduledProtocol
+from repro.engine import run_schedule
 from repro.engine.bitpacked import BitpackedBackend
 from repro.engine.dense import DenseBackend
 from repro.errors import ConfigurationError

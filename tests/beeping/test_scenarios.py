@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.beeping import run_schedule, run_schedule_batch
 from repro.beeping.noise import (
     AdversarialNoise,
     BernoulliNoise,
@@ -25,6 +24,7 @@ from repro.beeping.noise import (
     unreliable_zone,
     zone_rates,
 )
+from repro.engine import run_schedule, run_schedule_batch
 from repro.engine.bitpacked import BitpackedBackend
 from repro.engine.dense import DenseBackend
 from repro.errors import ConfigurationError
@@ -90,6 +90,32 @@ class TestWindowContractProperty:
         from_zeros = channel.apply(zeros, 100)
         from_ones = channel.apply(ones, 100)
         assert np.array_equal(from_zeros, ~from_ones)
+
+
+class TestNegativeRoundRejected:
+    """A windowed channel keys flips by global round, which is never negative.
+
+    A negative round is the one-line error the simulation entry points
+    raise, on the per-round, block and packed-flip paths alike.
+    """
+
+    @pytest.mark.parametrize(
+        "which", [0, 1, 2], ids=["bernoulli", "adversarial", "zone"]
+    )
+    def test_apply_and_flip_block(self, which):
+        channel = _channels(4)[which]
+        calls = (
+            lambda: channel.apply(np.zeros(4, dtype=bool), -1),
+            lambda: channel.apply(np.zeros((4, 3), dtype=bool), -1),
+            lambda: channel.flip_block(-1, 4, 4),
+            lambda: channel.flip_block(-5, 0, 4),
+        )
+        for call in calls:
+            with pytest.raises(
+                ConfigurationError, match=r"round_index must be >= 0, got -\d$"
+            ):
+                call()
+        assert channel.flip_block(0, 4, 4).shape == (4, 4)
 
 
 class TestWindowCacheKey:
@@ -337,7 +363,7 @@ class TestDynamicTopology:
 
 
 class TestDynamicExecution:
-    """run_schedule / run_schedule_batch over a DynamicTopology."""
+    """The executor's run_schedule / run_schedule_batch over a DynamicTopology."""
 
     def _setup(self, n: int = 24, rounds: int = 40):
         base = Topology(gnp_graph(n, 0.25, seed=2))
@@ -395,6 +421,36 @@ class TestDynamicExecution:
                 dynamic, schedules[index], channels[index], starts[index]
             )
             assert np.array_equal(batched[index], solo)
+
+    @pytest.mark.parametrize("kernel", ["dense", "bitpacked"])
+    @pytest.mark.parametrize(
+        "starts", [[9, 9, 9], [0, 13, 4090]], ids=["lock-step", "differing"]
+    )
+    def test_executor_equals_stitched_epochs(self, kernel, starts, force_kernel):
+        """One executor call equals per-epoch static runs stitched together.
+
+        ``repro.engine.run_schedule_batch`` splits the churn schedule at
+        its epoch boundaries itself; replica ``r`` is the concatenation of
+        one kernel run per epoch segment on that epoch's masked topology,
+        with the noise keyed from the segment's global start round.
+        """
+        force_kernel(kernel)
+        _, dynamic, _ = self._setup()
+        n, rounds = dynamic.num_nodes, 40
+        schedules = np.random.default_rng(8).random((3, n, rounds)) < 0.25
+        channels = _channels(n)
+        heard = run_schedule_batch(dynamic, schedules, channels, starts)
+        stitched = np.empty_like(schedules)
+        for r, first in enumerate(starts):
+            for start, stop in dynamic.segments(first, rounds):
+                lo, hi = start - first, stop - first
+                stitched[r, :, lo:hi] = KERNELS[kernel].run_schedule(
+                    dynamic.topology_at(start),
+                    schedules[r, :, lo:hi],
+                    channels[r],
+                    start,
+                )
+        assert np.array_equal(heard, stitched)
 
     def test_batch_shape_validation(self):
         base, dynamic, schedule = self._setup()

@@ -4,7 +4,7 @@ The sessions in :mod:`repro.core.round_simulator` plan and decode
 through exact vectorised kernels.  :func:`reference_round` simulates the
 same round through the reference implementations instead —
 :func:`build_phase_schedules` (the transmission side, row by row, kept
-here) → :func:`repro.beeping.run_schedule` →
+here) → :func:`repro.engine.run_schedule` →
 :func:`~repro.core.decoder.phase1_decode` →
 :func:`~repro.core.decoder.phase2_decode` — so the oracle tests can
 require every session round to equal it field by field.
@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.beeping import run_schedule
 from repro.beeping.noise import (
     BernoulliNoise,
     DynamicTopology,
@@ -33,6 +32,7 @@ from repro.codes import CombinedCode
 from repro.core.decoder import phase1_decode, phase2_decode
 from repro.core.parameters import CandidatePolicy, SimulationParameters
 from repro.core.round_simulator import RoundOutcome
+from repro.engine import run_schedule
 from repro.errors import ConfigurationError
 from repro.rng import derive_rng, derive_seed, random_bits
 

@@ -6,14 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import engine
 from repro.beeping import (
     BeepingNetwork,
     BernoulliNoise,
     NoiselessChannel,
     ScheduledProtocol,
-    run_schedule,
-    run_schedule_batch,
 )
 from repro.codes.beep import BeepCode
 from repro.codes.distance import DistanceCode
@@ -24,6 +21,7 @@ from repro.core import (
     SimulationParameters,
     simulate_broadcast_round,
 )
+from repro.engine import run_schedule, run_schedule_batch
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, path_graph
 
@@ -240,9 +238,8 @@ class TestNegativeOffsetsRejected:
         schedule[0, ::2] = True
         with pytest.raises(ConfigurationError, match="start rounds must be >= 0"):
             run_schedule(regular12, schedule, channel, start_round=-1)
-        for executor in (run_schedule_batch, engine.run_schedule_batch):
-            with pytest.raises(ConfigurationError, match="start rounds must be >= 0"):
-                executor(regular12, schedule[np.newaxis], [channel], [-1])
+        with pytest.raises(ConfigurationError, match="start rounds must be >= 0"):
+            run_schedule_batch(regular12, schedule[np.newaxis], [channel], [-1])
 
     def test_beeping_network_start_round(self, regular12, eps):
         network = BeepingNetwork(regular12, self._channel(eps))

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.beeping.noise import BernoulliNoise, NoiseModel, NoiselessChannel
-from repro.engine import pack_rows, run_schedule_batch, unpack_rows, words_for
+from repro.engine import (
+    pack_rows,
+    run_schedule,
+    run_schedule_batch,
+    unpack_rows,
+    words_for,
+)
 from repro.engine.bitpacked import BitpackedBackend
 from repro.engine.dense import DenseBackend
 from repro.errors import ConfigurationError
@@ -100,10 +106,12 @@ class TestNeighborOrEquivalence:
             PACKED.run_schedule(topology, beeps),
         )
 
-    def test_wrong_length_rejected(self):
+    def test_wrong_length_rejected(self, force_kernel):
+        # The executor checks the shape before either kernel runs.
+        force_kernel("bitpacked")
         topology = Topology(path_graph(3))
         with pytest.raises(ConfigurationError):
-            PACKED.run_schedule(topology, np.zeros((4, 1), dtype=bool))
+            run_schedule(topology, np.zeros((4, 1), dtype=bool))
 
 
 class _InvertChannel(NoiseModel):
@@ -147,13 +155,14 @@ class TestRunScheduleEquivalence:
             )
             assert heard.shape == (4, 0)
 
-    def test_validation_matches_dense(self):
+    def test_validation_matches_dense(self, force_kernel):
         topology = Topology(path_graph(3))
-        for backend in (DENSE, PACKED):
+        for kernel in ("dense", "bitpacked"):
+            force_kernel(kernel)
             with pytest.raises(ConfigurationError):
-                backend.run_schedule(topology, np.zeros((4, 2), dtype=bool))
+                run_schedule(topology, np.zeros((4, 2), dtype=bool))
             with pytest.raises(ConfigurationError):
-                backend.run_schedule(topology, np.zeros(3, dtype=bool))
+                run_schedule(topology, np.zeros(3, dtype=bool))
 
 
 class TestSizeRule:

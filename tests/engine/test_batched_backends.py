@@ -1,13 +1,16 @@
 """Tests for the kernels' replica-batched entry point (run_schedule_batch).
 
-``run_schedule_batch`` is each kernel's one schedule path, and
-``run_schedule`` is the base class's batch of one.  The contract under
-test: for both kernels, replica ``r`` of a batched execution is
-bit-identical to a standalone ``run_schedule`` call with replica ``r``'s
-schedule, channel and start round — for any mix of channels (``None``
-entries meaning noiseless, and channel subclasses that override
-``apply``) and for per-replica start rounds (including offsets that
-straddle the Philox noise-window boundary).
+``run_schedule_batch`` is each kernel's one schedule path, and each
+kernel's ``run_schedule`` is a batch of one.  The contract under test:
+for both kernels, replica ``r`` of a batched execution is bit-identical
+to a standalone ``run_schedule`` call with replica ``r``'s schedule,
+channel and start round — for any mix of channels (including channel
+subclasses that override ``apply``) and for per-replica start rounds
+(including offsets that straddle the Philox noise-window boundary).
+The kernels take one channel and one start round per replica; the
+executor, :func:`repro.engine.run_schedule_batch`, broadcasts its
+arguments to that form (``None`` entries meaning noiseless) and checks
+them, and its errors are tested here too.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.beeping import run_schedule_batch
 from repro.beeping.noise import (
     AdversarialNoise,
     BernoulliNoise,
@@ -24,7 +26,7 @@ from repro.beeping.noise import (
     NoiselessChannel,
     unreliable_zone,
 )
-from repro.engine import normalize_batch_args, validate_schedule_batch
+from repro.engine import run_schedule_batch
 from repro.engine.bitpacked import BitpackedBackend
 from repro.engine.dense import DenseBackend
 from repro.errors import ConfigurationError
@@ -38,6 +40,9 @@ from repro.graphs import (
 
 DENSE = DenseBackend()
 PACKED = BitpackedBackend()
+
+#: The ``force_kernel`` name of each kernel class.
+KERNEL_NAMES = {DenseBackend: "dense", BitpackedBackend: "bitpacked"}
 
 #: Rounds per noise window (mirrors repro.beeping.noise._WINDOW).
 WINDOW = 4096
@@ -84,8 +89,8 @@ class TestBatchMatchesLoop:
         topology = Topology(gnp_graph(20, 0.2, seed=3))
         rng = np.random.default_rng(0)
         schedules = rng.random((5, 20, 70)) < 0.3
-        channels, starts = normalize_batch_args(5, None, 0)
-        batched = backend.run_schedule_batch(topology, schedules)
+        channels, starts = [NoiselessChannel()] * 5, [0] * 5
+        batched = backend.run_schedule_batch(topology, schedules, channels, starts)
         assert np.array_equal(
             batched, batch_reference(backend, topology, schedules, channels, starts)
         )
@@ -140,33 +145,37 @@ class TestBatchMatchesLoop:
             batched, batch_reference(backend, topology, schedules, channels, starts)
         )
 
-    def test_none_channel_entries_are_noiseless(self, backend):
+    def test_none_channel_entries_are_noiseless(self, backend, force_kernel):
+        force_kernel(KERNEL_NAMES[type(backend)])
         topology = Topology(gnp_graph(14, 0.3, seed=6))
         rng = np.random.default_rng(7)
         schedules = rng.random((3, 14, 80)) < 0.3
-        noiseless = [NoiselessChannel()] * 3
-        expected = backend.run_schedule_batch(topology, schedules, noiseless)
-        mixed = [None, NoiselessChannel(), None]
-        assert np.array_equal(
-            backend.run_schedule_batch(topology, schedules, mixed), expected
+        expected = backend.run_schedule_batch(
+            topology, schedules, [NoiselessChannel()] * 3, [0] * 3
         )
-        assert np.array_equal(
-            run_schedule_batch(topology, schedules, mixed, [0, 0, 0]),
-            expected,
-        )
+        for channels in ([None, NoiselessChannel(), None], None):
+            assert np.array_equal(
+                run_schedule_batch(topology, schedules, channels, [0, 0, 0]),
+                expected,
+            )
 
     def test_single_replica_and_degenerate_shapes(self, backend):
         topology = Topology(complete_graph(5))
         rng = np.random.default_rng(4)
         one = rng.random((1, 5, 33)) < 0.5
+        noiseless = NoiselessChannel()
         assert np.array_equal(
-            backend.run_schedule_batch(topology, one)[0],
+            backend.run_schedule_batch(topology, one, [noiseless], [0])[0],
             backend.run_schedule(topology, one[0]),
         )
         empty_rounds = np.zeros((3, 5, 0), dtype=bool)
-        assert backend.run_schedule_batch(topology, empty_rounds).shape == (3, 5, 0)
+        heard = backend.run_schedule_batch(
+            topology, empty_rounds, [noiseless] * 3, [0] * 3
+        )
+        assert heard.shape == (3, 5, 0)
         empty_batch = np.zeros((0, 5, 9), dtype=bool)
-        assert backend.run_schedule_batch(topology, empty_batch).shape == (0, 5, 9)
+        heard = backend.run_schedule_batch(topology, empty_batch, [], [])
+        assert heard.shape == (0, 5, 9)
 
     @settings(max_examples=25)
     @given(
@@ -240,24 +249,34 @@ class TestBackendsAgree:
 
 
 class TestValidation:
+    """The executor's checks, made once before any kernel runs."""
+
     def test_batch_shape_checked(self):
         topology = Topology(path_graph(4))
-        with pytest.raises(ConfigurationError):
-            validate_schedule_batch(topology, np.zeros((4, 5), dtype=bool))
-        with pytest.raises(ConfigurationError):
-            validate_schedule_batch(topology, np.zeros((2, 5, 3), dtype=bool))
+        with pytest.raises(ConfigurationError, match="must have shape"):
+            run_schedule_batch(topology, np.zeros((4, 5), dtype=bool))
+        with pytest.raises(ConfigurationError, match="must have shape"):
+            run_schedule_batch(topology, np.zeros((2, 5, 3), dtype=bool))
 
     def test_channel_and_offset_counts_checked(self):
-        with pytest.raises(ConfigurationError):
-            normalize_batch_args(3, [NoiselessChannel()] * 2, 0)
-        with pytest.raises(ConfigurationError):
-            normalize_batch_args(3, None, [0, 1])
+        topology = Topology(path_graph(4))
+        schedules = np.zeros((3, 4, 2), dtype=bool)
+        with pytest.raises(ConfigurationError, match="got 2 channels for 3"):
+            run_schedule_batch(topology, schedules, [NoiselessChannel()] * 2, 0)
+        with pytest.raises(ConfigurationError, match="got 2 start rounds for 3"):
+            run_schedule_batch(topology, schedules, None, [0, 1])
 
     def test_broadcast_forms(self):
+        topology = Topology(gnp_graph(10, 0.3, seed=2))
+        schedules = np.random.default_rng(9).random((3, 10, 70)) < 0.3
         shared = BernoulliNoise(0.1, seed=1)
-        channels, starts = normalize_batch_args(3, shared, 7)
-        assert channels == [shared] * 3
-        assert starts == [7, 7, 7]
-        channels, starts = normalize_batch_args(2, None, None)
-        assert all(isinstance(c, NoiselessChannel) for c in channels)
-        assert starts == [0, 0]
+        assert np.array_equal(
+            run_schedule_batch(topology, schedules, shared, 7),
+            batch_reference(DENSE, topology, schedules, [shared] * 3, [7] * 3),
+        )
+        assert np.array_equal(
+            run_schedule_batch(topology, schedules[:2]),
+            batch_reference(
+                DENSE, topology, schedules[:2], [NoiselessChannel()] * 2, [0, 0]
+            ),
+        )

@@ -45,12 +45,13 @@ RETIRED_FLAGS = (
     ["--runtime", "reference"],
     ["--shards", "2"],
     ["--backend", "dense"],
+    ["--full"],
 )
 
 
 class TestRuntimeFlag:
-    """Usage errors exit 2: the retired ``--runtime``, ``--shards`` and
-    ``--backend`` flags, unknown axes."""
+    """Usage errors exit 2: the retired ``--runtime``, ``--shards``,
+    ``--backend`` and ``--full`` flags, unknown axes."""
 
     def test_runtime_flag_is_retired(self, capsys):
         for flag in RETIRED_FLAGS:
@@ -209,11 +210,6 @@ class TestSelection:
         assert main(["e01", "--profile", "smoke", "--format", "json"]) == 0
         [doc] = json.loads(capsys.readouterr().out)
         assert doc["profile"] == "smoke"
-
-    def test_full_conflicts_with_explicit_profile(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["e01", "--profile", "smoke", "--full"])
-        assert excinfo.value.code == 2
 
 
 class TestSweepSubcommand:

@@ -25,7 +25,7 @@ def test_docstring_gate_covers_the_lint_relevant_modules():
     # lint rules guard must stay on it so both gates move together
     for module in (
         "repro.beeping.noise",
-        "repro.engine.base",
+        "repro.engine",
         "repro.sweeps.engine",
         "repro.service.app",
     ):

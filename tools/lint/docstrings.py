@@ -30,9 +30,7 @@ __all__ = ["MODULES", "docstring_gate"]
 #: The public-API modules the docstring gate covers.
 MODULES: "tuple[str, ...]" = (
     "repro.beeping.noise",
-    "repro.beeping.batch",
     "repro.engine",
-    "repro.engine.base",
     "repro.engine.dense",
     "repro.engine.bitpacked",
     "repro.engine.packing",
