@@ -101,9 +101,13 @@ def check_leader_election(
     disconnected topology each component agrees on its own maximum —
     which is also what the reference algorithm's horizon guarantees.
     """
-    import networkx as nx
-
-    for component in nx.connected_components(topology.graph):
+    placed: set[int] = set()
+    for source in range(topology.num_nodes):
+        if source in placed:
+            continue
+        distances = topology.distances_from(source).tolist()
+        component = [v for v, hops in enumerate(distances) if hops >= 0]
+        placed.update(component)
         expected = max(ids[v] for v in component)
         for v in component:
             if outputs[v] != expected:
@@ -121,21 +125,11 @@ def check_bfs_tree(
     outputs: Sequence[tuple[int, int | None]],
 ) -> tuple[bool, str]:
     """Check distances and parent pointers against true BFS distances."""
-    import collections
-
-    true_distance = {root: 0}
-    queue = collections.deque([root])
-    while queue:
-        node = queue.popleft()
-        for neighbor in topology.neighbors[node]:
-            neighbor = int(neighbor)
-            if neighbor not in true_distance:
-                true_distance[neighbor] = true_distance[node] + 1
-                queue.append(neighbor)
+    true_distance = topology.distances_from(root).tolist()
     index_of_id = {node_id: index for index, node_id in enumerate(ids)}
     for v in range(topology.num_nodes):
         distance, parent = outputs[v]
-        expected = true_distance.get(v, -1)
+        expected = true_distance[v]
         if distance != expected:
             return False, f"node {v} distance {distance}, expected {expected}"
         if v == root:
@@ -151,6 +145,6 @@ def check_bfs_tree(
         parent_index = index_of_id[parent]
         if not topology.are_adjacent(v, parent_index):
             return False, f"node {v} parent {parent} is not a neighbour"
-        if true_distance.get(parent_index, -1) != expected - 1:
+        if true_distance[parent_index] != expected - 1:
             return False, f"node {v} parent {parent} is not one layer up"
     return True, "ok"

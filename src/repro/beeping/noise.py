@@ -33,6 +33,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..graphs import Topology
 from ..lru import LRUDict
 from ..rng import derive_rng, derive_seed
 
@@ -398,7 +399,7 @@ class DynamicTopology:
 
     def __init__(
         self,
-        base,
+        base: Topology,
         *,
         period: int,
         churn: float = 0.0,
@@ -429,16 +430,13 @@ class DynamicTopology:
         self._key = key_rng.integers(0, 2**63, size=2, dtype=np.uint64)
         # Canonical sorted (u, v) edge list of the base graph: the fixed
         # order the per-epoch edge-failure draws index into.
-        self._edges = np.asarray(
-            sorted(tuple(sorted(edge)) for edge in base.graph.edges),
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        self._epoch_cache: LRUDict[int, object] = LRUDict(
+        self._edges = np.asarray(base.edges(), dtype=np.int64).reshape(-1, 2)
+        self._epoch_cache: LRUDict[int, Topology] = LRUDict(
             self._EPOCH_CACHE_SIZE
         )
 
     @property
-    def base(self):
+    def base(self) -> Topology:
         """The unmasked static :class:`~repro.graphs.Topology`."""
         return self._base
 
@@ -501,19 +499,15 @@ class DynamicTopology:
             yield position, stop
             position = stop
 
-    def topology_at(self, round_index: int):
+    def topology_at(self, round_index: int) -> Topology:
         """The masked static topology active during ``round_index``'s epoch."""
         return self._epoch_topology(self.epoch_of(round_index))
 
-    def _epoch_topology(self, epoch: int):
+    def _epoch_topology(self, epoch: int) -> Topology:
         """Materialise (and cache) the masked topology of one epoch."""
         cached = self._epoch_cache.get(epoch)
         if cached is not None:
             return cached
-        from ..graphs import Topology  # local: avoids a package cycle at import
-
-        import networkx as nx
-
         n = self.num_nodes
         rng = np.random.Generator(
             np.random.Philox(key=self._key, counter=[0, 0, np.uint64(epoch), 0])
@@ -522,19 +516,10 @@ class DynamicTopology:
         # a pure function of (seed, epoch, n) regardless of the rates.
         node_down = rng.random(n) < self._churn
         edge_down = rng.random(self._edges.shape[0]) < self._edge_failure
-        if self._edges.shape[0]:
-            keep = ~(
-                edge_down
-                | node_down[self._edges[:, 0]]
-                | node_down[self._edges[:, 1]]
-            )
-            kept_edges = self._edges[keep]
-        else:
-            kept_edges = self._edges
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
-        graph.add_edges_from(map(tuple, kept_edges))
-        topology = Topology(graph)
+        keep = ~(
+            edge_down | node_down[self._edges[:, 0]] | node_down[self._edges[:, 1]]
+        )
+        topology = Topology.from_edges(n, self._edges[keep])
         self._epoch_cache[epoch] = topology
         return topology
 

@@ -134,7 +134,7 @@ def beep_wave_broadcast(
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
     num_bits = len(message)
-    eccentricity = _source_eccentricity(topology, source)
+    eccentricity = int(topology.distances_from(source).max())
     run_length = _WAVE_SPACING * (num_bits + 1) + eccentricity + 2
     protocols: list[BeepingProtocol] = [_RelayProtocol() for _ in range(n)]
     protocols[source] = _SourceProtocol(message, run_length, repetitions)
@@ -182,20 +182,3 @@ def beep_wave_broadcast(
         decoded=decoded, distances=distances, rounds_used=total_rounds
     )
 
-
-def _source_eccentricity(topology: Topology, source: int) -> int:
-    """Max BFS distance from the source over its connected component."""
-    import collections
-
-    seen = {source: 0}
-    queue = collections.deque([source])
-    farthest = 0
-    while queue:
-        node = queue.popleft()
-        for neighbor in topology.neighbors[node]:
-            neighbor = int(neighbor)
-            if neighbor not in seen:
-                seen[neighbor] = seen[node] + 1
-                farthest = max(farthest, seen[neighbor])
-                queue.append(neighbor)
-    return farthest

@@ -323,12 +323,9 @@ class VectorContext:
 
     def __post_init__(self) -> None:
         """Derive the CSR arrays and the sorted-ID lookup tables."""
+        # Topology's CSR rows are sorted: the slot binary search and the
+        # reference's ascending-sender inbox order both rely on it.
         adjacency = self.topology.adjacency
-        if not adjacency.has_sorted_indices:
-            # The slot binary search and the reference's ascending-sender
-            # inbox order both assume sorted rows; scipy does not promise
-            # them for every construction path, so pin the invariant.
-            adjacency.sort_indices()
         self.indptr = adjacency.indptr.astype(np.int64)
         self.edge_src = adjacency.indices.astype(np.int64)
         self.edge_dst = np.repeat(

@@ -1,8 +1,9 @@
 """Network topology generators and graph utilities.
 
-Graphs are exchanged as :class:`networkx.Graph` objects with nodes labelled
-``0..n-1``; :class:`Topology` converts them into the CSR adjacency form the
-simulators execute on.
+Generators return :class:`networkx.Graph` objects with nodes labelled
+``0..n-1``.  :class:`Topology` keeps only their sorted CSR adjacency, the
+form the simulators execute on; :meth:`Topology.from_edges` builds the
+same CSR from an edge array.
 """
 
 from .topology import Topology

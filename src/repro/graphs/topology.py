@@ -1,9 +1,10 @@
-"""Executable topology: CSR adjacency built from a ``networkx`` graph.
+"""Executable topology: a sorted boolean CSR adjacency and nothing else.
 
-The beeping and CONGEST simulators both run on :class:`Topology`, which
-precomputes the structures every round touches: a boolean CSR adjacency
-matrix (for vectorised OR-of-neighbours), per-node neighbour lists, and
-degree statistics.
+The beeping and CONGEST simulators both run on :class:`Topology`, whose
+only state is that CSR (int64 ``indptr``/``indices``, rows sorted);
+neighbour lists, degrees, edges, adjacency tests and BFS distances are
+read from it.  ``Topology(graph)`` builds it from a ``networkx`` graph,
+:meth:`Topology.from_edges` from an ``(m, 2)`` edge array.
 """
 
 from __future__ import annotations
@@ -15,8 +16,25 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import ConfigurationError
+from .validation import assert_valid_topology
 
 __all__ = ["Topology"]
+
+
+def _sorted_csr(n: int, edges: np.ndarray) -> sp.csr_matrix:
+    """The ``(n, n)`` bool CSR of valid ``(m, 2)`` int64 edges.
+
+    ``np.unique`` on the ``row * n + column`` keys of both directions
+    drops duplicate links and writes every row in ascending order.
+    """
+    u, v = edges[:, 0], edges[:, 1]
+    rows, indices = np.divmod(np.unique(np.concatenate((u * n + v, v * n + u))), n)
+    indptr = np.searchsorted(rows, np.arange(n + 1, dtype=np.int64))
+    data = np.ones(indices.size, dtype=bool)
+    # csr_array keeps the int64 index arrays; csr_matrix's tuple
+    # constructor would downcast them to int32, which the kernels'
+    # ``r * n`` index shifts could overflow.
+    return sp.csr_matrix(sp.csr_array((data, indices, indptr), shape=(n, n)))
 
 
 class Topology:
@@ -25,83 +43,99 @@ class Topology:
     Parameters
     ----------
     graph:
-        An undirected simple graph whose nodes are exactly ``0..n-1``.
-        Self-loops are rejected: a device does not hear its own antenna in
-        the beeping model (its own beeps are accounted for separately, per
-        the paper's "receives a 1 if it beeps itself" convention).
+        An undirected graph whose nodes are exactly ``0..n-1``.  Parallel
+        edges collapse to one link.  Self-loops are rejected: a device
+        does not hear its own antenna in the beeping model (its own beeps
+        are accounted for separately, per the paper's "receives a 1 if it
+        beeps itself" convention).
     """
 
     def __init__(self, graph: nx.Graph) -> None:
-        if graph.is_directed():
-            raise ConfigurationError("topology must be an undirected graph")
-        n = graph.number_of_nodes()
-        if sorted(graph.nodes) != list(range(n)):
-            raise ConfigurationError(
-                "topology nodes must be labelled 0..n-1; "
-                "use graphs.relabel_consecutive first"
-            )
-        if any(u == v for u, v in graph.edges):
+        assert_valid_topology(graph)
+        edges = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+        self._adjacency = _sorted_csr(graph.number_of_nodes(), edges)
+
+    @classmethod
+    def from_edges(cls, num_nodes: int, edges) -> "Topology":
+        """The topology on ``num_nodes`` nodes with an ``(m, 2)`` edge list.
+
+        Pairs may come in any order and orientation; duplicates collapse.
+        Out-of-range endpoints and self-loops raise ConfigurationError.
+        """
+        n = int(num_nodes)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ConfigurationError(f"edge endpoints must lie in 0..{n - 1}")
+        if np.any(edges[:, 0] == edges[:, 1]):
             raise ConfigurationError("topology must not contain self-loops")
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(n))
-        self._graph.add_edges_from(graph.edges)
-        self._num_nodes = n
+        topology = cls.__new__(cls)
+        topology._adjacency = _sorted_csr(n, edges)
+        return topology
 
     @property
     def num_nodes(self) -> int:
         """Number of devices ``n``."""
-        return self._num_nodes
+        return self._adjacency.shape[0]
 
     @property
     def num_edges(self) -> int:
         """Number of communication links ``m``."""
-        return self._graph.number_of_edges()
+        return self._adjacency.nnz // 2
 
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying ``networkx`` graph (do not mutate)."""
-        return self._graph
-
-    @cached_property
     def adjacency(self) -> sp.csr_matrix:
-        """Boolean CSR adjacency matrix of shape ``(n, n)``."""
-        if self.num_nodes == 0:
-            return sp.csr_matrix((0, 0), dtype=bool)
-        matrix = nx.to_scipy_sparse_array(
-            self._graph, nodelist=range(self.num_nodes), dtype=bool, format="csr"
-        )
-        return sp.csr_matrix(matrix)
+        """Boolean CSR adjacency matrix of shape ``(n, n)``, rows sorted."""
+        return self._adjacency
 
     @cached_property
     def neighbors(self) -> list[np.ndarray]:
-        """Per-node sorted neighbour index arrays."""
-        indptr = self.adjacency.indptr
-        indices = self.adjacency.indices
-        return [
-            np.sort(indices[indptr[v] : indptr[v + 1]]) for v in range(self.num_nodes)
-        ]
+        """Per-node sorted neighbour index arrays (views of the CSR rows)."""
+        indptr, indices = self._adjacency.indptr, self._adjacency.indices
+        return [indices[indptr[v] : indptr[v + 1]] for v in range(self.num_nodes)]
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Per-node degree vector."""
-        return np.asarray(
-            [self._graph.degree[v] for v in range(self.num_nodes)], dtype=np.int64
-        )
+        return np.diff(self._adjacency.indptr)
 
     @property
     def max_degree(self) -> int:
         """Maximum degree ``Δ`` of the network (0 for edgeless graphs)."""
-        if self.num_nodes == 0:
-            return 0
         return int(self.degrees.max(initial=0))
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as sorted ``(min, max)`` pairs."""
-        return [tuple(sorted(edge)) for edge in self._graph.edges]
+        """All edges as ``(min, max)`` pairs of ints, in ascending order."""
+        rows = np.repeat(np.arange(self.num_nodes), self.degrees)
+        indices = self._adjacency.indices
+        upper = indices > rows
+        return list(zip(rows[upper].tolist(), indices[upper].tolist()))
 
     def are_adjacent(self, u: int, v: int) -> bool:
         """Whether ``u`` and ``v`` share a link."""
-        return self._graph.has_edge(u, v)
+        if not 0 <= u < self.num_nodes:
+            return False
+        row = self.neighbors[u]
+        position = int(np.searchsorted(row, v))
+        return position < row.size and int(row[position]) == v
+
+    def distances_from(self, source: int) -> np.ndarray:
+        """BFS hop distances from ``source`` (int64; ``-1`` where unreachable)."""
+        n = self.num_nodes
+        if not 0 <= source < n:
+            raise ConfigurationError(f"source {source} out of range for {n} nodes")
+        indptr, indices = self._adjacency.indptr, self._adjacency.indices
+        distances = np.full(n, -1, dtype=np.int64)
+        frontier, hop = np.array([source], dtype=np.int64), 0
+        while frontier.size:
+            distances[frontier] = hop
+            # Gather the frontier's CSR rows: row k starts at starts[k] in
+            # indices and after the earlier rows' lengths in the gather.
+            starts = indptr[frontier]
+            lengths = indptr[frontier + 1] - starts
+            shift = np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
+            reached = indices[np.arange(lengths.sum()) - shift]
+            frontier, hop = np.unique(reached[distances[reached] < 0]), hop + 1
+        return distances
 
     def neighbor_or(self, beeps: np.ndarray) -> np.ndarray:
         """Carrier-sensing primitive: for each node, OR of neighbours' beeps.

@@ -12,14 +12,18 @@ __all__ = ["assert_valid_topology", "max_degree", "relabel_consecutive"]
 def assert_valid_topology(graph: nx.Graph) -> None:
     """Raise :class:`ConfigurationError` unless ``graph`` is simulator-ready.
 
-    Requirements: undirected, simple (no self-loops), nodes ``0..n-1``.
+    Requirements: undirected, no self-loops (parallel edges are allowed),
+    nodes ``0..n-1``.
     """
     if graph.is_directed():
         raise ConfigurationError("graph must be undirected")
     n = graph.number_of_nodes()
     if sorted(graph.nodes) != list(range(n)):
-        raise ConfigurationError("graph nodes must be exactly 0..n-1")
-    for u, v in graph.edges:
+        raise ConfigurationError(
+            "graph nodes must be exactly 0..n-1; "
+            "use graphs.relabel_consecutive first"
+        )
+    for u, v in graph.edges():
         if u == v:
             raise ConfigurationError(f"self-loop at node {u} is not allowed")
 

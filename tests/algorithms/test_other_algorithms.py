@@ -146,7 +146,9 @@ class TestLeaderElection:
 
         topology = factory()
         result = run_leader_election_bc(topology, seed=1)
-        for component in nx.connected_components(topology.graph):
+        graph = nx.Graph(topology.edges())
+        graph.add_nodes_from(range(topology.num_nodes))
+        for component in nx.connected_components(graph):
             expected = max(component)
             for v in component:
                 assert result.outputs[v] == expected, name

@@ -8,6 +8,7 @@ semantics and the grid-facing noise-model registry.
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,7 @@ from repro.engine.bitpacked import BitpackedBackend
 from repro.engine.dense import DenseBackend
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, gnp_graph, path_graph
-from repro.rng import derive_seed
+from repro.rng import derive_rng, derive_seed
 
 _WINDOW = 4096
 
@@ -329,11 +330,10 @@ class TestDynamicTopology:
         twin = DynamicTopology(base, period=4, churn=0.4, seed=7)
         first = dynamic.topology_at(0)
         assert dynamic.topology_at(3) is first  # same epoch, cached
-        assert sorted(first.graph.edges) == sorted(twin.topology_at(0).graph.edges)
+        assert first.edges() == twin.topology_at(0).edges()
         other = DynamicTopology(base, period=4, churn=0.4, seed=8)
         epochs_differ = any(
-            sorted(dynamic.topology_at(e * 4).graph.edges)
-            != sorted(other.topology_at(e * 4).graph.edges)
+            dynamic.topology_at(e * 4).edges() != other.topology_at(e * 4).edges()
             for e in range(4)
         )
         assert epochs_differ
@@ -343,11 +343,11 @@ class TestDynamicTopology:
         dynamic = DynamicTopology(
             base, period=2, churn=0.5, edge_failure=0.3, seed=3
         )
-        base_edges = set(map(tuple, map(sorted, base.graph.edges)))
+        base_edges = set(base.edges())
         for epoch in range(5):
             masked = dynamic.topology_at(epoch * 2)
             assert masked.num_nodes == base.num_nodes
-            masked_edges = set(map(tuple, map(sorted, masked.graph.edges)))
+            masked_edges = set(masked.edges())
             assert masked_edges <= base_edges
 
     def test_zero_rates_keep_full_graph(self):
@@ -360,6 +360,81 @@ class TestDynamicTopology:
         base = Topology(gnp_graph(5, 0.0, seed=0))
         dynamic = DynamicTopology(base, period=2, churn=0.5, seed=1)
         assert dynamic.topology_at(0).num_edges == 0
+
+
+def networkx_epoch_csr(graph: nx.Graph, dynamic: DynamicTopology, epoch: int):
+    """One epoch's CSR as networkx builds it: the oracle for ``topology_at``.
+
+    The same key, Philox draws and draw order as ``DynamicTopology``; the
+    kept edges go into an ``nx.Graph`` and come out through networkx's
+    own CSR export.
+    """
+    n = graph.number_of_nodes()
+    edges = np.asarray(
+        sorted(tuple(sorted(edge)) for edge in graph.edges), dtype=np.int64
+    ).reshape(-1, 2)
+    key = derive_rng(dynamic.seed, "dynamic-topology-key").integers(
+        0, 2**63, size=2, dtype=np.uint64
+    )
+    rng = np.random.Generator(
+        np.random.Philox(key=key, counter=[0, 0, np.uint64(epoch), 0])
+    )
+    node_down = rng.random(n) < dynamic.churn
+    edge_down = rng.random(edges.shape[0]) < dynamic.edge_failure
+    keep = ~(edge_down | node_down[edges[:, 0]] | node_down[edges[:, 1]])
+    masked = nx.Graph()
+    masked.add_nodes_from(range(n))
+    masked.add_edges_from(map(tuple, edges[keep]))
+    return nx.to_scipy_sparse_array(
+        masked, nodelist=range(n), dtype=bool, format="csr"
+    )
+
+
+def assert_epoch_matches(graph, dynamic, epoch) -> None:
+    """``topology_at`` over ``epoch`` has the oracle's CSR arrays."""
+    reference = networkx_epoch_csr(graph, dynamic, epoch)
+    adjacency = dynamic.topology_at(epoch * dynamic.period).adjacency
+    assert np.array_equal(adjacency.indptr, reference.indptr), epoch
+    assert np.array_equal(adjacency.indices, reference.indices), epoch
+
+
+class TestEpochOracle:
+    """Epochs built from the kept edge array equal the networkx build."""
+
+    @pytest.mark.parametrize("period", (1, 16))
+    @pytest.mark.parametrize(
+        "churn,edge_failure",
+        ((0.0, 0.0), (0.3, 0.0), (0.0, 0.25), (0.2, 0.1), (0.6, 0.5)),
+    )
+    @pytest.mark.parametrize("seed", (0, 7))
+    def test_epochs_equal_networkx_build(self, seed, churn, edge_failure, period):
+        graph = gnp_graph(24, 0.25, seed=seed)
+        dynamic = DynamicTopology(
+            Topology(graph),
+            period=period,
+            churn=churn,
+            edge_failure=edge_failure,
+            seed=seed,
+        )
+        for epoch in (0, 1, 2, 5, 255, 256, 4095, 4096):
+            assert_epoch_matches(graph, dynamic, epoch)
+
+    def test_epochs_with_every_edge_down(self):
+        graph = path_graph(4)
+        dynamic = DynamicTopology(
+            Topology(graph), period=3, churn=0.6, edge_failure=0.5, seed=1
+        )
+        down = [
+            epoch
+            for epoch in range(40)
+            if networkx_epoch_csr(graph, dynamic, epoch).nnz == 0
+        ]
+        assert down, "no epoch with every edge down"
+        for epoch in range(40):
+            assert_epoch_matches(graph, dynamic, epoch)
+        for epoch in down:
+            masked = dynamic.topology_at(epoch * 3)
+            assert masked.num_edges == 0 and masked.num_nodes == 4
 
 
 class TestDynamicExecution:

@@ -1,4 +1,9 @@
-"""Tests for the executable topology wrapper."""
+"""Tests for the executable topology wrapper.
+
+``Topology`` keeps only its CSR adjacency; the oracle tests hold that CSR
+and every accessor derived from it to the ``networkx`` graph it was
+built from, with networkx's own CSR export as the reference.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,121 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.graphs import Topology, gnp_graph, path_graph, star_graph
+from repro.graphs import (
+    Topology,
+    build_family_graph,
+    cycle_graph,
+    family_names,
+    gnp_graph,
+    path_graph,
+    star_graph,
+)
+
+#: Two feasible sizes per zoo family (tree sizes, powers of two, ...).
+ZOO_SIZES = {
+    "barbell": (9, 40),
+    "caterpillar": (8, 40),
+    "complete": (6, 24),
+    "cycle": (8, 40),
+    "disk": (10, 48),
+    "expander": (8, 48),
+    "gnp": (10, 48),
+    "grid": (9, 48),
+    "hypercube": (8, 64),
+    "path": (8, 40),
+    "planted": (8, 40),
+    "powerlaw": (10, 48),
+    "regular": (8, 48),
+    "star": (8, 40),
+    "torus": (9, 49),
+    "tree": (7, 63),
+}
+
+ZOO_CASES = [
+    (family, n, seed)
+    for family, sizes in sorted(ZOO_SIZES.items())
+    for n in sizes
+    for seed in (0, 1)
+]
+
+
+def reference_csr(graph: nx.Graph):
+    """networkx's CSR export of ``graph``: the oracle for ``adjacency``."""
+    return nx.to_scipy_sparse_array(
+        graph, nodelist=range(graph.number_of_nodes()), dtype=bool, format="csr"
+    )
+
+
+def assert_csr_matches(topology: Topology, graph: nx.Graph) -> None:
+    """``topology``'s CSR equals networkx's, in value and int64 dtype."""
+    reference = reference_csr(graph)
+    adjacency = topology.adjacency
+    assert adjacency.dtype == bool
+    assert adjacency.shape == reference.shape
+    for name in ("indptr", "indices"):
+        assert getattr(adjacency, name).dtype == np.int64
+        assert np.array_equal(getattr(adjacency, name), getattr(reference, name))
+
+
+def test_every_zoo_family_has_sizes():
+    """New zoo families must be added to the oracle matrix."""
+    assert set(ZOO_SIZES) == set(family_names())
+
+
+class TestNetworkxOracle:
+    @pytest.mark.parametrize("family,n,seed", ZOO_CASES)
+    def test_csr_equals_networkx_export(self, family, n, seed):
+        graph = build_family_graph(family, n, seed=seed)
+        assert_csr_matches(Topology(graph), graph)
+        # from_edges builds the same CSR from the bare edge list, given
+        # in reverse orientation and twice over.
+        edges = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+        twice = np.concatenate((edges[:, ::-1], edges))
+        assert_csr_matches(Topology.from_edges(n, twice), graph)
+
+    @pytest.mark.parametrize("family,n,seed", ZOO_CASES)
+    def test_accessors_agree_with_graph(self, family, n, seed):
+        graph = build_family_graph(family, n, seed=seed)
+        topology = Topology(graph)
+        assert topology.degrees.tolist() == [graph.degree[v] for v in range(n)]
+        assert topology.num_edges == graph.number_of_edges()
+        edges = topology.edges()
+        assert edges == sorted(edges)
+        assert set(edges) == {(min(u, v), max(u, v)) for u, v in graph.edges()}
+        assert all(type(u) is int and type(v) is int for u, v in edges)
+        for v in range(n):
+            assert topology.neighbors[v].tolist() == sorted(graph.neighbors(v))
+        if n <= 16:
+            for u in range(n):
+                for v in range(n):
+                    assert topology.are_adjacent(u, v) == graph.has_edge(u, v)
+
+    @pytest.mark.parametrize("family,n,seed", ZOO_CASES)
+    def test_distances_equal_shortest_paths(self, family, n, seed):
+        graph = build_family_graph(family, n, seed=seed)
+        topology = Topology(graph)
+        for source in range(n):
+            expected = nx.single_source_shortest_path_length(graph, source)
+            distances = topology.distances_from(source)
+            assert distances.dtype == np.int64
+            assert distances.tolist() == [expected.get(v, -1) for v in range(n)]
+
+    def test_distances_on_a_disconnected_graph(self):
+        graph = nx.disjoint_union(path_graph(5), cycle_graph(6))
+        graph.add_node(11)  # isolated
+        topology = Topology(graph)
+        for source in range(12):
+            expected = nx.single_source_shortest_path_length(graph, source)
+            assert topology.distances_from(source).tolist() == [
+                expected.get(v, -1) for v in range(12)
+            ]
+        assert topology.distances_from(11).tolist() == [-1] * 11 + [0]
+
+    def test_distances_reject_foreign_source(self):
+        topology = Topology(path_graph(3))
+        for source in (-1, 3):
+            with pytest.raises(ConfigurationError, match="out of range"):
+                topology.distances_from(source)
 
 
 class TestConstruction:
@@ -40,6 +159,14 @@ class TestConstruction:
         t = Topology(graph)
         assert t.num_nodes == 0
         assert t.max_degree == 0
+        assert t.num_edges == 0
+        assert t.edges() == []
+        assert t.neighbors == []
+        assert t.degrees.size == 0
+        assert t.adjacency.shape == (0, 0)
+        assert t.adjacency.indptr.tolist() == [0]
+        assert t.adjacency.indptr.dtype == t.adjacency.indices.dtype == np.int64
+        assert Topology.from_edges(0, []).adjacency.shape == (0, 0)
 
     def test_isolated_nodes_kept(self):
         graph = nx.Graph()
@@ -48,6 +175,32 @@ class TestConstruction:
         t = Topology(graph)
         assert t.num_nodes == 4
         assert t.degrees[3] == 0
+        assert t.adjacency.indptr.tolist() == [0, 1, 2, 2, 2]
+        assert t.neighbors[2].size == t.neighbors[3].size == 0
+        assert_csr_matches(t, graph)
+
+    def test_multigraph_parallel_edges_collapse(self):
+        graph = nx.MultiGraph([(0, 1), (1, 0), (1, 2), (1, 2), (2, 3)])
+        t = Topology(graph)
+        assert t.num_edges == 3
+        assert t.edges() == [(0, 1), (1, 2), (2, 3)]
+        assert t.degrees.tolist() == [1, 2, 2, 1]
+        assert_csr_matches(t, nx.Graph(graph))
+
+    def test_from_edges_rejects_foreign_endpoints(self):
+        for edges in ([(0, 3)], [(-1, 0)], [(3, 4)]):
+            with pytest.raises(ConfigurationError, match="endpoints"):
+                Topology.from_edges(3, edges)
+
+    def test_from_edges_rejects_self_loops(self):
+        with pytest.raises(ConfigurationError, match="self-loops"):
+            Topology.from_edges(3, [(0, 1), (2, 2)])
+
+    def test_no_graph_attribute(self):
+        t = Topology(path_graph(3))
+        assert not hasattr(t, "graph")
+        with pytest.raises(AttributeError):
+            t.graph  # noqa: B018 - the read itself is the check
 
 
 class TestAccessors:

@@ -112,12 +112,12 @@ def test_import_table_resolves_aliases_and_from_imports():
 
 
 def test_import_table_resolves_relative_imports():
-    tree = ast.parse("from ..engine import SimulationBackend\n")
+    tree = ast.parse("from ..engine import run_schedule_batch\n")
     table = ImportTable(tree, "repro.beeping.noise")
     resolved = table.resolve(
-        ast.parse("SimulationBackend", mode="eval").body
+        ast.parse("run_schedule_batch", mode="eval").body
     )
-    assert resolved == "repro.engine.SimulationBackend"
+    assert resolved == "repro.engine.run_schedule_batch"
 
 
 # --------------------------------------------------------------- reporting

@@ -214,10 +214,10 @@ def test_window001_fires_on_engine_import_and_backend_reference(lint_tree):
         {
             "src/repro/beeping/noise.py": """
                 \"\"\"Fixture noise layer.\"\"\"
-                from ..engine import SimulationBackend
+                from ..engine.dense import DenseBackend
 
                 def pick(backend_name):
-                    return SimulationBackend
+                    return DenseBackend
             """
         }
     )
@@ -234,6 +234,7 @@ def test_window001_silent_on_the_allowed_imports(lint_tree):
                 import numpy as np
 
                 from ..errors import ConfigurationError
+                from ..graphs import Topology
                 from ..rng import derive_rng, derive_seed
 
                 def flips(seed, window, n):
@@ -247,11 +248,12 @@ def test_window001_silent_on_the_allowed_imports(lint_tree):
 def test_window001_does_not_apply_outside_noise(lint_tree):
     findings = lint_tree(
         {
-            "src/repro/beeping/batch.py": """
-                from ..engine import SimulationBackend
+            "src/repro/core/round_simulator.py": """
+                from ..engine import run_schedule_batch
+                from ..engine.dense import DenseBackend
 
                 def run(backend):
-                    return SimulationBackend
+                    return run_schedule_batch, DenseBackend
             """
         }
     )

@@ -44,6 +44,8 @@ MODULES: "tuple[str, ...]" = (
     "repro.sweeps.engine",
     "repro.sweeps.result",
     "repro.sweeps.workloads",
+    "repro.graphs.topology",
+    "repro.graphs.validation",
     "repro.graphs.generators",
     "repro.congest.algorithm",
     "repro.congest.context",

@@ -292,7 +292,6 @@ def check_spawn_picklability(context: FileContext) -> Iterator[Finding]:
 #: Absolute module prefixes the noise/scenario layer must never import.
 _WINDOW_FORBIDDEN_MODULES = (
     "repro.engine",
-    "repro.beeping.batch",
     "repro.core.round_simulator",
 )
 
@@ -315,8 +314,11 @@ def check_window_firewall(context: FileContext) -> Iterator[Finding]:
     n)`` — never of which backend runs, how rounds are batched, or how
     many shards split the nodes.  The simplest static form of that
     guarantee: ``beeping/noise.py`` cannot even *name* the execution
-    layers.  Any import of ``repro.engine``/``repro.beeping.batch`` or
-    reference to backend/batch/shard identifiers is a violation.
+    layers.  Any import of ``repro.engine`` (the schedule executor and
+    its kernels) or ``repro.core.round_simulator`` (the batched
+    sessions), or reference to backend/batch/shard identifiers, is a
+    violation.  The graphs layer stays importable: a churn epoch is an
+    ordinary static ``Topology``.
     """
     for node in ast.walk(context.tree):
         if isinstance(node, ast.Import):
