@@ -59,7 +59,11 @@ def best_of(fn, repeats: int) -> "tuple[float, float]":
 
 
 def flip_block_section(n: int, rounds: int, eps: float, repeats: int) -> dict:
-    """Raw flip-stream generation throughput per channel, in bits/s."""
+    """Raw flip-stream generation throughput per channel, in bits/s.
+
+    Also records the bytes of flip windows each channel keeps resident
+    after one call.
+    """
     section = {}
     for label, name in MODELS:
         channel = make_noise_model(name, eps, 7, n)
@@ -71,10 +75,13 @@ def flip_block_section(n: int, rounds: int, eps: float, repeats: int) -> dict:
             channel.flip_block(start, rounds, n)
 
         best, median = best_of(generate, repeats)
+        cache = channel._window_cache
         section[label] = {
             "best_s": best,
             "median_s": median,
             "bits_per_s": (n * rounds) / best if best else float("inf"),
+            # Packed windows the last call left resident (n * 512 bytes each).
+            "window_bytes": sum(cache.get(key).nbytes for key in list(cache)),
         }
     return section
 

@@ -24,6 +24,16 @@ share a call.  That is the single property that keeps the dense,
 bit-packed and replica-batched execution paths bit-identical under every
 scenario (property-tested in ``tests/beeping/test_scenarios.py`` and
 ``tests/engine/``).
+
+Windows are stored packed, in :mod:`repro.packing`'s word layout: node
+``v``'s flip in round ``4096 w + t`` is bit ``t % 64`` of word
+``t // 64`` in row ``v`` of window ``w``'s ``(n, 64)`` ``uint64``
+matrix, and :meth:`WindowedNoise.flip_block` hands out spans of those
+words.  The Bernoulli draws never become floats: ``Generator.random()``
+maps a raw Philox word ``x`` to ``(x >> 11) · 2**-53``, and since
+``ε · 2**53`` is exact in float64, ``random() < ε`` holds exactly when
+``x < ceil(ε · 2**53) · 2**11``, so comparing the raw words against that
+integer threshold draws the very flips the float comparison would.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..graphs import Topology
 from ..lru import LRUDict
+from ..packing import WORD_BITS, pack_columns, unpack_rows, words_for
 from ..rng import derive_rng, derive_seed
 
 __all__ = [
@@ -93,33 +104,55 @@ class NoiselessChannel(NoiseModel):
 #: or in arbitrary batches yields identical noise.
 _WINDOW = 4096
 
-#: Flip windows kept resident per channel; a window is ``n * 4096`` bits,
-#: and chained phases touch at most two consecutive windows plus the
-#: occasional replay, so a handful suffices.
+#: Packed words per node in one window.
+_WINDOW_WORDS = _WINDOW // WORD_BITS
+
+#: Raw Philox words drawn at a time for a Bernoulli window (1 MiB): each
+#: chunk is compared while still in cache, faster than drawing the whole
+#: window (16 MiB at n = 512) first.
+_RAW_CHUNK_WORDS = 1 << 17
+
+#: Flip windows kept resident per channel; a window is stored packed,
+#: ``n * 512`` bytes (256 KiB at n = 512), and chained phases touch at
+#: most two consecutive windows plus the occasional replay, so a handful
+#: suffices.
 _WINDOW_CACHE_SIZE = 4
+
+
+def _raw_threshold(eps: "float | np.ndarray") -> np.ndarray:
+    """``ceil(ε · 2**53) << 11``, the bound below which a raw word flips.
+
+    Exact for ``ε`` in ``[0, 1/2)`` (see the module docstring), 0 at
+    ``ε = 0``, and elementwise for an array of rates.
+    """
+    scaled = np.ceil(np.asarray(eps, dtype=np.float64) * 2.0**53)
+    return scaled.astype(np.uint64) << np.uint64(11)
 
 
 class WindowedNoise(NoiseModel):
     """Shared machinery for window-keyed flip channels.
 
-    Subclasses implement :meth:`_window_flips` — the boolean
-    ``(_WINDOW, n)`` flip matrix of one window — from the per-window
-    Philox generator :meth:`_window_rng` provides; this base supplies the
-    1-D/2-D :meth:`apply`, the batched :meth:`flip_block`, and a small
-    per-``(window, n)`` LRU of generated windows.  Because every flip is
-    a pure function of ``(seed, round, n)``, any channel built on this
-    base automatically satisfies the window contract that keeps the
-    execution kernels bit-identical.
+    Subclasses implement :meth:`_window_flips` — the round-major boolean
+    ``(_WINDOW, n)`` flip matrix of one window, row ``t`` for round
+    ``t`` as Philox fills it — from the per-window generator
+    :meth:`_window_rng` provides.  This base packs each window once into
+    ``(n, 64)`` ``uint64`` words, keeps a small per-``(window, n)`` LRU
+    of them, and serves the packed :meth:`flip_block` and the 1-D/2-D
+    :meth:`apply` from it.  Because every flip is a pure function of
+    ``(seed, round, n)``, any channel built on this base automatically
+    satisfies the window contract that keeps the execution kernels
+    bit-identical.
     """
 
     def __init__(self, seed: int) -> None:
         self._seed = int(seed)
         key_rng = derive_rng(self._seed, "beep-noise-key")
         self._key = key_rng.integers(0, 2**63, size=2, dtype=np.uint64)
-        # Small LRU of recently generated windows, keyed by (window, n):
-        # two topologies of different sizes sharing one channel instance
-        # can never cross-contaminate, and re-querying an evicted window
-        # regenerates exactly the same flips (regression-tested).
+        # Small LRU of recently generated packed windows, keyed by
+        # (window, n): two topologies of different sizes sharing one
+        # channel instance can never cross-contaminate, and re-querying
+        # an evicted window regenerates exactly the same flips
+        # (regression-tested).
         self._window_cache: LRUDict[tuple[int, int], np.ndarray] = LRUDict(
             _WINDOW_CACHE_SIZE
         )
@@ -135,31 +168,53 @@ class WindowedNoise(NoiseModel):
         if received.ndim == 1:
             n = received.shape[0]
             window, offset = self._window_of(round_index)
-            return received ^ self._window_block(window, n)[offset]
+            word, bit = divmod(offset, WORD_BITS)
+            column = self._window_words(window, n)[:, word]
+            flips = (column >> np.uint64(bit)) & np.uint64(1)
+            return received ^ flips.astype(bool)
         if received.ndim != 2:
             raise ConfigurationError("received array must be 1-D or 2-D")
         n, rounds = received.shape
-        return received ^ self.flip_block(round_index, rounds, n)
+        return received ^ unpack_rows(self.flip_block(round_index, rounds, n), rounds)
 
     def flip_block(self, round_index: int, rounds: int, n: int) -> np.ndarray:
-        """The boolean ``(n, rounds)`` flip matrix starting at ``round_index``.
+        """The packed ``(n, words_for(rounds))`` flips from ``round_index``.
 
-        This is the raw noise stream :meth:`apply` XORs in, exposed so the
-        bit-packed kernel can pack the very same Philox flips into words
-        — the ``(seed, round)`` keying and window semantics are shared,
-        which is what makes the kernels bit-identical under noise.
+        Node ``v``'s flip in round ``round_index + t`` is bit ``t % 64``
+        of word ``t // 64`` in row ``v`` (``pack_rows`` of the boolean
+        ``(n, rounds)`` flip matrix), and pad bits are zero.  This is the
+        raw noise stream :meth:`apply` XORs in, which the bit-packed
+        kernel XORs into its packed rows as it is.  Only the windows the
+        span covers are generated or read, and the result is a fresh
+        ``<u8`` array, never a view of a cached window.
         """
-        window, offset = self._window_of(round_index)
-        flips = np.empty((n, rounds), dtype=bool)
-        position = 0
-        while position < rounds:
-            take = min(_WINDOW - offset, rounds - position)
-            block = self._window_block(window, n)
-            flips[:, position : position + take] = block[
-                offset : offset + take
-            ].T
-            position += take
-            window, offset = window + 1, 0
+        window, _ = self._window_of(round_index)
+        for name, value in (("rounds", rounds), ("n", n)):
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
+        words = words_for(rounds)
+        if words == 0:
+            return np.zeros((n, 0), dtype=np.dtype("<u8"))
+        # Global word indices of the span's first and last rounds.
+        first, shift = divmod(round_index, WORD_BITS)
+        last = (round_index + rounds - 1) // WORD_BITS
+        parts = []
+        for covered in range(window, last // _WINDOW_WORDS + 1):
+            base = covered * _WINDOW_WORDS
+            cached = self._window_words(covered, n)
+            parts.append(cached[:, max(first - base, 0) : last + 1 - base])
+        source = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        flips = source[:, :words] >> np.uint64(shift)
+        if shift:
+            # Funnel shift: word j takes its high bits from source word
+            # j + 1, which past the span's last word does not exist and
+            # reads as zero.
+            flips[:, : source.shape[1] - 1] |= source[:, 1:] << np.uint64(
+                WORD_BITS - shift
+            )
+        tail = rounds % WORD_BITS
+        if tail:
+            flips[:, -1] &= np.uint64((1 << tail) - 1)
         return flips
 
     @staticmethod
@@ -178,18 +233,37 @@ class WindowedNoise(NoiseModel):
         )
         return np.random.Generator(bit_generator)
 
-    def _window_block(self, window: int, n: int) -> np.ndarray:
-        """The ``(_WINDOW, n)`` flip matrix for one window, LRU-cached."""
+    def _window_below(
+        self, window: int, n: int, thresholds: np.ndarray
+    ) -> np.ndarray:
+        """Round-major ``(_WINDOW, n)`` flips: raw words below ``thresholds``.
+
+        The words are those ``random((_WINDOW, n))`` on :meth:`_window_rng`
+        would turn into floats, in the same order; ``thresholds`` is one
+        :func:`_raw_threshold` or one per column.
+        """
+        bit_generator = self._window_rng(window).bit_generator
+        flips = np.empty((_WINDOW, n), dtype=bool)
+        rows = max(1, _RAW_CHUNK_WORDS // max(n, 1))
+        for start in range(0, _WINDOW, rows):
+            stop = min(start + rows, _WINDOW)
+            raw = bit_generator.random_raw((stop - start, n))
+            np.less(raw, thresholds, out=flips[start:stop])
+        return flips
+
+    def _window_words(self, window: int, n: int) -> np.ndarray:
+        """The read-only packed ``(n, 64)`` flips of one window, LRU-cached."""
         cache_key = (window, n)
-        block = self._window_cache.get(cache_key)
-        if block is None:
-            block = self._window_flips(window, n)
-            self._window_cache[cache_key] = block
-        return block
+        words = self._window_cache.get(cache_key)
+        if words is None:
+            words = pack_columns(self._window_flips(window, n))
+            words.setflags(write=False)
+            self._window_cache[cache_key] = words
+        return words
 
     @abstractmethod
     def _window_flips(self, window: int, n: int) -> np.ndarray:
-        """Generate the boolean ``(_WINDOW, n)`` flip matrix of one window."""
+        """Generate the round-major boolean ``(_WINDOW, n)`` flips of one window."""
 
 
 class BernoulliNoise(WindowedNoise):
@@ -207,6 +281,7 @@ class BernoulliNoise(WindowedNoise):
                 "(use NoiselessChannel for eps = 0)"
             )
         self._eps = eps
+        self._threshold = _raw_threshold(eps)
         super().__init__(seed)
 
     @property
@@ -215,8 +290,8 @@ class BernoulliNoise(WindowedNoise):
         return self._eps
 
     def _window_flips(self, window: int, n: int) -> np.ndarray:
-        """One window of iid Bernoulli(ε) flips (uniform draws < ε)."""
-        return self._window_rng(window).random((_WINDOW, n)) < self._eps
+        """One window of iid Bernoulli(ε) flips (raw words below the threshold)."""
+        return self._window_below(window, n, self._threshold)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BernoulliNoise(eps={self._eps}, seed={self._seed})"
@@ -227,11 +302,12 @@ class HeterogeneousNoise(WindowedNoise):
 
     Models heterogeneous networks whose devices differ in radio
     reliability: each heard bit of node ``v`` flips independently with
-    that node's own rate.  The flips come from the same per-window
-    uniform Philox stream as :class:`BernoulliNoise`, thresholded per
-    column — so the window contract holds and the channel is pinned to
-    the ``n = len(eps_vector)`` it was built for (applying it to any
-    other width is a configuration error, never silent recycling).
+    that node's own rate.  The flips come from the same per-window raw
+    Philox words as :class:`BernoulliNoise`'s, compared against one
+    integer threshold per column (``ε_v = 0`` never flips) — so the
+    window contract holds and the channel is pinned to the ``n =
+    len(eps_vector)`` it was built for (applying it to any other width
+    is a configuration error, never silent recycling).
     """
 
     def __init__(self, eps_vector, seed: int) -> None:
@@ -248,6 +324,7 @@ class HeterogeneousNoise(WindowedNoise):
             )
         self._eps_vector = vector
         self._eps_vector.setflags(write=False)
+        self._thresholds = _raw_threshold(vector)
         super().__init__(seed)
 
     @property
@@ -266,15 +343,13 @@ class HeterogeneousNoise(WindowedNoise):
         return int(self._eps_vector.shape[0])
 
     def _window_flips(self, window: int, n: int) -> np.ndarray:
-        """One window of per-node Bernoulli(ε_v) flips (uniforms < ε_v)."""
+        """One window of per-node Bernoulli(ε_v) flips (one raw-word bound per node)."""
         if n != self.num_nodes:
             raise ConfigurationError(
                 f"heterogeneous channel built for {self.num_nodes} nodes "
                 f"applied to {n}"
             )
-        return self._window_rng(window).random((_WINDOW, n)) < self._eps_vector[
-            None, :
-        ]
+        return self._window_below(window, n, self._thresholds)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

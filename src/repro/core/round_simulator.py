@@ -59,6 +59,7 @@ from ..engine import run_schedule_batch
 from ..errors import ConfigurationError
 from ..graphs import Topology
 from ..lru import LRUDict
+from ..packing import sorted_unique
 from ..rng import derive_rng, derive_seed, random_bits_many
 from .parameters import CandidatePolicy, SimulationParameters
 
@@ -424,13 +425,14 @@ class BroadcastSession:
         edge_node, edge_sender = edge_node[sending], edge_sender[sending]
 
         # Phase 1 was right where the accepted and the true (node, index)
-        # key sets agree; np.unique keeps set semantics under r-collisions.
+        # key sets agree; the unique true keys keep set semantics under
+        # r-collisions.
         k1 = max(1, len(plan.candidates))
         phase1_wrong = np.zeros(n, dtype=bool)
         phase1_wrong[
             np.setxor1d(
                 pair_node * k1 + pair_cand,
-                np.unique(edge_node * k1 + own[edge_sender]),
+                sorted_unique(edge_node * k1 + own[edge_sender]),
                 assume_unique=True,
             )
             // k1
@@ -462,6 +464,9 @@ class BroadcastSession:
             np.array(plan.candidates, dtype=object)[pair_cand].tolist(),
             np.bincount(pair_node, minlength=n),
         )
+        # An r-collision is two senders on one candidate: two equal
+        # neighbours among their sorted indices.
+        sender_rows = np.sort(own[senders])
         self._round_offset = plan.round_offset + 2 * b
         return RoundOutcome(
             decoded=decoded,
@@ -470,7 +475,7 @@ class BroadcastSession:
             beep_rounds_used=2 * b,
             phase1_errors=int(phase1_wrong.sum()),
             phase2_errors=int((~phase1_wrong & ~per_node_success).sum()),
-            r_collision=bool(np.unique(own[senders]).size != senders.size),
+            r_collision=bool((sender_rows[1:] == sender_rows[:-1]).any()),
             accepted_sets=[set(values) for values in accepted],
         )
 

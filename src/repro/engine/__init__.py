@@ -41,10 +41,10 @@ import numpy as np
 from ..beeping.noise import DynamicTopology, NoiseModel, NoiselessChannel
 from ..errors import ConfigurationError
 from ..graphs import Topology
+from ..packing import WORD_BITS, pack_rows, unpack_rows, words_for
 from .bitpacked import BitpackedBackend
 from .dense import DenseBackend
 from .mp import START_METHOD, mp_context
-from .packing import WORD_BITS, pack_rows, unpack_rows, words_for
 
 __all__ = [
     "run_schedule",

@@ -1,25 +1,25 @@
 """The bit-packed kernel: 64 rounds per machine word.
 
 Schedules are packed along the round axis into ``uint64`` words
-(:mod:`~repro.engine.packing`), the OR-of-neighbours is computed with a
+(:mod:`repro.packing`), the OR-of-neighbours is computed with a
 single segmented ``bitwise_or.reduceat`` over the CSR neighbour arrays
 (64 rounds per word-OR instead of one integer multiply-add per round), and
-Bernoulli noise is applied as packed Philox flip words built from the same
-``(seed, window)``-keyed blocks as :class:`~repro.beeping.noise.
-BernoulliNoise` — so the heard matrix is bit-identical to
-:class:`~repro.engine.dense.DenseBackend` under every channel, for every
-``start_round``, including phases that straddle noise-window boundaries.
+noise is XORed in as the packed flip words that every windowed channel
+of :mod:`repro.beeping.noise` stores, in the same word layout — so the
+heard matrix is bit-identical to :class:`~repro.engine.dense.DenseBackend`
+under every channel, for every ``start_round``, including phases that
+straddle noise-window boundaries.
 
 Schedules always run as a replica batch (a single schedule is a batch of
 one): ``R`` replicas stack into one ``(R * n, words)`` word matrix, the
 OR-of-neighbours becomes a single segmented reduction over a replicated
 CSR (the neighbour arrays shifted by ``r * n`` per replica), and one loop
-over the replicas packs each windowed replica's
-:meth:`~repro.beeping.noise.WindowedNoise.flip_block` and XORs it into
-that replica's rows — the very flips that channel's own ``apply`` XORs
-in, so every replica slice is bit-identical to the dense path.  Like the
-dense kernel, it takes the executor's checked arguments, one channel and
-one start round per replica, and checks nothing again.
+over the replicas XORs each windowed replica's
+:meth:`~repro.beeping.noise.WindowedNoise.flip_block` words into that
+replica's rows — the very flips that channel's own ``apply`` XORs in, so
+every replica slice is bit-identical to the dense path.  Like the dense
+kernel, it takes the executor's checked arguments, one channel and one
+start round per replica, and checks nothing again.
 """
 
 from __future__ import annotations
@@ -36,15 +36,15 @@ from ..beeping.noise import (
     NoiselessChannel,
 )
 from ..graphs import Topology
-from .packing import pack_rows, unpack_rows
+from ..packing import pack_rows, unpack_rows
 
 __all__ = ["BitpackedBackend"]
 
 #: The exact channel types whose flips can be packed-XORed directly: the
-#: windowed channels whose ``apply`` is exactly ``received ^
-#: flip_block(...)``, so the kernel packs the Philox flip matrix into
-#: words instead of unpacking the heard bits.  Exact types only: a
-#: subclass may override ``apply``, and then only the generic boolean
+#: windowed channels whose ``apply`` is exactly ``received`` XOR the
+#: unpacked ``flip_block(...)`` words, so the kernel XORs those words into
+#: its packed rows instead of unpacking the heard bits.  Exact types only:
+#: a subclass may override ``apply``, and then only the generic boolean
 #: fallback honours it.
 _FLIP_BLOCK_TYPES = (BernoulliNoise, HeterogeneousNoise, AdversarialNoise)
 
@@ -100,7 +100,7 @@ class BitpackedBackend:
                 if rounds:
                     rows = received[r * n : (r + 1) * n]
                     flips = channel.flip_block(start_rounds[r], rounds, n)
-                    np.bitwise_xor(rows, pack_rows(flips), out=rows)
+                    np.bitwise_xor(rows, flips, out=rows)
             elif type(channel) is not NoiselessChannel:
                 generic.append(r)
         heard = unpack_rows(received, rounds).reshape(replicas, n, rounds)

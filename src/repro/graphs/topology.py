@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import ConfigurationError
+from ..packing import sorted_unique
 from .validation import assert_valid_topology
 
 __all__ = ["Topology"]
@@ -24,11 +25,12 @@ __all__ = ["Topology"]
 def _sorted_csr(n: int, edges: np.ndarray) -> sp.csr_matrix:
     """The ``(n, n)`` bool CSR of valid ``(m, 2)`` int64 edges.
 
-    ``np.unique`` on the ``row * n + column`` keys of both directions
-    drops duplicate links and writes every row in ascending order.
+    The sorted unique ``row * n + column`` keys of both directions drop
+    duplicate links and write every row in ascending order.
     """
     u, v = edges[:, 0], edges[:, 1]
-    rows, indices = np.divmod(np.unique(np.concatenate((u * n + v, v * n + u))), n)
+    keys = sorted_unique(np.concatenate((u * n + v, v * n + u)))
+    rows, indices = np.divmod(keys, n)
     indptr = np.searchsorted(rows, np.arange(n + 1, dtype=np.int64))
     data = np.ones(indices.size, dtype=bool)
     # csr_array keeps the int64 index arrays; csr_matrix's tuple

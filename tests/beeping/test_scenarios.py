@@ -30,6 +30,7 @@ from repro.engine.bitpacked import BitpackedBackend
 from repro.engine.dense import DenseBackend
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, gnp_graph, path_graph
+from repro.packing import unpack_rows
 from repro.rng import derive_rng, derive_seed
 
 _WINDOW = 4096
@@ -44,6 +45,11 @@ def _channels(n: int, seed: int = 7):
         AdversarialNoise(0.1, seed),
         unreliable_zone(n, frac=0.25, eps_hot=0.4, eps_cold=0.05, seed=seed),
     ]
+
+
+def _flips(channel, start: int, rounds: int, n: int) -> np.ndarray:
+    """``channel``'s boolean ``(n, rounds)`` flips: its packed words unpacked."""
+    return unpack_rows(channel.flip_block(start, rounds, n), rounds)
 
 
 class TestWindowContractProperty:
@@ -71,13 +77,13 @@ class TestWindowContractProperty:
     @given(st.integers(1, 20), st.integers(1, 64), st.integers(0, 2))
     def test_window_straddle_equals_concatenation(self, n, rounds, which):
         start = _WINDOW - rounds // 2 - 1
-        block = _channels(n)[which].flip_block(start, rounds, n)
+        block = _flips(_channels(n)[which], start, rounds, n)
         split = min(rounds, _WINDOW - start)
         fresh = _channels(n)[which]
-        left = fresh.flip_block(start, split, n)
+        left = _flips(fresh, start, split, n)
         parts = [left]
         if split < rounds:
-            parts.append(fresh.flip_block(start + split, rounds - split, n))
+            parts.append(_flips(fresh, start + split, rounds - split, n))
         assert np.array_equal(block, np.concatenate(parts, axis=1))
 
     @pytest.mark.parametrize("which", [0, 1, 2])
@@ -97,7 +103,8 @@ class TestNegativeRoundRejected:
     """A windowed channel keys flips by global round, which is never negative.
 
     A negative round is the one-line error the simulation entry points
-    raise, on the per-round, block and packed-flip paths alike.
+    raise, on the per-round, block and packed-flip paths alike; a
+    negative ``rounds`` or ``n`` given to ``flip_block`` is one too.
     """
 
     @pytest.mark.parametrize(
@@ -116,7 +123,18 @@ class TestNegativeRoundRejected:
                 ConfigurationError, match=r"round_index must be >= 0, got -\d$"
             ):
                 call()
-        assert channel.flip_block(0, 4, 4).shape == (4, 4)
+        assert _flips(channel, 0, 4, 4).shape == (4, 4)
+
+    @pytest.mark.parametrize(
+        "which", [0, 1, 2], ids=["bernoulli", "adversarial", "zone"]
+    )
+    def test_flip_block_rejects_negative_sizes(self, which):
+        channel = _channels(4)[which]
+        for rounds, n, name in ((-1, 4, "rounds"), (4, -3, "n"), (0, -1, "n")):
+            with pytest.raises(
+                ConfigurationError, match=rf"^{name} must be >= 0, got -\d$"
+            ):
+                channel.flip_block(0, rounds, n)
 
 
 class TestWindowCacheKey:
@@ -167,7 +185,7 @@ class TestHeterogeneousNoise:
     def test_per_node_rates_realised(self):
         vector = np.array([0.0, 0.05, 0.45])
         channel = HeterogeneousNoise(vector, seed=5)
-        flips = channel.flip_block(0, _WINDOW, 3)
+        flips = _flips(channel, 0, _WINDOW, 3)
         rates = flips.mean(axis=1)
         assert rates[0] == 0.0
         assert abs(rates[1] - 0.05) < 0.02
@@ -184,13 +202,13 @@ class TestAdversarialNoise:
         n = 20
         eps = 0.05
         channel = AdversarialNoise(eps, seed=1)
-        flips = channel.flip_block(0, _WINDOW, n)
+        flips = _flips(channel, 0, _WINDOW, n)
         assert int(flips.sum()) == int(eps * _WINDOW * n)
 
     def test_bursts_are_whole_rounds_plus_one_partial(self):
         n = 7
         channel = AdversarialNoise(0.1, seed=2)
-        per_round = channel.flip_block(0, _WINDOW, n).sum(axis=0)
+        per_round = _flips(channel, 0, _WINDOW, n).sum(axis=0)
         full = int(0.1 * _WINDOW * n) // n
         assert int((per_round == n).sum()) == full
         partial = per_round[(per_round > 0) & (per_round < n)]

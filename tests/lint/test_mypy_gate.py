@@ -1,9 +1,10 @@
 """The mypy gate over the executor and sweep engine (skipped without mypy).
 
 ``mypy.ini`` scopes basic-strictness checking (``check_untyped_defs``,
-``no_implicit_optional``) to ``src/repro/engine/`` and
-``src/repro/sweeps/`` — the schedule executor with its two kernels and
-the sweep engine that fans work across it.  mypy is not a runtime dependency of
+``no_implicit_optional``) to ``src/repro/engine/``,
+``src/repro/packing.py`` and ``src/repro/sweeps/`` — the schedule
+executor with its two kernels, the bit-packing primitives they run on,
+and the sweep engine that fans work across it.  mypy is not a runtime dependency of
 the library; when it is absent (the pinned dev container ships without
 it) the gate is skipped here and runs in CI's lint job instead.
 """
@@ -34,6 +35,7 @@ def test_engine_and_sweeps_typecheck_clean():
             "--config-file",
             "mypy.ini",
             "src/repro/engine",
+            "src/repro/packing.py",
             "src/repro/sweeps",
         ],
         capture_output=True,

@@ -33,8 +33,8 @@ MODULES: "tuple[str, ...]" = (
     "repro.engine",
     "repro.engine.dense",
     "repro.engine.bitpacked",
-    "repro.engine.packing",
     "repro.engine.mp",
+    "repro.packing",
     "repro.experiments.spec",
     "repro.experiments.api",
     "repro.experiments.result",
