@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.parameters import CandidatePolicy, SimulationParameters
+from ..core.parameters import SimulationParameters
 from ..core.round_simulator import BroadcastSession
 from ..errors import ConfigurationError
 from ..graphs import Topology
@@ -48,8 +48,6 @@ def measure_round_success(
     params: SimulationParameters,
     trials: int,
     seed: int = 0,
-    policy: CandidatePolicy = CandidatePolicy.ORACLE_WITH_DECOYS,
-    num_decoys: int = 16,
 ) -> SuccessStats:
     """Run ``trials`` independent Algorithm 1 rounds with random messages."""
     if trials < 1:
@@ -60,12 +58,7 @@ def measure_round_success(
     p1 = 0
     p2 = 0
     session = BroadcastSession(
-        topology,
-        params,
-        seed,
-        policy=policy,
-        num_decoys=num_decoys,
-        codes=params.combined_code(seed),
+        topology, params, seed, codes=params.combined_code(seed)
     )
     for trial in range(trials):
         messages = random_bits_many(message_rng, n, params.message_bits)

@@ -17,15 +17,19 @@ sequence of standalone calls with matching round offsets (same seeds →
 same :class:`RoundOutcome`\\ s).  :func:`simulate_broadcast_round` remains
 as the one-shot compatibility wrapper.
 
-Every session has one plan/decode path: schedules come from
-:func:`_build_phase_schedules_fast`, and decoding works on one array
-representation, the round's accepted ``(node, candidate index)`` pairs
-in node-major order.  :func:`_phase1_pairs` finds them with the Lemma 9
-count (a gather over each codeword's one-positions, or a float32
-product on small rounds), :func:`_phase2_nearest` gives each pair its
-nearest message index, and the ground truth comes from the topology's
-CSR.  The results are *exactly* equal (not just statistically) to the
-reference implementations: the row-by-row encoder of
+Every session has one plan/decode path, in index form.  The plan makes
+every draw of the round (``r_v``, the candidate decoys, the message
+decoys) and encodes both candidate lists, so a sender is just its
+candidate index and its message index: ``CD(r_v, m_v)`` is ``D(m_v)``
+written into the one-positions of ``C(r_v)`` (Notation 7).  Decoding
+works on one array representation, the round's accepted ``(node,
+candidate index)`` pairs in node-major order.  :func:`_phase1_pairs`
+finds them with the Lemma 9 count (a gather over each codeword's
+one-positions, or a float32 product on small rounds),
+:func:`_phase2_nearest` gives each pair its nearest message index, and
+the ground truth comes from the topology's CSR.  The results are
+*exactly* equal (not just statistically) to the reference
+implementations: the row-by-row encoder of
 ``tests/core/reference_round.py`` and the decoders of
 :mod:`repro.core.decoder`, which stay public.  Together they are the
 oracle the tests compare against (``tests/core/test_session_oracle.py``
@@ -33,10 +37,11 @@ replays whole rounds through them); no module here calls them.
 
 Every round's beeping phases run through one driver, :func:`_run_round`,
 as 3-D calls to the schedule executor,
-:func:`repro.engine.run_schedule_batch`: a standalone
-:class:`BroadcastSession` is a batch of one, and :class:`BatchedSession`
-stacks ``R`` seed-replicas of the same ``(topology, params)`` pair —
-one :class:`BroadcastSession` per seed — into one batch.
+:func:`repro.engine.run_schedule_batch`, on one schedule buffer that
+phase 2 overwrites in place: a standalone :class:`BroadcastSession` is a
+batch of one, and :class:`BatchedSession` stacks ``R`` seed-replicas of
+the same ``(topology, params)`` pair — one :class:`BroadcastSession` per
+seed — into one batch.
 ``BatchedSession(...).run_round(batch)[r]`` is bit-identical to what the
 ``r``-th standalone :class:`BroadcastSession` would return, a property
 enforced by ``tests/core/test_batched_session.py``.
@@ -130,9 +135,9 @@ class BroadcastSession:
     """An amortised multi-round engine for Algorithm 1.
 
     All per-execution state — the code pair ``(C, D)``, the channel and
-    the candidate-policy decoder state — is built in the constructor; each :meth:`run_round` call then only pays for the
-    round itself, planned and decoded through the exact vectorised
-    kernels.  The session tracks the global beeping-round offset so
+    the candidate-policy decoder state — is built in the constructor;
+    each :meth:`run_round` call then only pays for the round itself,
+    planned and decoded through the exact vectorised kernels.  The session tracks the global beeping-round offset so
     consecutive rounds chain exactly like
     :class:`~repro.core.transpiler.BeepSimulator` chains standalone calls.
 
@@ -206,8 +211,8 @@ class BroadcastSession:
         self._round_offset = 0
         # Candidate-policy decoder state, built lazily once per session:
         # the full domain's one-positions and phase-2 matrix for
-        # EXHAUSTIVE, and a bounded distance-row LRU cache for the
-        # message-decoy policies.
+        # EXHAUSTIVE, and a bounded distance-row LRU cache for the other
+        # policies.
         self._exhaustive_positions: np.ndarray | None = None
         self._exhaustive_phase2: np.ndarray | None = None
         self._distance_rows: LRUDict[int, np.ndarray] = LRUDict(
@@ -278,15 +283,17 @@ class BroadcastSession:
         messages: Sequence[int | None],
         round_offset: int | None,
     ) -> "_RoundPlan":
-        """Everything before the beeping phases: validation, draws, schedules.
+        """Everything before the beeping phases: validation, draws, encodes.
 
-        Draws each node's random string and then the candidate decoys
-        (the first two consumers of the per-round stream), encodes every
-        in-flight value and decoy in one
-        :meth:`~repro.codes.BeepCode.encode_positions` call, and builds
-        both phase schedules from those rows.  The returned plan carries
-        the still-live round RNG, which :meth:`_finish_round` continues
-        from in exactly the reference draw order (message decoys last).
+        Makes every draw of the round from the per-round stream, in the
+        reference order: each node's random string, the candidate decoys,
+        the message decoys.  Encodes the candidates in one
+        :meth:`~repro.codes.BeepCode.encode_positions` call and the
+        message candidates through the session's distance-row cache (the
+        exhaustive domains once per session).  The plan is the round in
+        index form: each sender's candidate and message index, beside the
+        candidate lists and their codewords; it holds no generator, no
+        per-node values and no schedules.
         """
         topology = self._topology
         params = self._params
@@ -308,47 +315,77 @@ class BroadcastSession:
         # Step 1: every participating node draws r_v uniformly at random.
         round_rng = derive_rng(self._seed, "round-randomness", round_offset)
         r_values = random_bits_many(round_rng, n, params.r_bits)
-        participating = [messages[v] is not None for v in range(n)]
+        senders = [v for v in range(n) if messages[v] is not None]
 
-        # Candidate enumeration per the chosen policy.
-        in_flight = sorted({r_values[v] for v in range(n) if participating[v]})
-        candidates = _candidate_set(
-            self._policy,
-            in_flight,
-            1 << params.r_bits,
-            params.r_bits,
-            self._num_decoys,
-            round_rng,
-        )
-
-        # Steps 2-3: the two oblivious beeping phase schedules.  The
-        # exhaustive domain has its own once-per-session positions, so only
-        # the other policies' candidates join the round's encode call.
-        (
-            phase1_schedule,
-            phase2_schedule,
-            slot_positions,
-            slot_rows,
-        ) = _build_phase_schedules_fast(
-            self._codes,
-            r_values,
-            messages,
-            self._distance_rows,
-            extra_values=()
-            if self._policy is CandidatePolicy.EXHAUSTIVE
-            else candidates,
-        )
+        # Both candidate lists per the policy, encoded.  Under EXHAUSTIVE
+        # the full domains are the candidates every round (a value is its
+        # own index), so they are encoded once per session.
+        beep_code = self._codes.beep_code
+        distance_code = self._codes.distance_code
+        candidates: Sequence[int]
+        message_candidates: Sequence[int]
+        candidate_row: "Sequence[int] | dict[int, int]"
+        message_row: "Sequence[int] | dict[int, int]"
+        if self._policy is CandidatePolicy.EXHAUSTIVE:
+            if self._exhaustive_positions is None:
+                self._exhaustive_positions = beep_code.encode_positions(
+                    range(1 << params.r_bits)
+                )
+                self._exhaustive_phase2 = np.stack(
+                    [
+                        distance_code.encode_int(m)
+                        for m in range(1 << params.message_bits)
+                    ]
+                )
+            candidates = candidate_row = range(1 << params.r_bits)
+            message_candidates = message_row = range(1 << params.message_bits)
+            positions = self._exhaustive_positions
+            codewords = self._exhaustive_phase2
+        else:
+            candidate_set = {r_values[v] for v in senders}
+            message_set = {messages[v] for v in senders}
+            if self._policy is CandidatePolicy.ORACLE_WITH_DECOYS:
+                candidate_set |= _draw_decoys(
+                    round_rng, params.r_bits, candidate_set, self._num_decoys
+                )
+                if message_set:
+                    message_set |= _draw_decoys(
+                        round_rng,
+                        params.message_bits,
+                        message_set,
+                        self._num_decoys,
+                        max_draws=20 * self._num_decoys,
+                    )
+            candidates = sorted(candidate_set)
+            message_candidates = sorted(message_set)  # type: ignore[type-var]
+            candidate_row = {value: row for row, value in enumerate(candidates)}
+            message_row = {m: row for row, m in enumerate(message_candidates)}
+            positions = beep_code.encode_positions(candidates)
+            codewords = np.empty(
+                (len(message_candidates), distance_code.length), dtype=bool
+            )
+            rows = self._distance_rows
+            for row, message in enumerate(message_candidates):
+                # LRU semantics via LRUDict: hits refresh recency (recurring
+                # messages are the cache's whole point, one-shot decoy rows
+                # get evicted first), misses evict at the bound on insert.
+                codeword = rows.get(message)
+                if codeword is None:
+                    codeword = np.asarray(distance_code.encode_int(message), dtype=bool)
+                    rows[message] = codeword
+                codewords[row] = codeword
+        own = np.full(n, -1, dtype=np.int64)
+        own[senders] = [candidate_row[r_values[v]] for v in senders]
+        message_index = np.full(n, -1, dtype=np.int64)
+        message_index[senders] = [message_row[messages[v]] for v in senders]
         return _RoundPlan(
-            messages=list(messages),
             round_offset=round_offset,
-            round_rng=round_rng,
-            r_values=r_values,
-            participating=participating,
             candidates=candidates,
-            phase1_schedule=phase1_schedule,
-            phase2_schedule=phase2_schedule,
-            slot_positions=slot_positions,
-            slot_rows=slot_rows,
+            positions=positions,
+            message_candidates=message_candidates,
+            codewords=codewords,
+            own=own,
+            message_index=message_index,
         )
 
     def _finish_round(
@@ -359,60 +396,31 @@ class BroadcastSession:
     ) -> RoundOutcome:
         """Everything after the beeping phases: both decode steps and the truth.
 
-        Works on candidate *indices*, never values (``r_v`` and messages
-        can exceed 64 bits); Python ints are rebuilt only for the public
-        fields.  Consumes the plan's round RNG where the plan left it
-        (message decoys) and advances the session offset, so splitting a
-        round around the beeping phases cannot perturb any stream.
+        Reads the plan's candidate and message indices and draws nothing.
+        Works on indices, never values (``r_v`` and messages can exceed
+        64 bits); Python ints are rebuilt only for the public fields.
+        Advances the session offset.
         """
         topology = self._round_topology(plan.round_offset)
-        params = self._params
-        messages = plan.messages
         n = topology.num_nodes
         b = self._codes.length
-        exhaustive = self._policy is CandidatePolicy.EXHAUSTIVE
-        senders = np.flatnonzero(plan.participating)
-
-        # Candidate one-positions, and each sender's own candidate index.
-        # Outside EXHAUSTIVE the plan's slot rows are exactly the sorted
-        # candidates; the exhaustive domain is its own index.
-        if exhaustive:
-            positions = self._exhaustive_domain_positions()
-            row_of: "Sequence[int] | dict[int, int]" = range(len(plan.candidates))
-        else:
-            positions = plan.slot_positions
-            row_of = plan.slot_rows
-        own = np.full(n, -1, dtype=np.int64)
-        own[senders] = [row_of[plan.r_values[v]] for v in senders]
+        own = plan.own
+        positions = plan.positions
 
         # Step 4a: phase-1 decoding (Lemma 9), own value removed.
         pair_node, pair_cand = _phase1_pairs(
-            heard1, positions, self._codes.beep_code.decoding_threshold(params.eps)
+            heard1,
+            positions,
+            self._codes.beep_code.decoding_threshold(self._params.eps),
         )
         keep = pair_cand != own[pair_node]
         pair_node, pair_cand = pair_node[keep], pair_cand[keep]
 
         # Step 4b: phase-2 decoding (nearest distance codeword).
-        message_candidates = sorted({messages[v] for v in senders})  # type: ignore[type-var]
-        if (
-            self._policy is CandidatePolicy.ORACLE_WITH_DECOYS
-            and message_candidates
-        ):
-            message_candidates = _with_message_decoys(
-                message_candidates,
-                params.message_bits,
-                self._num_decoys,
-                plan.round_rng,
-            )
-        if exhaustive:
-            message_candidates = list(range(1 << params.message_bits))
-        if message_candidates:
+        if len(plan.codewords):
             decoded_node = pair_node
             best = _phase2_nearest(
-                heard2,
-                pair_node,
-                positions[pair_cand],
-                self._phase2_matrix(message_candidates),
+                heard2, pair_node, positions[pair_cand], plan.codewords
             )
         else:
             decoded_node = best = pair_node[:0]
@@ -440,16 +448,9 @@ class BroadcastSession:
 
         # A node succeeded where its sorted decoded and true message
         # indices agree segment by segment (candidates sort like values).
-        k2 = max(1, len(message_candidates))
-        message_row = (
-            range(k2)
-            if exhaustive
-            else {message: row for row, message in enumerate(message_candidates)}
-        )
-        sender_message = np.zeros(n, dtype=np.int64)
-        sender_message[senders] = [message_row[messages[v]] for v in senders]
+        k2 = max(1, len(plan.message_candidates))
         decoded_keys = np.sort(decoded_node * k2 + best)
-        true_keys = np.sort(edge_node * k2 + sender_message[edge_sender])
+        true_keys = np.sort(edge_node * k2 + plan.message_index[edge_sender])
         decoded_counts = np.bincount(decoded_node, minlength=n)
         per_node_success = decoded_counts == np.bincount(edge_node, minlength=n)
         aligned = decoded_keys[per_node_success[decoded_keys // k2]]
@@ -457,7 +458,9 @@ class BroadcastSession:
         per_node_success[aligned[differ] // k2] = False
 
         decoded = _segments(
-            np.array(message_candidates, dtype=object)[decoded_keys % k2].tolist(),
+            np.array(plan.message_candidates, dtype=object)[
+                decoded_keys % k2
+            ].tolist(),
             decoded_counts,
         )
         accepted = _segments(
@@ -466,7 +469,7 @@ class BroadcastSession:
         )
         # An r-collision is two senders on one candidate: two equal
         # neighbours among their sorted indices.
-        sender_rows = np.sort(own[senders])
+        sender_rows = np.sort(own[own >= 0])
         self._round_offset = plan.round_offset + 2 * b
         return RoundOutcome(
             decoded=decoded,
@@ -495,76 +498,29 @@ class BroadcastSession:
             self.reset(round_offset)
         return [self.run_round(messages) for messages in message_rounds]
 
-    def _exhaustive_domain_positions(self) -> np.ndarray:
-        """The one-positions of every codeword of the exhaustive domain.
 
-        Under :attr:`CandidatePolicy.EXHAUSTIVE` the candidate list is the
-        full domain every round, so its rows (row ``r`` for value ``r``)
-        come from one :meth:`~repro.codes.BeepCode.encode_positions` call
-        per session.
-        """
-        if self._exhaustive_positions is None:
-            self._exhaustive_positions = self._codes.beep_code.encode_positions(
-                range(1 << self._params.r_bits)
-            )
-        return self._exhaustive_positions
-
-    def _phase2_matrix(self, message_candidates: Sequence[int]) -> np.ndarray:
-        """The phase-2 boolean codeword matrix for ``message_candidates``.
-
-        Built from a bounded per-session row cache (messages recur across
-        rounds far more than the phase-1 random strings do); the full
-        message space is cached wholesale under EXHAUSTIVE.
-        """
-        distance_code = self._codes.distance_code
-        if self._policy is CandidatePolicy.EXHAUSTIVE:
-            if self._exhaustive_phase2 is None:
-                self._exhaustive_phase2 = np.stack(
-                    [distance_code.encode_int(m) for m in message_candidates]
-                )
-            return self._exhaustive_phase2
-        rows = self._distance_rows
-        matrix = np.empty(
-            (len(message_candidates), distance_code.length), dtype=bool
-        )
-        for position, message in enumerate(message_candidates):
-            # LRU semantics via LRUDict: hits refresh recency (recurring
-            # messages are the cache's whole point, one-shot decoy rows
-            # get evicted first), misses evict at the bound on insert.
-            row = rows.get(message)
-            if row is None:
-                row = np.asarray(distance_code.encode_int(message), dtype=bool)
-                rows[message] = row
-            matrix[position] = row
-        return matrix
-
-
-@dataclass
+@dataclass(frozen=True)
 class _RoundPlan:
-    """Pre-beeping state of one simulated round (see ``_plan_round``).
+    """One simulated round in index form (see ``_plan_round``).
 
-    Carries the still-live per-round RNG between the plan and finish
-    halves so the draw order (``r_v`` values, candidate decoys, message
-    decoys) is exactly the reference order regardless of how the beeping
-    phases in between are executed.
+    Every draw is made and every codeword encoded: sender ``v`` beeps
+    row ``own[v]`` of ``positions`` in phase 1, and in phase 2 writes
+    row ``message_index[v]`` of ``codewords`` into those same positions.
     """
 
-    messages: "list[int | None]"
     round_offset: int
-    round_rng: np.random.Generator
-    r_values: list[int]
-    participating: list[bool]
-    #: The phase-1 candidate list (in-flight values plus decoys, sorted).
-    candidates: list[int]
-    phase1_schedule: np.ndarray
-    phase2_schedule: np.ndarray
-    #: The ascending one-positions of every in-flight value's and every
-    #: non-exhaustive candidate's beep codeword (row ``slot_rows[r]``;
-    #: ``None`` when there is nothing to encode), from the round's one
-    #: encode call and reused by the schedules and both decode steps.
-    #: Outside EXHAUSTIVE its rows are exactly ``candidates``, in order.
-    slot_positions: "np.ndarray | None"
-    slot_rows: "dict[int, int]"
+    #: The phase-1 candidate values, ascending.
+    candidates: "Sequence[int]"
+    #: Row ``c``: the ascending one-positions of ``C(candidates[c])``
+    #: (``(0, w)`` when there are no candidates).
+    positions: np.ndarray
+    #: The phase-2 candidate messages, ascending.
+    message_candidates: "Sequence[int]"
+    #: Row ``i``: ``D(message_candidates[i])``.
+    codewords: np.ndarray
+    #: Per node, its candidate index and its message index (−1: silent).
+    own: np.ndarray
+    message_index: np.ndarray
 
 
 def _run_round(
@@ -577,25 +533,33 @@ def _run_round(
     Each phase is one replica-batched
     :func:`~repro.engine.run_schedule_batch` call, which checks the
     stacked schedules once and splits a dynamic topology at its epochs.
+    Both phases share one ``(R, n, b)`` buffer: phase 1 sets each
+    sender's codeword positions, and phase 2 writes the sender's message
+    codeword over exactly those positions (``CD(r_v, m_v)`` is zero
+    elsewhere).  The executor returns fresh heard arrays, so the
+    overwrite cannot reach phase 1's.
     """
     first = sessions[0]
     b = first.codes.length
     channels = [session.channel for session in sessions]
-    phases = (
-        [plan.phase1_schedule for plan in plans],
-        [plan.phase2_schedule for plan in plans],
-    )
-    heard1, heard2 = (
-        run_schedule_batch(
-            first.topology,
-            np.stack(schedules),
-            channels,
-            [plan.round_offset + phase * b for plan in plans],
+    schedules = np.zeros((len(plans), first.topology.num_nodes, b), dtype=bool)
+    heard = []
+    for phase in range(2):
+        for schedule, plan in zip(schedules, plans):
+            senders = np.flatnonzero(plan.own >= 0)
+            schedule[senders[:, np.newaxis], plan.positions[plan.own[senders]]] = (
+                plan.codewords[plan.message_index[senders]] if phase else True
+            )
+        heard.append(
+            run_schedule_batch(
+                first.topology,
+                schedules,
+                channels,
+                [plan.round_offset + phase * b for plan in plans],
+            )
         )
-        for phase, schedules in enumerate(phases)
-    )
     return [
-        session._finish_round(plan, heard1[index], heard2[index])
+        session._finish_round(plan, heard[0][index], heard[1][index])
         for index, (session, plan) in enumerate(zip(sessions, plans))
     ]
 
@@ -607,64 +571,8 @@ def _checked_offset(round_offset: int) -> int:
     return round_offset
 
 
-def _build_phase_schedules_fast(
-    codes: CombinedCode,
-    r_values: Sequence[int],
-    messages: "Sequence[int | None]",
-    distance_rows: "LRUDict[int, np.ndarray]",
-    extra_values: Sequence[int] = (),
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray | None, dict[int, int]]":
-    """Both phase schedules of Algorithm 1, built for all nodes at once.
-
-    Node ``v`` beeps ``C(r_v)`` in phase 1 and ``CD(r_v, m_v)`` in
-    phase 2; a node with no message (``None``) abstains from both.
-    Phase 1 sets the one-positions of each active node's ``C(r_v)``, and
-    phase 2 scatters each ``D(m_v)`` into those positions in ascending
-    order — exactly Notation 7's ``CD`` layout — instead of looping
-    :meth:`~repro.codes.CombinedCode.encode` per node.  ``distance_rows``
-    is the owning session's bounded row cache.
-
-    The active nodes' r-values and ``extra_values`` (the round's decoy
-    candidates) are encoded together in one
-    :meth:`~repro.codes.BeepCode.encode_positions` call.  Besides the two
-    schedules, returns that slot-position matrix (``None`` when it is
-    empty) and a ``value → row`` map, so both decode steps can reuse the
-    one-positions without encoding or scanning any codeword again.
-    """
-    n = len(r_values)
-    if n != len(messages):
-        raise ConfigurationError(
-            f"{len(r_values)} r-values but {len(messages)} messages"
-        )
-    b = codes.length
-    phase1 = np.zeros((n, b), dtype=bool)
-    phase2 = np.zeros((n, b), dtype=bool)
-    active = [v for v in range(n) if messages[v] is not None]
-    values = sorted({r_values[v] for v in active}.union(extra_values))
-    if not values:
-        return phase1, phase2, None, {}
-    positions = codes.beep_code.encode_positions(values)
-    slot_rows = {value: row for row, value in enumerate(values)}
-    if not active:
-        return phase1, phase2, positions, slot_rows
-    nodes = np.asarray(active)[:, None]
-    active_positions = positions[[slot_rows[r_values[v]] for v in active]]
-    phase1[nodes, active_positions] = True
-    distance_code = codes.distance_code
-    payloads = np.empty((len(active), distance_code.length), dtype=bool)
-    for position, v in enumerate(active):
-        message = messages[v]
-        row = distance_rows.get(message)
-        if row is None:
-            row = np.asarray(distance_code.encode_int(message), dtype=bool)
-            distance_rows[message] = row
-        payloads[position] = row
-    phase2[nodes, active_positions] = payloads
-    return phase1, phase2, positions, slot_rows
-
-
 def _phase1_pairs(
-    heard: np.ndarray, positions: "np.ndarray | None", threshold: int
+    heard: np.ndarray, positions: np.ndarray, threshold: int
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Every accepted ``(node, candidate index)`` pair of the Lemma 9 test.
 
@@ -676,9 +584,6 @@ def _phase1_pairs(
     whichever kernel the size rule picks.
     """
     n, b = heard.shape
-    if positions is None:  # the round had no candidates
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
     if len(positions) * n < _GATHER_MIN_CELLS and b < _EXACT_FLOAT32_LIMIT:
         counts = _phase1_counts_sgemm(heard, positions)
     else:
@@ -774,8 +679,8 @@ class BatchedSession:
         Code parameters, shared by every replica.
     seeds:
         One master seed per replica (the batch size is ``len(seeds)``).
-    policy, num_decoys:
-        As for :class:`BroadcastSession`.
+    policy:
+        As for :class:`BroadcastSession` (with its default decoy count).
     channels:
         Optional per-replica channel overrides (one entry per seed,
         ``None`` entries meaning "the default for that seed's params") —
@@ -789,7 +694,6 @@ class BatchedSession:
         seeds: Sequence[int],
         *,
         policy: CandidatePolicy = CandidatePolicy.ORACLE_WITH_DECOYS,
-        num_decoys: int = 16,
         channels: "Sequence[NoiseModel | None] | None" = None,
     ) -> None:
         seeds = [int(seed) for seed in seeds]
@@ -803,14 +707,7 @@ class BatchedSession:
                 f"{len(seeds)} replicas"
             )
         self._sessions = tuple(
-            BroadcastSession(
-                topology,
-                params,
-                seed,
-                policy=policy,
-                num_decoys=num_decoys,
-                channel=channel,
-            )
+            BroadcastSession(topology, params, seed, policy=policy, channel=channel)
             for seed, channel in zip(seeds, channels)
         )
         self._topology = topology
@@ -894,7 +791,6 @@ def simulate_broadcast_round(
     policy: CandidatePolicy = CandidatePolicy.ORACLE_WITH_DECOYS,
     num_decoys: int = 16,
     channel: NoiseModel | None = None,
-    codes: CombinedCode | None = None,
 ) -> RoundOutcome:
     """Run Algorithm 1 once and decode every node's neighbour messages.
 
@@ -924,9 +820,6 @@ def simulate_broadcast_round(
     channel:
         Override the noise channel (defaults to the one implied by
         ``params.eps``).
-    codes:
-        Reuse a previously built code pair (saves rebuilding it when
-        simulating many rounds).
     """
     session = BroadcastSession(
         topology,
@@ -935,51 +828,38 @@ def simulate_broadcast_round(
         policy=policy,
         num_decoys=num_decoys,
         channel=channel,
-        codes=codes,
     )
     return session.run_round(messages, round_offset=round_offset)
 
 
-def _candidate_set(
-    policy: CandidatePolicy,
-    in_flight: list[int],
-    r_space: int,
-    r_bits: int,
-    num_decoys: int,
+def _draw_decoys(
     rng: np.random.Generator,
-) -> list[int]:
-    if policy is CandidatePolicy.EXHAUSTIVE:
-        return list(range(r_space))  # the session checked r_bits
-    if policy is CandidatePolicy.IN_FLIGHT:
-        return list(in_flight)
-    in_flight_set = set(in_flight)
-    # Tiny r-spaces can hold fewer free values than the decoy budget;
-    # capping it keeps the draws unchanged whenever the cap does not bind.
-    budget = min(num_decoys, r_space - len(in_flight_set))
+    bits: int,
+    taken: "set[int]",
+    num_decoys: int,
+    max_draws: "int | None" = None,
+) -> "set[int]":
+    """Distinct uniform ``bits``-bit decoys outside ``taken``, by rejection.
+
+    Draws until ``num_decoys`` values are found (fewer when the space
+    has fewer free values) or ``max_draws`` draws are spent, skipping
+    every value already taken or drawn.  Each
+    :func:`~repro.rng.random_bits_many` call asks only for the count
+    still missing, so no call reads past the draw that ends the loop:
+    the decoys, and where the generator is left, equal those of one
+    :func:`~repro.rng.random_bits` call per draw.
+    """
+    budget = min(num_decoys, (1 << bits) - len(taken))
     decoys: set[int] = set()
-    while len(decoys) < budget:
-        draw = int.from_bytes(rng.bytes(max(1, (r_bits + 7) // 8)), "little")
-        draw &= r_space - 1
-        if draw not in in_flight_set:
-            decoys.add(draw)
-    return sorted(in_flight_set | decoys)
-
-
-def _with_message_decoys(
-    message_candidates: list[int],
-    message_bits: int,
-    num_decoys: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    space = 1 << message_bits
-    existing = set(message_candidates)
-    budget = min(num_decoys, space - len(existing))
-    attempts = 0
-    while budget > 0 and attempts < 20 * num_decoys:
-        draw = int.from_bytes(rng.bytes(max(1, (message_bits + 7) // 8)), "little")
-        draw &= space - 1
-        attempts += 1
-        if draw not in existing:
-            existing.add(draw)
-            budget -= 1
-    return sorted(existing)
+    draws = 0
+    while len(decoys) < budget and (max_draws is None or draws < max_draws):
+        count = budget - len(decoys)
+        if max_draws is not None:
+            count = min(count, max_draws - draws)
+        decoys.update(
+            value
+            for value in random_bits_many(rng, count, bits)
+            if value not in taken
+        )
+        draws += count
+    return decoys

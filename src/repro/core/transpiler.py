@@ -31,7 +31,7 @@ from ..congest.vectorized import (
 from ..errors import ConfigurationError
 from ..graphs import Topology
 from .congest_wrapper import wrap_congest_algorithms
-from .parameters import CandidatePolicy, SimulationParameters
+from .parameters import SimulationParameters
 from .round_simulator import BroadcastSession
 from .stats import SimulationStats
 
@@ -67,18 +67,14 @@ class BeepSimulator:
         The network.
     params:
         Code parameters; defaults to
-        :meth:`SimulationParameters.for_network` with practical constants
-        for the given noise rate.
+        :meth:`SimulationParameters.for_network` with ``γ = 4`` and
+        practical constants for the given noise rate.
     eps:
         Channel noise rate (used only when ``params`` is omitted).
     seed:
         Master seed for codes, noise, and per-node local randomness.
     ids:
         Node identifiers (default ``0..n-1``).
-    policy, num_decoys:
-        Candidate enumeration policy for the decoders.
-    gamma:
-        Message-size multiplier ``γ`` when deriving default parameters.
     channel:
         Override the noise channel (defaults to the one implied by the
         parameters' noise rate) — the failure-injection seam.
@@ -91,9 +87,6 @@ class BeepSimulator:
         eps: float = 0.0,
         seed: int = 0,
         ids: Sequence[int] | None = None,
-        policy: CandidatePolicy = CandidatePolicy.ORACLE_WITH_DECOYS,
-        num_decoys: int = 16,
-        gamma: int = 4,
         channel: "NoiseModel | None" = None,
     ) -> None:
         n = topology.num_nodes
@@ -104,7 +97,7 @@ class BeepSimulator:
                 num_nodes=n,
                 max_degree=topology.max_degree,
                 eps=eps,
-                gamma=gamma,
+                gamma=4,
             )
         self._network = VectorizedBroadcastNetwork(
             topology, ids=ids, message_bits=params.message_bits, seed=seed
@@ -113,14 +106,7 @@ class BeepSimulator:
         # All per-execution state — codes, channel, decoder matrices — is
         # built once here and amortised across every simulated round of
         # every run.
-        self._session = BroadcastSession(
-            topology,
-            params,
-            seed,
-            policy=policy,
-            num_decoys=num_decoys,
-            channel=channel,
-        )
+        self._session = BroadcastSession(topology, params, seed, channel=channel)
 
     @property
     def params(self) -> SimulationParameters:

@@ -139,39 +139,18 @@ class BitpackedBackend:
         # on dense neighbourhoods the edge term dominates.
         words_per_replica = max(1, (n + indices.size) * packed.shape[1])
         chunk = max(1, BitpackedBackend._BATCH_CHUNK_WORDS // words_per_replica)
-        degrees = np.diff(indptr)
-        populated_nodes = np.flatnonzero(degrees)
-        starts = indptr[:-1]
+        populated = np.flatnonzero(np.diff(indptr))
+        starts = indptr[populated]
         for lo in range(0, replicas, chunk):
-            hi = min(lo + chunk, replicas)
-            count = hi - lo
-            if count == 1:
-                stacked_indices = indices if lo == 0 else indices + lo * n
-                chunk_starts = starts[populated_nodes]
-                chunk_rows = populated_nodes + lo * n
-            else:
-                node_shift = (
-                    np.arange(lo, hi, dtype=np.int64) * n
-                )[:, None]
-                edge_shift = (
-                    np.arange(count, dtype=np.int64) * indices.size
-                )[:, None]
-                stacked_indices = (indices[None, :] + node_shift).ravel()
-                stacked_starts = (starts[None, :] + edge_shift).ravel()
-                populated = (
-                    populated_nodes[None, :]
-                    + (np.arange(count, dtype=np.int64) * n)[:, None]
-                ).ravel()
-                chunk_starts = stacked_starts.reshape(count, n)[
-                    :, populated_nodes
-                ].ravel()
-                chunk_rows = populated + lo * n
-            gathered = packed[stacked_indices]
+            shift = np.arange(min(chunk, replicas - lo), dtype=np.int64)[:, None]
+            node_shift = (shift + lo) * n
             # reduceat over only the non-empty CSR segments: consecutive
             # populated starts delimit exactly one node's neighbour block
             # (empty segments between them contribute no indices), and
             # isolated nodes keep their zero rows.
-            out[chunk_rows] = np.bitwise_or.reduceat(
-                gathered, chunk_starts, axis=0
+            out[(populated + node_shift).ravel()] = np.bitwise_or.reduceat(
+                packed[(indices + node_shift).ravel()],
+                (starts + shift * indices.size).ravel(),
+                axis=0,
             )
         return out

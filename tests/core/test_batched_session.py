@@ -6,13 +6,16 @@ what the ``r``-th standalone :class:`BroadcastSession` returns on the
 same messages, for every policy, channel, kernel and round offset.
 Both run the same kernels, so the chaining and policy checks also hold
 them to the reference round of ``reference_round.py``.  The fast kernels
-(schedule building, both phase-1 counting kernels, phase-2
-nearest-codeword decode) are additionally tested value-for-value against
-their reference implementations, along with the strict Lemma 9
-threshold and the size rule that picks the phase-1 kernel.
+(the schedule buffer the round driver hands the executor, both phase-1
+counting kernels, phase-2 nearest-codeword decode) are additionally
+tested value-for-value against their reference implementations, along
+with the strict Lemma 9 threshold, the size rule that picks the phase-1
+kernel and the round's memory.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,13 +32,11 @@ from repro.core.round_simulator import (
     BatchedSession,
     BroadcastSession,
     _DISTANCE_ROW_CACHE_SIZE,
-    _build_phase_schedules_fast,
     _phase1_pairs,
     _phase2_nearest,
 )
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, path_graph, random_regular_graph, star_graph
-from repro.lru import LRUDict
 from repro.rng import derive_rng, random_bits
 
 
@@ -47,6 +48,26 @@ def distance_matrix(codes, messages):
     return np.stack(
         [np.asarray(codes.distance_code.encode_int(m), dtype=bool) for m in messages]
     )
+
+
+def spy_schedule_calls(monkeypatch):
+    """Record ``(copy, schedules, heard)`` for every executor call.
+
+    ``copy`` is the schedule buffer as it was handed in, taken before
+    the call because the round driver writes phase 2 over the buffer
+    phase 1 ran from; ``schedules`` is that buffer itself.
+    """
+    calls = []
+    original = round_simulator.run_schedule_batch
+
+    def spy(topology, schedules, *args):
+        before = schedules.copy()
+        heard = original(topology, schedules, *args)
+        calls.append((before, schedules, heard))
+        return heard
+
+    monkeypatch.setattr(round_simulator, "run_schedule_batch", spy)
+    return calls
 
 
 def random_messages(rng, n, message_bits, hole_every=0):
@@ -184,28 +205,34 @@ class TestBatchedSessionValidation:
 
 
 class TestFastKernels:
-    def test_schedule_builder_matches_reference(self):
+    def test_schedule_builder_matches_reference(self, monkeypatch):
+        """Each replica's slice of the buffer the round driver hands the
+        executor is the reference encoder's schedule, phase by phase."""
         params = SimulationParameters.for_network(16, 4, eps=0.05)
-        codes = params.combined_code(seed=13)
+        topology = Topology(random_regular_graph(16, 4, seed=13))
         rng = derive_rng(7, "inputs")
-        n = 16
-        r_values = [random_bits(rng, params.r_bits) for _ in range(n)]
-        messages = [
-            None if v % 5 == 0 else random_bits(rng, params.message_bits)
-            for v in range(n)
-        ]
-        reference = build_phase_schedules(codes, r_values, messages)
-        fast = _build_phase_schedules_fast(
-            codes, r_values, messages, LRUDict(64)
-        )
-        assert np.array_equal(reference[0], fast[0])
-        assert np.array_equal(reference[1], fast[1])
+        seeds = [13, 14]
+        batch = [random_messages(rng, 16, params.message_bits, 5) for _ in seeds]
+        batched = BatchedSession(topology, params, seeds)
+        calls = spy_schedule_calls(monkeypatch)
+        batched.run_round(batch)
+        assert len(calls) == 2
+        for r, (seed, messages) in enumerate(zip(seeds, batch)):
+            round_rng = derive_rng(seed, "round-randomness", 0)
+            r_values = [random_bits(round_rng, params.r_bits) for _ in range(16)]
+            reference = build_phase_schedules(
+                batched.sessions[r].codes, r_values, messages
+            )
+            for (captured, _, _), expected in zip(calls, reference):
+                assert np.array_equal(captured[r], expected)
 
-    def test_schedule_builder_all_silent(self):
+    def test_schedule_builder_all_silent(self, monkeypatch):
+        topology = Topology(path_graph(4))
         params = SimulationParameters.for_network(4, 2, eps=0.0)
-        codes = params.combined_code(seed=1)
-        fast = _build_phase_schedules_fast(codes, [0, 1, 2, 3], [None] * 4, LRUDict(8))
-        assert not fast[0].any() and not fast[1].any()
+        calls = spy_schedule_calls(monkeypatch)
+        BroadcastSession(topology, params, 1).run_round([None] * 4)
+        assert len(calls) == 2
+        assert not any(captured.any() for captured, _, _ in calls)
 
     def test_phase1_fast_matches_reference(self, force_phase1):
         params = SimulationParameters.for_network(12, 3, eps=0.1)
@@ -230,8 +257,11 @@ class TestFastKernels:
             for v, row in zip(nodes.tolist(), rows.tolist()):
                 fast[v].add(candidates[row])
             assert fast == reference
-        for empty in _phase1_pairs(heard, None, threshold):
-            assert empty.size == 0
+        no_candidates = np.zeros((0, positions.shape[1]), dtype=np.int64)
+        for kernel in PHASE1_KERNELS:
+            force_phase1(kernel)
+            for empty in _phase1_pairs(heard, no_candidates, threshold):
+                assert empty.size == 0
 
     def test_phase2_fast_matches_reference(self, monkeypatch):
         params = SimulationParameters.for_network(12, 3, eps=0.1)
@@ -361,3 +391,45 @@ class TestDistanceRowCacheBound:
         for session in batched.sessions:
             assert len(session._distance_rows) <= _DISTANCE_ROW_CACHE_SIZE
             assert len(session._distance_rows) > 0
+
+
+class TestRoundMemory:
+    def test_traced_peak_of_a_warm_round(self):
+        """A warm batched round stays under ``5·R·n·b`` traced bytes.
+
+        Both beeping phases share one ``(R, n, b)`` schedule buffer, so
+        the round holds three boolean stacks (the buffer and both heard
+        stacks) plus the kernels' working sets, about 1.2·R·n·b more.
+        One more schedule stack per round would break the bound.
+        """
+        n, replicas = 128, 8
+        topology = Topology(random_regular_graph(n, 8, seed=0))
+        params = SimulationParameters.for_network(n, 8, eps=0.02)
+        b = params.beep_code_length
+        assert b == 4032
+        batched = BatchedSession(topology, params, range(replicas))
+        rng = derive_rng(0, "memory")
+        batch = [random_messages(rng, n, params.message_bits) for _ in range(replicas)]
+        batched.run_round(batch)  # warm: code tables and row caches
+        tracemalloc.start()
+        try:
+            batched.run_round(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * replicas * n * b
+
+    @pytest.mark.parametrize("kernel", ["dense", "bitpacked"])
+    def test_heard_never_aliases_the_schedule_buffer(
+        self, kernel, force_kernel, monkeypatch
+    ):
+        """Phase 2 is written over the buffer phase 1 ran from, which is
+        safe only while the executor returns fresh heard arrays."""
+        force_kernel(kernel)
+        topology = Topology(path_graph(6))
+        params = SimulationParameters.for_network(6, 2, eps=0.05)
+        calls = spy_schedule_calls(monkeypatch)
+        BroadcastSession(topology, params, 3).run_round([1, 2, None, 3, 0, 1])
+        assert len(calls) == 2
+        for _, schedules, heard in calls:
+            assert not np.shares_memory(heard, schedules)

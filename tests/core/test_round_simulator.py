@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from reference_round import _draw_fresh
 from repro.core import (
     BatchedSession,
     CandidatePolicy,
     SimulationParameters,
     simulate_broadcast_round,
 )
-from repro.core.round_simulator import _candidate_set, _with_message_decoys
+from repro.core.round_simulator import _draw_decoys
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, path_graph, random_regular_graph, star_graph
 from repro.rng import derive_rng, random_bits, random_bits_many
@@ -166,52 +168,42 @@ class TestValidation:
 
 
 class TestMessageDecoys:
-    """Budget behaviour of the phase-2 decoy enumeration, especially in
-    message spaces too small to host the requested number of decoys."""
+    """Budget behaviour of the phase-2 decoy draw (capped at 20 draws per
+    decoy), especially in message spaces too small to host the requested
+    number of decoys."""
 
     def test_space_exhausted_fills_entire_domain(self):
         # 2-bit space: 3 real candidates leave room for exactly 1 decoy
-        result = _with_message_decoys(
-            [0, 1, 2], message_bits=2, num_decoys=16, rng=derive_rng(0, "t")
-        )
-        assert result == [0, 1, 2, 3]
+        result = _draw_decoys(derive_rng(0, "t"), 2, {0, 1, 2}, 16, max_draws=320)
+        assert result == {3}
 
     def test_full_space_is_a_no_op(self):
-        result = _with_message_decoys(
-            [0, 1], message_bits=1, num_decoys=16, rng=derive_rng(0, "t")
-        )
-        assert result == [0, 1]
+        rng = derive_rng(0, "t")
+        assert _draw_decoys(rng, 1, {0, 1}, 16, max_draws=320) == set()
+        assert rng.bytes(4) == derive_rng(0, "t").bytes(4)
 
     def test_zero_decoys_requested(self):
-        result = _with_message_decoys(
-            [3, 5], message_bits=4, num_decoys=0, rng=derive_rng(0, "t")
-        )
-        assert result == [3, 5]
+        result = _draw_decoys(derive_rng(0, "t"), 4, {3, 5}, 0, max_draws=0)
+        assert result == set()
 
-    def test_candidates_preserved_and_sorted(self):
-        result = _with_message_decoys(
-            [9, 2], message_bits=6, num_decoys=4, rng=derive_rng(1, "t")
-        )
-        assert {9, 2} <= set(result)
-        assert result == sorted(set(result))
-        assert len(result) == 6
+    def test_decoys_avoid_taken_values(self):
+        result = _draw_decoys(derive_rng(1, "t"), 6, {9, 2}, 4, max_draws=80)
+        assert not result & {9, 2}
+        assert len(result) == 4
 
     def test_decoys_within_message_space(self):
         bits = 3
-        result = _with_message_decoys(
-            [0], message_bits=bits, num_decoys=5, rng=derive_rng(2, "t")
-        )
+        result = _draw_decoys(derive_rng(2, "t"), bits, {0}, 5, max_draws=100)
         assert all(0 <= value < (1 << bits) for value in result)
-        assert len(result) == 6  # 1 real + 5 decoys fit in an 8-value space
+        assert len(result) == 5  # 1 real + 5 decoys fit in an 8-value space
 
     def test_attempt_cap_terminates_with_tight_space(self):
         # 7 of 8 values taken: one decoy slot, mostly colliding draws.  The
         # attempt cap (20 * num_decoys) guarantees termination either way.
-        result = _with_message_decoys(
-            list(range(7)), message_bits=3, num_decoys=1, rng=derive_rng(3, "t")
+        result = _draw_decoys(
+            derive_rng(3, "t"), 3, set(range(7)), 1, max_draws=20
         )
-        assert set(result) >= set(range(7))
-        assert len(result) <= 8
+        assert result <= {7}
 
     def test_simulated_round_in_tiny_message_space(self, path6):
         """End-to-end: a round whose message space cannot host the default
@@ -249,20 +241,13 @@ class TestRandomStrings:
 
 
 class TestCandidateDecoys:
-    """Budget behaviour of the phase-1 decoy enumeration in r-spaces with
-    fewer free values than the requested number of decoys."""
+    """Budget behaviour of the phase-1 decoy draw (uncapped) in r-spaces
+    with fewer free values than the requested number of decoys."""
 
     def test_space_exhausted_fills_entire_domain(self):
         # 3-bit r-space: 2 in flight leave room for exactly 6 decoys.
-        result = _candidate_set(
-            CandidatePolicy.ORACLE_WITH_DECOYS,
-            [1, 6],
-            r_space=8,
-            r_bits=3,
-            num_decoys=16,
-            rng=derive_rng(0, "t"),
-        )
-        assert result == list(range(8))
+        result = _draw_decoys(derive_rng(0, "t"), 3, {1, 6}, 16)
+        assert result == set(range(8)) - {1, 6}
 
     def test_round_on_two_node_network_terminates(self):
         """Regression: for_network(2, 1) gives r_bits = 3, an 8-value
@@ -277,3 +262,49 @@ class TestCandidateDecoys:
         batched = BatchedSession(topology, params, [0, 1])
         outcomes = batched.run_round([[1, 0], [0, 1]])
         assert [o.decoded for o in outcomes] == [[[0], [1]], [[1], [0]]]
+
+
+class TestDecoySampler:
+    """``_draw_decoys`` batches its draws through ``random_bits_many``;
+    the reference draws one value per ``Generator.bytes`` call.  Both must
+    pick the same decoys and leave the generator in the same place."""
+
+    @given(
+        seed=st.integers(0, 2**32),
+        bits=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 31, 33, 64, 79]),
+        taken=st.sets(st.integers(0, 2**79 - 1), max_size=12),
+        num_decoys=st.integers(0, 20),
+        capped=st.booleans(),
+    )
+    def test_matches_one_draw_at_a_time(self, seed, bits, taken, num_decoys, capped):
+        taken = {value & ((1 << bits) - 1) for value in taken}
+        budget = min(num_decoys, (1 << bits) - len(taken))
+        max_draws = 20 * num_decoys if capped else None
+        batched = derive_rng(seed, "decoys")
+        reference = derive_rng(seed, "decoys")
+        decoys = _draw_decoys(batched, bits, taken, num_decoys, max_draws)
+        assert decoys == _draw_fresh(reference, bits, taken, budget, max_draws)
+        assert batched.bytes(16) == reference.bytes(16)
+
+    @given(
+        seed=st.integers(0, 2**32),
+        free=st.integers(0, 8),
+        num_decoys=st.integers(0, 20),
+        capped=st.booleans(),
+    )
+    def test_fewer_free_values_than_budget(self, seed, free, num_decoys, capped):
+        """An 8-bit space with at most eight free values: most draws
+        collide, the budget shrinks to the free values, and the cap
+        often ends the loop inside a batch.  Uncapped, every free value
+        is drawn once the budget covers them all."""
+        bits = 8
+        taken = set(range(free, 1 << bits))
+        budget = min(num_decoys, free)
+        max_draws = 20 * num_decoys if capped else None
+        batched = derive_rng(seed, "tight")
+        reference = derive_rng(seed, "tight")
+        decoys = _draw_decoys(batched, bits, taken, num_decoys, max_draws)
+        assert decoys == _draw_fresh(reference, bits, taken, budget, max_draws)
+        assert batched.bytes(16) == reference.bytes(16)
+        if not capped and num_decoys >= free:
+            assert decoys == set(range(free))
