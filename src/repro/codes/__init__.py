@@ -8,12 +8,14 @@
 * :class:`CombinedCode` — the combined code ``CD(r, m)`` of Notation 7 /
   Figure 1, writing a distance codeword into the one-positions of a beep
   codeword.
+* :func:`encode_batch` — the codewords of several random codes and value
+  lists from one batched pass over their exact ``(seed, input)`` streams.
 * :class:`KautzSingletonCode` — the classical ``(a, k)``-superimposed codes
   of Definition 1 (Kautz–Singleton, via Reed–Solomon), the baseline whose
   ``O(k²a)`` length motivates the paper's weaker beep-code requirement.
 """
 
-from .base import Code
+from .base import Code, encode_batch
 from .distance import DistanceCode, minimum_pairwise_distance, paper_c_delta
 from .beep import BeepCode
 from .combined import CombinedCode
@@ -27,6 +29,7 @@ from .analysis import (
 
 __all__ = [
     "Code",
+    "encode_batch",
     "DistanceCode",
     "minimum_pairwise_distance",
     "paper_c_delta",

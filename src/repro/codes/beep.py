@@ -24,8 +24,8 @@ from .. import bitstrings
 from ..bitstrings import BitString
 from ..errors import ConfigurationError
 from ..rng import derive_rng
-from ..rng_philox import sorted_choices
-from .base import Code
+from ..rng_philox import choice_blocks, floyd_choices
+from .base import Code, Streams, encode_batch
 
 __all__ = ["BeepCode"]
 
@@ -134,23 +134,33 @@ class BeepCode(Code):
         Returns a ``(len(values), weight)`` int64 array whose row ``i``
         equals ``np.flatnonzero(self.encode_int(values[i]))``, computed for
         all values in one vectorised pass over :meth:`encode_int`'s exact
-        stream (:func:`repro.rng_philox.sorted_choices`).  The rows that
-        pass cannot reproduce — a rejected Lemire draw, or a code in
-        numpy's tail-shuffle branch — come from :meth:`encode_int`.
+        stream (:func:`repro.codes.encode_batch`: the Philox blocks, then
+        :func:`~repro.rng_philox.floyd_choices`).  The rows that pass
+        cannot reproduce — a rejected Lemire draw, or a code in numpy's
+        tail-shuffle branch — come from :meth:`encode_int`.
         """
-        values = [int(value) for value in values]
-        for value in values:
-            self._check_value(value)
-        positions, exact = sorted_choices(
+        [positions] = encode_batch([(self, values)])
+        return positions
+
+    def _streams(self, values: list[int]) -> Streams:
+        """Floyd's stage over each value's first
+        :func:`~repro.rng_philox.choice_blocks` blocks (none in the
+        tail-shuffle branch); the rows it cannot reproduce come from
+        :meth:`encode_int`."""
+
+        def positions(blocks: np.ndarray) -> np.ndarray:
+            rows, exact = floyd_choices(blocks, self.length, self.weight)
+            for row in np.flatnonzero(~exact):
+                rows[row] = np.flatnonzero(self.encode_int(values[row]))
+            return rows
+
+        group = (
             self._seed,
             ("beep-code", self.length, self.weight),
-            self.length,
-            self.weight,
             values,
+            choice_blocks(self.length, self.weight),
         )
-        for row in np.flatnonzero(~exact):
-            positions[row] = np.flatnonzero(self.encode_int(values[row]))
-        return positions
+        return group, positions
 
     def noiseless_membership_test(self, value: int, heard: BitString) -> bool:
         """Whether codeword ``value`` is consistent with a noiseless

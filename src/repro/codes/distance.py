@@ -21,7 +21,8 @@ from .. import bitstrings
 from ..bitstrings import BitString
 from ..errors import ConfigurationError
 from ..rng import derive_rng
-from .base import Code
+from ..rng_philox import bit_blocks, top_bits
+from .base import Code, Streams, encode_batch
 
 __all__ = ["DistanceCode", "paper_c_delta", "minimum_pairwise_distance"]
 
@@ -84,6 +85,26 @@ class DistanceCode(Code):
         self._check_value(value)
         rng = derive_rng(self._seed, "distance-code", self.length, value)
         return bitstrings.random_bitstring(rng, self.length)
+
+    def encode_many(self, values: Sequence[int]) -> np.ndarray:
+        """``D(v)`` for every ``v`` in ``values``, as a ``(len(values), b)``
+        boolean matrix.
+
+        Row ``i`` equals ``encode_int(values[i])``, computed for all values
+        in one vectorised pass over its exact stream
+        (:func:`repro.codes.encode_batch`: the Philox blocks, then
+        :func:`~repro.rng_philox.top_bits`): a range-2 byte draw never
+        rejects, so no row needs the reference generator.
+        """
+        [rows] = encode_batch([(self, values)])
+        return rows
+
+    def _streams(self, values: list[int]) -> Streams:
+        """The top-bit stage over each value's first
+        :func:`~repro.rng_philox.bit_blocks` blocks."""
+        length = self.length
+        group = (self._seed, ("distance-code", length), values, bit_blocks(length))
+        return group, lambda blocks: top_bits(blocks, length)
 
     def decode_nearest(
         self, word: BitString, candidates: Iterable[int] | None = None

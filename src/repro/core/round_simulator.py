@@ -21,7 +21,11 @@ Every session has one plan/decode path, in index form.  The plan makes
 every draw of the round (``r_v``, the candidate decoys, the message
 decoys) and encodes both candidate lists, so a sender is just its
 candidate index and its message index: ``CD(r_v, m_v)`` is ``D(m_v)``
-written into the one-positions of ``C(r_v)`` (Notation 7).  Decoding
+written into the one-positions of ``C(r_v)`` (Notation 7).  Both codes
+are random codes keyed by ``(seed, input)``, so one
+:func:`~repro.codes.encode_batch` call, one Philox pass, derives every
+codeword a round needs, for every replica of a batch at once
+(:func:`_plan_round`).  Decoding
 works on one array representation, the round's accepted ``(node,
 candidate index)`` pairs in node-major order.  :func:`_phase1_pairs`
 finds them with the Lemma 9 count (a gather over each codeword's
@@ -59,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from ..beeping.noise import DynamicTopology, NoiseModel, make_noise_model
-from ..codes import CombinedCode
+from ..codes import CombinedCode, encode_batch
 from ..engine import run_schedule_batch
 from ..errors import ConfigurationError
 from ..graphs import Topology
@@ -262,7 +266,7 @@ class BroadcastSession:
         ``>= 0``; either way the session's offset advances to just past
         this round, so back-to-back calls chain contiguously.
         """
-        return _run_round([self], [self._plan_round(messages, round_offset)])[0]
+        return _run_round([self], _plan_round([self], [messages], round_offset))[0]
 
     def _round_topology(self, round_offset: int) -> Topology:
         """The static adjacency defining a round's ground truth.
@@ -278,22 +282,21 @@ class BroadcastSession:
             return self._topology.topology_at(round_offset)
         return self._topology
 
-    def _plan_round(
+    def _draw_round(
         self,
         messages: Sequence[int | None],
         round_offset: int | None,
-    ) -> "_RoundPlan":
-        """Everything before the beeping phases: validation, draws, encodes.
+    ) -> "tuple[_Draws, np.ndarray, list[int]]":
+        """The draw stage of :func:`_plan_round`: validation, draws, row lookups.
 
         Makes every draw of the round from the per-round stream, in the
         reference order: each node's random string, the candidate decoys,
-        the message decoys.  Encodes the candidates in one
-        :meth:`~repro.codes.BeepCode.encode_positions` call and the
-        message candidates through the session's distance-row cache (the
-        exhaustive domains once per session).  The plan is the round in
-        index form: each sender's candidate and message index, beside the
-        candidate lists and their codewords; it holds no generator, no
-        per-node values and no schedules.
+        the message decoys.  Then looks the message candidates up in the
+        session's distance-row LRU.  Returns the draws, the
+        ``D(message_candidates)`` matrix and the rows of it the encode
+        stage still owes (the LRU's misses; until then those rows are
+        unset).  Under EXHAUSTIVE the session's domain matrices supply
+        every row, so nothing is owed.
         """
         topology = self._topology
         params = self._params
@@ -317,29 +320,24 @@ class BroadcastSession:
         r_values = random_bits_many(round_rng, n, params.r_bits)
         senders = [v for v in range(n) if messages[v] is not None]
 
-        # Both candidate lists per the policy, encoded.  Under EXHAUSTIVE
-        # the full domains are the candidates every round (a value is its
-        # own index), so they are encoded once per session.
-        beep_code = self._codes.beep_code
-        distance_code = self._codes.distance_code
+        # Both candidate lists per the policy.  Under EXHAUSTIVE the full
+        # domains are the candidates every round (a value is its own
+        # index), so they are encoded once per session.
         candidates: Sequence[int]
         message_candidates: Sequence[int]
         candidate_row: "Sequence[int] | dict[int, int]"
         message_row: "Sequence[int] | dict[int, int]"
+        misses: list[int] = []
         if self._policy is CandidatePolicy.EXHAUSTIVE:
             if self._exhaustive_positions is None:
-                self._exhaustive_positions = beep_code.encode_positions(
+                self._exhaustive_positions = self._codes.beep_code.encode_positions(
                     range(1 << params.r_bits)
                 )
-                self._exhaustive_phase2 = np.stack(
-                    [
-                        distance_code.encode_int(m)
-                        for m in range(1 << params.message_bits)
-                    ]
+                self._exhaustive_phase2 = self._codes.distance_code.encode_many(
+                    range(1 << params.message_bits)
                 )
             candidates = candidate_row = range(1 << params.r_bits)
             message_candidates = message_row = range(1 << params.message_bits)
-            positions = self._exhaustive_positions
             codewords = self._exhaustive_phase2
         else:
             candidate_set = {r_values[v] for v in senders}
@@ -360,43 +358,55 @@ class BroadcastSession:
             message_candidates = sorted(message_set)  # type: ignore[type-var]
             candidate_row = {value: row for row, value in enumerate(candidates)}
             message_row = {m: row for row, m in enumerate(message_candidates)}
-            positions = beep_code.encode_positions(candidates)
             codewords = np.empty(
-                (len(message_candidates), distance_code.length), dtype=bool
+                (len(message_candidates), self._codes.distance_code.length),
+                dtype=bool,
             )
-            rows = self._distance_rows
             for row, message in enumerate(message_candidates):
-                # LRU semantics via LRUDict: hits refresh recency (recurring
-                # messages are the cache's whole point, one-shot decoy rows
-                # get evicted first), misses evict at the bound on insert.
-                codeword = rows.get(message)
+                # A hit refreshes the row's recency (recurring messages are
+                # the cache's whole point); the encode stage inserts misses.
+                codeword = self._distance_rows.get(message)
                 if codeword is None:
-                    codeword = np.asarray(distance_code.encode_int(message), dtype=bool)
-                    rows[message] = codeword
-                codewords[row] = codeword
+                    misses.append(row)
+                else:
+                    codewords[row] = codeword
         own = np.full(n, -1, dtype=np.int64)
         own[senders] = [candidate_row[r_values[v]] for v in senders]
         message_index = np.full(n, -1, dtype=np.int64)
         message_index[senders] = [message_row[messages[v]] for v in senders]
-        return _RoundPlan(
+        draws = _Draws(
             round_offset=round_offset,
             candidates=candidates,
-            positions=positions,
             message_candidates=message_candidates,
-            codewords=codewords,
             own=own,
             message_index=message_index,
         )
+        return draws, codewords, misses
+
+    def _accepted_pairs(
+        self, plan: "_RoundPlan", heard: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Phase 1's decode (Lemma 9): the accepted ``(node, candidate
+        index)`` pairs of ``heard``, node-major, each sender's own
+        candidate removed."""
+        pair_node, pair_cand = _phase1_pairs(
+            heard,
+            plan.positions,
+            self._codes.beep_code.decoding_threshold(self._params.eps),
+        )
+        keep = pair_cand != plan.own[pair_node]
+        return pair_node[keep], pair_cand[keep]
 
     def _finish_round(
         self,
         plan: "_RoundPlan",
-        heard1: np.ndarray,
+        pairs: "tuple[np.ndarray, np.ndarray]",
         heard2: np.ndarray,
     ) -> RoundOutcome:
-        """Everything after the beeping phases: both decode steps and the truth.
+        """Everything after phase 1's decode: phase 2's decode and the truth.
 
-        Reads the plan's candidate and message indices and draws nothing.
+        Takes phase 1's accepted pairs (:meth:`_accepted_pairs`), reads
+        the plan's candidate and message indices and draws nothing.
         Works on indices, never values (``r_v`` and messages can exceed
         64 bits); Python ints are rebuilt only for the public fields.
         Advances the session offset.
@@ -405,22 +415,13 @@ class BroadcastSession:
         n = topology.num_nodes
         b = self._codes.length
         own = plan.own
-        positions = plan.positions
-
-        # Step 4a: phase-1 decoding (Lemma 9), own value removed.
-        pair_node, pair_cand = _phase1_pairs(
-            heard1,
-            positions,
-            self._codes.beep_code.decoding_threshold(self._params.eps),
-        )
-        keep = pair_cand != own[pair_node]
-        pair_node, pair_cand = pair_node[keep], pair_cand[keep]
+        pair_node, pair_cand = pairs
 
         # Step 4b: phase-2 decoding (nearest distance codeword).
         if len(plan.codewords):
             decoded_node = pair_node
             best = _phase2_nearest(
-                heard2, pair_node, positions[pair_cand], plan.codewords
+                heard2, pair_node, plan.positions[pair_cand], plan.codewords
             )
         else:
             decoded_node = best = pair_node[:0]
@@ -500,27 +501,82 @@ class BroadcastSession:
 
 
 @dataclass(frozen=True)
-class _RoundPlan:
-    """One simulated round in index form (see ``_plan_round``).
-
-    Every draw is made and every codeword encoded: sender ``v`` beeps
-    row ``own[v]`` of ``positions`` in phase 1, and in phase 2 writes
-    row ``message_index[v]`` of ``codewords`` into those same positions.
-    """
+class _Draws:
+    """One replica's draws for a round, in index form (the draw stage of
+    :func:`_plan_round`)."""
 
     round_offset: int
     #: The phase-1 candidate values, ascending.
     candidates: "Sequence[int]"
-    #: Row ``c``: the ascending one-positions of ``C(candidates[c])``
-    #: (``(0, w)`` when there are no candidates).
-    positions: np.ndarray
     #: The phase-2 candidate messages, ascending.
     message_candidates: "Sequence[int]"
-    #: Row ``i``: ``D(message_candidates[i])``.
-    codewords: np.ndarray
     #: Per node, its candidate index and its message index (−1: silent).
     own: np.ndarray
     message_index: np.ndarray
+
+
+@dataclass(frozen=True)
+class _RoundPlan(_Draws):
+    """One simulated round in index form: its draws, every codeword encoded.
+
+    Sender ``v`` beeps row ``own[v]`` of ``positions`` in phase 1, and in
+    phase 2 writes row ``message_index[v]`` of ``codewords`` into those
+    same positions.
+    """
+
+    #: Row ``c``: the ascending one-positions of ``C(candidates[c])``
+    #: (``(0, w)`` when there are no candidates).
+    positions: np.ndarray
+    #: Row ``i``: ``D(message_candidates[i])``.
+    codewords: np.ndarray
+
+
+def _plan_round(
+    sessions: "Sequence[BroadcastSession]",
+    messages: "Sequence[Sequence[int | None]]",
+    round_offset: int | None,
+) -> "list[_RoundPlan]":
+    """Plan one round for every session: a draw stage each, one encode stage.
+
+    The draw stage (:meth:`BroadcastSession._draw_round`) validates each
+    replica's messages, makes its draws in the reference order and looks
+    its message candidates up in its distance-row LRU.  The encode stage
+    then derives every codeword the batch still owes — each replica's
+    beep candidates (unless its exhaustive domain holds them) and
+    distance-row misses — with one :func:`~repro.codes.encode_batch`
+    call, one Philox pass over the exact ``derive_rng`` streams, and
+    caches the new rows.  Each plan is built once, complete, and is the
+    same whether its session is planned alone or in a batch.
+    """
+    drawn = [
+        session._draw_round(replica_messages, round_offset)
+        for session, replica_messages in zip(sessions, messages)
+    ]
+    requests = []
+    for session, (draws, _, misses) in zip(sessions, drawn):
+        exhaustive = session._policy is CandidatePolicy.EXHAUSTIVE
+        requests += [
+            (session.codes.beep_code, [] if exhaustive else draws.candidates),
+            (
+                session.codes.distance_code,
+                [draws.message_candidates[row] for row in misses],
+            ),
+        ]
+    encoded = encode_batch(requests)
+    plans = []
+    for session, (draws, codewords, misses), positions, rows in zip(
+        sessions, drawn, encoded[::2], encoded[1::2]
+    ):
+        if session._policy is CandidatePolicy.EXHAUSTIVE:
+            positions = session._exhaustive_positions
+        for row, codeword in zip(misses, rows):
+            codewords[row] = codeword
+            # A copy, so the cached row does not pin the round's matrix.
+            session._distance_rows[draws.message_candidates[row]] = codeword.copy()
+        plans.append(
+            _RoundPlan(**vars(draws), positions=positions, codewords=codewords)
+        )
+    return plans
 
 
 def _run_round(
@@ -537,30 +593,42 @@ def _run_round(
     sender's codeword positions, and phase 2 writes the sender's message
     codeword over exactly those positions (``CD(r_v, m_v)`` is zero
     elsewhere).  The executor returns fresh heard arrays, so the
-    overwrite cannot reach phase 1's.
+    overwrite cannot reach phase 1's.  Phase 1's heard stack is decoded
+    into each replica's accepted pairs and dropped before phase 2 runs,
+    and the buffer is dropped before the finishes, so no more than two
+    ``(R, n, b)`` stacks are ever alive.
     """
     first = sessions[0]
     b = first.codes.length
     channels = [session.channel for session in sessions]
+    senders = [np.flatnonzero(plan.own >= 0) for plan in plans]
     schedules = np.zeros((len(plans), first.topology.num_nodes, b), dtype=bool)
-    heard = []
-    for phase in range(2):
-        for schedule, plan in zip(schedules, plans):
-            senders = np.flatnonzero(plan.own >= 0)
-            schedule[senders[:, np.newaxis], plan.positions[plan.own[senders]]] = (
-                plan.codewords[plan.message_index[senders]] if phase else True
-            )
-        heard.append(
-            run_schedule_batch(
-                first.topology,
-                schedules,
-                channels,
-                [plan.round_offset + phase * b for plan in plans],
-            )
+    for schedule, plan, nodes in zip(schedules, plans, senders):
+        schedule[nodes[:, np.newaxis], plan.positions[plan.own[nodes]]] = True
+    heard = run_schedule_batch(
+        first.topology, schedules, channels, [plan.round_offset for plan in plans]
+    )
+    pairs = [
+        session._accepted_pairs(plan, replica_heard)
+        for session, plan, replica_heard in zip(sessions, plans, heard)
+    ]
+    del heard  # decoded: free phase 1's stack before phase 2 makes one
+    for schedule, plan, nodes in zip(schedules, plans, senders):
+        schedule[nodes[:, np.newaxis], plan.positions[plan.own[nodes]]] = (
+            plan.codewords[plan.message_index[nodes]]
         )
+    heard = run_schedule_batch(
+        first.topology,
+        schedules,
+        channels,
+        [plan.round_offset + b for plan in plans],
+    )
+    del schedules, schedule  # the finishes read only phase 2's stack
     return [
-        session._finish_round(plan, heard[0][index], heard[1][index])
-        for index, (session, plan) in enumerate(zip(sessions, plans))
+        session._finish_round(plan, replica_pairs, replica_heard)
+        for session, plan, replica_pairs, replica_heard in zip(
+            sessions, plans, pairs, heard
+        )
     ]
 
 
@@ -761,11 +829,9 @@ class BatchedSession:
                 f"got {len(messages)} replica message lists for "
                 f"{len(self._sessions)} replicas"
             )
-        plans = [
-            session._plan_round(replica_messages, round_offset)
-            for session, replica_messages in zip(self._sessions, messages)
-        ]
-        return _run_round(self._sessions, plans)
+        return _run_round(
+            self._sessions, _plan_round(self._sessions, messages, round_offset)
+        )
 
     def run_many(
         self,
@@ -843,23 +909,34 @@ def _draw_decoys(
 
     Draws until ``num_decoys`` values are found (fewer when the space
     has fewer free values) or ``max_draws`` draws are spent, skipping
-    every value already taken or drawn.  Each
-    :func:`~repro.rng.random_bits_many` call asks only for the count
-    still missing, so no call reads past the draw that ends the loop:
-    the decoys, and where the generator is left, equal those of one
-    :func:`~repro.rng.random_bits` call per draw.
+    every value already taken or drawn.  The decoys, and where the
+    generator is left, equal those of one
+    :func:`~repro.rng.random_bits` call per draw.  The first
+    :func:`~repro.rng.random_bits_many` call asks for exactly the count
+    wanted, so it cannot read past the draw that ends the loop.  When
+    rejections leave decoys missing, the rest are over-drawn in chunks
+    and scanned one value at a time; then the generator is rewound and
+    the draws the scan used are read again, in one more call.
     """
     budget = min(num_decoys, (1 << bits) - len(taken))
-    decoys: set[int] = set()
-    draws = 0
-    while len(decoys) < budget and (max_draws is None or draws < max_draws):
-        count = budget - len(decoys)
-        if max_draws is not None:
-            count = min(count, max_draws - draws)
-        decoys.update(
-            value
-            for value in random_bits_many(rng, count, bits)
-            if value not in taken
-        )
-        draws += count
-    return decoys
+    draws = budget if max_draws is None else min(budget, max_draws)
+    decoys = {
+        value for value in random_bits_many(rng, draws, bits) if value not in taken
+    }
+    if len(decoys) == budget or draws == max_draws:
+        return decoys
+    state = rng.bit_generator.state
+    scanned = 0
+    while True:
+        # 8 draws per missing decoy: per sweep_noiseless unit, where 5-7-bit
+        # message spaces make half the sampler's calls over-draw, chunks of
+        # 8, 16 and 32 took about 42, 48 and 54 ms (larger chunks decode
+        # more unused values; smaller ones make more calls).
+        for value in random_bits_many(rng, 8 * (budget - len(decoys)), bits):
+            scanned += 1
+            if value not in taken:
+                decoys.add(value)
+            if len(decoys) == budget or draws + scanned == max_draws:
+                rng.bit_generator.state = state
+                random_bits_many(rng, scanned, bits)  # re-read the used draws
+                return decoys

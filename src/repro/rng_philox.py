@@ -10,13 +10,20 @@ batched numpy kernels over many streams at once.  Two consumers:
 * :class:`NodeStreams`: each node's private byte stream, as the per-node
   engine draws it with :func:`repro.rng.random_bits`, for the array-native
   CONGEST algorithms in :mod:`repro.algorithms`;
-* :func:`sorted_choices`: each beep codeword's one-positions, as
+* the random codes: every codeword a round needs, in two stages, which
+  :func:`repro.codes.encode_batch` runs.
+  :func:`keyed_blocks` keys any number of stream groups and runs one
+  Philox pass over all of their blocks; then :func:`floyd_choices` turns
+  a group's words into beep-codeword one-positions, as
   ``derive_rng(...).choice(b, w, replace=False)`` draws them for
-  :meth:`repro.codes.BeepCode.encode_int`, for every codeword of a
-  simulated round in one call.
+  :meth:`repro.codes.BeepCode.encode_int`, and :func:`top_bits` into
+  distance-code rows, as ``derive_rng(...).integers(0, 2, size=L,
+  dtype=np.uint8)`` draws them for
+  :meth:`repro.codes.DistanceCode.encode_int`.
 
-The contract is **bit-identity** (``tests/test_rng_philox.py`` and
-``tests/codes/test_beep.py``).  The numpy facts the emulation pins:
+The contract is **bit-identity** (``tests/test_rng_philox.py``,
+``tests/codes/test_beep.py`` and ``tests/codes/test_distance.py``).  The
+numpy facts the emulation pins:
 
 * Philox yields 64-bit words from a buffered 4x64-bit block whose counter
   is **pre-incremented** (the first block is generated at counter 1), and
@@ -30,7 +37,12 @@ The contract is **bit-identity** (``tests/test_rng_philox.py`` and
   Lemire's method on the next 32-bit word, which *rejects* and draws again
   when the product's low half falls below ``2^32 mod (j + 1)`` — and keeps
   it unless it is already taken, in which case it keeps ``j``.  ``choice``
-  then shuffles the picks, which changes their order but not the set.
+  then shuffles the picks, which changes their order but not the set;
+* ``Generator.integers(0, 2, size=L, dtype=np.uint8)`` makes one Lemire
+  draw of range 2 per byte, which never rejects, so bit ``i`` is the top
+  bit of stream byte ``i``.  Bytes come four to a 32-bit word, low byte
+  first, so the stream's bytes are the little-endian bytes of its 64-bit
+  words: ``ceil(L / 32)`` blocks per value.
 """
 
 from __future__ import annotations
@@ -42,7 +54,15 @@ import numpy as np
 from .lru import LRUDict
 from .rng import _context_hasher, _hash_parts
 
-__all__ = ["NodeStreams", "sorted_choices", "words_for_bits"]
+__all__ = [
+    "NodeStreams",
+    "bit_blocks",
+    "choice_blocks",
+    "floyd_choices",
+    "keyed_blocks",
+    "top_bits",
+    "words_for_bits",
+]
 
 #: Memoised Philox key columns, keyed by ``(seed, context, count)``.  The
 #: keys are a pure function of that tuple (SHA-256 digests), so caching
@@ -58,7 +78,7 @@ _U32 = np.uint64(32)
 #: numpy's per-call overhead (about 16k is fastest on x86-64 hosts).
 _KERNEL_CHUNK = 1 << 14
 
-#: 32-bit draws per lane chunk of :func:`sorted_choices`; a chunk holds
+#: 32-bit draws per lane chunk of :func:`floyd_choices`; a chunk holds
 #: ``_LANE_DRAWS // size`` streams, so its scratch stays a few MB for any
 #: population and sample size.
 _LANE_DRAWS = 1 << 18
@@ -213,49 +233,98 @@ def _floyd_sets(picks: np.ndarray, population: int) -> np.ndarray:
     return np.sort(np.where(collided, first_j + step, picks), axis=1)
 
 
-def sorted_choices(
-    seed: int,
-    context: Sequence[object],
-    population: int,
-    size: int,
-    values: Sequence[object],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``sorted(derive_rng(seed, *context, v).choice(population, size,
-    replace=False))`` for every ``v`` in ``values``, in one batched pass.
+def keyed_blocks(
+    groups: Sequence[tuple[int, Sequence[object], Sequence[object], int]],
+) -> list[np.ndarray]:
+    """The first blocks of many ``derive_rng`` streams, in one Philox pass.
 
-    Returns ``(positions, exact)``: an ``(len(values), size)`` int64 array
-    and a boolean mask of the rows the emulation reproduced.  The other
-    rows are zeros and must come from the reference generator: streams in
-    which a Lemire draw rejects (it would consume an extra word, about
-    one stream in ten thousand at ``b = 5184``), and every stream when
-    numpy takes its tail-shuffle branch (see the module docstring).
+    Each group ``(seed, context, parts, blocks)`` names the streams
+    ``derive_rng(seed, *context, part)``, one per part, and how many
+    Philox blocks each of them needs.  Returns, per group, a
+    ``(len(parts), 4 * blocks)`` uint64 array whose row ``i`` is stream
+    ``i``'s first 64-bit words in order.  The lanes of every group run
+    through one :func:`_philox4x64_10` call, so a round that needs the
+    codewords of several codes pays numpy's per-call overhead once.
     """
-    count = len(values)
+    shapes, counters, key0, key1 = [], [], [], []
+    for seed, context, parts, blocks in groups:
+        shapes.append((len(parts), 4 * blocks))
+        if parts and blocks:
+            keys = _context_keys(seed, context, parts)
+            key0.append(np.repeat(keys[0], blocks))
+            key1.append(np.repeat(keys[1], blocks))
+            counters.append(
+                np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(parts))
+            )
+    raw = (
+        _philox4x64_10(
+            np.concatenate(counters), np.concatenate(key0), np.concatenate(key1)
+        )
+        if counters
+        else np.empty((0, 4), dtype=np.uint64)
+    )
+    out, start = [], 0
+    for lanes, words in shapes:
+        stop = start + lanes * words // 4
+        out.append(raw[start:stop].reshape(lanes, words))
+        start = stop
+    return out
+
+
+def choice_blocks(population: int, size: int) -> int:
+    """Philox blocks :func:`floyd_choices` reads per stream; 0 when numpy
+    runs a branch it cannot reproduce (a block holds eight 32-bit draws)."""
+    return (size + 7) // 8 if _floyd_applies(population, size) else 0
+
+
+def floyd_choices(
+    raw: np.ndarray, population: int, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sorted(choice(population, size, replace=False))`` per stream.
+
+    ``raw`` holds each stream's first :func:`choice_blocks` blocks, as
+    :func:`keyed_blocks` returns them.  Returns ``(positions, exact)``:
+    a ``(len(raw), size)`` int64 array and a boolean mask of the rows
+    the emulation reproduced.  The other rows are zeros and must come
+    from the reference generator: streams in which a Lemire draw rejects
+    (it would consume an extra word, about one stream in ten thousand at
+    ``b = 5184``), and every stream when numpy takes its tail-shuffle
+    branch (see the module docstring).
+    """
+    count = len(raw)
     positions = np.zeros((count, size), dtype=np.int64)
     exact = np.zeros(count, dtype=bool)
     if not count or not _floyd_applies(population, size):
         return positions, exact
-    key0, key1 = _context_keys(seed, context, values)
-    blocks = (size + 7) // 8  # a block holds eight 32-bit draws
     bound = np.arange(population - size + 1, population + 1, dtype=np.uint64)
     reject_below = np.uint64(1 << 32) % bound  # Lemire's threshold per step
+    # Viewing little-endian uint64 words as uint32 pairs yields each
+    # word's low half first, Philox's own order.
+    draws = raw.astype("<u8", copy=False).view("<u4")
     chunk = max(1, _LANE_DRAWS // size)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
-        lanes = stop - start
-        raw = _philox4x64_10(
-            np.tile(np.arange(1, blocks + 1, dtype=np.uint64), lanes),
-            np.repeat(key0[start:stop], blocks),
-            np.repeat(key1[start:stop], blocks),
-        )
-        # Viewing little-endian uint64 words as uint32 pairs yields each
-        # word's low half first, Philox's own order.
-        draws = raw.astype("<u8", copy=False).view("<u4").reshape(lanes, -1)
-        scaled = draws[:, :size].astype(np.uint64) * bound
+        scaled = draws[start:stop, :size].astype(np.uint64) * bound
         exact[start:stop] = ~np.any((scaled & _MASK32) < reject_below, axis=1)
         picks = (scaled >> _U32).astype(np.int64)
         positions[start:stop] = _floyd_sets(picks, population)
     return positions, exact
+
+
+def bit_blocks(length: int) -> int:
+    """Philox blocks :func:`top_bits` reads per stream: one byte per bit,
+    32 bytes per block."""
+    return (length + 31) // 32
+
+
+def top_bits(raw: np.ndarray, length: int) -> np.ndarray:
+    """``integers(0, 2, size=length, dtype=np.uint8)`` per stream, as bools.
+
+    ``raw`` holds each stream's first :func:`bit_blocks` blocks, as
+    :func:`keyed_blocks` returns them.  Bit ``i`` is the top bit of the
+    stream's byte ``i`` (see the module docstring).
+    """
+    return raw.astype("<u8", copy=False).view(np.uint8)[:, :length] >= 128
 
 
 class NodeStreams:

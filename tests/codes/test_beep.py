@@ -133,7 +133,10 @@ class TestEncodePositions:
         code = BeepCode(input_bits=36, k=9, c=4, seed=0)
         reference = np.flatnonzero(code.encode_int(22803))
         b, w = code.length, code.weight
-        _, exact = rng_philox.sorted_choices(0, ("beep-code", b, w), b, w, [22803])
+        [blocks] = rng_philox.keyed_blocks(
+            [(0, ("beep-code", b, w), [22803], rng_philox.choice_blocks(b, w))]
+        )
+        _, exact = rng_philox.floyd_choices(blocks, b, w)
         assert not exact[0]
         calls = []
         original = code.encode_int

@@ -6,10 +6,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import bitstrings as bs
-from repro.codes import DistanceCode, minimum_pairwise_distance, paper_c_delta
+from repro.codes import (
+    BeepCode,
+    DistanceCode,
+    KautzSingletonCode,
+    encode_batch,
+    minimum_pairwise_distance,
+    paper_c_delta,
+)
 from repro.errors import ConfigurationError
 
 
@@ -70,6 +77,94 @@ class TestEncoding:
         word[:] = False
         assert np.array_equal(code.encode_int(3), code.encode_int(3))
         assert code.encode_int(3).any()
+
+
+@st.composite
+def codes_and_values(draw):
+    """A distance code keyed by a seed of any sign and size the key
+    derivation takes, of length 1-700 and input width 1-100 bits, with
+    values (duplicates included) spread over its whole domain."""
+    seed = draw(
+        st.one_of(
+            st.integers(-(2**126), -1),
+            st.integers(0, 2**63 - 1),
+            st.integers(2**63, 2**126),
+        )
+    )
+    length = draw(st.integers(1, 700))
+    input_bits = draw(st.integers(1, 100))
+    code = DistanceCode(input_bits, 1.0 / 3.0, length=length, seed=seed)
+    values = draw(
+        st.lists(st.integers(0, code.num_codewords - 1), min_size=1, max_size=6)
+    )
+    if draw(st.booleans()):
+        values += values[: len(values) // 2 + 1]  # duplicates
+    return code, values
+
+
+class TestEncodeMany:
+    """``encode_many`` is ``encode_int`` row by row, from one Philox pass."""
+
+    @given(codes_and_values())
+    @example((DistanceCode(100, 0.25, length=700, seed=-5), [2**64, 2**99 + 7, 0]))
+    @example((DistanceCode(70, 0.25, length=33, seed=2**63), [2**69, 2**64 - 1]))
+    @example((DistanceCode(9, 0.25, length=1, seed=0), [511, 511]))
+    @example((DistanceCode(9, 0.25, length=31, seed=2**126), [4]))
+    def test_equals_reference_rows(self, case):
+        code, values = case
+        rows = code.encode_many(values)
+        assert rows.shape == (len(values), code.length)
+        assert rows.dtype == bool
+        for row, value in zip(rows, values):
+            assert np.array_equal(row, code.encode_int(value))
+
+    def test_empty_input(self):
+        code = DistanceCode(6, 0.3, length=45, seed=1)
+        rows = code.encode_many([])
+        assert rows.shape == (0, 45)
+        assert rows.dtype == bool
+
+    def test_out_of_range_value_rejected(self):
+        code = DistanceCode(4, 0.3, length=40)
+        for bad in (16, -1):
+            with pytest.raises(ConfigurationError, match="outside"):
+                code.encode_many([3, bad])
+
+
+class TestEncodeBatch:
+    """``encode_batch`` gives each request what its code's own batched
+    encoder gives, in request order, from one pass."""
+
+    def test_mixed_requests_equal_their_own_encoders(self):
+        floyd = BeepCode(input_bits=36, k=9, c=4, seed=0)  # 22803 rejects
+        tail = BeepCode(input_bits=148, k=9, c=4, seed=3)  # tail shuffle
+        rows = DistanceCode(36, 0.25, length=floyd.weight, seed=-2)
+        wide = DistanceCode(100, 0.25, length=77, seed=2**63)
+        requests = [
+            (floyd, [5, 22803, 17]),
+            (rows, [3, 3, 2**36 - 1]),
+            (tail, [9]),
+            (rows, []),
+            (wide, [2**99, 0]),
+        ]
+        encoded = encode_batch(requests)
+        assert len(encoded) == len(requests)
+        for (code, values), got in zip(requests, encoded):
+            if isinstance(code, BeepCode):
+                want = code.encode_positions(values)
+            else:
+                want = code.encode_many(values)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_no_requests(self):
+        assert encode_batch([]) == []
+
+    def test_checks_values_and_codes(self):
+        with pytest.raises(ConfigurationError, match="outside"):
+            encode_batch([(DistanceCode(4, 0.3, length=40), [16])])
+        with pytest.raises(TypeError, match="no batched encoder"):
+            encode_batch([(KautzSingletonCode(4, 2), [1])])
 
 
 class TestMinimumDistance:

@@ -16,6 +16,7 @@ kernel and the round's memory.
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.core.round_simulator import (
     _DISTANCE_ROW_CACHE_SIZE,
     _phase1_pairs,
     _phase2_nearest,
+    _plan_round,
 )
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, path_graph, random_regular_graph, star_graph
@@ -355,6 +357,75 @@ class TestPhase1SizeRule:
             assert len(nodes) == candidates * n
 
 
+class TestFusedPlan:
+    """``_plan_round`` derives every replica's codewords in one encode
+    stage; each plan must equal the one its session makes alone."""
+
+    def sessions(self, topology):
+        """Four replicas with distinct seeds: the Floyd code whose
+        Lemire draw rejects at value 22803 (seed 0, b = 5184), a code in
+        numpy's tail-shuffle branch (b = 21312, w = 592), another Floyd
+        code and an exhaustive one."""
+        floyd = SimulationParameters(message_bits=9, max_degree=8, eps=0.02, c=4)
+        tail = SimulationParameters(message_bits=37, max_degree=8, eps=0.02, c=4)
+        tiny = SimulationParameters(message_bits=3, max_degree=8, eps=0.0, c=3)
+        return [
+            BroadcastSession(topology, floyd, 0, codes=floyd.combined_code(0)),
+            BroadcastSession(topology, tail, 1),
+            BroadcastSession(topology, floyd, 2),
+            BroadcastSession(
+                topology, tiny, 3, policy=CandidatePolicy.EXHAUSTIVE
+            ),
+        ]
+
+    def test_fused_plans_equal_standalone_plans(self, monkeypatch):
+        # Every 36-bit candidate list also gets 22803, so the first
+        # replica's plan needs the reference fallback inside the fused pass.
+        original = round_simulator._draw_decoys
+
+        def with_rejecting_value(rng, bits, taken, num_decoys, max_draws=None):
+            decoys = original(rng, bits, taken, num_decoys, max_draws)
+            return decoys | {22803} if bits == 36 else decoys
+
+        monkeypatch.setattr(round_simulator, "_draw_decoys", with_rejecting_value)
+        topology = Topology(random_regular_graph(12, 3, seed=5))
+        fused, alone = self.sessions(topology), self.sessions(topology)
+        assert fused[1].codes.length == 21312 and fused[1].codes.beep_code.weight == 592
+        rng = derive_rng(8, "fused")
+        for round_index in range(3):
+            # Messages from a few values, so rows recur: LRU hits and misses.
+            messages = [
+                [
+                    None if v % 5 == round_index else random_bits(rng, 2) << shift
+                    for v in range(12)
+                ]
+                for shift in (7, 35, 7, 1)
+            ]
+            offset = 1000 * round_index
+            plans = _plan_round(fused, messages, offset)
+            for session, plan, replica_messages in zip(alone, plans, messages):
+                [single] = _plan_round([session], [replica_messages], offset)
+                for field in ("positions", "codewords", "own", "message_index"):
+                    assert np.array_equal(getattr(plan, field), getattr(single, field))
+                assert list(plan.candidates) == list(single.candidates)
+                assert list(plan.message_candidates) == list(single.message_candidates)
+                codes = session.codes
+                for value, row in zip(plan.candidates, plan.positions):
+                    assert np.array_equal(
+                        row, np.flatnonzero(codes.beep_code.encode_int(value))
+                    )
+                for message, row in zip(plan.message_candidates, plan.codewords):
+                    assert np.array_equal(row, codes.distance_code.encode_int(message))
+            assert 22803 in plans[0].candidates and 22803 in plans[2].candidates
+        for mine, theirs in zip(fused, alone):
+            assert list(mine._distance_rows) == list(theirs._distance_rows)
+            for message in list(theirs._distance_rows):
+                assert np.array_equal(
+                    mine._distance_rows.get(message), theirs._distance_rows.get(message)
+                )
+        assert len(fused[0]._distance_rows) > 0
+
+
 class TestDistanceRowCacheBound:
     def test_session_distance_rows_stay_bounded(self):
         """Regression: the per-session distance-row cache is LRU-bounded.
@@ -418,6 +489,44 @@ class TestRoundMemory:
         finally:
             tracemalloc.stop()
         assert peak < 5 * replicas * n * b
+
+    def test_phase1_heard_is_freed_before_phase2(self, monkeypatch):
+        """Phase 1's heard stack is decoded into pairs and dropped before
+        phase 2 runs, and the round's traced peak stays near two stacks.
+
+        A warm n=128, R=8 round peaks at about 2.87·R·n·b: the schedule
+        buffer and one heard stack, plus the kernels' working sets.
+        Keeping phase 1's heard stack through phase 2, or the buffer
+        through the finishes, breaks the ``3.25·R·n·b`` bound.
+        """
+        n, replicas = 128, 8
+        topology = Topology(random_regular_graph(n, 8, seed=0))
+        params = SimulationParameters.for_network(n, 8, eps=0.02)
+        b = params.beep_code_length
+        batched = BatchedSession(topology, params, range(replicas))
+        rng = derive_rng(0, "memory")
+        batch = [random_messages(rng, n, params.message_bits) for _ in range(replicas)]
+        batched.run_round(batch)  # warm: code tables and row caches
+        original = round_simulator.run_schedule_batch
+        heard_refs = []
+        alive_at_phase2 = []
+
+        def spy(*args):
+            if heard_refs:  # phase 2 starts: phase 1's stack must be gone
+                alive_at_phase2.append(heard_refs[0]() is not None)
+            heard = original(*args)
+            heard_refs.append(weakref.ref(heard))
+            return heard
+
+        monkeypatch.setattr(round_simulator, "run_schedule_batch", spy)
+        tracemalloc.start()
+        try:
+            batched.run_round(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert alive_at_phase2 == [False]
+        assert peak < 3.25 * replicas * n * b
 
     @pytest.mark.parametrize("kernel", ["dense", "bitpacked"])
     def test_heard_never_aliases_the_schedule_buffer(

@@ -13,6 +13,7 @@ from repro.core import (
     SimulationParameters,
     simulate_broadcast_round,
 )
+from repro.core import round_simulator
 from repro.core.round_simulator import _draw_decoys
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, path_graph, random_regular_graph, star_graph
@@ -308,3 +309,24 @@ class TestDecoySampler:
         assert batched.bytes(16) == reference.bytes(16)
         if not capped and num_decoys >= free:
             assert decoys == set(range(free))
+
+    def test_overdraw_stops_on_the_cap_inside_a_chunk(self, monkeypatch):
+        """Two free values in an 8-bit space and a cap of seven draws: the
+        exact-count first call's two draws collide, the over-draw asks
+        for a whole chunk, and the cap ends the scan five values into it.
+        The rewind must leave the generator after exactly seven draws."""
+        requested = []
+
+        def spy(rng, count, bits):
+            requested.append(count)
+            return random_bits_many(rng, count, bits)
+
+        monkeypatch.setattr(round_simulator, "random_bits_many", spy)
+        taken = set(range(2, 256))
+        batched = derive_rng(0, "cap")
+        reference = derive_rng(0, "cap")
+        decoys = _draw_decoys(batched, 8, taken, 2, max_draws=7)
+        assert decoys == _draw_fresh(reference, 8, taken, 2, max_draws=7)
+        assert len(decoys) < 2  # the cap, not the budget, ended the loop
+        assert requested[0] == 2 and requested[1] > 7 - 2
+        assert batched.bytes(16) == reference.bytes(16)

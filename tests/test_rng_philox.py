@@ -6,7 +6,8 @@ the reference engine gets from ``random_bits(derive_rng(seed,
 "node-local", v), bits)`` — including numpy's ``Generator.bytes``
 consumption semantics (whole 32-bit words, truncation discards).  Both
 it and the codeword sampler run on one Philox-4x64-10 kernel, pinned
-here against ``np.random.Philox`` itself.
+here against ``np.random.Philox`` itself, as is the multi-group pass
+that derives a round's codewords.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ import pytest
 
 from repro.rng import derive_rng, random_bits
 from repro import rng_philox
-from repro.rng_philox import NodeStreams, _philox4x64_10, words_for_bits
+from repro.rng_philox import (
+    NodeStreams,
+    _philox4x64_10,
+    keyed_blocks,
+    words_for_bits,
+)
 
 
 def as_int(words: np.ndarray) -> int:
@@ -129,3 +135,40 @@ class TestPhiloxKernel:
         )
         assert got.shape == (lanes, 4)
         assert np.array_equal(got, np.concatenate(expected))
+
+
+class TestKeyedBlocks:
+    #: Groups as the codes and the session send them: mixed block counts,
+    #: an empty group, a group with no blocks, duplicate parts, values
+    #: past 64 bits and seeds of either sign past 63 bits.
+    GROUPS = [
+        (7, ("beep-code", 5184, 144), [3, 2**70, 5], 18),
+        (-(2**80), ("distance-code", 144), [], 5),
+        (2**64 + 1, ("distance-code", 45), [0, 0, 9], 2),
+        (3, ("beep-code", 21312, 592), [1, 2], 0),
+        (11, ("distance-code", 700), list(range(9)), 22),
+    ]
+
+    @pytest.mark.parametrize("kernel_chunk", [7, rng_philox._KERNEL_CHUNK])
+    def test_one_pass_equals_per_group_calls_and_numpy(
+        self, kernel_chunk, monkeypatch
+    ):
+        """Group ``g``'s row ``i`` is the first ``4 · blocks`` raw words
+        of ``derive_rng(seed, *context, part_i)``, and one pass over all
+        groups equals one call per group, also when the groups straddle
+        kernel passes."""
+        monkeypatch.setattr(rng_philox, "_KERNEL_CHUNK", kernel_chunk)
+        fused = keyed_blocks(self.GROUPS)
+        assert len(fused) == len(self.GROUPS)
+        for group, blocks in zip(self.GROUPS, fused):
+            seed, context, parts, count = group
+            assert blocks.shape == (len(parts), 4 * count)
+            assert blocks.dtype == np.uint64
+            [alone] = keyed_blocks([group])
+            assert np.array_equal(blocks, alone)
+            for part, row in zip(parts, blocks):
+                generator = derive_rng(seed, *context, part).bit_generator
+                assert np.array_equal(row, generator.random_raw(4 * count))
+
+    def test_no_groups(self):
+        assert keyed_blocks([]) == []
