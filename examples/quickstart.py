@@ -14,14 +14,19 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import BeepSimulator, SimulationParameters, Topology, gnp_graph
+from repro import (
+    BeepSimulator,
+    BroadcastSession,
+    SimulationParameters,
+    Topology,
+    gnp_graph,
+)
 from repro.algorithms import (
     VectorizedMaximalMatching,
     check_matching,
     matching_field_widths,
     matching_message_bits,
 )
-from repro.core import simulate_broadcast_round
 
 
 def step_one_round() -> None:
@@ -49,7 +54,7 @@ def step_one_round() -> None:
 
     messages = [(7 * v + 3) % (1 << params.message_bits)
                 for v in range(topology.num_nodes)]
-    outcome = simulate_broadcast_round(topology, messages, params, seed=42)
+    outcome = BroadcastSession(topology, params, seed=42).run_round(messages)
 
     print(f"\nround success: {outcome.success} "
           f"(phase-1 errors {outcome.phase1_errors}, "

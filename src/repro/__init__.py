@@ -62,7 +62,6 @@ from .core import (
     SimulationParameters,
     paper_strict_c,
     practical_c,
-    simulate_broadcast_round,
 )
 
 __version__ = "1.0.0"
@@ -105,6 +104,5 @@ __all__ = [
     "SimulationParameters",
     "paper_strict_c",
     "practical_c",
-    "simulate_broadcast_round",
     "__version__",
 ]

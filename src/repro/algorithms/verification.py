@@ -100,21 +100,22 @@ def check_leader_election(
     Max-ID flooding cannot cross component boundaries, so on a
     disconnected topology each component agrees on its own maximum —
     which is also what the reference algorithm's horizon guarantees.
+    Of several wrong nodes, the lowest-index one is reported.
     """
-    placed: set[int] = set()
-    for source in range(topology.num_nodes):
-        if source in placed:
-            continue
-        distances = topology.distances_from(source).tolist()
-        component = [v for v, hops in enumerate(distances) if hops >= 0]
-        placed.update(component)
-        expected = max(ids[v] for v in component)
-        for v in component:
-            if outputs[v] != expected:
-                return (
-                    False,
-                    f"node {ids[v]} elected {outputs[v]}, expected {expected}",
-                )
+    # Imported on first use, as in ``Topology.distances_from``.
+    from scipy.sparse import csgraph
+
+    _, labels = csgraph.connected_components(topology.adjacency, directed=False)
+    labels = labels.tolist()
+    leader: dict[int, int] = {}
+    for label, node_id in zip(labels, ids):
+        leader[label] = max(leader.get(label, node_id), node_id)
+    for v, label in enumerate(labels):
+        if outputs[v] != leader[label]:
+            return (
+                False,
+                f"node {ids[v]} elected {outputs[v]}, expected {leader[label]}",
+            )
     return True, "ok"
 
 

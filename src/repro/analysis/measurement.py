@@ -60,11 +60,9 @@ def measure_round_success(
     session = BroadcastSession(
         topology, params, seed, codes=params.combined_code(seed)
     )
-    for trial in range(trials):
+    for _ in range(trials):
         messages = random_bits_many(message_rng, n, params.message_bits)
-        outcome = session.run_round(
-            messages, round_offset=trial * params.rounds_per_simulated_round
-        )
+        outcome = session.run_round(messages)
         failures += 0 if outcome.success else 1
         p1 += outcome.phase1_errors
         p2 += outcome.phase2_errors

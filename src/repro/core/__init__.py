@@ -2,10 +2,10 @@
 
 * :class:`SimulationParameters` — the code-parameter engine (paper-strict
   constants of Lemmas 9–10 and practical presets);
-* :func:`simulate_broadcast_round` — Algorithm 1: one Broadcast CONGEST
-  round in ``O(Δ log n)`` noisy-beep rounds;
-* :class:`BroadcastSession` — the amortised multi-round engine behind it
-  (codes, channel and decoder matrices built once);
+* :class:`BroadcastSession` — Algorithm 1: each ``run_round`` is one
+  Broadcast CONGEST round in ``O(Δ log n)`` noisy-beep rounds, the code
+  pair and channel built once per session and ``reset`` moving its round
+  offset;
 * :class:`BatchedSession` — ``R`` seed-replicas of one ``(topology,
   params)`` pair executed as a single replica-batched schedule call per
   phase, bit-identical to the per-seed sessions;
@@ -26,7 +26,6 @@ from .round_simulator import (
     BatchedSession,
     BroadcastSession,
     RoundOutcome,
-    simulate_broadcast_round,
 )
 from .stats import SimulationStats
 from .transpiler import BeepSimulator, TranspiledRunResult
@@ -48,7 +47,6 @@ __all__ = [
     "BatchedSession",
     "BroadcastSession",
     "RoundOutcome",
-    "simulate_broadcast_round",
     "SimulationStats",
     "BeepSimulator",
     "TranspiledRunResult",

@@ -54,19 +54,16 @@ class CandidatePolicy(enum.Enum):
     policy; the policy only controls which candidates are scanned.
     """
 
-    #: Scan all ``2^a`` inputs, exactly as the paper's decoder — exponential,
-    #: only usable with tiny codes (unit tests prove the other policies
-    #: agree with this one).
+    #: Scan all ``2^a`` inputs and all ``2^B`` messages, exactly as the
+    #: paper's decoder — exponential, only usable with tiny codes (unit
+    #: tests prove the default scan agrees with this one).
     EXHAUSTIVE = "exhaustive"
 
     #: Scan every codeword in flight anywhere in the network, plus uniform
     #: random decoys; accepting a decoy or a non-neighbour is a recorded
-    #: decoding error.  Default for experiments.
+    #: decoding error.  Default for experiments; with no decoys it scans
+    #: only the codewords in flight.
     ORACLE_WITH_DECOYS = "oracle-with-decoys"
-
-    #: Scan only codewords in flight (no decoys) — fastest; still detects
-    #: confusion between real transmitters.
-    IN_FLIGHT = "in-flight"
 
 
 def paper_strict_c(eps: float) -> int:

@@ -10,16 +10,17 @@ The full round protocol of Section 3:
    phase-2 subsequences (Lemma 10).
 
 :class:`BroadcastSession` is the multi-round engine: it builds the code
-pair, the channel, the candidate-policy state and the decoder codeword
-matrices **once**, then exposes :meth:`~BroadcastSession.run_round` /
-:meth:`~BroadcastSession.run_many` whose outcomes are bit-identical to a
-sequence of standalone calls with matching round offsets (same seeds →
-same :class:`RoundOutcome`\\ s).  :func:`simulate_broadcast_round` remains
-as the one-shot compatibility wrapper.
+pair, the channel and the distance-row LRU **once**, then runs rounds
+with :meth:`~BroadcastSession.run_round`.  Each round starts at the
+session's global beeping-round offset and moves it ``2b`` on, so
+consecutive rounds chain; :meth:`~BroadcastSession.reset` is the one way
+to move the offset, and a session reset to ``k · 2b`` runs exactly round
+``k`` of a chained one (same seeds → same :class:`RoundOutcome`\\ s).
 
-Every session has one plan/decode path, in index form.  The plan makes
-every draw of the round (``r_v``, the candidate decoys, the message
-decoys) and encodes both candidate lists, so a sender is just its
+Every session has one plan/decode path, in index form.  The candidate
+policy picks the two scan sets and nothing else.  The plan makes every
+draw of the round (``r_v``, the candidate decoys, the message decoys)
+and encodes both candidate lists, so a sender is just its
 candidate index and its message index: ``CD(r_v, m_v)`` is ``D(m_v)``
 written into the one-positions of ``C(r_v)`` (Notation 7).  Both codes
 are random codes keyed by ``(seed, input)``, so one
@@ -76,7 +77,6 @@ __all__ = [
     "RoundOutcome",
     "BroadcastSession",
     "BatchedSession",
-    "simulate_broadcast_round",
 ]
 
 #: Integers below 2^24 are exact in float32: phase 1's float32 product
@@ -90,7 +90,8 @@ _EXACT_FLOAT32_LIMIT = 1 << 24
 #: loop loses to one float32 product.
 _GATHER_MIN_CELLS = 1 << 14
 
-#: Exhaustive candidate scans are exponential; refuse beyond this size.
+#: Exhaustive candidate scans are exponential; refuse ``r_bits`` beyond
+#: this size (``r_bits = c·B`` with ``c >= 3`` bounds ``B`` by 7).
 _EXHAUSTIVE_LIMIT_BITS = 22
 
 #: Distance-code rows cached across rounds (per session).  Rows are short
@@ -139,11 +140,11 @@ class BroadcastSession:
     """An amortised multi-round engine for Algorithm 1.
 
     All per-execution state — the code pair ``(C, D)``, the channel and
-    the candidate-policy decoder state — is built in the constructor;
-    each :meth:`run_round` call then only pays for the round itself,
-    planned and decoded through the exact vectorised kernels.  The session tracks the global beeping-round offset so
-    consecutive rounds chain exactly like
-    :class:`~repro.core.transpiler.BeepSimulator` chains standalone calls.
+    the distance-row LRU — is built in the constructor; each
+    :meth:`run_round` call then only pays for the round itself, planned
+    and decoded through the exact vectorised kernels.  The session tracks
+    the global beeping-round offset, so consecutive rounds chain, and
+    :meth:`reset` moves it.
 
     Parameters
     ----------
@@ -156,12 +157,12 @@ class BroadcastSession:
     params:
         Code parameters.
     seed:
-        Master seed; per-round randomness is derived from
-        ``(seed, round_offset)`` so rounds are independent and the whole
+        Master seed; per-round randomness is derived from ``seed`` and
+        the round's offset, so rounds are independent and the whole
         session is reproducible.
     policy, num_decoys:
-        Candidate enumeration policy (see docs/ARCHITECTURE.md,
-        "Candidate policies").
+        The candidate scan set (see docs/ARCHITECTURE.md, "Candidate
+        policies"); ``num_decoys=0`` scans only the values in flight.
     channel:
         Override the noise channel (defaults to the one implied by
         ``params.eps``).
@@ -185,16 +186,14 @@ class BroadcastSession:
                 f"topology degree {topology.max_degree} exceeds parameter "
                 f"max_degree {params.max_degree}"
             )
-        if policy is CandidatePolicy.EXHAUSTIVE:
-            if params.r_bits > _EXHAUSTIVE_LIMIT_BITS:
-                raise ConfigurationError(
-                    f"exhaustive policy limited to r_bits <= "
-                    f"{_EXHAUSTIVE_LIMIT_BITS}, got {params.r_bits}"
-                )
-            if params.message_bits > _EXHAUSTIVE_LIMIT_BITS:
-                raise ConfigurationError(
-                    "exhaustive policy limited to small message spaces"
-                )
+        if (
+            policy is CandidatePolicy.EXHAUSTIVE
+            and params.r_bits > _EXHAUSTIVE_LIMIT_BITS
+        ):
+            raise ConfigurationError(
+                f"exhaustive policy limited to r_bits <= "
+                f"{_EXHAUSTIVE_LIMIT_BITS}, got {params.r_bits}"
+            )
         self._topology = topology
         self._params = params
         self._seed = seed
@@ -213,12 +212,6 @@ class BroadcastSession:
             )
         )
         self._round_offset = 0
-        # Candidate-policy decoder state, built lazily once per session:
-        # the full domain's one-positions and phase-2 matrix for
-        # EXHAUSTIVE, and a bounded distance-row LRU cache for the other
-        # policies.
-        self._exhaustive_positions: np.ndarray | None = None
-        self._exhaustive_phase2: np.ndarray | None = None
         self._distance_rows: LRUDict[int, np.ndarray] = LRUDict(
             _DISTANCE_ROW_CACHE_SIZE
         )
@@ -249,24 +242,21 @@ class BroadcastSession:
         return self._round_offset
 
     def reset(self, round_offset: int = 0) -> None:
-        """Rewind the session's global beeping-round offset."""
-        self._round_offset = _checked_offset(round_offset)
+        """Move the session's global beeping-round offset (``>= 0``)."""
+        if round_offset < 0:
+            raise ConfigurationError(f"round_offset must be >= 0, got {round_offset}")
+        self._round_offset = round_offset
 
-    def run_round(
-        self,
-        messages: Sequence[int | None],
-        round_offset: int | None = None,
-    ) -> RoundOutcome:
+    def run_round(self, messages: Sequence[int | None]) -> RoundOutcome:
         """Run Algorithm 1 once and decode every node's neighbour messages.
 
         ``messages`` holds, per node, the ``B``-bit message to broadcast or
-        ``None`` to stay silent this round.  ``round_offset`` overrides the
-        session's running offset (it keys both the noise stream and the
-        per-round random strings) and, as in :meth:`reset`, must be
-        ``>= 0``; either way the session's offset advances to just past
-        this round, so back-to-back calls chain contiguously.
+        ``None`` to stay silent this round.  The round starts at the
+        session's offset (it keys both the noise stream and the per-round
+        random strings) and moves the offset to just past itself, so
+        back-to-back calls chain contiguously.
         """
-        return _run_round([self], _plan_round([self], [messages], round_offset))[0]
+        return _run_round([self], _plan_round([self], [messages]))[0]
 
     def _round_topology(self, round_offset: int) -> Topology:
         """The static adjacency defining a round's ground truth.
@@ -283,20 +273,18 @@ class BroadcastSession:
         return self._topology
 
     def _draw_round(
-        self,
-        messages: Sequence[int | None],
-        round_offset: int | None,
+        self, messages: Sequence[int | None]
     ) -> "tuple[_Draws, np.ndarray, list[int]]":
         """The draw stage of :func:`_plan_round`: validation, draws, row lookups.
 
-        Makes every draw of the round from the per-round stream, in the
-        reference order: each node's random string, the candidate decoys,
-        the message decoys.  Then looks the message candidates up in the
-        session's distance-row LRU.  Returns the draws, the
-        ``D(message_candidates)`` matrix and the rows of it the encode
-        stage still owes (the LRU's misses; until then those rows are
-        unset).  Under EXHAUSTIVE the session's domain matrices supply
-        every row, so nothing is owed.
+        Makes every draw of the round from the stream keyed by the
+        session's offset, in the reference order: each node's random
+        string, the candidate decoys, the message decoys.  The policy
+        only picks the two candidate lists; then the message candidates
+        are looked up in the session's distance-row LRU.  Returns the
+        draws, the ``D(message_candidates)`` matrix and the rows of it
+        the encode stage still owes (the LRU's misses; until then those
+        rows are unset).
         """
         topology = self._topology
         params = self._params
@@ -310,72 +298,55 @@ class BroadcastSession:
                 raise ConfigurationError(
                     f"message {message} does not fit in {params.message_bits} bits"
                 )
-        if round_offset is None:
-            round_offset = self._round_offset
-        else:
-            _checked_offset(round_offset)
 
         # Step 1: every participating node draws r_v uniformly at random.
-        round_rng = derive_rng(self._seed, "round-randomness", round_offset)
+        round_rng = derive_rng(self._seed, "round-randomness", self._round_offset)
         r_values = random_bits_many(round_rng, n, params.r_bits)
         senders = [v for v in range(n) if messages[v] is not None]
 
-        # Both candidate lists per the policy.  Under EXHAUSTIVE the full
-        # domains are the candidates every round (a value is its own
-        # index), so they are encoded once per session.
+        # The scan sets: the full domains, or the values in flight plus
+        # decoys (a zero budget draws nothing).
         candidates: Sequence[int]
         message_candidates: Sequence[int]
-        candidate_row: "Sequence[int] | dict[int, int]"
-        message_row: "Sequence[int] | dict[int, int]"
-        misses: list[int] = []
         if self._policy is CandidatePolicy.EXHAUSTIVE:
-            if self._exhaustive_positions is None:
-                self._exhaustive_positions = self._codes.beep_code.encode_positions(
-                    range(1 << params.r_bits)
-                )
-                self._exhaustive_phase2 = self._codes.distance_code.encode_many(
-                    range(1 << params.message_bits)
-                )
-            candidates = candidate_row = range(1 << params.r_bits)
-            message_candidates = message_row = range(1 << params.message_bits)
-            codewords = self._exhaustive_phase2
+            candidates = range(1 << params.r_bits)
+            message_candidates = range(1 << params.message_bits)
         else:
             candidate_set = {r_values[v] for v in senders}
+            candidate_set |= _draw_decoys(
+                round_rng, params.r_bits, candidate_set, self._num_decoys
+            )
             message_set = {messages[v] for v in senders}
-            if self._policy is CandidatePolicy.ORACLE_WITH_DECOYS:
-                candidate_set |= _draw_decoys(
-                    round_rng, params.r_bits, candidate_set, self._num_decoys
+            if message_set:
+                message_set |= _draw_decoys(
+                    round_rng,
+                    params.message_bits,
+                    message_set,
+                    self._num_decoys,
+                    max_draws=20 * self._num_decoys,
                 )
-                if message_set:
-                    message_set |= _draw_decoys(
-                        round_rng,
-                        params.message_bits,
-                        message_set,
-                        self._num_decoys,
-                        max_draws=20 * self._num_decoys,
-                    )
             candidates = sorted(candidate_set)
             message_candidates = sorted(message_set)  # type: ignore[type-var]
-            candidate_row = {value: row for row, value in enumerate(candidates)}
-            message_row = {m: row for row, m in enumerate(message_candidates)}
-            codewords = np.empty(
-                (len(message_candidates), self._codes.distance_code.length),
-                dtype=bool,
-            )
-            for row, message in enumerate(message_candidates):
-                # A hit refreshes the row's recency (recurring messages are
-                # the cache's whole point); the encode stage inserts misses.
-                codeword = self._distance_rows.get(message)
-                if codeword is None:
-                    misses.append(row)
-                else:
-                    codewords[row] = codeword
+        candidate_row = {value: row for row, value in enumerate(candidates)}
+        message_row = {m: row for row, m in enumerate(message_candidates)}
+        codewords = np.empty(
+            (len(message_candidates), self._codes.distance_code.length), dtype=bool
+        )
+        misses: list[int] = []
+        for row, message in enumerate(message_candidates):
+            # A hit refreshes the row's recency (recurring messages are the
+            # cache's whole point); the encode stage inserts misses.
+            codeword = self._distance_rows.get(message)
+            if codeword is None:
+                misses.append(row)
+            else:
+                codewords[row] = codeword
         own = np.full(n, -1, dtype=np.int64)
         own[senders] = [candidate_row[r_values[v]] for v in senders]
         message_index = np.full(n, -1, dtype=np.int64)
         message_index[senders] = [message_row[messages[v]] for v in senders]
         draws = _Draws(
-            round_offset=round_offset,
+            round_offset=self._round_offset,
             candidates=candidates,
             message_candidates=message_candidates,
             own=own,
@@ -483,22 +454,6 @@ class BroadcastSession:
             accepted_sets=[set(values) for values in accepted],
         )
 
-    def run_many(
-        self,
-        message_rounds: Sequence[Sequence[int | None]],
-        round_offset: int | None = None,
-    ) -> list[RoundOutcome]:
-        """Run consecutive Broadcast CONGEST rounds, chaining offsets.
-
-        Equivalent to calling :func:`simulate_broadcast_round` once per
-        entry with ``round_offset`` advancing by ``2b`` each time — but the
-        codes, channel and decoder matrices are constructed only
-        once, in the session constructor.
-        """
-        if round_offset is not None:
-            self.reset(round_offset)
-        return [self.run_round(messages) for messages in message_rounds]
-
 
 @dataclass(frozen=True)
 class _Draws:
@@ -534,29 +489,28 @@ class _RoundPlan(_Draws):
 def _plan_round(
     sessions: "Sequence[BroadcastSession]",
     messages: "Sequence[Sequence[int | None]]",
-    round_offset: int | None,
 ) -> "list[_RoundPlan]":
     """Plan one round for every session: a draw stage each, one encode stage.
 
     The draw stage (:meth:`BroadcastSession._draw_round`) validates each
-    replica's messages, makes its draws in the reference order and looks
-    its message candidates up in its distance-row LRU.  The encode stage
-    then derives every codeword the batch still owes — each replica's
-    beep candidates (unless its exhaustive domain holds them) and
-    distance-row misses — with one :func:`~repro.codes.encode_batch`
-    call, one Philox pass over the exact ``derive_rng`` streams, and
-    caches the new rows.  Each plan is built once, complete, and is the
-    same whether its session is planned alone or in a batch.
+    replica's messages, makes its draws at the session's offset in the
+    reference order and looks its message candidates up in its
+    distance-row LRU.  The encode stage then derives every codeword the
+    batch still owes — each replica's beep candidates and distance-row
+    misses, whichever policy picked them — with one
+    :func:`~repro.codes.encode_batch` call, one Philox pass over the
+    exact ``derive_rng`` streams, and caches the new rows.  Each plan is
+    built once, complete, and is the same whether its session is planned
+    alone or in a batch.
     """
     drawn = [
-        session._draw_round(replica_messages, round_offset)
+        session._draw_round(replica_messages)
         for session, replica_messages in zip(sessions, messages)
     ]
     requests = []
     for session, (draws, _, misses) in zip(sessions, drawn):
-        exhaustive = session._policy is CandidatePolicy.EXHAUSTIVE
         requests += [
-            (session.codes.beep_code, [] if exhaustive else draws.candidates),
+            (session.codes.beep_code, draws.candidates),
             (
                 session.codes.distance_code,
                 [draws.message_candidates[row] for row in misses],
@@ -567,8 +521,6 @@ def _plan_round(
     for session, (draws, codewords, misses), positions, rows in zip(
         sessions, drawn, encoded[::2], encoded[1::2]
     ):
-        if session._policy is CandidatePolicy.EXHAUSTIVE:
-            positions = session._exhaustive_positions
         for row, codeword in zip(misses, rows):
             codewords[row] = codeword
             # A copy, so the cached row does not pin the round's matrix.
@@ -630,13 +582,6 @@ def _run_round(
             sessions, plans, pairs, heard
         )
     ]
-
-
-def _checked_offset(round_offset: int) -> int:
-    """``round_offset``, once it is known to be a global round (``>= 0``)."""
-    if round_offset < 0:
-        raise ConfigurationError(f"round_offset must be >= 0, got {round_offset}")
-    return round_offset
 
 
 def _phase1_pairs(
@@ -747,8 +692,8 @@ class BatchedSession:
         Code parameters, shared by every replica.
     seeds:
         One master seed per replica (the batch size is ``len(seeds)``).
-    policy:
-        As for :class:`BroadcastSession` (with its default decoy count).
+        Every replica scans :class:`BroadcastSession`'s default candidate
+        set.
     channels:
         Optional per-replica channel overrides (one entry per seed,
         ``None`` entries meaning "the default for that seed's params") —
@@ -761,7 +706,6 @@ class BatchedSession:
         params: SimulationParameters,
         seeds: Sequence[int],
         *,
-        policy: CandidatePolicy = CandidatePolicy.ORACLE_WITH_DECOYS,
         channels: "Sequence[NoiseModel | None] | None" = None,
     ) -> None:
         seeds = [int(seed) for seed in seeds]
@@ -775,7 +719,7 @@ class BatchedSession:
                 f"{len(seeds)} replicas"
             )
         self._sessions = tuple(
-            BroadcastSession(topology, params, seed, policy=policy, channel=channel)
+            BroadcastSession(topology, params, seed, channel=channel)
             for seed, channel in zip(seeds, channels)
         )
         self._topology = topology
@@ -808,94 +752,25 @@ class BatchedSession:
         return self._sessions
 
     def reset(self, round_offset: int = 0) -> None:
-        """Rewind every replica's global beeping-round offset."""
+        """Move every replica's global beeping-round offset (``>= 0``)."""
         for session in self._sessions:
             session.reset(round_offset)
 
     def run_round(
-        self,
-        messages: "Sequence[Sequence[int | None]]",
-        round_offset: int | None = None,
+        self, messages: "Sequence[Sequence[int | None]]"
     ) -> list[RoundOutcome]:
         """Run one simulated round on every replica, batched.
 
         ``messages[r]`` is replica ``r``'s per-node message list (exactly
-        the argument :meth:`BroadcastSession.run_round` takes);
-        ``round_offset``, when given, rewinds every replica to that
-        offset first.  Returns one :class:`RoundOutcome` per replica.
+        the argument :meth:`BroadcastSession.run_round` takes).  Returns
+        one :class:`RoundOutcome` per replica.
         """
         if len(messages) != len(self._sessions):
             raise ConfigurationError(
                 f"got {len(messages)} replica message lists for "
                 f"{len(self._sessions)} replicas"
             )
-        return _run_round(
-            self._sessions, _plan_round(self._sessions, messages, round_offset)
-        )
-
-    def run_many(
-        self,
-        message_rounds: "Sequence[Sequence[Sequence[int | None]]]",
-        round_offset: int | None = None,
-    ) -> list[list[RoundOutcome]]:
-        """Run consecutive rounds on every replica, chaining offsets.
-
-        ``message_rounds[t][r]`` is replica ``r``'s message list for
-        round ``t``; the result is indexed the same way.
-        """
-        if round_offset is not None:
-            self.reset(round_offset)
-        return [self.run_round(round_messages) for round_messages in message_rounds]
-
-
-def simulate_broadcast_round(
-    topology: Topology,
-    messages: Sequence[int | None],
-    params: SimulationParameters,
-    seed: int,
-    round_offset: int = 0,
-    policy: CandidatePolicy = CandidatePolicy.ORACLE_WITH_DECOYS,
-    num_decoys: int = 16,
-    channel: NoiseModel | None = None,
-) -> RoundOutcome:
-    """Run Algorithm 1 once and decode every node's neighbour messages.
-
-    One-shot compatibility wrapper over :class:`BroadcastSession`: builds a
-    session, runs a single round at ``round_offset``, and returns its
-    outcome.  Simulating many rounds this way rebuilds the session state
-    every call — use :class:`BroadcastSession` directly for that.
-
-    Parameters
-    ----------
-    topology:
-        The network (its max degree must not exceed ``params.max_degree``).
-    messages:
-        Per node, the ``B``-bit message to broadcast, or ``None`` to stay
-        silent this round.
-    params:
-        Code parameters.
-    seed:
-        Master seed; the per-round randomness is derived from
-        ``(seed, round_offset)`` so consecutive rounds are independent.
-    round_offset:
-        Global beeping-round number at which this simulated round starts
-        (keys both noise and the per-round random strings).
-    policy, num_decoys:
-        Candidate enumeration policy (see docs/ARCHITECTURE.md,
-        "Candidate policies").
-    channel:
-        Override the noise channel (defaults to the one implied by
-        ``params.eps``).
-    """
-    session = BroadcastSession(
-        topology,
-        params,
-        seed,
-        policy=policy,
-        num_decoys=num_decoys,
-        channel=channel,
-    )
-    return session.run_round(messages, round_offset=round_offset)
+        return _run_round(self._sessions, _plan_round(self._sessions, messages))
 
 
 def _draw_decoys(

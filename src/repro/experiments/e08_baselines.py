@@ -17,7 +17,7 @@ from ..baselines import (
 )
 from ..beeping.noise import BernoulliNoise, NoiselessChannel
 from ..core.parameters import SimulationParameters
-from ..core.round_simulator import simulate_broadcast_round
+from ..core.round_simulator import BroadcastSession
 from ..graphs import Topology, random_regular_graph
 from .context import RunContext
 from .spec import experiment
@@ -64,9 +64,7 @@ def run(ctx: RunContext) -> list[Table]:
         messages = [
             int(message_rng.integers(0, 1 << message_bits)) for _ in range(n)
         ]
-        ours = simulate_broadcast_round(
-            topology, messages, params, seed=ctx.seed
-        )
+        ours = BroadcastSession(topology, params, ctx.seed).run_round(messages)
         coloring = greedy_distance2_coloring(topology)
         num_colors = max(coloring) + 1
         rho = agl_repetitions(n, eps)
@@ -113,7 +111,7 @@ def run(ctx: RunContext) -> list[Table]:
         messages = [
             int(message_rng.integers(0, 1 << message_bits)) for _ in range(n)
         ]
-        ours = simulate_broadcast_round(topology, messages, params, seed=ctx.seed)
+        ours = BroadcastSession(topology, params, ctx.seed).run_round(messages)
         coloring = greedy_distance2_coloring(topology)
         tdma = simulate_round_tdma(
             topology,

@@ -125,19 +125,15 @@ class Topology:
         n = self.num_nodes
         if not 0 <= source < n:
             raise ConfigurationError(f"source {source} out of range for {n} nodes")
-        indptr, indices = self._adjacency.indptr, self._adjacency.indices
-        distances = np.full(n, -1, dtype=np.int64)
-        frontier, hop = np.array([source], dtype=np.int64), 0
-        while frontier.size:
-            distances[frontier] = hop
-            # Gather the frontier's CSR rows: row k starts at starts[k] in
-            # indices and after the earlier rows' lengths in the gather.
-            starts = indptr[frontier]
-            lengths = indptr[frontier + 1] - starts
-            shift = np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
-            reached = indices[np.arange(lengths.sum()) - shift]
-            frontier, hop = np.unique(reached[distances[reached] < 0]), hop + 1
-        return distances
+        # Imported on first use: csgraph loads scipy.sparse.linalg, about
+        # 11 MB of resident memory that a simulated round never needs.
+        from scipy.sparse import csgraph
+
+        hops = csgraph.shortest_path(
+            self._adjacency, directed=False, unweighted=True, indices=source
+        )
+        hops[np.isinf(hops)] = -1
+        return hops.astype(np.int64)
 
     def neighbor_or(self, beeps: np.ndarray) -> np.ndarray:
         """Carrier-sensing primitive: for each node, OR of neighbours' beeps.

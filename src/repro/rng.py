@@ -70,8 +70,17 @@ def random_bits_many(
 def _hash_parts(
     hasher: "hashlib._Hash", parts: Iterable[object]
 ) -> "hashlib._Hash":
-    """Append each context part to ``hasher`` (length-prefixed ``repr``)."""
+    """Append each context part to ``hasher`` (length-prefixed ``repr``).
+
+    A numpy integer is keyed as the Python int it equals (numpy 2's
+    ``repr`` would say ``np.int64(5)``).  Nearly every part is a plain
+    ``int`` or ``str``, so those two type tests run before the
+    ``isinstance`` test.
+    """
     for part in parts:
+        kind = type(part)
+        if kind is not int and kind is not str and isinstance(part, np.integer):
+            part = int(part)
         encoded = repr(part).encode("utf-8")
         hasher.update(len(encoded).to_bytes(4, "little"))
         hasher.update(encoded)

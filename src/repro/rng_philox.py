@@ -51,7 +51,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lru import LRUDict
 from .rng import _context_hasher, _hash_parts
 
 __all__ = [
@@ -63,12 +62,6 @@ __all__ = [
     "top_bits",
     "words_for_bits",
 ]
-
-#: Memoised Philox key columns, keyed by ``(seed, context, count)``.  The
-#: keys are a pure function of that tuple (SHA-256 digests), so caching
-#: cannot affect results; it amortises the only per-node Python loop left
-#: in array-native engine setup across repeated runs of one experiment.
-_KEY_CACHE: LRUDict = LRUDict(limit=8)
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
@@ -343,15 +336,7 @@ class NodeStreams:
 
     def __init__(self, seed: int, count: int, *context: object) -> None:
         self._count = count
-        cache_key = (int(seed), context, count)
-        cached = _KEY_CACHE.get(cache_key)
-        if cached is None:
-            key0, key1 = _context_keys(seed, context, range(count))
-            key0.setflags(write=False)
-            key1.setflags(write=False)
-            _KEY_CACHE[cache_key] = (key0, key1)
-            cached = (key0, key1)
-        self._key0, self._key1 = cached
+        self._key0, self._key1 = _context_keys(seed, context, range(count))
         # 32-bit words consumed so far, per stream (Generator.bytes units).
         self._pos = np.zeros(count, dtype=np.int64)
 

@@ -8,6 +8,7 @@ import pytest
 from repro.algorithms import (
     check_bfs_tree,
     check_coloring,
+    check_leader_election,
     check_mis,
     run_bfs_bc,
     run_coloring_bc,
@@ -168,3 +169,34 @@ class TestLeaderElection:
         result = run_leader_election_bc(Topology(graph))
         assert result.outputs[0] == result.outputs[1] == 1
         assert result.outputs[2] == result.outputs[3] == 3
+
+    def test_check_leader_election_on_many_components(self):
+        import networkx as nx
+
+        # 60 three-node paths, then 20 isolated nodes, with shuffled IDs.
+        graph = nx.disjoint_union_all([path_graph(3)] * 60)
+        graph.add_nodes_from(range(180, 200))
+        topology = Topology(graph)
+        ids = [(37 * v + 11) % 200 for v in range(200)]
+        leaders = [max(ids[3 * (v // 3) : 3 * (v // 3) + 3]) for v in range(180)]
+        outputs = leaders + ids[180:]
+        assert check_leader_election(topology, ids, outputs) == (True, "ok")
+        planted = list(outputs)
+        planted[151] = ids[151] if ids[151] != leaders[151] else -1
+        ok, why = check_leader_election(topology, ids, planted)
+        assert not ok
+        assert why == (
+            f"node {ids[151]} elected {planted[151]}, expected {leaders[151]}"
+        )
+
+    def test_check_leader_election_reports_lowest_wrong_index(self):
+        import networkx as nx
+
+        # Component {0, 5} comes first by its lowest node, but node 2 is
+        # the lowest-index wrong node.
+        graph = nx.Graph([(0, 5), (1, 2)])
+        graph.add_nodes_from(range(6))
+        ids = [10, 20, 30, 40, 50, 60]
+        outputs = [60, 30, 20, 40, 50, 10]
+        ok, why = check_leader_election(Topology(graph), ids, outputs)
+        assert (ok, why) == (False, "node 30 elected 20, expected 30")

@@ -72,7 +72,10 @@ class TestSimulator:
         coloring = greedy_distance2_coloring(regular12)
         channel = BernoulliNoise(eps, seed=derive_seed(seed, "tdma-noise"))
 
-        def tdma_round(broadcasts, round_offset):
+        offset = 0  # the next round's first beeping round
+
+        def tdma_round(broadcasts):
+            nonlocal offset
             outcome = simulate_round_tdma(
                 regular12,
                 broadcasts,
@@ -80,8 +83,9 @@ class TestSimulator:
                 6,
                 channel=channel,
                 repetitions=1,
-                start_round=round_offset,
+                start_round=offset,
             )
+            offset += outcome.beep_rounds_used
             return SimpleNamespace(
                 decoded=outcome.decoded,
                 beep_rounds_used=outcome.beep_rounds_used,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.beeping.noise import NoiseModel
-from repro.core import SimulationParameters, simulate_broadcast_round
+from repro.core import BroadcastSession, SimulationParameters
 from repro.core.transpiler import BeepSimulator
 from repro.graphs import Topology, random_regular_graph
 from tests.core.test_transpiler import GossipSum
@@ -42,26 +42,18 @@ class SilenceChannel(NoiseModel):
 class TestAdversarialChannels:
     def test_total_inversion_fails_cleanly(self, regular12):
         params = SimulationParameters(message_bits=6, max_degree=3, eps=0.1, c=5)
-        outcome = simulate_broadcast_round(
-            regular12,
-            [v % 64 for v in range(12)],
-            params,
-            seed=0,
-            channel=AllFlipChannel(),
-        )
+        outcome = BroadcastSession(
+            regular12, params, 0, channel=AllFlipChannel()
+        ).run_round([v % 64 for v in range(12)])
         # no exception; failure is visible in the outcome
         assert not outcome.success
         assert outcome.phase1_errors > 0
 
     def test_total_silence_decodes_nothing(self, regular12):
         params = SimulationParameters(message_bits=6, max_degree=3, eps=0.1, c=5)
-        outcome = simulate_broadcast_round(
-            regular12,
-            [v % 64 for v in range(12)],
-            params,
-            seed=0,
-            channel=SilenceChannel(),
-        )
+        outcome = BroadcastSession(
+            regular12, params, 0, channel=SilenceChannel()
+        ).run_round([v % 64 for v in range(12)])
         assert not outcome.success
         # silence carries no codeword: nothing should be accepted
         assert all(len(s) == 0 for s in outcome.accepted_sets)
@@ -92,12 +84,8 @@ class TestMarginalNoise:
         params = SimulationParameters(message_bits=6, max_degree=3, eps=0.45, c=8)
         failures = 0
         for seed in range(4):
-            outcome = simulate_broadcast_round(
-                regular12,
-                [v % 64 for v in range(12)],
-                params,
-                seed=seed,
-                channel=BernoulliNoise(0.45, seed=seed),
-            )
+            outcome = BroadcastSession(
+                regular12, params, seed, channel=BernoulliNoise(0.45, seed=seed)
+            ).run_round([v % 64 for v in range(12)])
             failures += not outcome.success
         assert failures >= 2

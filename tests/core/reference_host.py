@@ -38,8 +38,9 @@ def reference_run(
 ) -> TranspiledRunResult:
     """Run per-node ``algorithms`` node by node over ``simulated_round``.
 
-    ``simulated_round(broadcasts, round_offset=...)`` simulates one
-    Broadcast CONGEST round and returns an outcome shaped like
+    ``simulated_round(broadcasts)`` simulates the next Broadcast CONGEST
+    round, chaining its own beeping-round offsets as a fresh session's
+    ``run_round`` does, and returns an outcome shaped like
     :class:`~repro.core.round_simulator.RoundOutcome` (``decoded``,
     ``beep_rounds_used``, ``success``, ``phase1_errors``,
     ``phase2_errors``, ``r_collision``).  Node ``v`` has ID ``ids[v]``,
@@ -53,7 +54,6 @@ def reference_run(
     for index, algorithm in enumerate(algorithms):
         algorithm.setup(_context(topology, message_bits, seed, index, ids[index]))
     stats = SimulationStats()
-    round_offset = 0
     for round_index in range(max_rounds):
         if all(a.finished for a in algorithms):
             break
@@ -63,8 +63,7 @@ def reference_run(
             if message is not None:
                 check_message(message, message_bits)
             broadcasts.append(message)
-        outcome = simulated_round(broadcasts, round_offset=round_offset)
-        round_offset += outcome.beep_rounds_used
+        outcome = simulated_round(broadcasts)
         stats.record_round(
             beep_rounds=outcome.beep_rounds_used,
             success=outcome.success,

@@ -150,8 +150,6 @@ def reference_round(
     in_flight = {r_values[v] for v in senders}
     if policy is CandidatePolicy.EXHAUSTIVE:
         candidates = list(range(1 << params.r_bits))
-    elif policy is CandidatePolicy.IN_FLIGHT:
-        candidates = sorted(in_flight)
     else:
         budget = min(num_decoys, (1 << params.r_bits) - len(in_flight))
         decoys = _draw_fresh(round_rng, params.r_bits, in_flight, budget)

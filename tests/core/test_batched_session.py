@@ -3,9 +3,9 @@
 The contract: outcome ``r`` of a batched round is *bit-identical* —
 decoded multisets, accepted sets, error counters, collision flags — to
 what the ``r``-th standalone :class:`BroadcastSession` returns on the
-same messages, for every policy, channel, kernel and round offset.
-Both run the same kernels, so the chaining and policy checks also hold
-them to the reference round of ``reference_round.py``.  The fast kernels
+same messages, for every channel, kernel and round offset.  Both run
+the same kernels, so the chaining checks also hold them to the reference
+round of ``reference_round.py``.  The fast kernels
 (the schedule buffer the round driver hands the executor, both phase-1
 counting kernels, phase-2 nearest-codeword decode) are additionally
 tested value-for-value against their reference implementations, along
@@ -109,50 +109,22 @@ class TestBitIdentityWithPerSeedSessions:
                     ),
                 )
 
-    @pytest.mark.parametrize(
-        "policy",
-        [
-            CandidatePolicy.ORACLE_WITH_DECOYS,
-            CandidatePolicy.IN_FLIGHT,
-            CandidatePolicy.EXHAUSTIVE,
-        ],
-    )
-    def test_policies(self, policy):
+    def test_star_under_noise(self):
         topology = Topology(star_graph(8))
         params = SimulationParameters.for_network(8, 7, eps=0.05)
         seeds = [1, 2]
-        batched = BatchedSession(topology, params, seeds, policy=policy)
-        singles = [
-            BroadcastSession(topology, params, seed, policy=policy)
-            for seed in seeds
-        ]
+        batched = BatchedSession(topology, params, seeds)
+        singles = [BroadcastSession(topology, params, seed) for seed in seeds]
         rng = derive_rng(3, "messages")
         batch = [random_messages(rng, 8, params.message_bits) for _ in seeds]
         for replica, outcome in enumerate(batched.run_round(batch)):
             assert_outcomes_equal(outcome, singles[replica].run_round(batch[replica]))
             assert_outcomes_equal(
                 outcome,
-                reference_round(
-                    topology, params, seeds[replica], batch[replica], 0, policy=policy
-                ),
+                reference_round(topology, params, seeds[replica], batch[replica], 0),
             )
 
-    def test_exhaustive_policy(self):
-        topology = Topology(path_graph(4))
-        params = SimulationParameters(message_bits=2, max_degree=2, eps=0.0, c=3)
-        seeds = [5, 9]
-        batched = BatchedSession(
-            topology, params, seeds, policy=CandidatePolicy.EXHAUSTIVE
-        )
-        singles = [
-            BroadcastSession(topology, params, seed, policy=CandidatePolicy.EXHAUSTIVE)
-            for seed in seeds
-        ]
-        batch = [[1, None, 3, 0], [2, 2, None, 1]]
-        for replica, outcome in enumerate(batched.run_round(batch)):
-            assert_outcomes_equal(outcome, singles[replica].run_round(batch[replica]))
-
-    def test_run_many_and_reset(self):
+    def test_reset_replays_rounds(self):
         topology = Topology(path_graph(5))
         params = SimulationParameters.for_network(5, 2, eps=0.0)
         batched = BatchedSession(topology, params, [4, 8])
@@ -161,12 +133,11 @@ class TestBitIdentityWithPerSeedSessions:
             [random_messages(rng, 5, params.message_bits) for _ in range(2)]
             for _ in range(2)
         ]
-        first = batched.run_many(rounds)
+        first = [batched.run_round(messages) for messages in rounds]
         batched.reset()
-        again = batched.run_many(rounds)
-        for round_outcomes, replay in zip(first, again):
-            for outcome, outcome_again in zip(round_outcomes, replay):
-                assert_outcomes_equal(outcome, outcome_again)
+        for round_outcomes, messages in zip(first, rounds):
+            for outcome, again in zip(round_outcomes, batched.run_round(messages)):
+                assert_outcomes_equal(outcome, again)
 
     def test_explicit_round_offset(self):
         topology = Topology(path_graph(5))
@@ -175,10 +146,10 @@ class TestBitIdentityWithPerSeedSessions:
         single = BroadcastSession(topology, params, 4)
         messages = [[1, 2, 3, 0, 1], [2, 1, 0, 3, 2]]
         offset = 5000
-        outcomes = batched.run_round(messages, round_offset=offset)
-        assert_outcomes_equal(
-            outcomes[0], single.run_round(messages[0], round_offset=offset)
-        )
+        batched.reset(offset)
+        single.reset(offset)
+        outcomes = batched.run_round(messages)
+        assert_outcomes_equal(outcomes[0], single.run_round(messages[0]))
 
 
 class TestBatchedSessionValidation:
@@ -365,7 +336,8 @@ class TestFusedPlan:
         """Four replicas with distinct seeds: the Floyd code whose
         Lemire draw rejects at value 22803 (seed 0, b = 5184), a code in
         numpy's tail-shuffle branch (b = 21312, w = 592), another Floyd
-        code and an exhaustive one."""
+        code and an exhaustive one, whose full domains go through the
+        same encode stage."""
         floyd = SimulationParameters(message_bits=9, max_degree=8, eps=0.02, c=4)
         tail = SimulationParameters(message_bits=37, max_degree=8, eps=0.02, c=4)
         tiny = SimulationParameters(message_bits=3, max_degree=8, eps=0.0, c=3)
@@ -401,10 +373,11 @@ class TestFusedPlan:
                 ]
                 for shift in (7, 35, 7, 1)
             ]
-            offset = 1000 * round_index
-            plans = _plan_round(fused, messages, offset)
+            for session in fused + alone:
+                session.reset(1000 * round_index)
+            plans = _plan_round(fused, messages)
             for session, plan, replica_messages in zip(alone, plans, messages):
-                [single] = _plan_round([session], [replica_messages], offset)
+                [single] = _plan_round([session], [replica_messages])
                 for field in ("positions", "codewords", "own", "message_index"):
                     assert np.array_equal(getattr(plan, field), getattr(single, field))
                 assert list(plan.candidates) == list(single.candidates)

@@ -1,4 +1,4 @@
-"""Tests for Algorithm 1 (simulate_broadcast_round)."""
+"""Tests for Algorithm 1 (``BroadcastSession.run_round``)."""
 
 from __future__ import annotations
 
@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 from reference_round import _draw_fresh
 from repro.core import (
     BatchedSession,
+    BroadcastSession,
     CandidatePolicy,
     SimulationParameters,
-    simulate_broadcast_round,
 )
 from repro.core import round_simulator
 from repro.core.round_simulator import _draw_decoys
@@ -23,7 +23,7 @@ from repro.rng import derive_rng, random_bits, random_bits_many
 class TestNoiselessRound:
     def test_all_nodes_decode_neighbors(self, regular12, small_params):
         messages = [v % 64 for v in range(12)]
-        outcome = simulate_broadcast_round(regular12, messages, small_params, seed=1)
+        outcome = BroadcastSession(regular12, small_params, 1).run_round(messages)
         assert outcome.success
         assert outcome.phase1_errors == 0
         assert outcome.phase2_errors == 0
@@ -32,36 +32,32 @@ class TestNoiselessRound:
             assert outcome.decoded[v] == expected
 
     def test_beep_rounds_is_twice_code_length(self, regular12, small_params):
-        outcome = simulate_broadcast_round(
-            regular12, [1] * 12, small_params, seed=1
-        )
+        outcome = BroadcastSession(regular12, small_params, 1).run_round([1] * 12)
         assert outcome.beep_rounds_used == 2 * small_params.beep_code_length
 
     def test_duplicate_messages_kept_as_multiset(self, star8):
         params = SimulationParameters(message_bits=6, max_degree=7, eps=0.0, c=3)
         messages = [5] * 8  # every leaf sends 5
-        outcome = simulate_broadcast_round(star8, messages, params, seed=2)
+        outcome = BroadcastSession(star8, params, 2).run_round(messages)
         assert outcome.success
         assert outcome.decoded[0] == [5] * 7  # hub hears seven copies
 
     def test_silent_nodes_not_decoded(self, path6, small_params):
         messages = [10, None, 30, None, 50, 60]
-        outcome = simulate_broadcast_round(path6, messages, small_params, seed=3)
+        outcome = BroadcastSession(path6, small_params, 3).run_round(messages)
         assert outcome.success
         assert outcome.decoded[0] == []  # only neighbour (1) was silent
         assert outcome.decoded[1] == [10, 30]
 
     def test_all_silent(self, path6, small_params):
-        outcome = simulate_broadcast_round(
-            path6, [None] * 6, small_params, seed=3
-        )
+        outcome = BroadcastSession(path6, small_params, 3).run_round([None] * 6)
         assert outcome.success
         assert all(d == [] for d in outcome.decoded)
 
     def test_deterministic_under_seed(self, regular12, small_params):
         messages = [v % 64 for v in range(12)]
-        a = simulate_broadcast_round(regular12, messages, small_params, seed=9)
-        b = simulate_broadcast_round(regular12, messages, small_params, seed=9)
+        a = BroadcastSession(regular12, small_params, 9).run_round(messages)
+        b = BroadcastSession(regular12, small_params, 9).run_round(messages)
         assert a.decoded == b.decoded
         assert np.array_equal(a.per_node_success, b.per_node_success)
 
@@ -70,9 +66,7 @@ class TestNoisyRound:
     def test_high_success_at_practical_constants(self, regular12, noisy_params):
         messages = [v % 64 for v in range(12)]
         successes = sum(
-            simulate_broadcast_round(
-                regular12, messages, noisy_params, seed=s
-            ).success
+            BroadcastSession(regular12, noisy_params, s).run_round(messages).success
             for s in range(8)
         )
         assert successes >= 7
@@ -83,7 +77,7 @@ class TestNoisyRound:
         params = SimulationParameters(message_bits=6, max_degree=3, eps=0.2, c=3)
         messages = [v % 64 for v in range(12)]
         failures = sum(
-            not simulate_broadcast_round(regular12, messages, params, seed=s).success
+            not BroadcastSession(regular12, params, s).run_round(messages).success
             for s in range(6)
         )
         assert failures >= 1
@@ -94,74 +88,52 @@ class TestCandidatePolicies:
         topology = Topology(path_graph(4))
         params = SimulationParameters(message_bits=3, max_degree=2, eps=0.0, c=3)
         messages = [1, 2, 3, 4]
-        exhaustive = simulate_broadcast_round(
-            topology,
-            messages,
-            params,
-            seed=5,
-            policy=CandidatePolicy.EXHAUSTIVE,
-        )
-        oracle = simulate_broadcast_round(
-            topology,
-            messages,
-            params,
-            seed=5,
-            policy=CandidatePolicy.ORACLE_WITH_DECOYS,
-        )
+        exhaustive = BroadcastSession(
+            topology, params, 5, policy=CandidatePolicy.EXHAUSTIVE
+        ).run_round(messages)
+        oracle = BroadcastSession(
+            topology, params, 5, policy=CandidatePolicy.ORACLE_WITH_DECOYS
+        ).run_round(messages)
         assert exhaustive.decoded == oracle.decoded
         assert exhaustive.success and oracle.success
 
-    def test_in_flight_policy(self, regular12, small_params):
-        outcome = simulate_broadcast_round(
-            regular12,
-            [v % 64 for v in range(12)],
-            small_params,
-            seed=5,
-            policy=CandidatePolicy.IN_FLIGHT,
-        )
+    def test_in_flight_scan(self, regular12, small_params):
+        outcome = BroadcastSession(
+            regular12, small_params, 5, num_decoys=0
+        ).run_round([v % 64 for v in range(12)])
         assert outcome.success
 
     def test_exhaustive_refuses_large_spaces(self, regular12):
         params = SimulationParameters(message_bits=16, max_degree=3, eps=0.0, c=3)
         with pytest.raises(ConfigurationError):
-            simulate_broadcast_round(
-                regular12,
-                [1] * 12,
-                params,
-                seed=0,
-                policy=CandidatePolicy.EXHAUSTIVE,
+            BroadcastSession(
+                regular12, params, 0, policy=CandidatePolicy.EXHAUSTIVE
             )
 
     def test_decoys_do_not_break_decoding(self, regular12, small_params):
-        outcome = simulate_broadcast_round(
-            regular12,
-            [v % 64 for v in range(12)],
-            small_params,
-            seed=5,
-            num_decoys=64,
-        )
+        outcome = BroadcastSession(
+            regular12, small_params, 5, num_decoys=64
+        ).run_round([v % 64 for v in range(12)])
         assert outcome.success
 
 
 class TestValidation:
     def test_message_count_checked(self, path6, small_params):
         with pytest.raises(ConfigurationError):
-            simulate_broadcast_round(path6, [1, 2], small_params, seed=0)
+            BroadcastSession(path6, small_params, 0).run_round([1, 2])
 
     def test_message_width_checked(self, path6, small_params):
         with pytest.raises(ConfigurationError):
-            simulate_broadcast_round(
-                path6, [1 << 20] + [1] * 5, small_params, seed=0
-            )
+            BroadcastSession(path6, small_params, 0).run_round([1 << 20] + [1] * 5)
 
     def test_degree_bound_checked(self, star8, small_params):
         # star has Delta = 7 > params.max_degree = 3
         with pytest.raises(ConfigurationError):
-            simulate_broadcast_round(star8, [1] * 8, small_params, seed=0)
+            BroadcastSession(star8, small_params, 0)
 
     def test_accepted_sets_exclude_own_codeword(self, path6, small_params):
-        outcome = simulate_broadcast_round(
-            path6, [1, 2, 3, 4, 5, 6], small_params, seed=7
+        outcome = BroadcastSession(path6, small_params, 7).run_round(
+            [1, 2, 3, 4, 5, 6]
         )
         # each node's accepted set has exactly its neighbours' entries
         for v in range(6):
@@ -211,8 +183,8 @@ class TestMessageDecoys:
         16 decoys still runs and decodes."""
         params = SimulationParameters(message_bits=2, max_degree=3, eps=0.0, c=3)
         messages = [v % 4 for v in range(6)]
-        outcome = simulate_broadcast_round(
-            path6, messages, params, seed=11, num_decoys=16
+        outcome = BroadcastSession(path6, params, 11, num_decoys=16).run_round(
+            messages
         )
         assert outcome.success
 
@@ -257,7 +229,7 @@ class TestCandidateDecoys:
         topology = Topology(path_graph(2))
         params = SimulationParameters.for_network(2, 1, eps=0.0)
         assert 1 << params.r_bits < 16
-        outcome = simulate_broadcast_round(topology, [1, 0], params, seed=0)
+        outcome = BroadcastSession(topology, params, 0).run_round([1, 0])
         assert outcome.success
         assert outcome.decoded == [[0], [1]]
         batched = BatchedSession(topology, params, [0, 1])

@@ -1,5 +1,5 @@
-"""Tests for BroadcastSession: exact reproduction of standalone rounds plus
-one-time construction of codes, channel, and decoder matrices."""
+"""Tests for BroadcastSession: rounds chain their offsets, ``reset``
+replays any round exactly, and the codes and channel are built once."""
 
 from __future__ import annotations
 
@@ -12,15 +12,13 @@ from repro.beeping import (
     NoiselessChannel,
     ScheduledProtocol,
 )
-from repro.codes.beep import BeepCode
-from repro.codes.distance import DistanceCode
 from repro.core import (
     BatchedSession,
     BroadcastSession,
     CandidatePolicy,
     SimulationParameters,
-    simulate_broadcast_round,
 )
+from repro.core import round_simulator
 from repro.engine import run_schedule, run_schedule_batch
 from repro.errors import ConfigurationError
 from repro.graphs import Topology, path_graph
@@ -44,16 +42,24 @@ def _message_rounds(n, count):
     ] + [[None if v % 2 else (v % 64) for v in range(n)]]
 
 
-class TestRunManyReproducesStandaloneCalls:
+def _rewound_round(topology, params, seed, messages, offset, **scan):
+    """One round of a fresh session reset to ``offset``."""
+    session = BroadcastSession(topology, params, seed, **scan)
+    session.reset(offset)
+    return session.run_round(messages)
+
+
+class TestRoundsChainOffsets:
+    """``reset(k · 2b)`` followed by ``run_round`` is round ``k`` of a
+    chained session."""
+
     def test_noiseless(self, regular12, small_params):
         rounds = _message_rounds(12, 3)
         session = BroadcastSession(regular12, small_params, seed=3)
-        outcomes = session.run_many(rounds)
         offset = 0
-        for messages, outcome in zip(rounds, outcomes):
-            reference = simulate_broadcast_round(
-                regular12, messages, small_params, seed=3, round_offset=offset
-            )
+        for messages in rounds:
+            outcome = session.run_round(messages)
+            reference = _rewound_round(regular12, small_params, 3, messages, offset)
             offset += reference.beep_rounds_used
             _assert_outcomes_equal(outcome, reference)
         assert session.next_round_offset == offset
@@ -61,12 +67,10 @@ class TestRunManyReproducesStandaloneCalls:
     def test_noisy(self, regular12, noisy_params):
         rounds = _message_rounds(12, 1)
         session = BroadcastSession(regular12, noisy_params, seed=5)
-        outcomes = session.run_many(rounds)
         offset = 0
-        for messages, outcome in zip(rounds, outcomes):
-            reference = simulate_broadcast_round(
-                regular12, messages, noisy_params, seed=5, round_offset=offset
-            )
+        for messages in rounds:
+            outcome = session.run_round(messages)
+            reference = _rewound_round(regular12, noisy_params, 5, messages, offset)
             offset += reference.beep_rounds_used
             _assert_outcomes_equal(outcome, reference)
 
@@ -75,9 +79,11 @@ class TestRunManyReproducesStandaloneCalls:
     ):
         rounds = _message_rounds(12, 1)
         force_kernel("bitpacked")
-        packed = BroadcastSession(regular12, noisy_params, seed=8).run_many(rounds)
+        session = BroadcastSession(regular12, noisy_params, seed=8)
+        packed = [session.run_round(messages) for messages in rounds]
         force_kernel("dense")
-        dense = BroadcastSession(regular12, noisy_params, seed=8).run_many(rounds)
+        session = BroadcastSession(regular12, noisy_params, seed=8)
+        dense = [session.run_round(messages) for messages in rounds]
         for a, b in zip(packed, dense):
             _assert_outcomes_equal(a, b)
 
@@ -85,11 +91,12 @@ class TestRunManyReproducesStandaloneCalls:
         session = BroadcastSession(regular12, small_params, seed=3)
         messages = [v % 64 for v in range(12)]
         b2 = 2 * session.codes.length
-        skipped = session.run_round(messages, round_offset=5 * b2)
-        reference = simulate_broadcast_round(
-            regular12, messages, small_params, seed=3, round_offset=5 * b2
-        )
-        _assert_outcomes_equal(skipped, reference)
+        session.reset(5 * b2)
+        skipped = session.run_round(messages)
+        chained = BroadcastSession(regular12, small_params, seed=3)
+        for other in _message_rounds(12, 4):
+            chained.run_round(other)
+        _assert_outcomes_equal(skipped, chained.run_round(messages))
         assert session.next_round_offset == 6 * b2
 
     def test_reset_rewinds(self, regular12, small_params):
@@ -102,16 +109,15 @@ class TestRunManyReproducesStandaloneCalls:
         with pytest.raises(ConfigurationError):
             session.reset(-1)
 
-    def test_run_many_with_offset_matches_fresh_session(
-        self, regular12, small_params
-    ):
+    def test_reset_replays_a_fresh_session(self, regular12, small_params):
         rounds = _message_rounds(12, 2)
-        fresh = BroadcastSession(regular12, small_params, seed=4).run_many(rounds)
+        session = BroadcastSession(regular12, small_params, seed=4)
+        fresh = [session.run_round(messages) for messages in rounds]
         reused = BroadcastSession(regular12, small_params, seed=4)
         reused.run_round([1] * 12)  # advance the offset
-        rewound = reused.run_many(rounds, round_offset=0)
-        for a, b in zip(fresh, rewound):
-            _assert_outcomes_equal(a, b)
+        reused.reset(0)
+        for outcome, messages in zip(fresh, rounds):
+            _assert_outcomes_equal(outcome, reused.run_round(messages))
 
 
 class TestAmortisation:
@@ -129,55 +135,47 @@ class TestAmortisation:
         session = BroadcastSession(regular12, small_params, seed=3)
         channel = session.channel
         codes = session.codes
-        session.run_many(_message_rounds(12, 2))
+        for messages in _message_rounds(12, 2):
+            session.run_round(messages)
         assert len(calls) == 1
         assert session.channel is channel and session.codes is codes
 
-    def test_exhaustive_matrices_built_once(self, monkeypatch):
+    def test_exhaustive_second_round(self, monkeypatch):
+        """An exhaustive round scans the full domains through the same
+        encode stage and distance-row LRU as any other candidate list."""
         topology = Topology(path_graph(4))
         params = SimulationParameters(message_bits=3, max_degree=2, eps=0.0, c=3)
         session = BroadcastSession(
             topology, params, seed=5, policy=CandidatePolicy.EXHAUSTIVE
         )
         messages = [1, 2, 3, 4]
-        session.run_round(messages)  # builds both exhaustive matrices
+        session.run_round(messages)  # fills the LRU with all 8 message rows
 
-        beep_calls: list[int] = []
-        distance_calls: list[int] = []
-        original_beep = BeepCode.encode_int
-        original_distance = DistanceCode.encode_int
+        requests: list[list[tuple[object, list[int]]]] = []
+        original = round_simulator.encode_batch
 
-        def counting_beep(self, value):
-            beep_calls.append(value)
-            return original_beep(self, value)
+        def spy(batch):
+            requests.append([(code, list(values)) for code, values in batch])
+            return original(batch)
 
-        def counting_distance(self, value):
-            distance_calls.append(value)
-            return original_distance(self, value)
-
-        monkeypatch.setattr(BeepCode, "encode_int", counting_beep)
-        monkeypatch.setattr(DistanceCode, "encode_int", counting_distance)
+        monkeypatch.setattr(round_simulator, "encode_batch", spy)
         second = session.run_round(messages)
-        second_round_beep_calls = len(beep_calls)
-        second_round_distance_calls = list(distance_calls)
-        reference = simulate_broadcast_round(
+        # One encode stage: r_bits = 9 → all 512 beep candidates; the
+        # 8-message space is served by the LRU, so no distance row.
+        [[(beep_code, candidates), (distance_code, misses)]] = requests
+        assert beep_code is session.codes.beep_code
+        assert candidates == list(range(1 << params.r_bits))
+        assert distance_code is session.codes.distance_code and misses == []
+        assert len(session._distance_rows) == 1 << params.message_bits
+        reference = _rewound_round(
             topology,
-            messages,
             params,
-            seed=5,
-            round_offset=2 * session.codes.length,
+            5,
+            messages,
+            2 * session.codes.length,
             policy=CandidatePolicy.EXHAUSTIVE,
         )
         _assert_outcomes_equal(second, reference)
-        # r_bits = 9 → 512 phase-1 candidates; message space 8.  A fresh
-        # decode would re-encode all of them; the session only encodes the
-        # handful of codewords the *schedules and extraction* touch.
-        r_space = 1 << params.r_bits
-        assert second_round_beep_calls < r_space // 4
-        # The phase-2 matrix is reused outright: every distance encode in
-        # round 2 came from schedule building (the 4 in-flight messages),
-        # not from rebuilding the 8-codeword matrix.
-        assert set(second_round_distance_calls) <= set(messages)
 
     def test_exhaustive_limits_checked_at_construction(self, regular12):
         params = SimulationParameters(message_bits=16, max_degree=3, eps=0.0, c=3)
@@ -222,14 +220,13 @@ class TestNegativeOffsetsRejected:
     def test_session_round_offset(self, regular12, eps):
         session = BroadcastSession(regular12, self._params(eps), seed=1)
         with pytest.raises(ConfigurationError, match="round_offset must be >= 0"):
-            session.run_round([v % 64 for v in range(12)], round_offset=-1)
+            session.reset(-1)
         assert session.next_round_offset == 0
 
     def test_batched_session_round_offset(self, regular12, eps):
         batched = BatchedSession(regular12, self._params(eps), seeds=[1, 2])
-        messages = [[v % 64 for v in range(12)]] * 2
         with pytest.raises(ConfigurationError, match="round_offset must be >= 0"):
-            batched.run_round(messages, round_offset=-1)
+            batched.reset(-1)
         assert [s.next_round_offset for s in batched.sessions] == [0, 0]
 
     def test_schedule_start_round(self, regular12, eps):

@@ -2,11 +2,12 @@
 
 ``BroadcastSession.run_round`` and every ``BatchedSession`` replica must
 return exactly what :func:`reference_round.reference_round` computes from
-the reference encoder and decoders — across all three candidate
-policies, noiseless and noisy channels, the scenario channels, a churning
-topology, a noise-window-straddling offset, silent nodes and a forced
-``r_v`` collision, with the policy and heterogeneous-noise cases run
-under both phase-1 counting kernels.  The kernel-level comparisons stay
+the reference encoder and decoders — across the three candidate scans
+(exhaustive, the default in-flight values plus decoys, and the in-flight
+values alone), noiseless and noisy channels, the scenario channels, a
+churning topology, a noise-window-straddling offset, silent nodes and a
+forced ``r_v`` collision, with the scan and heterogeneous-noise cases
+run under both phase-1 counting kernels.  The kernel-level comparisons stay
 in ``tests/core/test_batched_session.py``.
 """
 
@@ -28,6 +29,14 @@ SEEDS = (3, 8)
 #: the suites that force each hold both to the reference decoder.
 PHASE1_KERNELS = ("gather", "sgemm")
 
+#: The candidate scans, as ``BroadcastSession`` keywords: each policy at
+#: its default decoy budget, and the in-flight values alone.
+SCANS = {
+    "exhaustive": {"policy": CandidatePolicy.EXHAUSTIVE},
+    "oracle-with-decoys": {},
+    "in-flight": {"num_decoys": 0},
+}
+
 
 def message_rounds(n, message_bits, rounds, *, silent_every=4, seed=0):
     """Per-round message lists; every ``silent_every``-th node stays silent."""
@@ -44,42 +53,29 @@ def message_rounds(n, message_bits, rounds, *, silent_every=4, seed=0):
 
 
 def check_against_reference(
-    topology,
-    params,
-    rounds,
-    *,
-    start=0,
-    policy=CandidatePolicy.ORACLE_WITH_DECOYS,
-    channels=None,
+    topology, params, rounds, *, start=0, channels=None, **scan
 ):
-    """Run ``rounds`` on standalone and batched sessions; compare each to
-    the reference round at the same offset.  Returns the reference
-    outcomes keyed by ``(seed, round index)``."""
+    """Run ``rounds`` on standalone sessions, and on a batched session
+    unless ``scan`` (``policy``, ``num_decoys``) leaves the default scan;
+    compare each to the reference round at the same offset.  Returns the
+    reference outcomes keyed by ``(seed, round index)``."""
     channels = list(channels) if channels is not None else [None] * len(SEEDS)
     expected = {}
     for seed, channel in zip(SEEDS, channels):
         offset = start
         for t, messages in enumerate(rounds):
             expected[seed, t] = reference_round(
-                topology,
-                params,
-                seed,
-                messages,
-                offset,
-                policy=policy,
-                channel=channel,
+                topology, params, seed, messages, offset, channel=channel, **scan
             )
             offset += expected[seed, t].beep_rounds_used
     for seed, channel in zip(SEEDS, channels):
-        session = BroadcastSession(
-            topology, params, seed, policy=policy, channel=channel
-        )
+        session = BroadcastSession(topology, params, seed, channel=channel, **scan)
         session.reset(start)
         for t, messages in enumerate(rounds):
             assert_outcomes_equal(session.run_round(messages), expected[seed, t])
-    batched = BatchedSession(
-        topology, params, SEEDS, policy=policy, channels=channels
-    )
+    if scan:
+        return expected
+    batched = BatchedSession(topology, params, SEEDS, channels=channels)
     batched.reset(start)
     for t, messages in enumerate(rounds):
         outcomes = batched.run_round([messages] * len(SEEDS))
@@ -89,8 +85,8 @@ def check_against_reference(
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1, 0.2])
-@pytest.mark.parametrize("policy", list(CandidatePolicy), ids=lambda p: p.value)
-def test_policies_and_noise_rates(policy, eps, force_phase1):
+@pytest.mark.parametrize("scan", SCANS)
+def test_policies_and_noise_rates(scan, eps, force_phase1):
     # c = 3 keeps EXHAUSTIVE's 2^12-candidate scan small; under noise it is
     # undersized on purpose, so decoding errors are compared too (at
     # eps = 0.2 some nodes decode messages nobody sent).
@@ -99,7 +95,7 @@ def test_policies_and_noise_rates(policy, eps, force_phase1):
     for kernel in PHASE1_KERNELS:
         force_phase1(kernel)
         expected = check_against_reference(
-            topology, params, message_rounds(12, 4, rounds=2), policy=policy
+            topology, params, message_rounds(12, 4, rounds=2), **SCANS[scan]
         )
         if eps:
             assert not all(outcome.success for outcome in expected.values())
@@ -167,12 +163,8 @@ def test_dynamic_topology():
     check_against_reference(topology, params, message_rounds(12, 6, rounds=2))
 
 
-@pytest.mark.parametrize(
-    "policy",
-    [CandidatePolicy.ORACLE_WITH_DECOYS, CandidatePolicy.IN_FLIGHT],
-    ids=lambda p: p.value,
-)
-def test_window_straddling_offset(policy):
+@pytest.mark.parametrize("scan", ["oracle-with-decoys", "in-flight"])
+def test_window_straddling_offset(scan):
     # Noise is drawn in 4096-round windows; the first phase starts six
     # rounds before a window boundary.
     topology = Topology(random_regular_graph(12, 3, seed=7))
@@ -181,7 +173,7 @@ def test_window_straddling_offset(policy):
         _scenario_params(),
         message_rounds(12, 6, rounds=2),
         start=4090,
-        policy=policy,
+        **SCANS[scan],
     )
 
 
@@ -191,13 +183,13 @@ def test_all_silent_round():
     check_against_reference(topology, params, [[None] * 6, [1, None] * 3])
 
 
-@pytest.mark.parametrize("policy", list(CandidatePolicy), ids=lambda p: p.value)
-def test_forced_r_collision(policy):
+@pytest.mark.parametrize("scan", SCANS)
+def test_forced_r_collision(scan):
     # r_bits = 3: ten senders share eight values, so some r_v collide, and
     # the decoy budget exceeds the free r-space.
     topology = Topology(path_graph(10))
     params = SimulationParameters(message_bits=1, max_degree=2, eps=0.0, c=3)
     assert params.r_bits == 3
     rounds = message_rounds(10, 1, rounds=2, silent_every=0)
-    expected = check_against_reference(topology, params, rounds, policy=policy)
+    expected = check_against_reference(topology, params, rounds, **SCANS[scan])
     assert all(outcome.r_collision for outcome in expected.values())

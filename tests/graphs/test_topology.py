@@ -123,6 +123,15 @@ class TestNetworkxOracle:
             ]
         assert topology.distances_from(11).tolist() == [-1] * 11 + [0]
 
+    def test_distances_on_a_long_path(self):
+        graph = path_graph(2000)
+        topology = Topology(graph)
+        for source in (0, 1234, 1999):
+            expected = nx.single_source_shortest_path_length(graph, source)
+            distances = topology.distances_from(source)
+            assert distances.dtype == np.int64
+            assert distances.tolist() == [expected[v] for v in range(2000)]
+
     def test_distances_reject_foreign_source(self):
         topology = Topology(path_graph(3))
         for source in (-1, 3):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.codes import BeepCode, DistanceCode
 from repro.rng import derive_rng, derive_seed, spawn_rngs
 
 
@@ -30,6 +33,30 @@ class TestDeriveRng:
 
     def test_negative_seed_allowed(self):
         derive_rng(-5, "ctx").random()
+
+    @pytest.mark.parametrize("value", [np.int64(5), np.uint64(5)])
+    def test_numpy_integer_keys_like_int(self, value):
+        assert derive_seed(3, "x", value) == derive_seed(3, "x", 5)
+        assert derive_rng(3, "x", value).bytes(16) == derive_rng(3, "x", 5).bytes(16)
+
+    def test_bools_keep_their_keys(self):
+        assert derive_seed(3, True) != derive_seed(3, 1)
+        assert derive_seed(3, np.True_) != derive_seed(3, True)
+
+
+class TestNumpyIntegerCodewords:
+    """A codeword keyed by a numpy integer is the codeword of its int."""
+
+    def test_distance_code(self):
+        code = DistanceCode(9, 1 / 3, length=144, seed=3)
+        assert np.array_equal(code.encode_int(np.int64(5)), code.encode_int(5))
+
+    def test_beep_code(self):
+        code = BeepCode(36, 9, 4)
+        assert np.array_equal(
+            np.flatnonzero(code.encode_int(np.int64(7))),
+            code.encode_positions([7])[0],
+        )
 
 
 class TestDeriveSeed:

@@ -77,7 +77,7 @@ class TestDrawEquality:
         )
 
     def test_instances_do_not_share_positions(self):
-        # The key cache is shared; the stream positions must not be.
+        # Equal keys, but each instance keeps its own stream positions.
         a = NodeStreams(3, 2, "node-local")
         b = NodeStreams(3, 2, "node-local")
         first_a = a.draw(np.array([0]), 64)
