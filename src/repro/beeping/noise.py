@@ -113,9 +113,11 @@ _WINDOW_WORDS = _WINDOW // WORD_BITS
 _RAW_CHUNK_WORDS = 1 << 17
 
 #: Flip windows kept resident per channel; a window is stored packed,
-#: ``n * 512`` bytes (256 KiB at n = 512), and chained phases touch at
-#: most two consecutive windows plus the occasional replay, so a handful
-#: suffices.
+#: ``n * 512`` bytes (256 KiB at n = 512).  A phase of ``b`` rounds spans
+#: ``ceil(b / 4096)`` windows or one more (six or seven at b = 21312), but
+#: chained phases run forward and consecutive spans share only their
+#: boundary window, so even one slot draws each window once; the rest
+#: absorb the occasional replay.
 _WINDOW_CACHE_SIZE = 4
 
 

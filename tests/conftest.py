@@ -8,7 +8,9 @@ reproduces exactly.  ``HYPOTHESIS_PROFILE=ci`` selects it.
 :func:`force_kernel` routes every schedule of one test through one of
 the executor's two kernels, so end-to-end suites can hold the dense and
 the bit-packed branch to each other; :func:`force_phase1` does the same
-for the two counting kernels of the sessions' phase-1 decode.
+for the two counting kernels of the sessions' phase-1 decode, and
+:func:`force_chunk` cuts every session round into smaller replica
+chunks, so suites can hold a chunked batch to a whole one.
 """
 
 from __future__ import annotations
@@ -118,5 +120,22 @@ def force_phase1(monkeypatch):
             monkeypatch.setattr(round_simulator, "_GATHER_MIN_CELLS", float("inf"))
         else:
             raise ValueError(f"unknown phase-1 kernel {kernel!r}")
+
+    return force
+
+
+@pytest.fixture
+def force_chunk(monkeypatch):
+    """``force_chunk(cells)``: move the session round driver's chunk budget.
+
+    Sets the schedule cells one chunk of a round may hold (undone after
+    the test), so a batch of replicas with ``n·b`` cells each runs in
+    chunks of ``max(1, cells // (n·b))``: ``force_chunk(0)`` runs one
+    replica per chunk.  Only this process is affected: worker processes
+    start from a fresh import.
+    """
+
+    def force(cells: int) -> None:
+        monkeypatch.setattr(round_simulator, "_CHUNK_CELLS", cells)
 
     return force

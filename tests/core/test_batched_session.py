@@ -3,9 +3,9 @@
 The contract: outcome ``r`` of a batched round is *bit-identical* —
 decoded multisets, accepted sets, error counters, collision flags — to
 what the ``r``-th standalone :class:`BroadcastSession` returns on the
-same messages, for every channel, kernel and round offset.  Both run
-the same kernels, so the chaining checks also hold them to the reference
-round of ``reference_round.py``.  The fast kernels
+same messages, for every channel, kernel, round offset and chunk size.
+Both run the same kernels, so the chaining checks also hold them to the
+reference round of ``reference_round.py``.  The fast kernels
 (the schedule buffer the round driver hands the executor, both phase-1
 counting kernels, phase-2 nearest-codeword decode) are additionally
 tested value-for-value against their reference implementations, along
@@ -18,6 +18,7 @@ from __future__ import annotations
 import tracemalloc
 import weakref
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -82,14 +83,35 @@ def random_messages(rng, n, message_bits, hole_every=0):
     ]
 
 
+def spy_chunk_sizes(monkeypatch):
+    """Record the replica count of every chunk the round driver runs."""
+    sizes = []
+    original = round_simulator._run_chunk
+
+    def spy(sessions, messages):
+        sizes.append(len(sessions))
+        return original(sessions, messages)
+
+    monkeypatch.setattr(round_simulator, "_run_chunk", spy)
+    return sizes
+
+
 class TestBitIdentityWithPerSeedSessions:
+    @pytest.mark.parametrize("chunk", [None, 1, 2])
     @pytest.mark.parametrize("kernel", ["dense", "bitpacked"])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
-    def test_multi_round_chaining(self, kernel, eps, force_kernel):
+    def test_multi_round_chaining(
+        self, kernel, eps, chunk, force_kernel, force_chunk, monkeypatch
+    ):
+        """``chunk`` replicas per chunk: the whole batch (None), one, or
+        two, which splits the three seeds unevenly."""
         force_kernel(kernel)
         topology = Topology(random_regular_graph(12, 3, seed=7))
         params = SimulationParameters.for_network(12, 3, eps=eps)
         seeds = [11, 23, 37]
+        if chunk is not None:
+            force_chunk(chunk * 12 * params.beep_code_length)
+        chunk_sizes = spy_chunk_sizes(monkeypatch)
         batched = BatchedSession(topology, params, seeds)
         singles = [BroadcastSession(topology, params, seed) for seed in seeds]
         rng = derive_rng(0, "messages")
@@ -99,7 +121,9 @@ class TestBitIdentityWithPerSeedSessions:
                 for _ in seeds
             ]
             offset = batched.sessions[0].next_round_offset
+            chunk_sizes.clear()
             outcomes = batched.run_round(batch)
+            assert chunk_sizes == {None: [3], 1: [1, 1, 1], 2: [2, 1]}[chunk]
             for replica, (single, messages) in enumerate(zip(singles, batch)):
                 assert_outcomes_equal(outcomes[replica], single.run_round(messages))
                 assert_outcomes_equal(
@@ -165,6 +189,30 @@ class TestBatchedSessionValidation:
         batched = BatchedSession(topology, params, [0, 1])
         with pytest.raises(ConfigurationError):
             batched.run_round([[1, 2, 3, 0]])
+
+    @pytest.mark.parametrize("bad", ["too-wide", "short"])
+    def test_rejected_batch_moves_no_offset(self, bad, force_chunk):
+        """Every replica's messages are checked before the first chunk
+        runs: a bad list in the last of three one-replica chunks leaves
+        every offset where it was."""
+        topology = Topology(path_graph(4))
+        params = SimulationParameters.for_network(4, 2, eps=0.0)
+        force_chunk(0)
+        batched = BatchedSession(topology, params, [0, 1, 2])
+        batched.reset(64)
+        good = [1, 2, 3, 0]
+        last = {"too-wide": [1, 2, 3, 1 << params.message_bits], "short": good[:3]}
+        with pytest.raises(ConfigurationError):
+            batched.run_round([good, good, last[bad]])
+        assert [s.next_round_offset for s in batched.sessions] == [64, 64, 64]
+
+    def test_empty_network(self, force_chunk):
+        """A network of no nodes has no schedule cells; its rounds still run."""
+        params = SimulationParameters(message_bits=3, max_degree=2, eps=0.0, c=3)
+        batched = BatchedSession(Topology(nx.Graph()), params, [0, 1])
+        assert [o.success for o in batched.run_round([[], []])] == [True, True]
+        force_chunk(0)
+        assert [o.success for o in batched.run_round([[], []])] == [True, True]
 
     def test_properties(self):
         topology = Topology(path_graph(4))
@@ -437,49 +485,61 @@ class TestDistanceRowCacheBound:
             assert len(session._distance_rows) > 0
 
 
+def warm_memory_batch(replicas):
+    """A batched session at n=128, b=4032, warmed by one round (code
+    tables, row caches), and the messages it runs again."""
+    n = 128
+    topology = Topology(random_regular_graph(n, 8, seed=0))
+    params = SimulationParameters.for_network(n, 8, eps=0.02)
+    assert params.beep_code_length == 4032
+    batched = BatchedSession(topology, params, range(replicas))
+    rng = derive_rng(0, "memory")
+    batch = [random_messages(rng, n, params.message_bits) for _ in range(replicas)]
+    batched.run_round(batch)
+    return batched, batch
+
+
+def traced_peak(run):
+    """The tracemalloc peak, in bytes, of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestRoundMemory:
+    """A warm R=8 round at n=128, b=4032.  Its 4.13 M schedule cells fit
+    one chunk, so the first two cases hold the whole batch at once and
+    the third forces one replica per chunk."""
+
+    replicas, cells = 8, 128 * 4032
+
     def test_traced_peak_of_a_warm_round(self):
-        """A warm batched round stays under ``5·R·n·b`` traced bytes.
+        """A warm one-chunk round stays under ``5·R·n·b`` traced bytes.
 
         Both beeping phases share one ``(R, n, b)`` schedule buffer, so
-        the round holds three boolean stacks (the buffer and both heard
-        stacks) plus the kernels' working sets, about 1.2·R·n·b more.
-        One more schedule stack per round would break the bound.
+        the round holds the buffer and a heard stack plus the kernels'
+        working sets.  One more schedule stack per round would break the
+        bound.
         """
-        n, replicas = 128, 8
-        topology = Topology(random_regular_graph(n, 8, seed=0))
-        params = SimulationParameters.for_network(n, 8, eps=0.02)
-        b = params.beep_code_length
-        assert b == 4032
-        batched = BatchedSession(topology, params, range(replicas))
-        rng = derive_rng(0, "memory")
-        batch = [random_messages(rng, n, params.message_bits) for _ in range(replicas)]
-        batched.run_round(batch)  # warm: code tables and row caches
-        tracemalloc.start()
-        try:
-            batched.run_round(batch)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * replicas * n * b
+        assert self.replicas * self.cells <= round_simulator._CHUNK_CELLS
+        batched, batch = warm_memory_batch(self.replicas)
+        peak = traced_peak(lambda: batched.run_round(batch))
+        assert peak < 5 * self.replicas * self.cells
 
     def test_phase1_heard_is_freed_before_phase2(self, monkeypatch):
         """Phase 1's heard stack is decoded into pairs and dropped before
         phase 2 runs, and the round's traced peak stays near two stacks.
 
-        A warm n=128, R=8 round peaks at about 2.87·R·n·b: the schedule
+        The one-chunk round peaks at about 2.87·R·n·b: the schedule
         buffer and one heard stack, plus the kernels' working sets.
         Keeping phase 1's heard stack through phase 2, or the buffer
         through the finishes, breaks the ``3.25·R·n·b`` bound.
         """
-        n, replicas = 128, 8
-        topology = Topology(random_regular_graph(n, 8, seed=0))
-        params = SimulationParameters.for_network(n, 8, eps=0.02)
-        b = params.beep_code_length
-        batched = BatchedSession(topology, params, range(replicas))
-        rng = derive_rng(0, "memory")
-        batch = [random_messages(rng, n, params.message_bits) for _ in range(replicas)]
-        batched.run_round(batch)  # warm: code tables and row caches
+        batched, batch = warm_memory_batch(self.replicas)
         original = round_simulator.run_schedule_batch
         heard_refs = []
         alive_at_phase2 = []
@@ -492,14 +552,24 @@ class TestRoundMemory:
             return heard
 
         monkeypatch.setattr(round_simulator, "run_schedule_batch", spy)
-        tracemalloc.start()
-        try:
-            batched.run_round(batch)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: batched.run_round(batch))
         assert alive_at_phase2 == [False]
-        assert peak < 3.25 * replicas * n * b
+        assert peak < 3.25 * self.replicas * self.cells
+
+    def test_one_replica_per_chunk(self, force_chunk):
+        """With one replica per chunk, the round's peak is one replica's
+        stacks plus what every replica keeps.
+
+        Each chunk's buffer and heard stacks are freed before the next
+        chunk starts; what grows with R is the outcomes and each
+        replica's caches.  The round peaks at about 1.29·R·n·b, and
+        holding the whole batch at once (2.87·R·n·b) breaks the
+        ``1.75·R·n·b`` bound.
+        """
+        force_chunk(0)
+        batched, batch = warm_memory_batch(self.replicas)
+        peak = traced_peak(lambda: batched.run_round(batch))
+        assert peak < 1.75 * self.replicas * self.cells
 
     @pytest.mark.parametrize("kernel", ["dense", "bitpacked"])
     def test_heard_never_aliases_the_schedule_buffer(

@@ -7,8 +7,9 @@ the reference encoder and decoders — across the three candidate scans
 values alone), noiseless and noisy channels, the scenario channels, a
 churning topology, a noise-window-straddling offset, silent nodes and a
 forced ``r_v`` collision, with the scan and heterogeneous-noise cases
-run under both phase-1 counting kernels.  The kernel-level comparisons stay
-in ``tests/core/test_batched_session.py``.
+run under both phase-1 counting kernels.  Each batched round runs both
+as one chunk and one replica per chunk.  The kernel-level comparisons
+stay in ``tests/core/test_batched_session.py``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 from reference_round import assert_outcomes_equal, reference_round
 from repro.beeping.noise import AdversarialNoise, DynamicTopology, HeterogeneousNoise
+from repro.core import round_simulator
 from repro.core.parameters import CandidatePolicy, SimulationParameters
 from repro.core.round_simulator import BatchedSession, BroadcastSession
 from repro.graphs import Topology, path_graph, random_regular_graph
@@ -56,9 +58,10 @@ def check_against_reference(
     topology, params, rounds, *, start=0, channels=None, **scan
 ):
     """Run ``rounds`` on standalone sessions, and on a batched session
-    unless ``scan`` (``policy``, ``num_decoys``) leaves the default scan;
-    compare each to the reference round at the same offset.  Returns the
-    reference outcomes keyed by ``(seed, round index)``."""
+    (whole, then one replica per chunk) unless ``scan`` (``policy``,
+    ``num_decoys``) leaves the default scan; compare each to the
+    reference round at the same offset.  Returns the reference outcomes
+    keyed by ``(seed, round index)``."""
     channels = list(channels) if channels is not None else [None] * len(SEEDS)
     expected = {}
     for seed, channel in zip(SEEDS, channels):
@@ -75,12 +78,16 @@ def check_against_reference(
             assert_outcomes_equal(session.run_round(messages), expected[seed, t])
     if scan:
         return expected
-    batched = BatchedSession(topology, params, SEEDS, channels=channels)
-    batched.reset(start)
-    for t, messages in enumerate(rounds):
-        outcomes = batched.run_round([messages] * len(SEEDS))
-        for seed, outcome in zip(SEEDS, outcomes):
-            assert_outcomes_equal(outcome, expected[seed, t])
+    # The whole batch as one chunk, then one replica per chunk.
+    for budget in (round_simulator._CHUNK_CELLS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(round_simulator, "_CHUNK_CELLS", budget)
+            batched = BatchedSession(topology, params, SEEDS, channels=channels)
+            batched.reset(start)
+            for t, messages in enumerate(rounds):
+                outcomes = batched.run_round([messages] * len(SEEDS))
+                for seed, outcome in zip(SEEDS, outcomes):
+                    assert_outcomes_equal(outcome, expected[seed, t])
     return expected
 
 
