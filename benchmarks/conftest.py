@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import platform
 
-from repro.experiments import ExperimentSpec, Table
+from repro.experiments import ExperimentSpec, RunContext, Table
 
 
 def host_metadata() -> dict:
@@ -42,8 +42,8 @@ def host_metadata() -> dict:
 
 def run_and_print(benchmark, spec: ExperimentSpec) -> list[Table]:
     """Benchmark one quick-profile, seed-0 run of ``spec`` and print its tables."""
-    ctx = spec.make_context(profile="quick", seed=0)
-    tables = benchmark.pedantic(spec.execute, args=(ctx,), rounds=1, iterations=1)
+    ctx = RunContext(spec.id, profile="quick", seed=0)
+    tables = benchmark.pedantic(spec.func, args=(ctx,), rounds=1, iterations=1)
     for table in tables:
         print()
         print(table.render())

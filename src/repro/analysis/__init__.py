@@ -7,7 +7,7 @@ from .theory import (
     theorem11_failure_bound,
     strict_constraint_table,
 )
-from .measurement import SuccessStats, measure_round_success, fit_linear_factor
+from .measurement import measure_round_success, fit_linear_factor
 
 __all__ = [
     "lemma8_failure_bound",
@@ -15,7 +15,6 @@ __all__ = [
     "lemma10_failure_bound",
     "theorem11_failure_bound",
     "strict_constraint_table",
-    "SuccessStats",
     "measure_round_success",
     "fit_linear_factor",
 ]

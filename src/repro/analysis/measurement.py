@@ -2,45 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..core.parameters import SimulationParameters
 from ..core.round_simulator import BroadcastSession
+from ..core.stats import SimulationStats
 from ..errors import ConfigurationError
 from ..graphs import Topology
 from ..rng import derive_rng, random_bits_many
 
-__all__ = ["SuccessStats", "measure_round_success", "fit_linear_factor"]
-
-
-@dataclass(frozen=True)
-class SuccessStats:
-    """Aggregated outcome of repeated simulated rounds.
-
-    Attributes
-    ----------
-    trials:
-        Simulated rounds run.
-    failures:
-        Rounds with at least one misdecoding node.
-    phase1_node_errors, phase2_node_errors:
-        Summed per-node error counts across trials.
-    """
-
-    trials: int
-    failures: int
-    phase1_node_errors: int
-    phase2_node_errors: int
-
-    @property
-    def success_rate(self) -> float:
-        """Fraction of trials in which every node decoded perfectly."""
-        if self.trials == 0:
-            return 1.0
-        return 1.0 - self.failures / self.trials
+__all__ = ["measure_round_success", "fit_linear_factor"]
 
 
 def measure_round_success(
@@ -48,30 +21,31 @@ def measure_round_success(
     params: SimulationParameters,
     trials: int,
     seed: int = 0,
-) -> SuccessStats:
-    """Run ``trials`` independent Algorithm 1 rounds with random messages."""
+) -> SimulationStats:
+    """Run ``trials`` independent Algorithm 1 rounds with random messages.
+
+    Each round's outcome is folded into the returned
+    :class:`SimulationStats`.
+    """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     n = topology.num_nodes
     message_rng = derive_rng(seed, "measurement-messages")
-    failures = 0
-    p1 = 0
-    p2 = 0
+    stats = SimulationStats()
     session = BroadcastSession(
         topology, params, seed, codes=params.combined_code(seed)
     )
     for _ in range(trials):
         messages = random_bits_many(message_rng, n, params.message_bits)
         outcome = session.run_round(messages)
-        failures += 0 if outcome.success else 1
-        p1 += outcome.phase1_errors
-        p2 += outcome.phase2_errors
-    return SuccessStats(
-        trials=trials,
-        failures=failures,
-        phase1_node_errors=p1,
-        phase2_node_errors=p2,
-    )
+        stats.record_round(
+            beep_rounds=outcome.beep_rounds_used,
+            success=outcome.success,
+            phase1_errors=outcome.phase1_errors,
+            phase2_errors=outcome.phase2_errors,
+            r_collision=outcome.r_collision,
+        )
+    return stats
 
 
 def fit_linear_factor(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -106,9 +106,13 @@ _EXHAUSTIVE_LIMIT_BITS = 22
 #: per batch) 9% slower: 0.678 s against 0.622 s, in 10 of 10 pairs.
 _CHUNK_CELLS = 1 << 22
 
-#: Distance-code rows cached across rounds (per session).  Rows are short
-#: (``c²B`` bits) and in-flight messages recur across rounds (IDs, counters
-#: ...), so this cache converts phase-2 matrix builds into lookups.
+#: Distance-code rows cached across rounds (per session).  Beep codewords
+#: are keyed by a fresh ``r_v`` each round and are never cached, but B-bit
+#: message values recur, so a hit turns a row's encode into a lookup.  Over
+#: perfbench's first two seed-0 timed units, 77.5% of 10,839 message-
+#: candidate rows were hits on ``batched_noisy`` and 69.9% of 35,687 on
+#: ``sweep_noiseless``, whose message spaces are small (B = 5–9 bits), but
+#: 8.7% of 1,362 on ``matching_beeps``, whose 37-bit messages carry IDs.
 _DISTANCE_ROW_CACHE_SIZE = 8192
 
 

@@ -18,22 +18,21 @@ or programmatically through the v2 API::
     print(result.render_text())       # the classic monospace tables
 
 Each experiment module declares itself with the
-:func:`~repro.experiments.spec.experiment` decorator and receives a
-:class:`RunContext`; runners return :class:`Table` objects that the
-runner API wraps into :class:`ExperimentResult` records (JSON/CSV
-serializable).
+:func:`~repro.experiments.spec.experiment` decorator, which registers it
+in :mod:`repro.experiments.spec`, and receives a :class:`RunContext`.
+Runners return :class:`Table` objects, the one table type: the runner
+API wraps them into :class:`ExperimentResult` records (JSON/CSV
+serializable) without converting them.
 """
 
 from .table import Table
 from .context import RunContext
-from .spec import ExperimentSpec, experiment
-from .result import ExperimentResult, TableData
-from .registry import get_spec, all_specs
+from .spec import ExperimentSpec, experiment, get_spec, all_specs
+from .result import ExperimentResult
 from .api import run
 
 __all__ = [
     "Table",
-    "TableData",
     "RunContext",
     "ExperimentSpec",
     "ExperimentResult",

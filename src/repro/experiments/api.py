@@ -29,8 +29,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from ..engine import mp_context
 from ..errors import ConfigurationError
-from .registry import all_specs, get_spec
+from .context import RunContext
 from .result import ExperimentResult
+from .spec import all_specs, get_spec
 
 __all__ = ["run", "run_one", "resolve_ids", "cache_path", "load_cached", "write_cache"]
 
@@ -162,9 +163,11 @@ def run_one(
 ) -> ExperimentResult:
     """Execute a single experiment in-process and return its result."""
     spec = get_spec(experiment_id)
-    ctx = spec.make_context(profile=profile, seed=seed, progress=progress)
+    ctx = RunContext(
+        experiment_id=spec.id, profile=profile, seed=seed, progress=progress
+    )
     started = time.perf_counter()
-    tables = spec.execute(ctx)
+    tables = spec.func(ctx)
     elapsed = time.perf_counter() - started
     return ExperimentResult(
         experiment_id=spec.id,

@@ -29,8 +29,8 @@ from typing import Sequence
 
 from ..errors import ConfigurationError
 from . import api
-from .registry import all_specs
 from .result import ExperimentResult
+from .spec import all_specs
 
 __all__ = ["main", "sweep_main"]
 

@@ -1,4 +1,4 @@
-"""Declarative experiment specs and the self-registering decorator.
+"""Declarative experiment specs and the registry that holds them.
 
 Each experiment module declares itself::
 
@@ -12,26 +12,36 @@ Each experiment module declares itself::
         ...
 
 The decorator wraps the runner in an :class:`ExperimentSpec` and records
-it in the process-wide registry that :mod:`repro.experiments.registry`
-exposes; :meth:`ExperimentSpec.execute` runs it under a
-:class:`RunContext`.
+it in the process-wide registry.  :func:`discover` imports every
+``eNN_*`` / ``aNN_*`` module of the package once, which fires their
+decorators, so a new experiment needs no registry edit;
+:func:`all_specs` and :func:`get_spec` read the registry after
+discovering.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..errors import ConfigurationError
 from .context import RunContext
 from .table import Table
 
-__all__ = ["ExperimentSpec", "experiment", "registered_spec", "registered_specs"]
+__all__ = ["ExperimentSpec", "experiment", "discover", "all_specs", "get_spec"]
 
 #: Process-wide spec registry, keyed by lower-case experiment id.
-#: Populated by the :func:`experiment` decorator at module import time;
-#: read through :mod:`repro.experiments.registry`.
+#: Populated by the :func:`experiment` decorator at module import time.
 _REGISTRY: dict[str, "ExperimentSpec"] = {}
+
+#: Experiment modules are named ``<group><number>_<slug>`` — e.g.
+#: ``e06_overhead`` or ``a01_constant_calibration``.
+_MODULE_PATTERN = re.compile(r"^[a-z]\d{2}_")
+
+_discovered = False
 
 
 @dataclass(frozen=True)
@@ -61,25 +71,6 @@ class ExperimentSpec:
     func: Callable[[RunContext], list[Table]] = field(
         default=None, repr=False, compare=False
     )
-
-    def make_context(
-        self,
-        *,
-        profile: str = "quick",
-        seed: int = 0,
-        progress: Callable[[str], None] | None = None,
-    ) -> RunContext:
-        """Build a :class:`RunContext` bound to this experiment's id."""
-        return RunContext(
-            experiment_id=self.id,
-            profile=profile,
-            seed=seed,
-            progress=progress,
-        )
-
-    def execute(self, ctx: RunContext) -> list[Table]:
-        """Run the experiment under ``ctx`` and return its tables."""
-        return self.func(ctx)
 
     def matches_tags(self, tags: "set[str] | frozenset[str]") -> bool:
         """True iff this spec carries at least one of ``tags`` (case-folded)."""
@@ -121,12 +112,35 @@ def experiment(
     return decorate
 
 
-def registered_specs() -> Iterator[ExperimentSpec]:
-    """All registered specs, ordered by id."""
-    for key in sorted(_REGISTRY):
-        yield _REGISTRY[key]
+def discover() -> None:
+    """Import every experiment module in the package (idempotent).
+
+    Importing a module executes its :func:`experiment` decorator, which
+    registers the spec.  New experiments therefore need no registry edit
+    at all — drop a ``eNN_*.py`` module in the package and it is found.
+    """
+    global _discovered
+    if _discovered:
+        return
+    package = importlib.import_module(__package__)
+    for info in pkgutil.iter_modules(package.__path__):
+        if _MODULE_PATTERN.match(info.name):
+            importlib.import_module(f"{__package__}.{info.name}")
+    _discovered = True
 
 
-def registered_spec(experiment_id: str) -> "ExperimentSpec | None":
-    """Direct registry lookup by (case-insensitive) id; None when absent."""
-    return _REGISTRY.get(experiment_id.lower())
+def all_specs() -> list[ExperimentSpec]:
+    """Every registered spec, ordered by id."""
+    discover()
+    return [_REGISTRY[key] for key in sorted(_REGISTRY)]
+
+
+def get_spec(experiment_id: str) -> ExperimentSpec:
+    """Look up a spec by id (case-insensitive)."""
+    discover()
+    spec = _REGISTRY.get(experiment_id.lower())
+    if spec is None:
+        raise ConfigurationError(
+            f"unknown experiment {experiment_id!r}; known: {sorted(_REGISTRY)}"
+        )
+    return spec

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from ..errors import ConfigurationError
-from ..experiments.result import TableData
 from ..experiments.table import Table
 
 __all__ = ["SWEEP_SCHEMA_VERSION", "POINT_FIELDS", "CELL_KEY", "SweepResult"]
@@ -243,11 +242,11 @@ class SweepResult:
 
     def points_csv(self) -> str:
         """Long-form CSV: one row per grid point."""
-        return TableData.from_table(self.points_table()).to_csv()
+        return self.points_table().to_csv()
 
     def cells_csv(self) -> str:
         """Aggregate CSV: one row per cell."""
-        return TableData.from_table(self.cells_table()).to_csv()
+        return self.cells_table().to_csv()
 
     def to_dict(self) -> dict:
         """JSON-able dict form (schema-versioned)."""

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import (
-    SuccessStats,
     fit_linear_factor,
     lemma8_failure_bound,
     lemma9_failure_bound,
@@ -70,14 +69,8 @@ class TestMeasurement:
         params = SimulationParameters(message_bits=5, max_degree=3, eps=0.0, c=3)
         stats = measure_round_success(topology, params, trials=3, seed=0)
         assert stats.success_rate == 1.0
-        assert stats.failures == 0
+        assert stats.failed_rounds == 0
         assert stats.phase1_node_errors == 0
-
-    def test_stats_fields(self):
-        stats = SuccessStats(
-            trials=10, failures=2, phase1_node_errors=3, phase2_node_errors=1
-        )
-        assert stats.success_rate == pytest.approx(0.8)
 
     def test_zero_trials_rejected(self):
         topology = Topology(random_regular_graph(10, 3, seed=1))

@@ -51,20 +51,35 @@ class TestRunOne:
 
     def test_rows_match_legacy_runner(self):
         result = api.run_one("e03", seed=1)
-        spec = get_spec("e03")
-        tables = spec.execute(spec.make_context(profile="quick", seed=1))
-        assert [t.rows for t in result.tables] == [
-            [list(row) for row in table.rows] for table in tables
-        ]
+        tables = get_spec("e03").func(RunContext("e03", seed=1))
+        assert [t.rows for t in result.tables] == [t.rows for t in tables]
 
     def test_full_profile_reaches_context(self):
-        spec = get_spec("e03")
-        ctx = spec.make_context(profile="full", seed=0)
-        assert not ctx.quick
         # full e03 sweeps more (a, delta) combos than quick
         quick_rows = len(api.run_one("e03").tables[0].rows)
-        full_rows = len(spec.execute(ctx)[0].rows)
+        full_rows = len(api.run_one("e03", profile="full").tables[0].rows)
         assert full_rows > quick_rows
+
+    def test_runner_context_carries_the_run_settings(self):
+        from repro.experiments import spec as spec_module
+        from repro.experiments.spec import experiment
+
+        seen: list[RunContext] = []
+
+        @experiment(id="x98", title="context probe", tags=("test",))
+        def probe(ctx):
+            seen.append(ctx)
+            ctx.report("hello")
+            return []
+
+        messages: list[str] = []
+        try:
+            api.run_one("x98", profile="full", seed=5, progress=messages.append)
+        finally:
+            del spec_module._REGISTRY["x98"]
+        [ctx] = seen
+        assert (ctx.experiment_id, ctx.profile, ctx.seed) == ("x98", "full", 5)
+        assert messages == ["x98: hello"]
 
 
 class TestRunMany:
@@ -78,9 +93,7 @@ class TestRunMany:
         for a, b in zip(serial, parallel):
             assert a.experiment_id == b.experiment_id
             assert [t.rows for t in a.tables] == [t.rows for t in b.tables]
-            assert [t.to_table().render() for t in a.tables] == [
-                t.to_table().render() for t in b.tables
-            ]
+            assert [t.render() for t in a.tables] == [t.render() for t in b.tables]
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ConfigurationError):

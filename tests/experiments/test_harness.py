@@ -6,8 +6,8 @@ import json
 
 import pytest
 
+from repro.experiments import all_specs
 from repro.experiments.harness import _experiment_id_summary, main
-from repro.experiments.registry import all_specs
 from repro.sweeps.result import SWEEP_SCHEMA_VERSION
 
 GRID_TOML = (
@@ -132,17 +132,16 @@ class TestFormats:
         assert "a,delta,c_delta" in out
 
     def test_text_format_matches_direct_render(self, capsys):
-        from repro.experiments import api, get_spec
+        from repro.experiments import RunContext, api, get_spec
 
         assert main(["e03", "--seed", "2"]) == 0
         cli_out = capsys.readouterr().out
         [result] = api.run(["e03"], seed=2)
-        spec = get_spec("e03")
-        tables = spec.execute(spec.make_context(profile="quick", seed=2))
+        tables = get_spec("e03").func(RunContext("e03", seed=2))
         # the table bodies must agree byte-for-byte across all three paths:
         # direct spec execution, structured result, and CLI text output
-        for table, table_data in zip(tables, result.tables):
-            assert table.render() == table_data.to_table().render()
+        for table, stored in zip(tables, result.tables):
+            assert table.render() == stored.render()
             assert table.render() in cli_out
 
     def test_output_dir_writes_files(self, tmp_path, capsys):

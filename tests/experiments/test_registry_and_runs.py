@@ -6,12 +6,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import Table, all_specs, get_spec
+from repro.experiments import RunContext, Table, all_specs, get_spec
 
 
 def run_quick(experiment_id: str) -> list[Table]:
-    spec = get_spec(experiment_id)
-    return spec.execute(spec.make_context(profile="quick", seed=0))
+    return get_spec(experiment_id).func(RunContext(experiment_id))
 
 
 class TestRegistry:
@@ -26,6 +25,10 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             get_spec("e99")
 
+    def test_unknown_id_names_the_known_ids(self):
+        with pytest.raises(ConfigurationError, match=r"known: \['a01', 'a02'"):
+            get_spec("e99")
+
 
 class TestSpecs:
     def test_every_spec_carries_metadata(self):
@@ -36,8 +39,7 @@ class TestSpecs:
             assert spec.id == spec.id.lower()
 
     def test_duplicate_id_across_modules_rejected(self):
-        from repro.experiments.registry import discover
-        from repro.experiments.spec import experiment
+        from repro.experiments.spec import discover, experiment
 
         discover()  # ensure e06_overhead owns its id before the clash
         with pytest.raises(ConfigurationError):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import ExperimentResult, Table, TableData, all_specs
+from repro.experiments import ExperimentResult, Table, all_specs
 from repro.experiments.result import SCHEMA_VERSION
 
 
@@ -23,7 +23,7 @@ def _synthetic_result(spec) -> ExperimentResult:
     Rows cover every cell type experiments emit: ints, floats (plain and
     scientific-notation magnitudes), bools, and strings.
     """
-    table = TableData(
+    table = Table(
         title=f"{spec.id}: synthetic",
         headers=["n", "ratio", "tiny", "ok", "label"],
         rows=[
@@ -64,37 +64,51 @@ def test_json_round_trip_every_spec(spec):
     assert restored.render_text() == result.render_text()
 
 
-class TestTableData:
-    def test_from_table_round_trip(self):
-        table = Table(title="T", headers=["a", "b"], notes=["n1"])
-        table.add_row(1, 0.5)
-        table.add_row(2, 1e-9)
-        data = TableData.from_table(table)
-        rebuilt = data.to_table()
-        assert rebuilt.render() == table.render()
-
+class TestTableCells:
     def test_numpy_scalars_coerced(self):
-        data = TableData(
+        table = Table(
             title="T",
             headers=["i", "f", "b"],
             rows=[[np.int64(3), np.float64(0.25), np.bool_(True)]],
         )
-        [row] = data.rows
-        assert row == [3, 0.25, True]
+        [row] = table.rows
+        assert row == (3, 0.25, True)
         assert [type(value) for value in row] == [int, float, bool]
-        json.dumps(data.to_dict())  # JSON-able without a custom encoder
+        json.dumps(table.to_dict())  # JSON-able without a custom encoder
+
+    def test_numpy_cells_render_alike_directly_and_after_json(self):
+        # np.True_ is not a bool: stored as given, it would render "True"
+        # here and "yes" after the JSON round trip
+        table = Table(title="T", headers=["ok", "count"])
+        table.add_row(np.True_, np.int64(3))
+        result = ExperimentResult(
+            experiment_id="eXX", title="t", profile="quick", seed=0,
+            elapsed=0.0, tables=[table],
+        )
+        restored = ExperimentResult.from_json(result.to_json())
+        assert restored.render_text() == result.render_text()
+        assert restored.render_text().startswith("\n" + table.render())
+        assert table.render().splitlines()[-1].startswith("yes")
 
     def test_records(self):
-        data = TableData(title="T", headers=["x", "y"], rows=[[1, 2], [3, 4]])
-        assert list(data.records()) == [{"x": 1, "y": 2}, {"x": 3, "y": 4}]
+        table = Table(title="T", headers=["x", "y"], rows=[[1, 2], [3, 4]])
+        assert list(table.records()) == [{"x": 1, "y": 2}, {"x": 3, "y": 4}]
 
     def test_csv_quotes_commas(self):
-        data = TableData(title="T", headers=["k", "v"], rows=[["a,b", 1]])
-        assert data.to_csv() == 'k,v\n"a,b",1\n'
+        table = Table(title="T", headers=["k", "v"], rows=[["a,b", 1]])
+        assert table.to_csv() == 'k,v\n"a,b",1\n'
+
+    def test_dict_round_trip(self):
+        table = Table(title="T", headers=["a", "b"], rows=[[1, "x"]], notes=["n"])
+        assert Table.from_dict(json.loads(json.dumps(table.to_dict()))) == table
 
     def test_row_arity_checked(self):
         with pytest.raises(ConfigurationError):
-            TableData(title="T", headers=["a", "b"], rows=[[1]])
+            Table(title="T", headers=["a", "b"], rows=[[1]])
+
+    def test_duplicate_headers_rejected_when_built(self):
+        with pytest.raises(ConfigurationError, match="duplicate headers"):
+            Table(title="T", headers=["a", "a"])
 
 
 class TestExperimentResult:
@@ -106,27 +120,14 @@ class TestExperimentResult:
             seed=0,
             elapsed=0.0,
             tables=[
-                TableData(title="first", headers=["a"], rows=[[1]]),
-                TableData(title="second", headers=["a"], rows=[[2]]),
+                Table(title="first", headers=["a"], rows=[[1]]),
+                Table(title="second", headers=["a"], rows=[[2]]),
             ],
         )
         assert list(result.records()) == [
             {"table": "first", "a": 1},
             {"table": "second", "a": 2},
         ]
-
-    def test_adopts_raw_tables(self):
-        table = Table(title="T", headers=["a"])
-        table.add_row(1)
-        result = ExperimentResult(
-            experiment_id="eXX",
-            title="t",
-            profile="quick",
-            seed=0,
-            elapsed=0.0,
-            tables=[table],
-        )
-        assert isinstance(result.tables[0], TableData)
 
     def test_render_text_matches_v1_block(self):
         table = Table(title="T", headers=["a"])
@@ -163,7 +164,7 @@ class TestExperimentResult:
     def test_stored_backend_label_is_ignored(self):
         # Documents written while the kernel was a user choice carry a
         # backend label; they still load, and the label is dropped.
-        table = TableData(title="T", headers=["a"], rows=[[1]])
+        table = Table(title="T", headers=["a"], rows=[[1]])
         result = ExperimentResult(
             experiment_id="eXX", title="t", profile="quick", seed=0,
             elapsed=0.0, tables=[table],

@@ -39,6 +39,7 @@ MODULES: "tuple[str, ...]" = (
     "repro.experiments.api",
     "repro.experiments.result",
     "repro.experiments.context",
+    "repro.experiments.table",
     "repro.sweeps",
     "repro.sweeps.grid",
     "repro.sweeps.engine",
